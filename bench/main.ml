@@ -446,15 +446,10 @@ let churn () =
      encapsulation bytes for fewer handoff losses; local membership with\n\
      unsolicited Reports stays close behind at a fraction of the cost."
 
-let scale () =
-  section
-    "Scale suite: generated scenarios x all four approaches under the invariant \
-     monitor";
-  let sizes = if !quick_setting then [ 25 ] else [ 25; 50; 100 ] in
-  let base_seed = 42 in
-  let jobs = !jobs_setting in
-  let cells = Scale.Suite.cells ~sizes ~base_seed () in
-  let rows = Scale.Suite.run ~jobs cells in
+(* Run suite cells, print the table and every violation, and write the
+   JSON report; exits non-zero on any violation. *)
+let run_suite ~kind ~file ~base_seed cells =
+  let rows = Scale.Suite.run ~jobs:!jobs_setting cells in
   Format.printf "%a" Scale.Suite.pp_table rows;
   let total = Scale.Suite.violation_total rows in
   List.iter
@@ -479,12 +474,21 @@ let scale () =
             ("manifest", Obs.Manifest.to_json (report_manifest ())) ])
     | other -> other
   in
-  let path = write_report ~kind:"scale" "BENCH_scale.json" doc in
+  let path = write_report ~kind file doc in
   Printf.printf "\n  JSON report written to %s\n" path;
   if total > 0 then begin
-    Printf.eprintf "scale: %d invariant violation(s) detected\n" total;
+    Printf.eprintf "%s: %d invariant violation(s) detected\n" kind total;
     exit 1
-  end;
+  end
+
+let scale () =
+  section
+    "Scale suite: generated scenarios x all four approaches under the invariant \
+     monitor";
+  let sizes = if !quick_setting then [ 25 ] else [ 25; 50; 100 ] in
+  let base_seed = 42 in
+  run_suite ~kind:"scale" ~file:"BENCH_scale.json" ~base_seed
+    (Scale.Suite.cells ~sizes ~base_seed ());
   print_endline
     "\nWaxman and preferential-attachment router graphs with membership churn,\n\
      handover churn and recoverable faults, every cell checked by the runtime\n\
@@ -564,76 +568,9 @@ let faults () =
 let soak () =
   section "Soak: randomized recoverable fault schedules under the invariant monitor";
   let schedules = if !quick_setting then 5 else 20 in
-  let jobs = !jobs_setting in
   let base_seed = 7 in
-  let rows = Check.Soak.run ~schedules ~jobs ~seed:base_seed () in
-  Printf.printf "  %-34s %5s %6s %6s %5s %5s %5s %4s\n" "approach" "seed" "sent" "rx"
-    "dup" "drop" "marks" "viol";
-  List.iter
-    (fun (r : Check.Soak.row) ->
-      Printf.printf "  %-34s %5d %6d %6d %5d %5d %5d %4d\n"
-        (Approach.name r.Check.Soak.soak_approach)
-        r.Check.Soak.soak_seed r.Check.Soak.soak_sent r.Check.Soak.soak_delivered
-        r.Check.Soak.soak_duplicates r.Check.Soak.soak_malformed
-        (List.length r.Check.Soak.soak_marks)
-        (List.length r.Check.Soak.soak_violations))
-    rows;
-  let total_violations =
-    List.fold_left
-      (fun acc r -> acc + List.length r.Check.Soak.soak_violations)
-      0 rows
-  in
-  List.iter
-    (fun (r : Check.Soak.row) ->
-      List.iter
-        (fun v ->
-          Format.printf "  seed %d, %s:@,%a@." r.Check.Soak.soak_seed
-            (Approach.name r.Check.Soak.soak_approach)
-            Check.Monitor.pp_violation v)
-        r.Check.Soak.soak_violations)
-    rows;
-  (* Machine-readable report alongside the table ([Obs.Json] escapes
-     every string, so violation details can never break the document). *)
-  let violation_json (v : Check.Monitor.violation) =
-    Obs.Json.Obj
-      [ ( "invariant",
-          Obs.Json.String (Check.Monitor.invariant_name v.Check.Monitor.v_invariant) );
-        ("at_s", Obs.Json.float v.Check.Monitor.v_at);
-        ("where", Obs.Json.String v.Check.Monitor.v_where);
-        ("detail", Obs.Json.String v.Check.Monitor.v_detail) ]
-  in
-  let row_json (r : Check.Soak.row) =
-    Obs.Json.Obj
-      [ ("approach", Obs.Json.String (Approach.name r.Check.Soak.soak_approach));
-        ("seed", Obs.Json.Int r.Check.Soak.soak_seed);
-        ("marks", Obs.Json.strings r.Check.Soak.soak_marks);
-        ("moves", Obs.Json.Int r.Check.Soak.soak_moves);
-        ("sent", Obs.Json.Int r.Check.Soak.soak_sent);
-        ("delivered", Obs.Json.Int r.Check.Soak.soak_delivered);
-        ("duplicates", Obs.Json.Int r.Check.Soak.soak_duplicates);
-        ("malformed_drops", Obs.Json.Int r.Check.Soak.soak_malformed);
-        ("samples", Obs.Json.Int r.Check.Soak.soak_samples);
-        ("bound_s", Obs.Json.float r.Check.Soak.soak_bound);
-        ( "violations",
-          Obs.Json.List (List.map violation_json r.Check.Soak.soak_violations) ) ]
-  in
-  let doc =
-    Obs.Json.Obj
-      [ ("schema", Obs.Json.String "mmcast-bench-soak/2");
-        ("base_seed", Obs.Json.Int base_seed);
-        ("duration_s", Obs.Json.float Check.Soak.duration);
-        ("schedules_per_approach", Obs.Json.Int schedules);
-        ("quick", Obs.Json.Bool !quick_setting);
-        ("total_violations", Obs.Json.Int total_violations);
-        ("runs", Obs.Json.List (List.map row_json rows));
-        ("manifest", Obs.Manifest.to_json (report_manifest ())) ]
-  in
-  let path = write_report ~kind:"soak" "BENCH_soak.json" doc in
-  Printf.printf "\n  JSON report written to %s\n" path;
-  if total_violations > 0 then begin
-    Printf.eprintf "soak: %d invariant violation(s) detected\n" total_violations;
-    exit 1
-  end;
+  run_suite ~kind:"soak" ~file:"BENCH_soak.json" ~base_seed
+    (List.init schedules (fun i -> Scale.Suite.Soak { seed = base_seed + i }));
   print_endline
     "\nEvery run is wire-exact (each frame serialized, optionally corrupted, and\n\
      re-parsed before delivery); the monitor verified assert winners, querier\n\

@@ -598,95 +598,93 @@ let broken_graft_demo ~seed =
     `Error (false, "monitor failed to catch the disabled-graft configuration")
   else `Ok ()
 
-let soak_row_json (r : Check.Soak.row) =
-  Obs.Json.Obj
-    [ ("approach", Obs.Json.Int (Approach.number r.Check.Soak.soak_approach));
-      ("approach_name", Obs.Json.String (Approach.name r.Check.Soak.soak_approach));
-      ("seed", Obs.Json.Int r.Check.Soak.soak_seed);
-      ("moves", Obs.Json.Int r.Check.Soak.soak_moves);
-      ("sent", Obs.Json.Int r.Check.Soak.soak_sent);
-      ("delivered", Obs.Json.Int r.Check.Soak.soak_delivered);
-      ("duplicates", Obs.Json.Int r.Check.Soak.soak_duplicates);
-      ("malformed", Obs.Json.Int r.Check.Soak.soak_malformed);
-      ("samples", Obs.Json.Int r.Check.Soak.soak_samples);
-      ("convergence_bound_s", Obs.Json.float r.Check.Soak.soak_bound);
-      ("marks", Obs.Json.strings r.Check.Soak.soak_marks);
-      ( "violations",
-        Obs.Json.strings
-          (List.map
-             (Format.asprintf "%a" Check.Monitor.pp_violation)
-             r.Check.Soak.soak_violations) ) ]
+let print_violations rows =
+  List.iter
+    (fun row ->
+      List.iter
+        (fun (o : Scale.Runner.outcome) ->
+          List.iter
+            (fun v ->
+              Format.printf "@.%s, approach %d:@.%a@." row.Scale.Suite.r_name
+                (Approach.number o.Scale.Runner.out_approach)
+                Check.Monitor.pp_violation v)
+            o.Scale.Runner.out_violations)
+        row.Scale.Suite.r_outcomes)
+    rows
+
+(* Shrink every violating soak run into a replayable repro bundle.  The
+   oracle keeps the run's own convergence bound, so the minimum fails
+   for the same reason the soak did. *)
+let write_soak_repros rows ~dir =
+  List.iter
+    (fun row ->
+      List.iter
+        (fun (o : Scale.Runner.outcome) ->
+          if o.Scale.Runner.out_violations <> [] then begin
+            let desc = Scale.Suite.desc_of row.Scale.Suite.r_cell in
+            let desc =
+              { desc with
+                Scale.Desc.d_name =
+                  Printf.sprintf "%s-a%d" desc.Scale.Desc.d_name
+                    (Approach.number o.Scale.Runner.out_approach) }
+            in
+            let sustain = o.Scale.Runner.out_bound in
+            match Scale.Shrink.minimize ~sustain desc o.Scale.Runner.out_approach with
+            | None ->
+              Printf.printf "%s: violation did not recur under the shrinker\n"
+                desc.Scale.Desc.d_name
+            | Some r ->
+              let path = Scale.Repro.write (Scale.Repro.of_shrink r ~sustain) ~dir in
+              Printf.printf "minimal repro -> %s\n" path
+          end)
+        row.Scale.Suite.r_outcomes)
+    rows
 
 let check_cmd approach seed schedules jobs disable_graft telemetry =
   if disable_graft then broken_graft_demo ~seed
   else if approach < 0 || approach > 4 then
     `Error (false, "approach must be 1-4, or 0 for all four")
+  else if schedules < 1 then `Error (false, "no runs selected")
   else begin
-    let approaches =
-      if approach = 0 then Approach.all else [ Approach.of_number approach ]
-    in
-    let tasks =
-      List.concat_map
-        (fun a -> List.init schedules (fun i -> (a, seed + i)))
-        approaches
-    in
+    let cells = List.init schedules (fun i -> Scale.Suite.Soak { seed = seed + i }) in
     let rows =
-      Parallel.map ~jobs (fun (a, s) -> Check.Soak.run_one ~approach:a ~seed:s) tasks
+      if approach = 0 then Scale.Suite.run ~jobs cells
+      else begin
+        let a = Approach.of_number approach in
+        List.map2
+          (fun cell o -> Scale.Suite.row cell [ o ])
+          cells
+          (Parallel.map ~jobs
+             (fun cell -> Scale.Runner.run (Scale.Suite.desc_of cell) a)
+             cells)
+      end
     in
-    Printf.printf "%-34s %5s %6s %6s %5s %5s %7s %4s\n" "approach" "seed" "sent" "rx"
-      "dup" "drop" "samples" "viol";
-    List.iter
-      (fun (r : Check.Soak.row) ->
-        Printf.printf "%-34s %5d %6d %6d %5d %5d %7d %4d\n"
-          (Approach.name r.Check.Soak.soak_approach)
-          r.Check.Soak.soak_seed r.Check.Soak.soak_sent r.Check.Soak.soak_delivered
-          r.Check.Soak.soak_duplicates r.Check.Soak.soak_malformed
-          r.Check.Soak.soak_samples
-          (List.length r.Check.Soak.soak_violations))
-      rows;
-    let total =
-      List.fold_left
-        (fun acc (r : Check.Soak.row) -> acc + List.length r.Check.Soak.soak_violations)
-        0 rows
-    in
-    List.iter
-      (fun (r : Check.Soak.row) ->
-        List.iter
-          (fun v ->
-            Format.printf "@.seed %d, %s:@.%a@." r.Check.Soak.soak_seed
-              (Approach.name r.Check.Soak.soak_approach)
-              Check.Monitor.pp_violation v)
-          r.Check.Soak.soak_violations)
-      rows;
-    match rows with
-    | [] -> `Error (false, "no runs selected")
-    | r :: _ ->
-      Printf.printf
-        "\n%d run(s) of %.0f s each under randomized recoverable faults; convergence \
-         bound %.1f s; %d violation(s)\n"
-        (List.length rows) Check.Soak.duration r.Check.Soak.soak_bound total;
-      (match telemetry with
-       | None -> ()
-       | Some dir ->
-         ensure_dir dir;
-         let path = Filename.concat dir "soak.json" in
-         Obs.Json.write_file ~pretty:true ~path
-           (Obs.Json.Obj
-              [ ("schema", Obs.Json.String "mmcast-soak/1");
-                ("base_seed", Obs.Json.Int seed);
-                ("duration_s", Obs.Json.float Check.Soak.duration);
-                ("violations", Obs.Json.Int total);
-                ("rows", Obs.Json.List (List.map soak_row_json rows)) ]);
-         let m = Obs.Manifest.create ~tool:"mmcast_sim" () in
-         Obs.Manifest.add_string m "command" "check";
-         Obs.Manifest.add_int m "seed" seed;
-         Obs.Manifest.add_int m "schedules" schedules;
-         Obs.Manifest.add_int m "jobs" jobs;
-         Obs.Manifest.add_string m "topology" "paper_figure1";
-         Obs.Manifest.add_output m ~kind:"soak" path;
-         Obs.Manifest.write m ~path:(Filename.concat dir "manifest.json");
-         Printf.printf "soak telemetry -> %s\n" path);
-      if total > 0 then `Error (false, "invariant violations detected") else `Ok ()
+    Format.printf "%a" Scale.Suite.pp_table rows;
+    print_violations rows;
+    let total = Scale.Suite.violation_total rows in
+    let runs = List.concat_map (fun row -> row.Scale.Suite.r_outcomes) rows in
+    Printf.printf
+      "\n%d run(s) of %.0f s each under randomized recoverable faults; convergence \
+       bound %.1f s; %d violation(s)\n"
+      (List.length runs) (Scale.Gen.soak ~seed).Scale.Desc.d_duration
+      (List.hd runs).Scale.Runner.out_bound total;
+    (match telemetry with
+     | None -> ()
+     | Some dir ->
+       ensure_dir dir;
+       let path = Filename.concat dir "soak.json" in
+       Obs.Json.write_file ~pretty:true ~path (Scale.Suite.to_json rows);
+       let m = Obs.Manifest.create ~tool:"mmcast_sim" () in
+       Obs.Manifest.add_string m "command" "check";
+       Obs.Manifest.add_int m "seed" seed;
+       Obs.Manifest.add_int m "schedules" schedules;
+       Obs.Manifest.add_int m "jobs" jobs;
+       Obs.Manifest.add_string m "topology" "paper_figure1";
+       Obs.Manifest.add_output m ~kind:"soak" path;
+       Obs.Manifest.write m ~path:(Filename.concat dir "manifest.json");
+       Printf.printf "soak telemetry -> %s\n" path;
+       write_soak_repros rows ~dir);
+    if total > 0 then `Error (false, "invariant violations detected") else `Ok ()
   end
 
 let check_term =
@@ -843,7 +841,7 @@ let lineage_cmd dir receiver from_s to_s =
       | [] -> None
       | chain ->
         let last = List.nth chain (List.length chain - 1) in
-        if last.Obs.Span.sp_start >= from_s && last.Obs.Span.sp_start <= before then
+        if last.Engine.Span.sp_start >= from_s && last.Engine.Span.sp_start <= before then
           Some chain
         else None
     in
@@ -865,12 +863,12 @@ let lineage_cmd dir receiver from_s to_s =
      | None -> Printf.printf "\nno delivery recorded for %s\n" window_text
      | Some chain ->
        Printf.printf "\nlast delivery for %s:\n" window_text;
-       List.iter (Printf.printf "  %s\n") (Obs.Span.render_chain chain));
+       List.iter (Printf.printf "  %s\n") (Engine.Span.render_chain chain));
     (match dropped with
      | None -> Printf.printf "\nno drop recorded for %s\n" window_text
      | Some chain ->
        Printf.printf "\nlast drop for %s:\n" window_text;
-       List.iter (Printf.printf "  %s\n") (Obs.Span.render_chain chain));
+       List.iter (Printf.printf "  %s\n") (Engine.Span.render_chain chain));
     (match Obs.Lineage.drop_counts l with
      | [] -> ()
      | counts ->
@@ -1004,18 +1002,7 @@ let scale_cmd quick sizes models seeds seed jobs telemetry =
     let rows = Scale.Suite.run ~jobs cells in
     Format.printf "%a" Scale.Suite.pp_table rows;
     let total = Scale.Suite.violation_total rows in
-    List.iter
-      (fun row ->
-        List.iter
-          (fun (o : Scale.Runner.outcome) ->
-            List.iter
-              (fun v ->
-                Format.printf "@.%s, approach %d:@.%a@." row.Scale.Suite.r_name
-                  (Approach.number o.Scale.Runner.out_approach)
-                  Check.Monitor.pp_violation v)
-              o.Scale.Runner.out_violations)
-          row.Scale.Suite.r_outcomes)
-      rows;
+    print_violations rows;
     (match telemetry with
      | None -> ()
      | Some dir ->

@@ -128,22 +128,30 @@ let build spec ~links ~routers ~hosts =
     host_stacks;
   { sim; net; spec; routers = router_stacks; hosts = host_stacks }
 
-let paper_figure1 spec =
-  build spec
-    ~links:
+type layout = {
+  lay_links : (string * string) list;
+  lay_routers : (string * string list * string list) list;
+  lay_hosts : (string * string) list;
+}
+
+let figure1 =
+  { lay_links =
       [ ("L1", "2001:db8:1::/64");
         ("L2", "2001:db8:2::/64");
         ("L3", "2001:db8:3::/64");
         ("L4", "2001:db8:4::/64");
         ("L5", "2001:db8:5::/64");
-        ("L6", "2001:db8:6::/64") ]
-    ~routers:
+        ("L6", "2001:db8:6::/64") ];
+    lay_routers =
       [ ("A", [ "L1"; "L2" ], [ "L1" ]);
         ("B", [ "L2"; "L3" ], [ "L2" ]);
         ("C", [ "L2"; "L3" ], [ "L3" ]);
         ("D", [ "L3"; "L4"; "L5" ], [ "L4"; "L5" ]);
-        ("E", [ "L3"; "L6" ], [ "L6" ]) ]
-    ~hosts:[ ("S", "L1"); ("R1", "L1"); ("R2", "L2"); ("R3", "L4") ]
+        ("E", [ "L3"; "L6" ], [ "L6" ]) ];
+    lay_hosts = [ ("S", "L1"); ("R1", "L1"); ("R2", "L2"); ("R3", "L4") ] }
+
+let paper_figure1 spec =
+  build spec ~links:figure1.lay_links ~routers:figure1.lay_routers ~hosts:figure1.lay_hosts
 
 let router t name =
   match List.assoc_opt name t.routers with

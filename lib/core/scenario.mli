@@ -45,9 +45,20 @@ val build :
     host is provisioned at the home agent of its home link.
     @raise Invalid_argument on dangling link names. *)
 
+(** The arguments of {!build}, as one value. *)
+type layout = {
+  lay_links : (string * string) list;  (** (name, prefix) *)
+  lay_routers : (string * string list * string list) list;
+      (** (name, attached links, home-agent links) *)
+  lay_hosts : (string * string) list;  (** (name, home link) *)
+}
+
+val figure1 : layout
+(** The paper's Figure 1: links ["L1"]..["L6"], routers ["A"]..["E"],
+    hosts ["S"], ["R1"], ["R2"], ["R3"]. *)
+
 val paper_figure1 : spec -> t
-(** Links ["L1"]..["L6"], routers ["A"]..["E"], hosts ["S"], ["R1"],
-    ["R2"], ["R3"]. *)
+(** {!build} over {!figure1}. *)
 
 val group : Addr.t
 (** The multicast group used throughout the experiments

@@ -20,20 +20,13 @@ let canonical =
 let is_canonical t = t.sc_sched.Scale.Runner.sched_choices = []
 
 let to_json t =
-  let s = t.sc_sched in
   Json.Obj
-    [ ("schema", Json.String schema);
-      ("strategy", Json.String t.sc_strategy);
-      ("seed", Json.Int t.sc_seed);
-      ("index", Json.Int t.sc_index);
-      ("length", Json.Int t.sc_length);
-      ("delay_slots", Json.Int s.Scale.Runner.sched_delay_slots);
-      ("delay_max_s", Json.float s.Scale.Runner.sched_delay_max);
-      ( "choices",
-        Json.List
-          (List.map
-             (fun (i, c) -> Json.List [ Json.Int i; Json.Int c ])
-             s.Scale.Runner.sched_choices) ) ]
+    ([ ("schema", Json.String schema);
+       ("strategy", Json.String t.sc_strategy);
+       ("seed", Json.Int t.sc_seed);
+       ("index", Json.Int t.sc_index);
+       ("length", Json.Int t.sc_length) ]
+    @ Scale.Runner.schedule_fields t.sc_sched)
 
 let of_json j =
   let ( let* ) = Result.bind in
@@ -50,41 +43,8 @@ let of_json j =
     let* sc_seed = field "seed" Json.to_int_opt in
     let* sc_index = field "index" Json.to_int_opt in
     let* sc_length = field "length" Json.to_int_opt in
-    let* delay_slots = field "delay_slots" Json.to_int_opt in
-    let* delay_max = field "delay_max_s" Json.to_float_opt in
-    if delay_slots < 1 then Error "schedule: delay_slots < 1"
-    else
-      let* pairs = field "choices" Json.to_list_opt in
-      let* choices =
-        List.fold_left
-          (fun acc pair ->
-            let* rev = acc in
-            match Json.to_list_opt pair with
-            | Some [ i; c ] -> (
-              match (Json.to_int_opt i, Json.to_int_opt c) with
-              | Some i, Some c when i >= 0 && c > 0 -> Ok ((i, c) :: rev)
-              | Some _, Some _ -> Error "schedule: choice out of range"
-              | _ -> Error "schedule: non-integer choice pair")
-            | _ -> Error "schedule: choice is not an [index, alternative] pair")
-          (Ok []) pairs
-        |> Result.map List.rev
-      in
-      let rec ascending = function
-        | (i, _) :: ((j, _) :: _ as rest) -> i < j && ascending rest
-        | _ -> true
-      in
-      if not (ascending choices) then
-        Error "schedule: choice positions not strictly ascending"
-      else
-        Ok
-          { sc_strategy;
-            sc_seed;
-            sc_index;
-            sc_length;
-            sc_sched =
-              { Scale.Runner.sched_choices = choices;
-                sched_delay_slots = delay_slots;
-                sched_delay_max = delay_max } }
+    let* sc_sched = Scale.Runner.schedule_of_json j in
+    Ok { sc_strategy; sc_seed; sc_index; sc_length; sc_sched }
 
 let digest t = Digest.to_hex (Digest.string (Json.to_string (to_json t)))
 

@@ -17,6 +17,11 @@ type fault =
   | Flap of { link : string; down_at : float; up_at : float }
   | Crash of { router : string; at : float; recover_at : float }
 
+type window =
+  | Duplicate of { link : string; rate : float; from_t : float; until : float }
+  | Reorder of { link : string; rate : float; jitter : float; from_t : float; until : float }
+  | Corrupt of { link : string; rate : float; from_t : float; until : float }
+
 type t = {
   d_name : string;
   d_seed : int;
@@ -27,8 +32,10 @@ type t = {
   d_traffic : traffic;
   d_events : event list;
   d_faults : fault list;
+  d_windows : window list;
   d_duration : float;
   d_disable_graft : bool;
+  d_wire_check : bool;
 }
 
 let schema = "mmcast-scenario/1"
@@ -121,6 +128,27 @@ let validate t =
           else Ok ())
       (Ok ()) t.d_faults
   in
+  let* () =
+    List.fold_left
+      (fun acc w ->
+        let* () = acc in
+        let link, rate, from_t, until =
+          match w with
+          | Duplicate { link; rate; from_t; until }
+          | Reorder { link; rate; from_t; until; _ }
+          | Corrupt { link; rate; from_t; until } -> (link, rate, from_t, until)
+        in
+        if not (link_known link) then err "window on unknown link %s" link
+        else if rate < 0.0 || rate > 1.0 then err "window rate %g outside [0,1]" rate
+        else if not (finite from_t && finite until && until > from_t) then
+          err "window [%g, %g] is not a forward window" from_t until
+        else
+          match w with
+          | Reorder { jitter; _ } when not (finite jitter) ->
+            err "reorder jitter %g must be finite and non-negative" jitter
+          | _ -> Ok ())
+      (Ok ()) t.d_windows
+  in
   if not (finite t.d_duration) || t.d_duration <= 0.0 then
     err "duration %g must be positive and finite" t.d_duration
   else Ok ()
@@ -175,7 +203,7 @@ let backbone_links t =
 let size_summary t =
   Printf.sprintf "%dr/%dl/%dh/%dev/%df" (List.length t.d_routers)
     (List.length t.d_links) (List.length t.d_hosts) (List.length t.d_events)
-    (List.length t.d_faults)
+    (List.length t.d_faults + List.length t.d_windows)
 
 (* ---- JSON ---- *)
 
@@ -208,9 +236,29 @@ let fault_json = function
       [ ("kind", Json.String "crash"); ("router", Json.String router);
         ("at_s", Json.float at); ("recover_s", Json.float recover_at) ]
 
+let window_json w =
+  let fields kind link rate from_t until extra =
+    Json.Obj
+      ([ ("kind", Json.String kind); ("link", Json.String link); ("rate", Json.float rate) ]
+      @ extra
+      @ [ ("from_s", Json.float from_t); ("until_s", Json.float until) ])
+  in
+  match w with
+  | Duplicate { link; rate; from_t; until } -> fields "duplicate" link rate from_t until []
+  | Reorder { link; rate; jitter; from_t; until } ->
+    fields "reorder" link rate from_t until [ ("jitter_s", Json.float jitter) ]
+  | Corrupt { link; rate; from_t; until } -> fields "corrupt" link rate from_t until []
+
 let to_json t =
+  (* Optional keys are omitted at their defaults so every descriptor
+     that predates them keeps its exact encoding and digest. *)
+  let windows =
+    if t.d_windows = [] then []
+    else [ ("windows", Json.List (List.map window_json t.d_windows)) ]
+  in
+  let wire_check = if t.d_wire_check then [ ("wire_check", Json.Bool true) ] else [] in
   Json.Obj
-    [ ("schema", Json.String schema);
+    ([ ("schema", Json.String schema);
       ("name", Json.String t.d_name);
       ("seed", Json.Int t.d_seed);
       ( "links",
@@ -245,9 +293,11 @@ let to_json t =
             ("interval_s", Json.float t.d_traffic.tr_interval);
             ("bytes", Json.Int t.d_traffic.tr_bytes) ] );
       ("events", Json.List (List.map event_json t.d_events));
-      ("faults", Json.List (List.map fault_json t.d_faults));
-      ("duration_s", Json.float t.d_duration);
-      ("disable_graft", Json.Bool t.d_disable_graft) ]
+      ("faults", Json.List (List.map fault_json t.d_faults)) ]
+    @ windows
+    @ [ ("duration_s", Json.float t.d_duration);
+        ("disable_graft", Json.Bool t.d_disable_graft) ]
+    @ wire_check)
 
 (* Decoding helpers: every failure names the offending field. *)
 let field name conv j =
@@ -293,6 +343,21 @@ let decode_fault j =
     let* recover_at = field "recover_s" Json.to_float_opt j in
     Ok (Crash { router; at; recover_at })
   | k -> Error (Printf.sprintf "unknown fault kind %S" k)
+
+let decode_window j =
+  let ( let* ) = Result.bind in
+  let* kind = field "kind" Json.to_string_opt j in
+  let* link = field "link" Json.to_string_opt j in
+  let* rate = field "rate" Json.to_float_opt j in
+  let* from_t = field "from_s" Json.to_float_opt j in
+  let* until = field "until_s" Json.to_float_opt j in
+  match kind with
+  | "duplicate" -> Ok (Duplicate { link; rate; from_t; until })
+  | "reorder" ->
+    let* jitter = field "jitter_s" Json.to_float_opt j in
+    Ok (Reorder { link; rate; jitter; from_t; until })
+  | "corrupt" -> Ok (Corrupt { link; rate; from_t; until })
+  | k -> Error (Printf.sprintf "unknown window kind %S" k)
 
 let decode_list name decode j =
   let ( let* ) = Result.bind in
@@ -364,8 +429,15 @@ let of_json j =
     let* tr_bytes = field "bytes" Json.to_int_opt tj in
     let* d_events = decode_list "events" decode_event j in
     let* d_faults = decode_list "faults" decode_fault j in
+    let* d_windows =
+      if Json.member "windows" j = None then Ok [] else decode_list "windows" decode_window j
+    in
     let* d_duration = field "duration_s" Json.to_float_opt j in
     let* d_disable_graft = field "disable_graft" Json.to_bool_opt j in
+    let* d_wire_check =
+      if Json.member "wire_check" j = None then Ok false
+      else field "wire_check" Json.to_bool_opt j
+    in
     Ok
       { d_name;
         d_seed;
@@ -376,7 +448,9 @@ let of_json j =
         d_traffic = { tr_from; tr_until; tr_interval; tr_bytes };
         d_events;
         d_faults;
+        d_windows;
         d_duration;
-        d_disable_graft }
+        d_disable_graft;
+        d_wire_check }
 
 let digest t = Digest.to_hex (Digest.string (Json.to_string (to_json t)))

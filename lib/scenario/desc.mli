@@ -31,6 +31,14 @@ type fault =
   | Flap of { link : string; down_at : float; up_at : float }
   | Crash of { router : string; at : float; recover_at : float }
 
+(** Per-delivery impairment windows on a link ({!Faults.spec}'s
+    duplicate, reorder and corrupt windows). *)
+type window =
+  | Duplicate of { link : string; rate : float; from_t : float; until : float }
+  | Reorder of { link : string; rate : float; jitter : float; from_t : float; until : float }
+      (** [jitter]: max extra delivery delay, seconds *)
+  | Corrupt of { link : string; rate : float; from_t : float; until : float }
+
 type t = {
   d_name : string;
   d_seed : int;
@@ -42,10 +50,14 @@ type t = {
   d_traffic : traffic;
   d_events : event list;  (** chronological *)
   d_faults : fault list;
+  d_windows : window list;
   d_duration : float;
   d_disable_graft : bool;
       (** the deliberately-broken PIM variant ([--disable-graft]) — part
           of the descriptor so a reproduction replays the same bug *)
+  d_wire_check : bool;
+      (** serialize and re-parse every delivered frame
+          ({!Net.Network.set_wire_check}) for the whole run *)
 }
 
 val schema : string
@@ -71,12 +83,18 @@ val backbone_links : t -> string list
     the redundant edges the shrinker may try to drop. *)
 
 val size_summary : t -> string
-(** ["25r/49l/8h/14ev/2f"] — for tables and shrink logs. *)
+(** ["25r/49l/8h/14ev/2f"] — for tables and shrink logs; windows count
+    as faults. *)
 
 val to_json : t -> Obs.Json.t
+(** The ["windows"] and ["wire_check"] keys are written only when the
+    list is non-empty or the flag set, so descriptors without them
+    encode (and digest) exactly as before those fields existed. *)
+
 val of_json : Obs.Json.t -> (t, string) result
 (** Inverse of {!to_json}; rejects documents with a different
-    {!schema}. *)
+    {!schema}.  Absent ["windows"]/["wire_check"] keys read as [[]] and
+    [false]. *)
 
 val digest : t -> string
 (** Hex digest of the canonical JSON encoding: equal descriptors digest

@@ -46,8 +46,10 @@ let base ~name ~seed ~edges ~routers =
     d_traffic = { Desc.tr_from = 5.0; tr_until = 0.0; tr_interval = 1.0; tr_bytes = 256 };
     d_events = [];
     d_faults = [];
+    d_windows = [];
     d_duration = 0.0;
-    d_disable_graft = false }
+    d_disable_graft = false;
+    d_wire_check = false }
 
 let scenario ?(model = `Waxman) ?hosts ?(groups = 1) ?(mobiles = 2) ?(churn = 6)
     ?(faults = 2) ?alpha ?beta ?m ~routers ~seed () =
@@ -224,3 +226,100 @@ let clean ?routers ~seed () =
     Desc.d_name =
       Printf.sprintf "clean-graft-r%d-s%d" (List.length d.Desc.d_routers) seed;
     d_disable_graft = false }
+
+(* Faults live in [30, 140] s and handoffs in [40, 130] s: every
+   disruption is repaired with a settled tail (~100 s, longer than the
+   convergence bound of [Runner.spec_for]) left before the run ends. *)
+let soak_links = [| "L1"; "L2"; "L3"; "L4"; "L5"; "L6" |]
+let soak_crashable = [| "A"; "B"; "C"; "E" |]
+let soak_roam_links = [| "L1"; "L2"; "L6" |]
+
+let soak ~seed =
+  (* The schedule RNG is its own root, so fault placement never
+     perturbs the protocol streams.  Draws happen in a fixed order with
+     explicit lets: a seed names one schedule whatever the argument
+     evaluation order. *)
+  let rng = Rng.create (0x50a50a lxor seed) in
+  let n_faults = 3 + Rng.int rng 3 in
+  let drawn =
+    List.init n_faults (fun _ ->
+        let from_t = Rng.uniform rng 30.0 110.0 in
+        let until = from_t +. Rng.uniform rng 5.0 30.0 in
+        match Rng.int rng 6 with
+        | 0 ->
+          let link = Rng.pick rng soak_links in
+          let rate = Rng.uniform rng 0.05 0.7 in
+          Either.Left (Desc.Loss { link; rate; from_t; until })
+        | 1 ->
+          let link = Rng.pick rng soak_links in
+          let rate = Rng.uniform rng 0.05 0.5 in
+          Either.Right (Desc.Duplicate { link; rate; from_t; until })
+        | 2 ->
+          let link = Rng.pick rng soak_links in
+          let rate = Rng.uniform rng 0.1 0.5 in
+          let jitter = Rng.uniform rng 0.05 0.5 in
+          Either.Right (Desc.Reorder { link; rate; jitter; from_t; until })
+        | 3 ->
+          let link = Rng.pick rng soak_links in
+          let rate = Rng.uniform rng 0.05 0.6 in
+          Either.Right (Desc.Corrupt { link; rate; from_t; until })
+        | 4 ->
+          let link = Rng.pick rng soak_links in
+          let up_at = from_t +. Rng.uniform rng 2.0 10.0 in
+          Either.Left (Desc.Flap { link; down_at = from_t; up_at })
+        | _ ->
+          (* Any router but D: D is the roaming hosts' home agent, and
+             losing its binding cache black-holes tunnelled delivery
+             until the next refresh by design. *)
+          let router = Rng.pick rng soak_crashable in
+          let recover_at = from_t +. Rng.uniform rng 5.0 20.0 in
+          Either.Left (Desc.Crash { router; at = from_t; recover_at }))
+  in
+  (* R3 roams once or twice; S roams in about half the runs, so the
+     send path of each approach is exercised too. *)
+  let r3_first = Rng.uniform rng 40.0 90.0 in
+  let r3_moves =
+    let link = Rng.pick rng soak_roam_links in
+    if Rng.bool rng then begin
+      let back = r3_first +. Rng.uniform rng 15.0 40.0 in
+      [ Desc.Move { at = r3_first; host = "R3"; link };
+        Desc.Move { at = back; host = "R3"; link = "L4" } ]
+    end
+    else [ Desc.Move { at = r3_first; host = "R3"; link } ]
+  in
+  let s_moves =
+    if Rng.bool rng then begin
+      let away = Rng.uniform rng 50.0 100.0 in
+      let link = Rng.pick rng [| "L2"; "L6" |] in
+      let back = away +. Rng.uniform rng 20.0 30.0 in
+      [ Desc.Move { at = away; host = "S"; link };
+        Desc.Move { at = back; host = "S"; link = "L1" } ]
+    end
+    else []
+  in
+  let joins =
+    List.map (fun host -> Desc.Join { at = 0.0; host; group = 0 }) [ "R1"; "R2"; "R3" ]
+  in
+  let faults, windows = List.partition_map Fun.id drawn in
+  let fig = Mmcast.Scenario.figure1 in
+  let duration = 240.0 in
+  { Desc.d_name = Printf.sprintf "soak-s%d" seed;
+    d_seed = seed;
+    d_links = fig.Mmcast.Scenario.lay_links;
+    d_routers = fig.Mmcast.Scenario.lay_routers;
+    d_hosts = fig.Mmcast.Scenario.lay_hosts;
+    d_senders = [ ("S", 0) ];
+    d_traffic =
+      { Desc.tr_from = 5.0; tr_until = duration -. 5.0; tr_interval = 0.2; tr_bytes = 256 };
+    d_events =
+      List.stable_sort
+        (fun a b -> compare (Desc.event_time a) (Desc.event_time b))
+        (joins @ r3_moves @ s_moves);
+    d_faults = faults;
+    d_windows = windows;
+    d_duration = duration;
+    d_disable_graft = false;
+    (* Every delivery goes through the codec, faults or not: the soak
+       is also a wire-exactness proof for the whole protocol
+       exchange. *)
+    d_wire_check = true }

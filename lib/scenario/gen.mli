@@ -52,3 +52,15 @@ val clean : ?routers:int -> seed:int -> unit -> Desc.t
     prune/graft/assert/handover interplay the broken variant breaks, so
     surviving an exploration budget on it is evidence the protocols
     tolerate every explored interleaving, not just the canonical one. *)
+
+val soak : seed:int -> Desc.t
+(** The chaos soak on the paper's Figure 1 ({!Mmcast.Scenario.figure1}):
+    R1–R3 join at 0 s, S streams 5 datagrams/s for 240 s, wire-exact
+    delivery is on ([d_wire_check]), and a seed-drawn schedule of
+    {e recoverable} impairments — 3–5 loss, duplicate, reorder or
+    corrupt windows, link flaps and router crash-restarts in
+    [30, 140] s — runs while R3 roams once or twice and S in about
+    half the runs.  Router D, the roaming hosts' home agent, is never
+    crashed.  Every disruption is repaired with a settled tail longer
+    than the monitor's convergence bound, so a correct protocol stack
+    finishes with zero violations. *)

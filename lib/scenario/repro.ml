@@ -60,52 +60,13 @@ let of_schedule_shrink (ss : Shrink.schedule_result) ~desc ~sustain =
   capture ~desc ~approach:ss.Shrink.ss_approach
     ~invariant:ss.Shrink.ss_invariant ~sustain ~sched:ss.Shrink.ss_sched
 
-let sched_to_json (s : Runner.schedule) =
-  Json.Obj
-    [ ( "choices",
-        Json.List
-          (List.map
-             (fun (i, c) -> Json.List [ Json.Int i; Json.Int c ])
-             s.Runner.sched_choices) );
-      ("delay_slots", Json.Int s.Runner.sched_delay_slots);
-      ("delay_max_s", Json.float s.Runner.sched_delay_max) ]
-
-let sched_of_json j =
-  let ( let* ) = Result.bind in
-  let field name conv =
-    match Option.bind (Json.member name j) conv with
-    | Some v -> Ok v
-    | None ->
-      Error (Printf.sprintf "schedule: missing or ill-typed field %S" name)
-  in
-  let* choices = field "choices" Json.to_list_opt in
-  let* sched_choices =
-    List.fold_left
-      (fun acc pair ->
-        let* rev = acc in
-        match Json.to_list_opt pair with
-        | Some [ i; c ] -> (
-          match (Json.to_int_opt i, Json.to_int_opt c) with
-          | Some i, Some c -> Ok ((i, c) :: rev)
-          | _ -> Error "schedule: non-integer choice pair")
-        | _ -> Error "schedule: choice is not an [index, alternative] pair")
-      (Ok []) choices
-    |> Result.map List.rev
-  in
-  let* sched_delay_slots = field "delay_slots" Json.to_int_opt in
-  let* sched_delay_max = field "delay_max_s" Json.to_float_opt in
-  if sched_delay_slots < 1 then Error "schedule: delay_slots < 1"
-  else
-    Ok
-      { Runner.sched_choices; sched_delay_slots; sched_delay_max }
-
 let to_json t =
   Json.Obj
     [ ("schema", Json.String schema);
       ("approach", Json.Int (Mmcast.Approach.number t.rp_approach));
       ("invariant", Json.String (Monitor.invariant_name t.rp_invariant));
       ("sustain_s", Json.float t.rp_sustain);
-      ("schedule", sched_to_json t.rp_sched);
+      ("schedule", Json.Obj (Runner.schedule_fields t.rp_sched));
       ("detail", Json.String t.rp_detail);
       ("scenario", Desc.to_json t.rp_desc);
       ("scenario_digest", Json.String (Desc.digest t.rp_desc));
@@ -139,7 +100,7 @@ let of_json j =
     let* rp_sched =
       match Json.member "schedule" j with
       | None -> Ok Runner.canonical_schedule
-      | Some sj -> sched_of_json sj
+      | Some sj -> Runner.schedule_of_json sj
     in
     let* rp_detail = field "detail" Json.to_string_opt in
     let* scenario =

@@ -1,5 +1,6 @@
 open Mmcast
 module Monitor = Check.Monitor
+module Json = Obs.Json
 
 type outcome = {
   out_approach : Approach.t;
@@ -12,6 +13,8 @@ type outcome = {
   out_bound : Engine.Time.t;
   out_violations : Monitor.violation list;
   out_digest : string;
+  out_marks : Faults.mark list;
+  out_malformed : int;
 }
 
 type schedule = {
@@ -22,6 +25,46 @@ type schedule = {
 
 let canonical_schedule =
   { sched_choices = []; sched_delay_slots = 1; sched_delay_max = 0.0 }
+
+let schedule_fields s =
+  [ ("delay_slots", Json.Int s.sched_delay_slots);
+    ("delay_max_s", Json.float s.sched_delay_max);
+    ( "choices",
+      Json.List
+        (List.map (fun (i, c) -> Json.List [ Json.Int i; Json.Int c ]) s.sched_choices) ) ]
+
+let schedule_of_json j =
+  let ( let* ) = Result.bind in
+  let field name conv =
+    match Option.bind (Json.member name j) conv with
+    | Some v -> Ok v
+    | None -> Error (Printf.sprintf "schedule: missing or ill-typed field %S" name)
+  in
+  let* sched_delay_slots = field "delay_slots" Json.to_int_opt in
+  let* sched_delay_max = field "delay_max_s" Json.to_float_opt in
+  let* pairs = field "choices" Json.to_list_opt in
+  let* sched_choices =
+    List.fold_left
+      (fun acc pair ->
+        let* rev = acc in
+        match Json.to_list_opt pair with
+        | Some [ i; c ] -> (
+          match (Json.to_int_opt i, Json.to_int_opt c) with
+          | Some i, Some c when i >= 0 && c > 0 -> Ok ((i, c) :: rev)
+          | Some _, Some _ -> Error "schedule: choice out of range"
+          | _ -> Error "schedule: non-integer choice pair")
+        | _ -> Error "schedule: choice is not an [index, alternative] pair")
+      (Ok []) pairs
+    |> Result.map List.rev
+  in
+  let rec ascending = function
+    | (i, _) :: ((j, _) :: _ as rest) -> i < j && ascending rest
+    | _ -> true
+  in
+  if sched_delay_slots < 1 then Error "schedule: delay_slots < 1"
+  else if not (ascending sched_choices) then
+    Error "schedule: choice positions not strictly ascending"
+  else Ok { sched_choices; sched_delay_slots; sched_delay_max }
 
 let decider_of_choices choices =
   let remaining = ref choices in
@@ -75,6 +118,15 @@ let compile_faults scenario (d : Desc.t) =
         let node = Router_stack.node_id (Scenario.router scenario router) in
         Faults.crash ~node ~at ~recover_at ())
     d.Desc.d_faults
+  @ List.map
+      (function
+        | Desc.Duplicate { link = l; rate; from_t; until } ->
+          Faults.duplicate_window ~link:(link l) ~rate ~from_t ~until
+        | Desc.Reorder { link = l; rate; jitter; from_t; until } ->
+          Faults.reorder_window ~link:(link l) ~rate ~jitter ~from_t ~until
+        | Desc.Corrupt { link = l; rate; from_t; until } ->
+          Faults.corrupt_window ~link:(link l) ~rate ~from_t ~until)
+      d.Desc.d_windows
 
 let run ?sustain ?sched ?decider ?(lineage = false) (d : Desc.t) approach =
   (match Desc.validate d with
@@ -86,6 +138,7 @@ let run ?sustain ?sched ?decider ?(lineage = false) (d : Desc.t) approach =
     Scenario.build spec ~links:d.Desc.d_links ~routers:d.Desc.d_routers
       ~hosts:d.Desc.d_hosts
   in
+  if d.Desc.d_wire_check then Net.Network.set_wire_check scenario.Scenario.net true;
   (* The collector draws no randomness and writes no trace records, so
      turning it on cannot change the outcome — only enrich it. *)
   if lineage then Engine.Sim.set_lineage scenario.Scenario.sim (Some (Engine.Span.create ()));
@@ -155,6 +208,8 @@ let run ?sustain ?sched ?decider ?(lineage = false) (d : Desc.t) approach =
     out_samples = Monitor.samples monitor;
     out_bound = Monitor.bound monitor;
     out_violations = Monitor.violations monitor;
-    out_digest = Engine.Trace.digest (Net.Network.trace scenario.Scenario.net) }
+    out_digest = Engine.Trace.digest (Net.Network.trace scenario.Scenario.net);
+    out_marks = Faults.marks_of faults;
+    out_malformed = Net.Network.total_malformed_drops scenario.Scenario.net }
 
 let passed o = o.out_violations = []

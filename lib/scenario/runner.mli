@@ -15,6 +15,13 @@ type outcome = {
       (** {!Engine.Trace.digest} of the run's network trace — a compact
           fingerprint of the realized schedule, used by the explorer to
           count distinct interleavings and prune revisited states *)
+  out_marks : Faults.mark list;
+      (** onset and repair instants of the installed fault schedule,
+          chronological ({!Faults.marks_of}) *)
+  out_malformed : int;
+      (** frames the decoder rejected and dropped
+          ({!Net.Network.total_malformed_drops}); non-zero only under
+          wire-exact delivery *)
 }
 
 (** {2 Pinned interleavings}
@@ -41,6 +48,17 @@ type schedule = {
 
 val canonical_schedule : schedule
 
+val schedule_fields : schedule -> (string * Obs.Json.t) list
+(** The JSON fields ["delay_slots"], ["delay_max_s"] and ["choices"]
+    (a list of [[position, choice]] pairs): the one encoding of a
+    schedule, embedded by {!Repro} bundles and schedule descriptors. *)
+
+val schedule_of_json : Obs.Json.t -> (schedule, string) result
+(** Reads {!schedule_fields} back from an object, ignoring other keys.
+    Rejects [delay_slots < 1], negative positions, choices [<= 0] and
+    positions that are not strictly ascending — every list it accepts
+    meets the precondition of {!decider_of_choices}. *)
+
 val decider_of_choices :
   (int * int) list -> kind:Engine.Sim.choice_kind -> arity:int -> int
 (** A stateful replay decider over a sparse decision sequence: the
@@ -49,7 +67,7 @@ val decider_of_choices :
     the position counter does not reset. *)
 
 val spec_for : Desc.t -> Mmcast.Approach.t -> Mmcast.Scenario.spec
-(** The soak-tightened protocol configuration (15 s MLD queries, 40 s
+(** The tightened protocol configuration (15 s MLD queries, 40 s
     binding lifetime, 20 s state refresh, 30 s assert time) so the
     monitor's convergence bound stays short, with the descriptor's seed
     and graft knob applied. *)
@@ -65,7 +83,8 @@ val run :
   Desc.t ->
   Mmcast.Approach.t ->
   outcome
-(** Build the network, install the fault schedule, attach the monitor
+(** Build the network (with wire-exact delivery when [d_wire_check]),
+    install the fault schedule and impairment windows, attach the monitor
     (with [sustain] overriding its convergence bound when given — the
     shrinker uses a short one), schedule the churn events and senders,
     and run to the descriptor's duration.  [lineage] installs a causal

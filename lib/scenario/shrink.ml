@@ -75,6 +75,11 @@ let link_referenced d name =
          | Desc.Loss { link; _ } | Desc.Flap { link; _ } -> String.equal link name
          | Desc.Crash _ -> false)
        d.Desc.d_faults
+  || List.exists
+       (function
+         | Desc.Duplicate { link; _ } | Desc.Reorder { link; _ } | Desc.Corrupt { link; _ } ->
+           String.equal link name)
+       d.Desc.d_windows
 
 let without_link d name =
   { d with
@@ -170,7 +175,8 @@ let minimize ?(budget = 150) ?(sustain = 10.0) d approach =
     let best = ref d in
     (try
        (* 1. ddmin the churn events (faults held fixed), then the
-          faults against the minimized events. *)
+          faults and the impairment windows against the minimized
+          events. *)
        let events =
          ddmin (fun evs -> reproduces { !best with Desc.d_events = evs }) d.Desc.d_events
        in
@@ -179,6 +185,10 @@ let minimize ?(budget = 150) ?(sustain = 10.0) d approach =
          ddmin (fun fs -> reproduces { !best with Desc.d_faults = fs }) !best.Desc.d_faults
        in
        best := { !best with Desc.d_faults = faults };
+       let windows =
+         ddmin (fun ws -> reproduces { !best with Desc.d_windows = ws }) !best.Desc.d_windows
+       in
+       best := { !best with Desc.d_windows = windows };
        (* 2. Greedy structural pass to fixpoint: hosts, then redundant
           backbone links, then routers. *)
        let progress = ref true in

@@ -2,10 +2,10 @@
 
     Given a descriptor whose run violates an invariant, [minimize]
     searches for a smaller descriptor that still violates the {e same}
-    invariant: classic ddmin over the churn-event and fault-schedule
-    lists, then greedy structural shrinking — dropping unreferenced
-    hosts, redundant backbone links, and leaf routers — until a
-    fixpoint or the run budget.  Every candidate is judged by actually
+    invariant: classic ddmin over the churn-event, fault-schedule and
+    impairment-window lists, then greedy structural shrinking —
+    dropping unreferenced hosts, redundant backbone links, and leaf
+    routers — until a fixpoint or the run budget.  Every candidate is judged by actually
     re-running it (results memoized by {!Desc.digest}), so the minimum
     is replayable by construction. *)
 

@@ -1,8 +1,12 @@
-(** The scale matrix: generated scenarios × the paper's four
-    approaches, run through {!Runner} in parallel with per-scenario
-    verdicts. *)
+(** The scale matrix and the chaos soak: generated scenarios × the
+    paper's four approaches, run through {!Runner} in parallel with
+    per-scenario verdicts. *)
 
-type cell = { c_model : Gen.model; c_routers : int; c_seed : int }
+(** A scenario named by its generator profile. *)
+type cell =
+  | Generated of { model : Gen.model; routers : int; seed : int }
+      (** {!Gen.scenario} *)
+  | Soak of { seed : int }  (** {!Gen.soak} *)
 
 type row = {
   r_cell : cell;
@@ -21,6 +25,10 @@ val desc_of : cell -> Desc.t
 (** The generated descriptor a cell names (pure; any worker regenerates
     the identical value). *)
 
+val row : cell -> Runner.outcome list -> row
+(** A row over the given outcomes (the cell's descriptor is
+    regenerated to name it). *)
+
 val run : ?jobs:int -> cell list -> row list
 (** Runs every (cell, approach) task through {!Parallel.map} — results
     come back in input order, so the rows are identical whatever
@@ -32,6 +40,9 @@ val pass : row list -> bool
 (** Zero violations across the whole matrix. *)
 
 val to_json : row list -> Obs.Json.t
-(** Schema ["mmcast-scale/1"]. *)
+(** Schema ["mmcast-scale/1"].  A row names its cell by ["model"]
+    (["waxman"], ["pref"] or ["soak"]), ["seed"] and, for generated
+    cells, ["routers"]. *)
 
 val pp_table : Format.formatter -> row list -> unit
+(** One line per row, counters summed over its outcomes. *)

@@ -9,18 +9,9 @@ open Mmcast
 let group = Scenario.group
 
 let soak_like_spec ?(approach = Approach.tunnel_to_home_agent) ?(seed = 11) () =
-  (* Same tightened timers the soak uses, so liveness converges well
-     inside short test runs. *)
-  { Scenario.default_spec with
-    Scenario.approach;
-    seed;
-    mld = Mld.Mld_config.with_query_interval 15.0 Mld.Mld_config.default;
-    pim =
-      { Pimdm.Pim_config.default with
-        Pimdm.Pim_config.state_refresh_interval = Some 20.0;
-        assert_time = 30.0 };
-    mipv6 = { Mipv6.Mipv6_config.default with Mipv6.Mipv6_config.binding_lifetime = 40.0 }
-  }
+  (* The soak's tightened timers, so liveness converges well inside
+     short test runs. *)
+  Scale.Runner.spec_for (Scale.Gen.soak ~seed) approach
 
 let start_cbr scenario ~until =
   ignore

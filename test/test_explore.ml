@@ -449,7 +449,49 @@ let repro_tests =
             r.Scale.Repro.rp_sched.Runner.sched_choices;
           Alcotest.(check bool)
             "still violates" true
-            (Scale.Repro.replay r <> []))
+            (Scale.Repro.replay r <> []));
+    Alcotest.test_case "bundles with out-of-contract choice lists are rejected" `Quick
+      (fun () ->
+        (* Replay assumes ascending positions and non-zero choices
+           ({!Runner.decider_of_choices}); bundles and schedule
+           descriptors share one validating codec. *)
+        let with_choices choices =
+          match Json.of_string pinned_bundle with
+          | Ok (Json.Obj fields) ->
+            Json.Obj
+              (List.map
+                 (fun (k, v) ->
+                   match (k, v) with
+                   | "schedule", Json.Obj sf ->
+                     ( k,
+                       Json.Obj
+                         (List.map
+                            (fun (k', v') ->
+                              if k' = "choices" then
+                                ( k',
+                                  Json.List
+                                    (List.map
+                                       (fun (i, c) -> Json.List [ Json.Int i; Json.Int c ])
+                                       choices) )
+                              else (k', v'))
+                            sf) )
+                   | _ -> (k, v))
+                 fields)
+          | _ -> Alcotest.fail "pinned bundle must parse"
+        in
+        List.iter
+          (fun choices ->
+            let what =
+              String.concat ","
+                (List.map (fun (i, c) -> Printf.sprintf "[%d,%d]" i c) choices)
+            in
+            match Scale.Repro.of_json (with_choices choices) with
+            | Error _ -> ()
+            | Ok _ -> Alcotest.failf "repro accepted [%s]" what)
+          [ [ (-1, 2) ]; [ (0, 0) ]; [ (3, 1); (2, 1) ]; [ (3, 1); (3, 2) ] ];
+        match Scale.Repro.of_json (with_choices [ (5, 1); (40, 2) ]) with
+        | Ok _ -> ()
+        | Error e -> Alcotest.fail e)
   ]
 
 let () =

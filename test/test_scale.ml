@@ -67,10 +67,27 @@ let json_roundtrip_property =
       | Ok d' -> d = d'
       | Error e -> QCheck.Test.fail_reportf "of_json: %s" e)
 
+let soak_json_roundtrip_property =
+  QCheck.Test.make ~count:40
+    ~name:"soak descriptor JSON round-trips, windows and wire flag included"
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 0 9999))
+    (fun seed ->
+      let d = Gen.soak ~seed in
+      let j = Desc.to_json d in
+      (match Desc.validate d with
+       | Ok () -> ()
+       | Error e -> QCheck.Test.fail_reportf "validate: %s" e);
+      Obs.Json.member "wire_check" j = Some (Obs.Json.Bool true)
+      && (d.Desc.d_windows = [] || Obs.Json.member "windows" j <> None)
+      &&
+      match Desc.of_json j with
+      | Ok d' -> d = d'
+      | Error e -> QCheck.Test.fail_reportf "of_json: %s" e)
+
 let generator_properties =
   List.map QCheck_alcotest.to_alcotest
     [ connected_property; graph_connected_property; deterministic_property;
-      distinct_seeds_property; json_roundtrip_property ]
+      distinct_seeds_property; json_roundtrip_property; soak_json_roundtrip_property ]
 
 (* ---- descriptor unit tests ---- *)
 
@@ -132,6 +149,167 @@ let desc_tests =
         let d' = { d with Desc.d_seed = d.Desc.d_seed + 1 } in
         Alcotest.(check bool) "seed changes digest" false
           (String.equal (Desc.digest d) (Desc.digest d'))) ]
+
+(* ---- the Figure-1 chaos soak as a descriptor ---- *)
+
+(* Fault marks of the soak schedules for seeds 7-26, as the former
+   dedicated soak runner (Check.Soak) installed them: the generator
+   must keep drawing exactly these schedules. *)
+let pinned_soak_marks =
+  [
+    ( 7,
+      [ "corrupt(L6)+0.58"; "crash(E)"; "crash(B)"; "crash(B) restart";
+        "crash(E) restart"; "dup(L1)+"; "corrupt(L6)-0.58"; "dup(L1)-" ] );
+    ( 8,
+      [ "reorder(L5)+"; "corrupt(L4)+0.26"; "reorder(L5)-"; "corrupt(L4)-0.26";
+        "flap(L2) down"; "flap(L2) up"; "crash(E)"; "flap(L5) down"; "flap(L5) up";
+        "crash(E) restart" ] );
+    ( 9,
+      [ "corrupt(L4)+0.57"; "corrupt(L5)+0.36"; "corrupt(L4)-0.57"; "corrupt(L5)-0.36";
+        "corrupt(L6)+0.48"; "corrupt(L6)-0.48" ] );
+    ( 10,
+      [ "loss(L2)+0.20"; "loss(L2)-0.20"; "flap(L3) down"; "corrupt(L1)+0.17";
+        "flap(L3) up"; "corrupt(L1)-0.17" ] );
+    ( 11,
+      [ "reorder(L1)+"; "loss(L1)+0.39"; "reorder(L1)-"; "loss(L1)-0.39"; "reorder(L2)+";
+        "dup(L4)+"; "loss(L1)+0.29"; "dup(L4)-"; "loss(L1)-0.29"; "reorder(L2)-" ] );
+    ( 12,
+      [ "flap(L5) down"; "flap(L5) up"; "loss(L1)+0.62"; "loss(L1)-0.62";
+        "flap(L2) down"; "reorder(L3)+"; "flap(L2) up"; "reorder(L3)-" ] );
+    ( 13,
+      [ "flap(L2) down"; "flap(L2) up"; "dup(L2)+"; "dup(L2)-"; "reorder(L3)+";
+        "reorder(L3)-" ] );
+    ( 14,
+      [ "flap(L6) down"; "flap(L6) up"; "dup(L6)+"; "dup(L6)-"; "reorder(L3)+";
+        "flap(L6) down"; "flap(L6) up"; "reorder(L3)-" ] );
+    ( 15,
+      [ "crash(A)"; "dup(L3)+"; "dup(L3)-"; "crash(A) restart"; "crash(E)";
+        "loss(L1)+0.61"; "crash(E) restart"; "loss(L1)-0.61" ] );
+    ( 16,
+      [ "reorder(L4)+"; "reorder(L2)+"; "flap(L3) down"; "reorder(L2)-"; "reorder(L4)-";
+        "flap(L3) up"; "dup(L6)+"; "dup(L6)-" ] );
+    ( 17,
+      [ "flap(L3) down"; "flap(L1) down"; "loss(L4)+0.15"; "flap(L3) up"; "flap(L1) up";
+        "loss(L4)-0.15" ] );
+    ( 18,
+      [ "dup(L2)+"; "crash(B)"; "dup(L2)-"; "crash(B) restart"; "flap(L2) down";
+        "flap(L2) up" ] );
+    ( 19,
+      [ "crash(E)"; "crash(E) restart"; "crash(E)"; "crash(E) restart";
+        "corrupt(L4)+0.47"; "crash(B)"; "corrupt(L4)-0.47"; "crash(B) restart" ] );
+    ( 20,
+      [ "loss(L2)+0.12"; "crash(B)"; "loss(L2)-0.12"; "crash(B) restart"; "reorder(L1)+";
+        "reorder(L1)-" ] );
+    ( 21,
+      [ "reorder(L2)+"; "reorder(L1)+"; "reorder(L2)-"; "dup(L4)+"; "reorder(L1)-";
+        "dup(L4)-"; "reorder(L6)+"; "reorder(L6)-"; "corrupt(L2)+0.19";
+        "corrupt(L2)-0.19" ] );
+    ( 22,
+      [ "corrupt(L3)+0.40"; "dup(L6)+"; "corrupt(L3)-0.40"; "dup(L6)-"; "crash(B)";
+        "crash(B) restart" ] );
+    ( 23,
+      [ "crash(E)"; "crash(E) restart"; "flap(L2) down"; "flap(L2) up";
+        "corrupt(L2)+0.48"; "loss(L6)+0.32"; "loss(L3)+0.49"; "corrupt(L2)-0.48";
+        "loss(L3)-0.49"; "loss(L6)-0.32" ] );
+    ( 24,
+      [ "crash(C)"; "crash(C) restart"; "dup(L2)+"; "dup(L2)-"; "flap(L1) down";
+        "dup(L1)+"; "flap(L1) up"; "dup(L1)-" ] );
+    ( 25,
+      [ "crash(C)"; "crash(C) restart"; "dup(L4)+"; "dup(L4)-"; "loss(L1)+0.35";
+        "loss(L1)-0.35" ] );
+    ( 26,
+      [ "dup(L3)+"; "dup(L3)-"; "flap(L1) down"; "loss(L3)+0.25"; "flap(L1) up";
+        "loss(L3)-0.25" ] );
+  ]
+
+let soak_tests =
+  [ Alcotest.test_case "soak schedules install the pinned fault marks" `Quick (fun () ->
+        List.iter
+          (fun (seed, marks) ->
+            let d = Gen.soak ~seed in
+            Alcotest.(check bool) (Printf.sprintf "seed %d is wire-exact" seed) true
+              d.Desc.d_wire_check;
+            let o = Runner.run d Mmcast.Approach.local_membership in
+            Alcotest.(check (list string))
+              (Printf.sprintf "seed %d marks" seed)
+              marks
+              (List.map (fun m -> m.Faults.fault_label) o.Runner.out_marks))
+          pinned_soak_marks);
+    Alcotest.test_case "window-free descriptors keep their pinned digest and keys" `Quick
+      (fun () ->
+        let d = Gen.scenario ~model:`Waxman ~routers:25 ~seed:42 () in
+        Alcotest.(check string) "waxman-r25-s42 digest" "e5515d96bb8aa6d185a7d2197bf8e5bb"
+          (Desc.digest d);
+        let j = Desc.to_json d in
+        Alcotest.(check bool) "no windows key" true (Obs.Json.member "windows" j = None);
+        Alcotest.(check bool) "no wire_check key" true
+          (Obs.Json.member "wire_check" j = None));
+    Alcotest.test_case "windows pin the links and routers they name" `Quick (fun () ->
+        (* The shrinker only keeps candidates that validate.  Seed 7
+           corrupts L6, which only router E attaches and no host is
+           homed on: with the faults and moves gone, dropping L6 is
+           structurally harmless, so the window alone must forbid it. *)
+        let d = Gen.soak ~seed:7 in
+        Alcotest.(check bool) "a window names L6" true
+          (List.exists
+             (function Desc.Corrupt { link = "L6"; _ } -> true | _ -> false)
+             d.Desc.d_windows);
+        let without_l6 =
+          { d with
+            Desc.d_links = List.remove_assoc "L6" d.Desc.d_links;
+            d_routers =
+              List.map
+                (fun (r, att, ha) ->
+                  (r, List.filter (( <> ) "L6") att, List.filter (( <> ) "L6") ha))
+                d.Desc.d_routers;
+            d_events =
+              List.filter (function Desc.Move _ -> false | _ -> true) d.Desc.d_events;
+            d_faults = [] }
+        in
+        Alcotest.(check bool) "dropping L6 is rejected" true
+          (Result.is_error (Desc.validate without_l6));
+        Alcotest.(check bool) "dropping E and its stub L6 is rejected" true
+          (Result.is_error
+             (Desc.validate
+                { without_l6 with
+                  Desc.d_routers =
+                    List.filter (fun (r, _, _) -> r <> "E") without_l6.Desc.d_routers }));
+        Alcotest.(check bool) "and accepted once the window goes" true
+          (Desc.validate { without_l6 with Desc.d_windows = [] } = Ok ()));
+    Alcotest.test_case "shrinking keeps every window's link" `Slow (fun () ->
+        (* The broken variant padded with a duplicate window on every
+           link: the windows do not cause the violation, so ddmin drops
+           them, and whatever the minimum keeps must still name links it
+           has. *)
+        let broken = Gen.broken ~seed:42 () in
+        let padded =
+          { broken with
+            Desc.d_windows =
+              List.map
+                (fun (link, _) ->
+                  Desc.Duplicate { link; rate = 0.1; from_t = 10.0; until = 20.0 })
+                broken.Desc.d_links }
+        in
+        match Shrink.minimize ~sustain:10.0 padded Mmcast.Approach.local_membership with
+        | None -> Alcotest.fail "padded broken variant did not violate"
+        | Some r ->
+          let m = r.Shrink.sh_min in
+          Alcotest.(check bool) "minimum validates" true (Desc.validate m = Ok ());
+          List.iter
+            (fun w ->
+              let link =
+                match w with
+                | Desc.Duplicate { link; _ }
+                | Desc.Reorder { link; _ }
+                | Desc.Corrupt { link; _ } ->
+                  link
+              in
+              Alcotest.(check bool)
+                (link ^ " survives") true
+                (List.mem_assoc link m.Desc.d_links))
+            m.Desc.d_windows;
+          Alcotest.(check bool) "irrelevant windows are shrunk away" true
+            (List.length m.Desc.d_windows < List.length padded.Desc.d_windows)) ]
 
 (* ---- suite: oversubscription equality ---- *)
 
@@ -214,6 +392,7 @@ let () =
   Alcotest.run "scale"
     [ ("generator properties", generator_properties);
       ("descriptor", desc_tests);
+      ("soak", soak_tests);
       ("suite", suite_tests);
       ("shrink", shrink_tests);
       ("repro", repro_tests) ]
