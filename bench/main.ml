@@ -980,7 +980,7 @@ let perf () =
         r.pr_name r.pr_events r.pr_wall_s r.pr_events_per_s r.pr_alloc_per_sim_s
         r.pr_minor_per_sim_s)
     scenario_rows;
-  Printf.printf "  %-12s tracing-on overhead vs structural: %.1f%% throughput\n"
+  Printf.printf "  %-12s tracing-on throughput loss vs structural: %.1f%%\n"
     "traced"
     (100.0 *. (1.0 -. (traced.pr_events_per_s /. structural.pr_events_per_s)));
   (* ratios vs the recorded pre-change baseline, speed-normalized *)
@@ -1121,7 +1121,7 @@ let lineage_bench () =
         "  %-12s %8d events  %8.4f s  %9.0f ev/s  %10.0f alloc B/sim-s\n"
         r.pr_name r.pr_events r.pr_wall_s r.pr_events_per_s r.pr_alloc_per_sim_s)
     [ untraced; traced ];
-  Printf.printf "  tracing-on overhead: %.1f%% throughput, %.2fx allocation\n"
+  Printf.printf "  tracing-on throughput loss vs untraced: %.1f%%, %.2fx allocation\n"
     (100.0 *. (1.0 -. (traced.pr_events_per_s /. untraced.pr_events_per_s)))
     (traced.pr_alloc_per_sim_s /. untraced.pr_alloc_per_sim_s);
   (* Span volume, from a single traced run. *)

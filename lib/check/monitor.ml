@@ -88,6 +88,50 @@ type host_state = {
   mutable hs_subs : Addr.t list;
 }
 
+(* A liveness condition of one sampled check: when it was first seen to
+   hold, and the last sample that saw it. *)
+type pending = { since : Engine.Time.t; mutable seen : int }
+
+(* Per-check liveness state under the check's own typed key: [pending]
+   holds the conditions being timed, [opened] dedups a sustained
+   condition into one violation record. *)
+type 'k sustained = {
+  pending : ('k, pending) Hashtbl.t;
+  opened : ('k, unit) Hashtbl.t;
+}
+
+let sustained () = { pending = Hashtbl.create 8; opened = Hashtbl.create 8 }
+
+(* One transmission of a datagram onto a link, as the loop counter sees
+   it: (src, dst, stream, seq, link), or (dst, stream, seq, link) for a
+   tunnelled datagram. *)
+module Tx_key = struct
+  type t =
+    | Mcast of Addr.t * Addr.t * int * int * int
+    | Ucast of Addr.t * Addr.t * int * int * int
+    | Tunnel of Addr.t * int * int * int
+
+  let equal a b =
+    match (a, b) with
+    | Mcast (s, d, st, sq, l), Mcast (s', d', st', sq', l')
+    | Ucast (s, d, st, sq, l), Ucast (s', d', st', sq', l') ->
+      sq = sq' && l = l' && st = st' && Addr.equal d d' && Addr.equal s s'
+    | Tunnel (d, st, sq, l), Tunnel (d', st', sq', l') ->
+      sq = sq' && l = l' && st = st' && Addr.equal d d'
+    | _ -> false
+
+  let hash = Hashtbl.hash
+
+  let to_string = function
+    | Mcast (s, d, st, sq, l) ->
+      Printf.sprintf "m|%s|%s|%d|%d|%d" (Addr.to_string s) (Addr.to_string d) st sq l
+    | Ucast (s, d, st, sq, l) ->
+      Printf.sprintf "u|%s|%s|%d|%d|%d" (Addr.to_string s) (Addr.to_string d) st sq l
+    | Tunnel (d, st, sq, l) -> Printf.sprintf "t|%s|%d|%d|%d" (Addr.to_string d) st sq l
+end
+
+module Tx_counts = Hashtbl.Make (Tx_key)
+
 type t = {
   scenario : Scenario.t;
   cfg : config;
@@ -99,14 +143,18 @@ type t = {
   links : Link_id.t list;
   routers : (string * Router_stack.t) list;
   hosts : (string * Host_stack.t) list;
+  link_routers : (Link_id.t * string * (string * Router_stack.t) list) list;
+      (* every link with routers on it, its name, and those routers in
+         [routers] order — routers never change links *)
   mutable running : bool;
   mutable samples : int;
   mutable violations_rev : violation list;
   mutable count : int;
-  (* [pending] holds the time each liveness condition was first seen;
-     [opened] dedups a sustained condition into one violation record. *)
-  pending : (string, Engine.Time.t) Hashtbl.t;
-  opened : (string, unit) Hashtbl.t;
+  opened : (string, unit) Hashtbl.t;  (* dedups the unsustained violations *)
+  querier_st : ([ `Multi | `Zero ] * int) sustained;
+  assert_st : (int * Addr.t * Addr.t) sustained;  (* (link, src, group) *)
+  pg_st : ([ `Stuck | `Wants | `Pair ] * string * Addr.t * Addr.t) sustained;
+  bh_st : (string * Addr.t) sustained;  (* (host, group) *)
   mutable last_disruption : Engine.Time.t;
   mutable last_fired : int;
   (* While duplication or corruption is injected (and a short margin
@@ -115,8 +163,11 @@ type t = {
   mutable chaos_until : Engine.Time.t;
   mutable ttl_baseline : int;
   host_state : (string, host_state) Hashtbl.t;
-  addr_owner : (Addr.t, string * Host_stack.t * Link_id.t) Hashtbl.t;
-  tx_counts : (string, int ref) Hashtbl.t;
+  (* A host's address on a link is the link's /64 prefix plus the
+     host's interface id, so ownership is two lookups. *)
+  link_of_hi : (int64, Link_id.t) Hashtbl.t;
+  host_of_iid : (int64, string * Host_stack.t) Hashtbl.t;
+  tx_counts : int ref Tx_counts.t;
   tx_limit : (int, int) Hashtbl.t;  (* link -> max legitimate transmits *)
   link_names : (int, string) Hashtbl.t;
   last_data_tx : (Addr.t, Engine.Time.t) Hashtbl.t;  (* group -> time *)
@@ -128,7 +179,6 @@ type t = {
 }
 
 let net t = t.scenario.Scenario.net
-let topo t = Network.topology (net t)
 let now t = Engine.Sim.now t.scenario.Scenario.sim
 let bound t = t.bound
 let samples t = t.samples
@@ -157,55 +207,50 @@ let chain_at t ~at ~where =
      | Some sp ->
        Engine.Span.render_chain (Engine.Span.causal_chain c sp.Engine.Span.sp_id))
 
+let record t ~at ~inv ~where ~detail =
+  let v =
+    { v_invariant = inv;
+      v_at = at;
+      v_where = where;
+      v_detail = detail;
+      v_trace = Engine.Trace.recent (Network.trace (net t)) ~n:t.cfg.trace_excerpt;
+      v_chain = chain_at t ~at ~where }
+  in
+  t.violations_rev <- v :: t.violations_rev;
+  t.count <- t.count + 1
+
 let record_keyed t ~at ~key ~inv ~where ~detail =
   if not (Hashtbl.mem t.opened key) then begin
     Hashtbl.replace t.opened key ();
-    let v =
-      { v_invariant = inv;
-        v_at = at;
-        v_where = where;
-        v_detail = detail;
-        v_trace = Engine.Trace.recent (Network.trace (net t)) ~n:t.cfg.trace_excerpt;
-        v_chain = chain_at t ~at ~where }
-    in
-    t.violations_rev <- v :: t.violations_rev;
-    t.count <- t.count + 1
+    record t ~at ~inv ~where ~detail
   end
 
-(* [items] are the (suffix, invariant, where, detail, threshold)
+(* [items] are the (key, invariant, where, detail, threshold)
    conditions of one check that hold right now.  A condition becomes a
    violation once it has held for its threshold; one that stopped
    holding has its clock and dedup entry dropped so a later recurrence
    is timed (and reported) afresh. *)
-let sustain_set t ~at ~prefix items =
-  let live = Hashtbl.create 16 in
+let sustain_set t st ~at items =
   List.iter
-    (fun (suffix, inv, where, detail, threshold) ->
-      let key = prefix ^ suffix in
-      Hashtbl.replace live key ();
-      match Hashtbl.find_opt t.pending key with
-      | None -> Hashtbl.replace t.pending key at
-      | Some since ->
-        if Engine.Time.sub at since >= threshold then
-          record_keyed t ~at ~key ~inv ~where ~detail:(detail ()))
+    (fun (key, inv, where, detail, threshold) ->
+      match Hashtbl.find_opt st.pending key with
+      | None -> Hashtbl.replace st.pending key { since = at; seen = t.samples }
+      | Some p ->
+        p.seen <- t.samples;
+        if Engine.Time.sub at p.since >= threshold && not (Hashtbl.mem st.opened key)
+        then begin
+          Hashtbl.replace st.opened key ();
+          record t ~at ~inv ~where ~detail:(detail ())
+        end)
     items;
-  let plen = String.length prefix in
-  let stale =
-    Hashtbl.fold
-      (fun k _ acc ->
-        if
-          String.length k >= plen
-          && String.sub k 0 plen = prefix
-          && not (Hashtbl.mem live k)
-        then k :: acc
-        else acc)
-      t.pending []
-  in
-  List.iter
-    (fun k ->
-      Hashtbl.remove t.pending k;
-      Hashtbl.remove t.opened k)
-    stale
+  Hashtbl.filter_map_inplace
+    (fun key p ->
+      if p.seen = t.samples then Some p
+      else begin
+        Hashtbl.remove st.opened key;
+        None
+      end)
+    st.pending
 
 let chaos_active_now t =
   let net = net t in
@@ -232,19 +277,20 @@ let bump_tx t ~at ~li ~limit key mk_detail =
   (* The table grows with traffic volume; a periodic wholesale reset
      keeps it bounded — an actual loop re-crosses its links within
      milliseconds and re-trips the counter immediately. *)
-  if Hashtbl.length t.tx_counts > 65536 then Hashtbl.reset t.tx_counts;
+  if Tx_counts.length t.tx_counts > 65536 then Tx_counts.reset t.tx_counts;
   let count =
-    match Hashtbl.find_opt t.tx_counts key with
+    match Tx_counts.find_opt t.tx_counts key with
     | Some r ->
       incr r;
       !r
     | None ->
-      Hashtbl.replace t.tx_counts key (ref 1);
+      Tx_counts.replace t.tx_counts key (ref 1);
       1
   in
   if count > limit && not (in_chaos t ~at) then
-    record_keyed t ~at ~key:("loop|" ^ key) ~inv:Forwarding_loop
-      ~where:(link_name_of t li) ~detail:(mk_detail count)
+    record_keyed t ~at
+      ~key:("loop|" ^ Tx_key.to_string key)
+      ~inv:Forwarding_loop ~where:(link_name_of t li) ~detail:(mk_detail count)
 
 let low_hop_limit t ~at ~li (packet : Packet.t) =
   if packet.Packet.hop_limit <= 4 && not (in_chaos t ~at) then
@@ -263,9 +309,12 @@ let low_hop_limit t ~at ~li (packet : Packet.t) =
            packet.Packet.hop_limit)
 
 let tunnel_coherence t ~at ~li (packet : Packet.t) =
-  match Hashtbl.find_opt t.addr_owner packet.Packet.dst with
-  | None -> ()
-  | Some (hname, h, owner_link) ->
+  match
+    ( Hashtbl.find_opt t.host_of_iid (Addr.lo packet.Packet.dst),
+      Hashtbl.find_opt t.link_of_hi (Addr.hi packet.Packet.dst) )
+  with
+  | None, _ | _, None -> ()
+  | Some (hname, h), Some owner_link ->
     let current = Host_stack.current_link h in
     if Link_id.to_int current <> Link_id.to_int owner_link then begin
       let settled_since =
@@ -304,10 +353,7 @@ let on_transmit t link (packet : Packet.t) =
           | None -> 3
         in
         bump_tx t ~at ~li ~limit
-          (Printf.sprintf "m|%s|%s|%d|%d|%d"
-             (Addr.to_string packet.Packet.src)
-             (Addr.to_string packet.Packet.dst)
-             stream_id seq li)
+          (Mcast (packet.Packet.src, packet.Packet.dst, stream_id, seq, li))
           (fun count ->
             Printf.sprintf
               "multicast datagram (stream %d, seq %d) from %s crossed %s %d times \
@@ -318,10 +364,7 @@ let on_transmit t link (packet : Packet.t) =
       end
       else begin
         bump_tx t ~at ~li ~limit:2
-          (Printf.sprintf "u|%s|%s|%d|%d|%d"
-             (Addr.to_string packet.Packet.src)
-             (Addr.to_string packet.Packet.dst)
-             stream_id seq li)
+          (Ucast (packet.Packet.src, packet.Packet.dst, stream_id, seq, li))
           (fun count ->
             Printf.sprintf
               "unicast datagram (stream %d, seq %d) %s -> %s crossed %s %d times"
@@ -337,10 +380,7 @@ let on_transmit t link (packet : Packet.t) =
          Hashtbl.replace t.last_data_tx inner.Packet.dst at;
          Hashtbl.replace t.src_data_tx (inner.Packet.src, inner.Packet.dst) at;
          if not mcast then
-           bump_tx t ~at ~li ~limit:2
-             (Printf.sprintf "t|%s|%d|%d|%d"
-                (Addr.to_string packet.Packet.dst)
-                stream_id seq li)
+           bump_tx t ~at ~li ~limit:2 (Tunnel (packet.Packet.dst, stream_id, seq, li))
              (fun count ->
                Printf.sprintf
                  "tunnelled datagram (stream %d, seq %d) for %s crossed %s %d times"
@@ -394,34 +434,28 @@ let unsettled t =
   || List.exists (fun (_, r) -> Router_stack.is_failed r) t.routers
 
 let check_querier t ~at =
-  let topo = topo t in
   let items =
     List.concat_map
-      (fun l ->
+      (fun (l, lname, routers) ->
         let li = Link_id.to_int l in
-        let lname = link_name_of t li in
-        let snaps =
+        let running =
           List.filter_map
             (fun (name, r) ->
               if Router_stack.is_failed r then None
-              else if not (Topology.is_attached topo (Router_stack.node_id r) l) then
-                None
               else
                 match Router_stack.mld_on r l with
-                | None -> None
-                | Some m ->
-                  let s = Mld.Mld_router.snapshot m in
-                  if s.Mld.Mld_router.snap_running then Some (name, s) else None)
-            t.routers
+                | Some m when Mld.Mld_router.is_running m -> Some (name, m)
+                | Some _ | None -> None)
+            routers
         in
         let queriers =
           List.filter_map
-            (fun (name, s) -> if s.Mld.Mld_router.snap_querier then Some name else None)
-            snaps
+            (fun (name, m) -> if Mld.Mld_router.is_querier m then Some name else None)
+            running
         in
         let multi =
           if List.length queriers >= 2 then
-            [ ( Printf.sprintf "multi|%d" li,
+            [ ( (`Multi, li),
                 Mld_querier,
                 lname,
                 (fun () ->
@@ -434,53 +468,64 @@ let check_querier t ~at =
           else []
         in
         let zero =
-          if snaps <> [] && queriers = [] then
-            [ ( Printf.sprintf "zero|%d" li,
+          if running <> [] && queriers = [] then
+            [ ( (`Zero, li),
                 Mld_querier,
                 lname,
                 (fun () ->
                   Printf.sprintf
                     "no MLD querier on %s although %d router(s) run MLD there — the \
                      Other-Querier-Present timeout failed to promote one"
-                    lname (List.length snaps)),
+                    lname (List.length running)),
                 t.zero_querier_bound ) ]
           else []
         in
         multi @ zero)
-      t.links
+      t.link_routers
   in
-  sustain_set t ~at ~prefix:"querier|" items
+  sustain_set t t.querier_st ~at items
 
-let check_assert t ~at =
-  let forwarding : (int * Addr.t * Addr.t, string list) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
+(* One PIM snapshot of every live router, in [t.routers] order. *)
+let pim_snapshots t =
+  List.filter_map
     (fun (name, r) ->
-      if not (Router_stack.is_failed r) then
-        List.iter
-          (fun e ->
-            List.iter
-              (fun o ->
-                if o.P.snap_forwarding then begin
-                  let key = (o.P.snap_oif, e.P.snap_source, e.P.snap_group) in
-                  let prev = Option.value (Hashtbl.find_opt forwarding key) ~default:[] in
-                  Hashtbl.replace forwarding key (name :: prev)
-                end)
-              e.P.snap_oifs)
-          (P.snapshot (Router_stack.pim r)))
-    t.routers;
+      if Router_stack.is_failed r then None
+      else Some (name, P.snapshot (Router_stack.pim r)))
+    t.routers
+
+(* Who currently forwards each (S,G) onto each link. *)
+let forwarders_of snaps =
+  let forwarders : (int * Addr.t * Addr.t, string list) Hashtbl.t = Hashtbl.create 16 in
+  List.iter
+    (fun (name, entries) ->
+      List.iter
+        (fun e ->
+          List.iter
+            (fun o ->
+              if o.P.snap_forwarding then begin
+                let key = (o.P.snap_oif, e.P.snap_source, e.P.snap_group) in
+                let prev = Option.value (Hashtbl.find_opt forwarders key) ~default:[] in
+                Hashtbl.replace forwarders key (name :: prev)
+              end)
+            e.P.snap_oifs)
+        entries)
+    snaps;
+  forwarders
+
+let check_assert t ~at forwarders =
   let items =
     Hashtbl.fold
-      (fun (li, src, grp) names acc ->
+      (fun ((li, src, grp) as key) names acc ->
         (* Only meaningful on links that actually carry the stream:
            asserts are data-driven, so without traffic two routers may
            validly both consider an interface forwarding. *)
         let data_recent =
-          match Hashtbl.find_opt t.link_data_tx (li, src, grp) with
+          match Hashtbl.find_opt t.link_data_tx key with
           | Some tx -> Engine.Time.sub at tx < 5.0
           | None -> false
         in
         if List.length names >= 2 && data_recent then
-          ( Printf.sprintf "%d|%s|%s" li (Addr.to_string src) (Addr.to_string grp),
+          ( key,
             Assert_winner,
             link_name_of t li,
             (fun () ->
@@ -493,32 +538,15 @@ let check_assert t ~at =
             t.bound )
           :: acc
         else acc)
-      forwarding []
+      forwarders []
   in
-  sustain_set t ~at ~prefix:"assert|" items
+  sustain_set t t.assert_st ~at items
 
-let check_prune_graft t ~at =
-  (* Who currently forwards each (S,G) onto each link.  On a redundant
-     LAN the Assert winner need not be the neighbour a router's Grafts
-     were addressed to, so pairwise neighbour-state comparison is
-     unsound: a Joined router is healthy as long as {e some} router
-     forwards onto its incoming interface. *)
-  let forwarders : (int * Addr.t * Addr.t, string list) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun (name, r) ->
-      if not (Router_stack.is_failed r) then
-        List.iter
-          (fun e ->
-            List.iter
-              (fun o ->
-                if o.P.snap_forwarding then begin
-                  let key = (o.P.snap_oif, e.P.snap_source, e.P.snap_group) in
-                  let prev = Option.value (Hashtbl.find_opt forwarders key) ~default:[] in
-                  Hashtbl.replace forwarders key (name :: prev)
-                end)
-              e.P.snap_oifs)
-          (P.snapshot (Router_stack.pim r)))
-    t.routers;
+let check_prune_graft t ~at snaps forwarders =
+  (* On a redundant LAN the Assert winner need not be the neighbour a
+     router's Grafts were addressed to, so pairwise neighbour-state
+     comparison is unsound: a Joined router is healthy as long as
+     {e some} router forwards onto its incoming interface. *)
   let covered_by_other ~name ~src ~grp oif =
     match Hashtbl.find_opt forwarders (oif, src, grp) with
     | Some names -> List.exists (fun n -> n <> name) names
@@ -527,91 +555,73 @@ let check_prune_graft t ~at =
   let items = ref [] in
   let add x = items := x :: !items in
   List.iter
-    (fun (name, r) ->
-      if not (Router_stack.is_failed r) then
-        List.iter
-          (fun e ->
-            let sg =
-              Printf.sprintf "(%s,%s)"
-                (Addr.to_string e.P.snap_source)
-                (Addr.to_string e.P.snap_group)
-            in
-            let wants_traffic =
-              List.exists (fun o -> o.P.snap_forwarding) e.P.snap_oifs
-            in
-            (* An assert loser whose loser state just expired reads as
-               forwarding-while-pruned-upstream, but as long as the
-               assert winner serves the same link nothing is owed: only
-               an oif no other router covers makes a pruned upstream a
-               broken branch. *)
-            let wants_uncovered =
-              List.exists
-                (fun o ->
-                  o.P.snap_forwarding
-                  && not
-                       (covered_by_other ~name ~src:e.P.snap_source
-                          ~grp:e.P.snap_group o.P.snap_oif))
-                e.P.snap_oifs
-            in
-            (* Dormant state for a source that stopped transmitting —
-               e.g. the care-of source of a sender that roamed and
-               went home again — is data-driven residue, not a broken
-               branch; it times out on its own. *)
-            let stream_live =
-              match
-                Hashtbl.find_opt t.src_data_tx (e.P.snap_source, e.P.snap_group)
-              with
-              | Some tx -> Engine.Time.sub at tx < 5.0
-              | None -> false
-            in
-            (match e.P.snap_upstream_state with
-             | P.Up_grafting ->
-               add
-                 ( Printf.sprintf "stuck|%s|%s" name sg,
-                   Prune_graft,
-                   name,
-                   (fun () ->
-                     Printf.sprintf
-                       "%s stuck in Grafting for %s: no Graft-Ack despite the retry \
-                        timer"
-                       name sg),
-                   t.bound )
-             | P.Up_pruned when wants_uncovered && stream_live ->
-               add
-                 ( Printf.sprintf "wants|%s|%s" name sg,
-                   Prune_graft,
-                   name,
-                   (fun () ->
-                     Printf.sprintf
-                       "%s holds %s pruned upstream although downstream interfaces \
-                        want the traffic — a Graft should have restored the branch"
-                       name sg),
-                   t.bound )
-             | P.Up_joined | P.Up_pruned -> ());
-            match (e.P.snap_upstream_state, e.P.snap_upstream) with
-            | P.Up_joined, Some _ when wants_traffic ->
-              if
-                stream_live
-                && not
-                     (Hashtbl.mem forwarders
-                        (e.P.snap_iif, e.P.snap_source, e.P.snap_group))
-              then
-                add
-                  ( Printf.sprintf "pair|%s|%s" name sg,
-                    Prune_graft,
-                    name,
-                    (fun () ->
-                      Printf.sprintf
-                        "%s is Joined and forwarding %s, but no upstream router \
-                         forwards onto %s — the Graft/override exchange failed to \
-                         restore the branch"
-                        name sg
-                        (link_name_of t e.P.snap_iif)),
-                    t.bound )
-            | _ -> ())
-          (P.snapshot (Router_stack.pim r)))
-    t.routers;
-  sustain_set t ~at ~prefix:"pg|" !items
+    (fun (name, entries) ->
+      List.iter
+        (fun e ->
+          let src = e.P.snap_source and grp = e.P.snap_group in
+          let sg () = Printf.sprintf "(%s,%s)" (Addr.to_string src) (Addr.to_string grp) in
+          let wants_traffic = List.exists (fun o -> o.P.snap_forwarding) e.P.snap_oifs in
+          (* An assert loser whose loser state just expired reads as
+             forwarding-while-pruned-upstream, but as long as the
+             assert winner serves the same link nothing is owed: only
+             an oif no other router covers makes a pruned upstream a
+             broken branch. *)
+          let wants_uncovered =
+            List.exists
+              (fun o ->
+                o.P.snap_forwarding && not (covered_by_other ~name ~src ~grp o.P.snap_oif))
+              e.P.snap_oifs
+          in
+          (* Dormant state for a source that stopped transmitting —
+             e.g. the care-of source of a sender that roamed and went
+             home again — is data-driven residue, not a broken branch;
+             it times out on its own. *)
+          let stream_live =
+            match Hashtbl.find_opt t.src_data_tx (src, grp) with
+            | Some tx -> Engine.Time.sub at tx < 5.0
+            | None -> false
+          in
+          (match e.P.snap_upstream_state with
+           | P.Up_grafting ->
+             add
+               ( (`Stuck, name, src, grp),
+                 Prune_graft,
+                 name,
+                 (fun () ->
+                   Printf.sprintf
+                     "%s stuck in Grafting for %s: no Graft-Ack despite the retry timer"
+                     name (sg ())),
+                 t.bound )
+           | P.Up_pruned when wants_uncovered && stream_live ->
+             add
+               ( (`Wants, name, src, grp),
+                 Prune_graft,
+                 name,
+                 (fun () ->
+                   Printf.sprintf
+                     "%s holds %s pruned upstream although downstream interfaces want \
+                      the traffic — a Graft should have restored the branch"
+                     name (sg ())),
+                 t.bound )
+           | P.Up_joined | P.Up_pruned -> ());
+          match (e.P.snap_upstream_state, e.P.snap_upstream) with
+          | P.Up_joined, Some _ when wants_traffic ->
+            if stream_live && not (Hashtbl.mem forwarders (e.P.snap_iif, src, grp)) then
+              add
+                ( (`Pair, name, src, grp),
+                  Prune_graft,
+                  name,
+                  (fun () ->
+                    Printf.sprintf
+                      "%s is Joined and forwarding %s, but no upstream router forwards \
+                       onto %s — the Graft/override exchange failed to restore the \
+                       branch"
+                      name (sg ()) (link_name_of t e.P.snap_iif)),
+                  t.bound )
+          | _ -> ())
+        entries)
+    snaps;
+  sustain_set t t.pg_st ~at !items
 
 let ttl_sum t =
   List.fold_left
@@ -652,7 +662,7 @@ let check_black_hole t ~at =
             match prev with
             | Some p when p = progress && data_active ->
               Some
-                ( Printf.sprintf "%s|%s" name (Addr.to_string g),
+                ( (name, g),
                   Black_hole,
                   name,
                   (fun () ->
@@ -666,7 +676,7 @@ let check_black_hole t ~at =
           (Host_stack.subscriptions h))
       t.hosts
   in
-  sustain_set t ~at ~prefix:"bh|" items
+  sustain_set t t.bh_st ~at items
 
 let sample t =
   let at = now t in
@@ -676,12 +686,17 @@ let sample t =
   let disrupted = poll_disruption t in
   if disrupted || unsettled t then begin
     t.last_disruption <- at;
-    Hashtbl.reset t.pending
+    Hashtbl.reset t.querier_st.pending;
+    Hashtbl.reset t.assert_st.pending;
+    Hashtbl.reset t.pg_st.pending;
+    Hashtbl.reset t.bh_st.pending
   end
   else begin
     check_querier t ~at;
-    check_assert t ~at;
-    check_prune_graft t ~at;
+    let snaps = pim_snapshots t in
+    let forwarders = forwarders_of snaps in
+    check_assert t ~at forwarders;
+    check_prune_graft t ~at snaps forwarders;
     check_black_hole t ~at
   end
 
@@ -702,28 +717,53 @@ let attach ?(config = default_config) ?faults (scenario : Scenario.t) =
   in
   let net = scenario.Scenario.net in
   let topo = Network.topology net in
+  let links = Topology.links topo in
+  let routers = scenario.Scenario.routers in
+  let on_link = Hashtbl.create 64 in
+  List.iter
+    (fun ((_, r) as named) ->
+      List.iter
+        (fun l ->
+          let li = Link_id.to_int l in
+          Hashtbl.replace on_link li
+            (named :: Option.value (Hashtbl.find_opt on_link li) ~default:[]))
+        (Topology.links_of_node topo (Router_stack.node_id r)))
+    routers;
+  let link_routers =
+    List.filter_map
+      (fun l ->
+        match Hashtbl.find_opt on_link (Link_id.to_int l) with
+        | None -> None
+        | Some rev -> Some (l, Topology.link_name topo l, List.rev rev))
+      links
+  in
   let t =
     { scenario;
       cfg = config;
       bound;
       zero_querier_bound;
       faults;
-      links = Topology.links topo;
-      routers = scenario.Scenario.routers;
+      links;
+      routers;
       hosts = scenario.Scenario.hosts;
+      link_routers;
       running = true;
       samples = 0;
       violations_rev = [];
       count = 0;
-      pending = Hashtbl.create 32;
       opened = Hashtbl.create 32;
+      querier_st = sustained ();
+      assert_st = sustained ();
+      pg_st = sustained ();
+      bh_st = sustained ();
       last_disruption = Engine.Sim.now scenario.Scenario.sim;
       last_fired = (match faults with Some f -> Faults.events_fired f | None -> 0);
       chaos_until = neg_infinity;
       ttl_baseline = 0;
       host_state = Hashtbl.create 8;
-      addr_owner = Hashtbl.create 32;
-      tx_counts = Hashtbl.create 1024;
+      link_of_hi = Hashtbl.create 16;
+      host_of_iid = Hashtbl.create 8;
+      tx_counts = Tx_counts.create 1024;
       tx_limit = Hashtbl.create 8;
       link_names = Hashtbl.create 8;
       last_data_tx = Hashtbl.create 8;
@@ -736,16 +776,14 @@ let attach ?(config = default_config) ?faults (scenario : Scenario.t) =
       Hashtbl.replace t.host_state name
         { hs_attach = Host_stack.last_attach_time h;
           hs_subs = Host_stack.subscriptions h };
-      List.iter
-        (fun l ->
-          Hashtbl.replace t.addr_owner
-            (Topology.address_on topo (Host_stack.node_id h) l)
-            (name, h, l))
-        t.links)
+      Hashtbl.replace t.host_of_iid
+        (Topology.interface_id topo (Host_stack.node_id h))
+        (name, h))
     t.hosts;
   List.iter
     (fun l ->
       let li = Link_id.to_int l in
+      Hashtbl.replace t.link_of_hi (Addr.hi (Prefix.address (Topology.link_prefix topo l))) l;
       Hashtbl.replace t.tx_limit li (1 + List.length (Topology.routers_on_link topo l));
       Hashtbl.replace t.link_names li (Topology.link_name topo l))
     t.links;

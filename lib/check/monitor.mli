@@ -34,7 +34,19 @@
     disruption: a fault event firing, a handoff, a subscription
     change, a link down, a failed router, or heavy (≥ 0.5) loss or
     corruption.  Detected violations carry the event time, the node or
-    link concerned, and a replayable excerpt of the protocol trace. *)
+    link concerned, and a replayable excerpt of the protocol trace.
+
+    {b Cost.}  One sample costs O(links + router interfaces + (S,G)
+    outgoing-interface entries + host subscriptions), independent of
+    links × routers: each link's routers are listed once at [attach]
+    (routers never change links; only hosts move), every live router
+    is snapshotted once per sample and that snapshot serves both the
+    assert and prune-graft checks, and each check keeps its liveness
+    clocks under its own typed key, so dropping the conditions that
+    stopped holding walks only that check's pending set.  The
+    per-packet observer costs a constant number of hash-table updates
+    under typed keys and formats a string only when it records a
+    violation. *)
 
 open Mmcast
 

@@ -193,18 +193,9 @@ let is_querier t =
   | Querier -> true
   | Non_querier _ -> false
 
+let is_running t = t.running
+
 let listener_deadline t group =
   match Hashtbl.find_opt t.members group with
   | None -> None
   | Some m -> Engine.Timer.expiry m.expiry
-
-(* ---- read-only snapshot for the invariant monitor ---- *)
-
-type querier_snapshot = {
-  snap_running : bool;
-  snap_querier : bool;
-  snap_groups : Addr.t list;
-}
-
-let snapshot t =
-  { snap_running = t.running; snap_querier = is_querier t; snap_groups = groups t }

@@ -36,20 +36,9 @@ val has_listeners : t -> Addr.t -> bool
 
 val is_querier : t -> bool
 
+val is_running : t -> bool
+(** Between {!start} and {!stop}. *)
+
 val listener_deadline : t -> Addr.t -> Engine.Time.t option
 (** When the group's membership would expire absent further Reports
     (used by tests to check the leave-delay bound). *)
-
-(** {1 Read-only snapshot}
-
-    An immutable view of the querier role and listener database for the
-    runtime invariant monitor; taking it never mutates protocol
-    state. *)
-
-type querier_snapshot = {
-  snap_running : bool;
-  snap_querier : bool;
-  snap_groups : Addr.t list;  (** sorted *)
-}
-
-val snapshot : t -> querier_snapshot

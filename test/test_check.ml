@@ -1,8 +1,10 @@
 (* Tests for the runtime invariant monitor and the hardened receive
    path: the monitor stays silent on healthy runs, raises on a
-   deliberately broken configuration, the wire-check mode drops (and
-   only drops) corrupted frames, and a looping unicast packet dies at
-   the hop-limit counter instead of circulating. *)
+   deliberately broken configuration, reports a re-crossing datagram
+   as a forwarding loop, and keeps its pinned verdicts on three
+   generated runs; the wire-check mode drops (and only drops)
+   corrupted frames, and a looping unicast packet dies at the
+   hop-limit counter instead of circulating. *)
 
 open Mmcast
 
@@ -109,6 +111,53 @@ let monitor_tests =
             Alcotest.(check bool) "violation carries a trace excerpt" true
               (v.Check.Monitor.v_trace <> []))
           vs);
+    Alcotest.test_case "a datagram re-crossing a link is one forwarding loop" `Quick
+      (fun () ->
+        let scenario = Scenario.paper_figure1 (soak_like_spec ()) in
+        let net = scenario.Scenario.net in
+        let topo = Net.Network.topology net in
+        let monitor = Check.Monitor.attach scenario in
+        (* No route leads to this source, so routers drop the copies on
+           the RPF check: only the injected transmissions cross a wire. *)
+        let src = Ipv6.Addr.of_string "2001:db8:99::1" in
+        let limit l = 1 + List.length (Net.Topology.routers_on_link topo l) in
+        let l1 = Scenario.link scenario "L1" and l2 = Scenario.link scenario "L2" in
+        let send host link ~seq n =
+          let p =
+            Ipv6.Packet.make ~src ~dst:group
+              (Ipv6.Packet.Data { stream_id = 7; seq; bytes = 64 })
+          in
+          for _ = 1 to n do
+            Net.Network.transmit net
+              ~from:(Host_stack.node_id (Scenario.host scenario host))
+              ~link Net.Network.To_all p
+          done
+        in
+        (* Up to the limit per (datagram, link) is legitimate, however
+           many datagrams differ only in seq or link... *)
+        Traffic.at scenario 1.0 (fun () ->
+            send "S" l1 ~seq:0 (limit l1);
+            send "S" l1 ~seq:1 (limit l1);
+            send "R2" l2 ~seq:0 (limit l2));
+        Scenario.run_until scenario 1.5;
+        Alcotest.(check int) "no loop within the limit" 0
+          (Check.Monitor.violation_count monitor);
+        (* ...and one more crossing is a loop, reported once. *)
+        Traffic.at scenario 2.0 (fun () -> send "S" l1 ~seq:0 2);
+        Scenario.run_until scenario 2.5;
+        Check.Monitor.detach monitor;
+        match Check.Monitor.violations monitor with
+        | [ v ] ->
+          Alcotest.(check string) "invariant" "forwarding-loop"
+            (Check.Monitor.invariant_name v.Check.Monitor.v_invariant);
+          Alcotest.(check string) "where" "L1" v.Check.Monitor.v_where;
+          Alcotest.(check string) "detail gives the count"
+            (Printf.sprintf
+               "multicast datagram (stream 7, seq 0) from 2001:db8:99::1 crossed L1 %d \
+                times where at most %d sender/assert transmissions are possible"
+               (limit l1 + 1) (limit l1))
+            v.Check.Monitor.v_detail
+        | vs -> Alcotest.failf "expected one forwarding-loop violation, got %d" (List.length vs));
     Alcotest.test_case "soak convergence bound covers every repair path" `Quick (fun () ->
         let spec = soak_like_spec () in
         let bound = Check.Monitor.bound_for_spec spec in
@@ -124,6 +173,81 @@ let monitor_tests =
         Alcotest.(check bool) "state-refresh path dominates this spec" true
           (Check.Monitor.bound_for_spec without <= bound))
   ]
+
+(* ---- verdict pins ----
+
+   Three monitored runs per approach that between them reach the
+   multiple-querier, assert, prune-graft and black-hole paths.  Each run's verdicts are rendered one line per violation and
+   pinned by digest together with the sample count, so any change to
+   which violations are reported, when, where, or with what detail
+   fails here. *)
+
+let verdict_runs =
+  [ ( "waxman-r25",
+      Scale.Gen.scenario ~model:`Waxman ~routers:25 ~seed:42 (),
+      0.5,
+      [ ("assert-winner", 308); ("black-hole", 16) ] );
+    ( "broken-42",
+      Scale.Gen.broken ~seed:42 (),
+      10.0,
+      [ ("prune-graft", 4); ("black-hole", 4) ] );
+    ("soak-7", Scale.Gen.soak ~seed:7, 1.0, [ ("mld-querier", 4); ("black-hole", 12) ]) ]
+
+let verdict_pins =
+  (* (run, approach number) -> (md5 of the rendered verdicts, samples) *)
+  [ (("waxman-r25", 1), ("d160cb925332f692b8743df04d51cf05", 298));
+    (("waxman-r25", 2), ("52018268df62202c39e04cfede25f0db", 298));
+    (("waxman-r25", 3), ("52018268df62202c39e04cfede25f0db", 298));
+    (("waxman-r25", 4), ("d160cb925332f692b8743df04d51cf05", 298));
+    (("broken-42", 1), ("2f70567fdc22cc52697d4118a747f514", 120));
+    (("broken-42", 2), ("2f70567fdc22cc52697d4118a747f514", 120));
+    (("broken-42", 3), ("2f70567fdc22cc52697d4118a747f514", 120));
+    (("broken-42", 4), ("2f70567fdc22cc52697d4118a747f514", 120));
+    (("soak-7", 1), ("b73b0c41b78312e7cb4896f4ad226d7f", 480));
+    (("soak-7", 2), ("b73b0c41b78312e7cb4896f4ad226d7f", 480));
+    (("soak-7", 3), ("b73b0c41b78312e7cb4896f4ad226d7f", 480));
+    (("soak-7", 4), ("b73b0c41b78312e7cb4896f4ad226d7f", 480)) ]
+
+let render_verdicts vs =
+  String.concat ""
+    (List.map
+       (fun v ->
+         Printf.sprintf "%s|%h|%s|%s\n"
+           (Check.Monitor.invariant_name v.Check.Monitor.v_invariant)
+           v.Check.Monitor.v_at v.Check.Monitor.v_where v.Check.Monitor.v_detail)
+       vs)
+
+let verdict_tests =
+  List.map
+    (fun (name, desc, sustain, counts) ->
+      Alcotest.test_case (Printf.sprintf "%s verdicts are pinned" name) `Slow (fun () ->
+          let tally = Hashtbl.create 8 in
+          List.iter
+            (fun approach ->
+              let n = Approach.number approach in
+              let o = Scale.Runner.run ~sustain desc approach in
+              let vs = o.Scale.Runner.out_violations in
+              List.iter
+                (fun v ->
+                  let k = Check.Monitor.invariant_name v.Check.Monitor.v_invariant in
+                  Hashtbl.replace tally k
+                    (1 + Option.value (Hashtbl.find_opt tally k) ~default:0))
+                vs;
+              let got =
+                (Digest.to_hex (Digest.string (render_verdicts vs)), o.Scale.Runner.out_samples)
+              in
+              Alcotest.(check (pair string int))
+                (Printf.sprintf "approach %d digest and samples" n)
+                (List.assoc (name, n) verdict_pins)
+                got)
+            Approach.all;
+          let got =
+            List.sort compare (Hashtbl.fold (fun k c acc -> (k, c) :: acc) tally [])
+          in
+          Alcotest.(check (list (pair string int)))
+            "violations per invariant over all approaches"
+            (List.sort compare counts) got))
+    verdict_runs
 
 (* ---- wire-check mode ---- *)
 
@@ -172,5 +296,6 @@ let () =
   Alcotest.run "check"
     [ ("hop_limit", hop_limit_tests);
       ("monitor", monitor_tests);
+      ("verdicts", verdict_tests);
       ("wire", wire_tests)
     ]
