@@ -102,6 +102,12 @@ type 'k sustained = {
 
 let sustained () = { pending = Hashtbl.create 8; opened = Hashtbl.create 8 }
 
+(* Allocation-free hash combining for the per-packet tables (FNV-style
+   multiply, then fold the high bits down: table indices use the low
+   ones). *)
+let mix h x = (h * 0x100000001b3) lxor x
+let finish h = (h lxor (h lsr 32)) land max_int
+
 (* One transmission of a datagram onto a link, as the loop counter sees
    it: (src, dst, stream, seq, link), or (dst, stream, seq, link) for a
    tunnelled datagram. *)
@@ -120,7 +126,12 @@ module Tx_key = struct
       sq = sq' && l = l' && st = st' && Addr.equal d d'
     | _ -> false
 
-  let hash = Hashtbl.hash
+  let hash = function
+    | Mcast (s, d, st, sq, l) ->
+      finish (mix (mix (mix (mix (mix 0 (Addr.hash s)) (Addr.hash d)) st) sq) l)
+    | Ucast (s, d, st, sq, l) ->
+      finish (mix (mix (mix (mix (mix 1 (Addr.hash s)) (Addr.hash d)) st) sq) l)
+    | Tunnel (d, st, sq, l) -> finish (mix (mix (mix (mix 2 (Addr.hash d)) st) sq) l)
 
   let to_string = function
     | Mcast (s, d, st, sq, l) ->
@@ -132,6 +143,46 @@ end
 
 module Tx_counts = Hashtbl.Make (Tx_key)
 
+(* The per-packet liveness tables, keyed by group, (source, group) and
+   (link, source, group). *)
+module Addr_tbl = Hashtbl.Make (Addr)
+
+module Sg_tbl = Hashtbl.Make (struct
+  type t = Addr.t * Addr.t
+
+  let equal (s, g) (s', g') = Addr.equal s s' && Addr.equal g g'
+  let hash (s, g) = finish (mix (Addr.hash s) (Addr.hash g))
+end)
+
+module Link_sg_tbl = Hashtbl.Make (struct
+  type t = int * Addr.t * Addr.t
+
+  let equal (l, s, g) (l', s', g') = l = l' && Addr.equal s s' && Addr.equal g g'
+  let hash (l, s, g) = finish (mix (mix l (Addr.hash s)) (Addr.hash g))
+end)
+
+(* One router's last PIM snapshot and the generation it was taken at;
+   [c_pim] is compared physically, so a re-created instance never
+   passes for the old one. *)
+type snap_cache = {
+  c_pim : P.t;
+  c_gen : int;
+  c_entries : P.entry_snapshot list;
+}
+
+(* Per-entry facts of the prune-graft check that depend only on the
+   snapshots and the forwarder table, not on the clock: recomputed when
+   a generation moves, read at every sample. *)
+type pg_entry = {
+  pg_name : string;
+  pg_src : Addr.t;
+  pg_grp : Addr.t;
+  pg_state : P.upstream_snapshot;
+  pg_wants_uncovered : bool;
+  pg_unfed_join : bool;  (* Joined, has an upstream, wants traffic, nobody feeds its iif *)
+  pg_iif : int;
+}
+
 type t = {
   scenario : Scenario.t;
   cfg : config;
@@ -140,12 +191,17 @@ type t = {
       (* losing every querier is only repaired by the
          Other-Querier-Present timeout, which may exceed [bound] *)
   faults : Faults.t option;
-  links : Link_id.t list;
-  routers : (string * Router_stack.t) list;
+  links : Link_id.t array;
+  routers : (string * Router_stack.t) array;
   hosts : (string * Host_stack.t) list;
-  link_routers : (Link_id.t * string * (string * Router_stack.t) list) list;
+  link_routers : (Link_id.t * string * (string * Router_stack.t) array) array;
       (* every link with routers on it, its name, and those routers in
          [routers] order — routers never change links *)
+  snap_cache : snap_cache option array;  (* by position in [routers]; None = failed *)
+  mutable forwarders : (int * Addr.t * Addr.t, string list) Hashtbl.t;
+  mutable contested : ((int * Addr.t * Addr.t) * string list) list;
+      (* the [forwarders] keys with two or more routers, in fold order *)
+  mutable pg_entries : pg_entry list;
   mutable running : bool;
   mutable samples : int;
   mutable violations_rev : violation list;
@@ -168,11 +224,11 @@ type t = {
   link_of_hi : (int64, Link_id.t) Hashtbl.t;
   host_of_iid : (int64, string * Host_stack.t) Hashtbl.t;
   tx_counts : int ref Tx_counts.t;
-  tx_limit : (int, int) Hashtbl.t;  (* link -> max legitimate transmits *)
-  link_names : (int, string) Hashtbl.t;
-  last_data_tx : (Addr.t, Engine.Time.t) Hashtbl.t;  (* group -> time *)
-  src_data_tx : (Addr.t * Addr.t, Engine.Time.t) Hashtbl.t;  (* (src, group) *)
-  link_data_tx : (int * Addr.t * Addr.t, Engine.Time.t) Hashtbl.t;
+  tx_limit : int array;  (* by link id: max legitimate transmits *)
+  link_names : string array;  (* by link id *)
+  last_data_tx : Engine.Time.t Addr_tbl.t;  (* group -> time *)
+  src_data_tx : Engine.Time.t Sg_tbl.t;  (* (src, group) *)
+  link_data_tx : Engine.Time.t Link_sg_tbl.t;
       (* (link, src, group) — a roamed sender's stale care-of source
          must not inherit liveness from the home source's stream *)
   progress : (string * Addr.t, int) Hashtbl.t;  (* (host, group) -> rx+dup *)
@@ -254,9 +310,10 @@ let sustain_set t st ~at items =
 
 let chaos_active_now t =
   let net = net t in
-  List.exists
-    (fun l -> Network.corrupt_rate net l > 0.0 || Network.duplicate_rate net l > 0.0)
-    t.links
+  Network.impaired_links net > 0
+  && Array.exists
+       (fun l -> Network.corrupt_rate net l > 0.0 || Network.duplicate_rate net l > 0.0)
+       t.links
 
 let in_chaos t ~at =
   if Engine.Time.compare at t.chaos_until <= 0 then true
@@ -267,30 +324,31 @@ let in_chaos t ~at =
   else false
 
 let link_name_of t li =
-  match Hashtbl.find_opt t.link_names li with
-  | Some n -> n
-  | None -> Printf.sprintf "link#%d" li
+  if li >= 0 && li < Array.length t.link_names then t.link_names.(li)
+  else Printf.sprintf "link#%d" li
 
 (* ---- transmit-observer checks (per packet, event time) ---- *)
 
-let bump_tx t ~at ~li ~limit key mk_detail =
-  (* The table grows with traffic volume; a periodic wholesale reset
-     keeps it bounded — an actual loop re-crosses its links within
-     milliseconds and re-trips the counter immediately. *)
+(* How many times this transmission has been seen, this one included.
+   The table grows with traffic volume; a periodic wholesale reset keeps
+   it bounded — an actual loop re-crosses its links within milliseconds
+   and re-trips the counter immediately. *)
+let bump_tx t key =
   if Tx_counts.length t.tx_counts > 65536 then Tx_counts.reset t.tx_counts;
-  let count =
-    match Tx_counts.find_opt t.tx_counts key with
-    | Some r ->
-      incr r;
-      !r
-    | None ->
-      Tx_counts.replace t.tx_counts key (ref 1);
-      1
-  in
-  if count > limit && not (in_chaos t ~at) then
-    record_keyed t ~at
-      ~key:("loop|" ^ Tx_key.to_string key)
-      ~inv:Forwarding_loop ~where:(link_name_of t li) ~detail:(mk_detail count)
+  match Tx_counts.find_opt t.tx_counts key with
+  | Some r ->
+    incr r;
+    !r
+  | None ->
+    Tx_counts.add t.tx_counts key (ref 1);
+    1
+
+(* Callers test [count > limit && not (in_chaos t ~at)] themselves, so
+   the common path formats no detail and allocates no closure. *)
+let report_loop t ~at ~li key detail =
+  record_keyed t ~at
+    ~key:("loop|" ^ Tx_key.to_string key)
+    ~inv:Forwarding_loop ~where:(link_name_of t li) ~detail
 
 let low_hop_limit t ~at ~li (packet : Packet.t) =
   if packet.Packet.hop_limit <= 4 && not (in_chaos t ~at) then
@@ -344,49 +402,50 @@ let on_transmit t link (packet : Packet.t) =
     match packet.Packet.payload with
     | Packet.Data { stream_id; seq; _ } ->
       if mcast then begin
-        Hashtbl.replace t.last_data_tx packet.Packet.dst at;
-        Hashtbl.replace t.src_data_tx (packet.Packet.src, packet.Packet.dst) at;
-        Hashtbl.replace t.link_data_tx (li, packet.Packet.src, packet.Packet.dst) at;
-        let limit =
-          match Hashtbl.find_opt t.tx_limit li with
-          | Some l -> l
-          | None -> 3
-        in
-        bump_tx t ~at ~li ~limit
-          (Mcast (packet.Packet.src, packet.Packet.dst, stream_id, seq, li))
-          (fun count ->
-            Printf.sprintf
-              "multicast datagram (stream %d, seq %d) from %s crossed %s %d times \
-               where at most %d sender/assert transmissions are possible"
-              stream_id seq
-              (Addr.to_string packet.Packet.src)
-              (link_name_of t li) count limit)
+        Addr_tbl.replace t.last_data_tx packet.Packet.dst at;
+        Sg_tbl.replace t.src_data_tx (packet.Packet.src, packet.Packet.dst) at;
+        Link_sg_tbl.replace t.link_data_tx (li, packet.Packet.src, packet.Packet.dst) at;
+        let limit = if li >= 0 && li < Array.length t.tx_limit then t.tx_limit.(li) else 3 in
+        let key = Tx_key.Mcast (packet.Packet.src, packet.Packet.dst, stream_id, seq, li) in
+        let count = bump_tx t key in
+        if count > limit && not (in_chaos t ~at) then
+          report_loop t ~at ~li key
+            (Printf.sprintf
+               "multicast datagram (stream %d, seq %d) from %s crossed %s %d times \
+                where at most %d sender/assert transmissions are possible"
+               stream_id seq
+               (Addr.to_string packet.Packet.src)
+               (link_name_of t li) count limit)
       end
       else begin
-        bump_tx t ~at ~li ~limit:2
-          (Ucast (packet.Packet.src, packet.Packet.dst, stream_id, seq, li))
-          (fun count ->
-            Printf.sprintf
-              "unicast datagram (stream %d, seq %d) %s -> %s crossed %s %d times"
-              stream_id seq
-              (Addr.to_string packet.Packet.src)
-              (Addr.to_string packet.Packet.dst)
-              (link_name_of t li) count);
+        let key = Tx_key.Ucast (packet.Packet.src, packet.Packet.dst, stream_id, seq, li) in
+        let count = bump_tx t key in
+        if count > 2 && not (in_chaos t ~at) then
+          report_loop t ~at ~li key
+            (Printf.sprintf
+               "unicast datagram (stream %d, seq %d) %s -> %s crossed %s %d times"
+               stream_id seq
+               (Addr.to_string packet.Packet.src)
+               (Addr.to_string packet.Packet.dst)
+               (link_name_of t li) count);
         low_hop_limit t ~at ~li packet
       end
     | Packet.Encapsulated inner ->
       (match inner.Packet.payload with
        | Packet.Data { stream_id; seq; _ } when Packet.is_multicast_dst inner ->
-         Hashtbl.replace t.last_data_tx inner.Packet.dst at;
-         Hashtbl.replace t.src_data_tx (inner.Packet.src, inner.Packet.dst) at;
-         if not mcast then
-           bump_tx t ~at ~li ~limit:2 (Tunnel (packet.Packet.dst, stream_id, seq, li))
-             (fun count ->
-               Printf.sprintf
-                 "tunnelled datagram (stream %d, seq %d) for %s crossed %s %d times"
-                 stream_id seq
-                 (Addr.to_string packet.Packet.dst)
-                 (link_name_of t li) count)
+         Addr_tbl.replace t.last_data_tx inner.Packet.dst at;
+         Sg_tbl.replace t.src_data_tx (inner.Packet.src, inner.Packet.dst) at;
+         if not mcast then begin
+           let key = Tx_key.Tunnel (packet.Packet.dst, stream_id, seq, li) in
+           let count = bump_tx t key in
+           if count > 2 && not (in_chaos t ~at) then
+             report_loop t ~at ~li key
+               (Printf.sprintf
+                  "tunnelled datagram (stream %d, seq %d) for %s crossed %s %d times"
+                  stream_id seq
+                  (Addr.to_string packet.Packet.dst)
+                  (link_name_of t li) count)
+         end
        | _ -> ());
       if not mcast then begin
         low_hop_limit t ~at ~li packet;
@@ -425,73 +484,59 @@ let poll_disruption t =
 
 let unsettled t =
   let net = net t in
-  List.exists
-    (fun l ->
-      (not (Network.link_is_up net l))
-      || Network.loss_rate net l >= 0.5
-      || Network.corrupt_rate net l >= 0.5)
-    t.links
-  || List.exists (fun (_, r) -> Router_stack.is_failed r) t.routers
+  (Network.impaired_links net > 0
+   && Array.exists
+        (fun l ->
+          (not (Network.link_is_up net l))
+          || Network.loss_rate net l >= 0.5
+          || Network.corrupt_rate net l >= 0.5)
+        t.links)
+  || Array.exists (fun (_, r) -> Router_stack.is_failed r) t.routers
 
 let check_querier t ~at =
-  let items =
-    List.concat_map
-      (fun (l, lname, routers) ->
-        let li = Link_id.to_int l in
-        let running =
-          List.filter_map
-            (fun (name, r) ->
-              if Router_stack.is_failed r then None
-              else
-                match Router_stack.mld_on r l with
-                | Some m when Mld.Mld_router.is_running m -> Some (name, m)
-                | Some _ | None -> None)
-            routers
-        in
-        let queriers =
-          List.filter_map
-            (fun (name, m) -> if Mld.Mld_router.is_querier m then Some name else None)
-            running
-        in
-        let multi =
-          if List.length queriers >= 2 then
-            [ ( (`Multi, li),
-                Mld_querier,
-                lname,
-                (fun () ->
-                  Printf.sprintf
-                    "%d simultaneous MLD queriers on %s (%s); the RFC 2710 election \
-                     must converge to the lowest link-local address"
-                    (List.length queriers) lname
-                    (String.concat ", " queriers)),
-                t.bound ) ]
-          else []
-        in
-        let zero =
-          if running <> [] && queriers = [] then
-            [ ( (`Zero, li),
-                Mld_querier,
-                lname,
-                (fun () ->
-                  Printf.sprintf
-                    "no MLD querier on %s although %d router(s) run MLD there — the \
-                     Other-Querier-Present timeout failed to promote one"
-                    lname (List.length running)),
-                t.zero_querier_bound ) ]
-          else []
-        in
-        multi @ zero)
-      t.link_routers
-  in
-  sustain_set t t.querier_st ~at items
-
-(* One PIM snapshot of every live router, in [t.routers] order. *)
-let pim_snapshots t =
-  List.filter_map
-    (fun (name, r) ->
-      if Router_stack.is_failed r then None
-      else Some (name, P.snapshot (Router_stack.pim r)))
-    t.routers
+  let items = ref [] in
+  (* Walk the links backwards so consing leaves [items] in link order. *)
+  for k = Array.length t.link_routers - 1 downto 0 do
+    let l, lname, routers = t.link_routers.(k) in
+    let li = Link_id.to_int l in
+    let running = ref 0 and queriers = ref [] in
+    for j = Array.length routers - 1 downto 0 do
+      let name, r = routers.(j) in
+      if not (Router_stack.is_failed r) then
+        match Router_stack.mld_on r l with
+        | Some m when Mld.Mld_router.is_running m ->
+          incr running;
+          if Mld.Mld_router.is_querier m then queriers := name :: !queriers
+        | Some _ | None -> ()
+    done;
+    let running = !running and queriers = !queriers in
+    if running > 0 && queriers = [] then
+      items :=
+        ( (`Zero, li),
+          Mld_querier,
+          lname,
+          (fun () ->
+            Printf.sprintf
+              "no MLD querier on %s although %d router(s) run MLD there — the \
+               Other-Querier-Present timeout failed to promote one"
+              lname running),
+          t.zero_querier_bound )
+        :: !items;
+    if List.compare_length_with queriers 2 >= 0 then
+      items :=
+        ( (`Multi, li),
+          Mld_querier,
+          lname,
+          (fun () ->
+            Printf.sprintf
+              "%d simultaneous MLD queriers on %s (%s); the RFC 2710 election \
+               must converge to the lowest link-local address"
+              (List.length queriers) lname
+              (String.concat ", " queriers)),
+          t.bound )
+        :: !items
+  done;
+  sustain_set t t.querier_st ~at !items
 
 (* Who currently forwards each (S,G) onto each link. *)
 let forwarders_of snaps =
@@ -512,37 +557,7 @@ let forwarders_of snaps =
     snaps;
   forwarders
 
-let check_assert t ~at forwarders =
-  let items =
-    Hashtbl.fold
-      (fun ((li, src, grp) as key) names acc ->
-        (* Only meaningful on links that actually carry the stream:
-           asserts are data-driven, so without traffic two routers may
-           validly both consider an interface forwarding. *)
-        let data_recent =
-          match Hashtbl.find_opt t.link_data_tx key with
-          | Some tx -> Engine.Time.sub at tx < 5.0
-          | None -> false
-        in
-        if List.length names >= 2 && data_recent then
-          ( key,
-            Assert_winner,
-            link_name_of t li,
-            (fun () ->
-              Printf.sprintf
-                "%d routers (%s) forward (%s, %s) onto %s while the stream is live — \
-                 the Assert process never elected a single winner"
-                (List.length names)
-                (String.concat ", " (List.sort compare names))
-                (Addr.to_string src) (Addr.to_string grp) (link_name_of t li)),
-            t.bound )
-          :: acc
-        else acc)
-      forwarders []
-  in
-  sustain_set t t.assert_st ~at items
-
-let check_prune_graft t ~at snaps forwarders =
+let prune_graft_entries snaps forwarders =
   (* On a redundant LAN the Assert winner need not be the neighbour a
      router's Grafts were addressed to, so pairwise neighbour-state
      comparison is unsound: a Joined router is healthy as long as
@@ -552,79 +567,160 @@ let check_prune_graft t ~at snaps forwarders =
     | Some names -> List.exists (fun n -> n <> name) names
     | None -> false
   in
+  List.concat_map
+    (fun (name, entries) ->
+      List.map
+        (fun e ->
+          let src = e.P.snap_source and grp = e.P.snap_group in
+          let wants_traffic = List.exists (fun o -> o.P.snap_forwarding) e.P.snap_oifs in
+          { pg_name = name;
+            pg_src = src;
+            pg_grp = grp;
+            pg_state = e.P.snap_upstream_state;
+            (* An assert loser whose loser state just expired reads as
+               forwarding-while-pruned-upstream, but as long as the
+               assert winner serves the same link nothing is owed: only
+               an oif no other router covers makes a pruned upstream a
+               broken branch. *)
+            pg_wants_uncovered =
+              List.exists
+                (fun o ->
+                  o.P.snap_forwarding && not (covered_by_other ~name ~src ~grp o.P.snap_oif))
+                e.P.snap_oifs;
+            pg_unfed_join =
+              (match (e.P.snap_upstream_state, e.P.snap_upstream) with
+               | P.Up_joined, Some _ ->
+                 wants_traffic && not (Hashtbl.mem forwarders (e.P.snap_iif, src, grp))
+               | _ -> false);
+            pg_iif = e.P.snap_iif })
+        entries)
+    snaps
+
+(* Re-snapshot the live routers whose PIM generation moved since the
+   last sample, and rebuild the tables derived from the snapshots only
+   when one did: between protocol state changes a sample re-reads
+   them. *)
+let refresh_snapshots t =
+  let moved = ref false in
+  Array.iteri
+    (fun i (_, r) ->
+      if Router_stack.is_failed r then begin
+        match t.snap_cache.(i) with
+        | Some _ ->
+          t.snap_cache.(i) <- None;
+          moved := true
+        | None -> ()
+      end
+      else begin
+        let p = Router_stack.pim r in
+        let gen = P.generation p in
+        match t.snap_cache.(i) with
+        | Some c when c.c_pim == p && c.c_gen = gen -> ()
+        | Some _ | None ->
+          t.snap_cache.(i) <- Some { c_pim = p; c_gen = gen; c_entries = P.snapshot p };
+          moved := true
+      end)
+    t.routers;
+  if !moved then begin
+    let snaps = ref [] in
+    for i = Array.length t.routers - 1 downto 0 do
+      match t.snap_cache.(i) with
+      | Some c -> snaps := (fst t.routers.(i), c.c_entries) :: !snaps
+      | None -> ()
+    done;
+    t.forwarders <- forwarders_of !snaps;
+    t.contested <-
+      Hashtbl.fold
+        (fun key names acc -> if List.length names >= 2 then (key, names) :: acc else acc)
+        t.forwarders [];
+    t.pg_entries <- prune_graft_entries !snaps t.forwarders
+  end
+
+let check_assert t ~at =
+  let items =
+    List.filter_map
+      (fun (((li, src, grp) as key), names) ->
+        (* Only meaningful on links that actually carry the stream:
+           asserts are data-driven, so without traffic two routers may
+           validly both consider an interface forwarding. *)
+        let data_recent =
+          match Link_sg_tbl.find_opt t.link_data_tx key with
+          | Some tx -> Engine.Time.sub at tx < 5.0
+          | None -> false
+        in
+        if data_recent then
+          Some
+            ( key,
+              Assert_winner,
+              link_name_of t li,
+              (fun () ->
+                Printf.sprintf
+                  "%d routers (%s) forward (%s, %s) onto %s while the stream is live — \
+                   the Assert process never elected a single winner"
+                  (List.length names)
+                  (String.concat ", " (List.sort compare names))
+                  (Addr.to_string src) (Addr.to_string grp) (link_name_of t li)),
+              t.bound )
+        else None)
+      t.contested
+  in
+  sustain_set t t.assert_st ~at items
+
+let check_prune_graft t ~at =
   let items = ref [] in
   let add x = items := x :: !items in
   List.iter
-    (fun (name, entries) ->
-      List.iter
-        (fun e ->
-          let src = e.P.snap_source and grp = e.P.snap_group in
-          let sg () = Printf.sprintf "(%s,%s)" (Addr.to_string src) (Addr.to_string grp) in
-          let wants_traffic = List.exists (fun o -> o.P.snap_forwarding) e.P.snap_oifs in
-          (* An assert loser whose loser state just expired reads as
-             forwarding-while-pruned-upstream, but as long as the
-             assert winner serves the same link nothing is owed: only
-             an oif no other router covers makes a pruned upstream a
-             broken branch. *)
-          let wants_uncovered =
-            List.exists
-              (fun o ->
-                o.P.snap_forwarding && not (covered_by_other ~name ~src ~grp o.P.snap_oif))
-              e.P.snap_oifs
-          in
-          (* Dormant state for a source that stopped transmitting —
-             e.g. the care-of source of a sender that roamed and went
-             home again — is data-driven residue, not a broken branch;
-             it times out on its own. *)
-          let stream_live =
-            match Hashtbl.find_opt t.src_data_tx (src, grp) with
-            | Some tx -> Engine.Time.sub at tx < 5.0
-            | None -> false
-          in
-          (match e.P.snap_upstream_state with
-           | P.Up_grafting ->
-             add
-               ( (`Stuck, name, src, grp),
-                 Prune_graft,
-                 name,
-                 (fun () ->
-                   Printf.sprintf
-                     "%s stuck in Grafting for %s: no Graft-Ack despite the retry timer"
-                     name (sg ())),
-                 t.bound )
-           | P.Up_pruned when wants_uncovered && stream_live ->
-             add
-               ( (`Wants, name, src, grp),
-                 Prune_graft,
-                 name,
-                 (fun () ->
-                   Printf.sprintf
-                     "%s holds %s pruned upstream although downstream interfaces want \
-                      the traffic — a Graft should have restored the branch"
-                     name (sg ())),
-                 t.bound )
-           | P.Up_joined | P.Up_pruned -> ());
-          match (e.P.snap_upstream_state, e.P.snap_upstream) with
-          | P.Up_joined, Some _ when wants_traffic ->
-            if stream_live && not (Hashtbl.mem forwarders (e.P.snap_iif, src, grp)) then
-              add
-                ( (`Pair, name, src, grp),
-                  Prune_graft,
-                  name,
-                  (fun () ->
-                    Printf.sprintf
-                      "%s is Joined and forwarding %s, but no upstream router forwards \
-                       onto %s — the Graft/override exchange failed to restore the \
-                       branch"
-                      name (sg ()) (link_name_of t e.P.snap_iif)),
-                  t.bound )
-          | _ -> ())
-        entries)
-    snaps;
+    (fun e ->
+      let name = e.pg_name and src = e.pg_src and grp = e.pg_grp in
+      let sg () = Printf.sprintf "(%s,%s)" (Addr.to_string src) (Addr.to_string grp) in
+      (* Dormant state for a source that stopped transmitting — e.g. the
+         care-of source of a sender that roamed and went home again — is
+         data-driven residue, not a broken branch; it times out on its
+         own. *)
+      let stream_live () =
+        match Sg_tbl.find_opt t.src_data_tx (src, grp) with
+        | Some tx -> Engine.Time.sub at tx < 5.0
+        | None -> false
+      in
+      (match e.pg_state with
+       | P.Up_grafting ->
+         add
+           ( (`Stuck, name, src, grp),
+             Prune_graft,
+             name,
+             (fun () ->
+               Printf.sprintf
+                 "%s stuck in Grafting for %s: no Graft-Ack despite the retry timer" name
+                 (sg ())),
+             t.bound )
+       | P.Up_pruned when e.pg_wants_uncovered && stream_live () ->
+         add
+           ( (`Wants, name, src, grp),
+             Prune_graft,
+             name,
+             (fun () ->
+               Printf.sprintf
+                 "%s holds %s pruned upstream although downstream interfaces want the \
+                  traffic — a Graft should have restored the branch"
+                 name (sg ())),
+             t.bound )
+       | P.Up_joined | P.Up_pruned -> ());
+      if e.pg_unfed_join && stream_live () then
+        add
+          ( (`Pair, name, src, grp),
+            Prune_graft,
+            name,
+            (fun () ->
+              Printf.sprintf
+                "%s is Joined and forwarding %s, but no upstream router forwards onto %s \
+                 — the Graft/override exchange failed to restore the branch"
+                name (sg ()) (link_name_of t e.pg_iif)),
+            t.bound ))
+    t.pg_entries;
   sustain_set t t.pg_st ~at !items
 
 let ttl_sum t =
-  List.fold_left
+  Array.fold_left
     (fun acc (_, r) -> acc + (Router_stack.load r).Load.hop_limit_expired)
     0 t.routers
 
@@ -655,7 +751,7 @@ let check_black_hole t ~at =
             let prev = Hashtbl.find_opt t.progress key in
             Hashtbl.replace t.progress key progress;
             let data_active =
-              match Hashtbl.find_opt t.last_data_tx g with
+              match Addr_tbl.find_opt t.last_data_tx g with
               | Some tx -> Engine.Time.sub at tx < 3.0
               | None -> false
             in
@@ -693,10 +789,9 @@ let sample t =
   end
   else begin
     check_querier t ~at;
-    let snaps = pim_snapshots t in
-    let forwarders = forwarders_of snaps in
-    check_assert t ~at forwarders;
-    check_prune_graft t ~at snaps forwarders;
+    refresh_snapshots t;
+    check_assert t ~at;
+    check_prune_graft t ~at;
     check_black_hole t ~at
   end
 
@@ -734,8 +829,15 @@ let attach ?(config = default_config) ?faults (scenario : Scenario.t) =
       (fun l ->
         match Hashtbl.find_opt on_link (Link_id.to_int l) with
         | None -> None
-        | Some rev -> Some (l, Topology.link_name topo l, List.rev rev))
+        | Some rev -> Some (l, Topology.link_name topo l, Array.of_list (List.rev rev)))
       links
+  in
+  (* Link ids are dense from 0. *)
+  let n_links = List.fold_left (fun m l -> max m (Link_id.to_int l + 1)) 0 links in
+  let per_link f =
+    let a = Array.make n_links (f None) in
+    List.iter (fun l -> a.(Link_id.to_int l) <- f (Some l)) links;
+    a
   in
   let t =
     { scenario;
@@ -743,10 +845,14 @@ let attach ?(config = default_config) ?faults (scenario : Scenario.t) =
       bound;
       zero_querier_bound;
       faults;
-      links;
-      routers;
+      links = Array.of_list links;
+      routers = Array.of_list routers;
       hosts = scenario.Scenario.hosts;
-      link_routers;
+      link_routers = Array.of_list link_routers;
+      snap_cache = Array.make (List.length routers) None;
+      forwarders = Hashtbl.create 16;
+      contested = [];
+      pg_entries = [];
       running = true;
       samples = 0;
       violations_rev = [];
@@ -764,11 +870,17 @@ let attach ?(config = default_config) ?faults (scenario : Scenario.t) =
       link_of_hi = Hashtbl.create 16;
       host_of_iid = Hashtbl.create 8;
       tx_counts = Tx_counts.create 1024;
-      tx_limit = Hashtbl.create 8;
-      link_names = Hashtbl.create 8;
-      last_data_tx = Hashtbl.create 8;
-      src_data_tx = Hashtbl.create 8;
-      link_data_tx = Hashtbl.create 16;
+      tx_limit =
+        per_link (function
+          | Some l -> 1 + List.length (Topology.routers_on_link topo l)
+          | None -> 3);
+      link_names =
+        per_link (function
+          | Some l -> Topology.link_name topo l
+          | None -> "");
+      last_data_tx = Addr_tbl.create 8;
+      src_data_tx = Sg_tbl.create 8;
+      link_data_tx = Link_sg_tbl.create 16;
       progress = Hashtbl.create 16 }
   in
   List.iter
@@ -782,11 +894,8 @@ let attach ?(config = default_config) ?faults (scenario : Scenario.t) =
     t.hosts;
   List.iter
     (fun l ->
-      let li = Link_id.to_int l in
-      Hashtbl.replace t.link_of_hi (Addr.hi (Prefix.address (Topology.link_prefix topo l))) l;
-      Hashtbl.replace t.tx_limit li (1 + List.length (Topology.routers_on_link topo l));
-      Hashtbl.replace t.link_names li (Topology.link_name topo l))
-    t.links;
+      Hashtbl.replace t.link_of_hi (Addr.hi (Prefix.address (Topology.link_prefix topo l))) l)
+    links;
   Network.add_transmit_observer net (fun link p -> on_transmit t link p);
   let rec loop () =
     if t.running then begin
@@ -798,7 +907,24 @@ let attach ?(config = default_config) ?faults (scenario : Scenario.t) =
   ignore (Engine.Sim.schedule_after ~category:"monitor" t.scenario.Scenario.sim t.cfg.sample_interval loop);
   t
 
-let detach t = t.running <- false
+(* Nothing samples or observes a detached monitor, so the tables that
+   only serve that — the loop counter above all, up to 65,536 keys —
+   are released; the recorded violations stay. *)
+let detach t =
+  t.running <- false;
+  Array.fill t.snap_cache 0 (Array.length t.snap_cache) None;
+  t.forwarders <- Hashtbl.create 1;
+  t.contested <- [];
+  t.pg_entries <- [];
+  Tx_counts.reset t.tx_counts;
+  Addr_tbl.reset t.last_data_tx;
+  Sg_tbl.reset t.src_data_tx;
+  Link_sg_tbl.reset t.link_data_tx;
+  Hashtbl.reset t.progress;
+  Hashtbl.reset t.querier_st.pending;
+  Hashtbl.reset t.assert_st.pending;
+  Hashtbl.reset t.pg_st.pending;
+  Hashtbl.reset t.bh_st.pending
 
 (* ---- reporting ---- *)
 

@@ -36,17 +36,23 @@
     corruption.  Detected violations carry the event time, the node or
     link concerned, and a replayable excerpt of the protocol trace.
 
-    {b Cost.}  One sample costs O(links + router interfaces + (S,G)
-    outgoing-interface entries + host subscriptions), independent of
-    links × routers: each link's routers are listed once at [attach]
-    (routers never change links; only hosts move), every live router
-    is snapshotted once per sample and that snapshot serves both the
-    assert and prune-graft checks, and each check keeps its liveness
-    clocks under its own typed key, so dropping the conditions that
-    stopped holding walks only that check's pending set.  The
+    {b Cost.}  A sample follows protocol state, not topology size.
+    Each link's routers are listed once at [attach] (routers never
+    change links; only hosts move), and the MLD querier check walks
+    those arrays.  A router is re-snapshotted only when its
+    {!Pimdm.Pim_router.generation} moved since the previous sample;
+    the forwarders table, its contested (link, S, G) keys and the
+    per-entry facts of the prune-graft check are rebuilt only when
+    some router's generation moved, and otherwise each sample only
+    re-reads the stream clocks against them.  The cached snapshots are
+    one per router.  Link conditions are scanned only while
+    {!Net.Network.impaired_links} is non-zero.  Each check keeps its
+    liveness clocks under its own typed key, so dropping the conditions
+    that stopped holding walks only that check's pending set.  The
     per-packet observer costs a constant number of hash-table updates
-    under typed keys and formats a string only when it records a
-    violation. *)
+    under typed keys hashed without allocation, reads per-link limits
+    and names from arrays, and formats a string only when it records
+    a violation. *)
 
 open Mmcast
 
@@ -105,7 +111,9 @@ val attach : ?config:config -> ?faults:Faults.t -> Scenario.t -> t
     in the packet path until [attach] registers one. *)
 
 val detach : t -> unit
-(** Stop sampling and observing; recorded violations stay readable. *)
+(** Stop sampling and observing, and release the tables that served
+    only that (snapshots, liveness clocks, the loop counter); recorded
+    violations and the sample count stay readable. *)
 
 val bound : t -> Engine.Time.t
 val samples : t -> int

@@ -66,7 +66,7 @@ type t = {
   links : Link_id.t list;
   label : string;
   load : Load.t;
-  mutable mld_routers : (Link_id.t * Mld.Mld_router.t) list;
+  mld_routers : Mld.Mld_router.t Link_id.Tbl.t;  (* one per link in [links] *)
   mutable pim : Pimdm.Pim_router.t option;
   mutable cache : Mipv6.Binding_cache.t option;
   tunnels_by_home : (Addr.t, tunnel) Hashtbl.t;
@@ -97,7 +97,10 @@ let cache t =
   | Some c -> c
   | None -> invalid_arg "Router_stack: no binding cache"
 
-let mld_on t link = List.assoc_opt link t.mld_routers
+let mld_on t link = Link_id.Tbl.find_opt t.mld_routers link
+
+(* In [links] order, as the routers were created. *)
+let iter_mld t f = List.iter (fun link -> Option.iter f (mld_on t link)) t.links
 
 let address_on t link = Topology.address_on (topo t) t.node link
 
@@ -238,21 +241,37 @@ let start_tunnel_mld t tunnel =
     tunnel.tunnel_mld <- Some mld;
     Mld.Mld_router.start mld
 
-let stop_tunnel_mld tunnel =
+(* Tell PIM about listeners that vanish without an MLD callback (a
+   replaced group list, a stopped tunnel MLD instance): the tunnel
+   interface's forwarding state changes with them. *)
+let listeners_gone t tunnel groups =
+  match t.pim with
+  | Some p ->
+    List.iter
+      (fun group ->
+        Pimdm.Pim_router.local_members_changed p ~iface:tunnel.viface ~group ~present:false)
+      groups
+  | None -> ()
+
+let stop_tunnel_mld t tunnel =
   match tunnel.tunnel_mld with
   | Some mld ->
+    let groups = Mld.Mld_router.groups mld in
     Mld.Mld_router.stop mld;
-    tunnel.tunnel_mld <- None
+    tunnel.tunnel_mld <- None;
+    listeners_gone t tunnel groups
   | None -> ()
 
 let set_bu_groups t tunnel groups =
   let next = Addr.Set.of_list groups in
   let added = Addr.Set.diff next tunnel.bu_groups in
+  let removed = Addr.Set.diff tunnel.bu_groups next in
   tunnel.bu_groups <- next;
   Addr.Set.iter
     (fun group ->
       Pimdm.Pim_router.local_members_changed (pim t) ~iface:tunnel.viface ~group ~present:true)
-    added
+    added;
+  listeners_gone t tunnel (Addr.Set.elements removed)
 
 let provision_mobile_host t ~home =
   if not (Hashtbl.mem t.tunnels_by_home home) then begin
@@ -298,8 +317,10 @@ let apply_binding_side_effects t tunnel (entry : Mipv6.Binding_cache.entry) =
 
 let clear_binding_side_effects t tunnel home =
   Network.release_address t.net t.node ~link:tunnel.home_link home;
+  let groups = Addr.Set.elements tunnel.bu_groups in
   tunnel.bu_groups <- Addr.Set.empty;
-  stop_tunnel_mld tunnel
+  listeners_gone t tunnel groups;
+  stop_tunnel_mld t tunnel
 
 let on_binding_added t entry =
   let home = entry.Mipv6.Binding_cache.home in
@@ -650,7 +671,7 @@ let create net node config =
     links;
     label;
     load = Load.create ();
-    mld_routers = [];
+    mld_routers = Link_id.Tbl.create 8;
     pim = None;
     cache = None;
     tunnels_by_home = Hashtbl.create 4;
@@ -846,10 +867,10 @@ let start t =
                refreshed = (fun ~previous entry -> on_binding_refreshed t ~previous entry);
                removed = (fun entry -> on_binding_removed t entry);
                expiring = (fun entry -> on_binding_expiring t entry) });
-    t.mld_routers <- List.map (fun link -> (link, make_mld_router t link)) t.links;
+    List.iter (fun link -> Link_id.Tbl.replace t.mld_routers link (make_mld_router t link)) t.links;
     Network.set_handler t.net t.node (fun ~link ~from packet -> on_receive t ~link ~from packet);
     Pimdm.Pim_router.start (pim t);
-    List.iter (fun (_, mld) -> Mld.Mld_router.start mld) t.mld_routers;
+    iter_mld t Mld.Mld_router.start;
     (* When failover is off, a served link's agent is always active. *)
     start_heartbeats t;
     start_router_advertisements t
@@ -861,8 +882,8 @@ let stop t =
     (match t.pim with
      | Some p -> Pimdm.Pim_router.stop p
      | None -> ());
-    List.iter (fun (_, mld) -> Mld.Mld_router.stop mld) t.mld_routers;
-    Hashtbl.iter (fun _ tunnel -> stop_tunnel_mld tunnel) t.tunnels_by_home;
+    iter_mld t Mld.Mld_router.stop;
+    Hashtbl.iter (fun _ tunnel -> stop_tunnel_mld t tunnel) t.tunnels_by_home;
     List.iter Engine.Timer.stop t.ra_timers;
     Hashtbl.iter
       (fun _ st ->
@@ -900,7 +921,7 @@ let recover t =
     t.failed <- false;
     t.running <- true;
     Pimdm.Pim_router.start (pim t);
-    List.iter (fun (_, mld) -> Mld.Mld_router.start mld) t.mld_routers;
+    iter_mld t Mld.Mld_router.start;
     start_heartbeats t;
     start_router_advertisements t;
     trace t "recovered"

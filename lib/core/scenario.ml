@@ -35,14 +35,15 @@ let group = Addr.of_string "ff0e::1:1"
 let build spec ~links ~routers ~hosts =
   let sim = Engine.Sim.create ~seed:spec.seed () in
   let topo = Topology.create () in
-  let link_ids =
-    List.map
-      (fun (name, prefix) ->
-        (name, Topology.add_link topo ~name ~prefix:(Prefix.of_string prefix) ()))
-      links
-  in
+  (* The first link of a name wins, as an association list has it. *)
+  let link_ids = Hashtbl.create (List.length links) in
+  List.iter
+    (fun (name, prefix) ->
+      let id = Topology.add_link topo ~name ~prefix:(Prefix.of_string prefix) () in
+      if not (Hashtbl.mem link_ids name) then Hashtbl.replace link_ids name id)
+    links;
   let find_link name =
-    match List.assoc_opt name link_ids with
+    match Hashtbl.find_opt link_ids name with
     | Some l -> l
     | None -> invalid_arg (Printf.sprintf "Scenario.build: unknown link %s" name)
   in

@@ -13,7 +13,11 @@ let compare a b =
   | c -> c
 
 let equal a b = Int64.equal a.hi b.hi && Int64.equal a.lo b.lo
-let hash t = Hashtbl.hash (t.hi, t.lo)
+(* Pure arithmetic, no allocation and no C call: addresses key the
+   per-packet tables of the invariant monitor. *)
+let hash t =
+  let h = (Int64.to_int t.hi * 0x100000001b3) lxor Int64.to_int t.lo in
+  (h lxor (h lsr 29)) land max_int
 
 let unspecified = { hi = 0L; lo = 0L }
 let loopback = { hi = 0L; lo = 1L }

@@ -18,6 +18,7 @@ let address t = t.address
 let length t = t.length
 
 let equal a b = a.length = b.length && Addr.equal a.address b.address
+let hash t = Hashtbl.hash (t.length, Addr.hash t.address)
 
 let compare a b =
   match Addr.compare a.address b.address with

@@ -17,6 +17,10 @@ val address : t -> Addr.t
 val length : t -> int
 
 val equal : t -> t -> bool
+
+val hash : t -> int
+(** Consistent with {!equal}: equal prefixes hash alike. *)
+
 val compare : t -> t -> int
 
 val contains : t -> Addr.t -> bool

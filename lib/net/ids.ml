@@ -10,6 +10,7 @@ module type ID = sig
 
   module Map : Map.S with type key = t
   module Set : Set.S with type elt = t
+  module Tbl : Hashtbl.S with type key = t
 end
 
 module Make (P : sig
@@ -26,6 +27,13 @@ end) : ID = struct
 
   module Map = Map.Make (Int)
   module Set = Set.Make (Int)
+
+  module Tbl = Hashtbl.Make (struct
+    type t = int
+
+    let equal = Int.equal
+    let hash i = i land max_int
+  end)
 end
 
 module Node_id = Make (struct

@@ -12,6 +12,9 @@ module type ID = sig
 
   module Map : Map.S with type key = t
   module Set : Set.S with type elt = t
+
+  module Tbl : Hashtbl.S with type key = t
+  (** Hashes an id arithmetically: the per-packet tables use it. *)
 end
 
 module Node_id : ID

@@ -36,14 +36,17 @@ type condition = {
 let pristine () =
   { up = true; loss = 0.0; dup = 0.0; reorder = 0.0; reorder_jitter = 0.0; corrupt = 0.0 }
 
+(* A condition that behaves differently from an absent one. *)
+let impaired c = (not c.up) || c.loss > 0.0 || c.dup > 0.0 || c.reorder > 0.0 || c.corrupt > 0.0
+
 type t = {
   sim : Engine.Sim.t;
   topology : Topology.t;
   routing : Routing.t;
   trace : Engine.Trace.t;
-  handlers : (Node_id.t, link:Link_id.t -> from:Node_id.t -> Packet.t -> unit) Hashtbl.t;
+  handlers : (link:Link_id.t -> from:Node_id.t -> Packet.t -> unit) Node_id.Tbl.t;
   owners : (Link_id.t * Addr.t, Node_id.t) Hashtbl.t;
-  per_link : (Link_id.t, stats_cell) Hashtbl.t;
+  per_link : stats_cell Link_id.Tbl.t;
   mutable dropped : int;
   (* Observers in registration order in [observers.(0 .. n_observers-1)];
      a growable array keeps registration O(1) amortized and the
@@ -65,6 +68,7 @@ type t = {
      the whole dense-mode flood step). *)
   mutable last_frame : Codec.Frame.t option;
   conditions : (Link_id.t, condition) Hashtbl.t;
+  mutable impaired_links : int;  (* entries of [conditions] that are [impaired] *)
   (* Independent fault randomness: [loss_rng] is split from the root
      stream (as it always was); the duplication and reordering streams
      are derived from it without advancing it, so enabling those faults
@@ -98,9 +102,9 @@ let create sim topology =
     topology;
     routing = Routing.create topology;
     trace = Engine.Trace.create sim;
-    handlers = Hashtbl.create 32;
+    handlers = Node_id.Tbl.create 32;
     owners = Hashtbl.create 64;
-    per_link = Hashtbl.create 16;
+    per_link = Link_id.Tbl.create 16;
     dropped = 0;
     observers = [||];
     n_observers = 0;
@@ -108,6 +112,7 @@ let create sim topology =
     n_frame_observers = 0;
     last_frame = None;
     conditions = Hashtbl.create 4;
+    impaired_links = 0;
     loss_rng;
     dup_rng = Engine.Rng.derive loss_rng 1;
     reorder_rng = Engine.Rng.derive loss_rng 2;
@@ -135,33 +140,45 @@ let topology t = t.topology
 let routing t = t.routing
 let trace t = t.trace
 
-let set_handler t node f = Hashtbl.replace t.handlers node f
+let set_handler t node f = Node_id.Tbl.replace t.handlers node f
 
 let count t link packet ~size =
   let cell =
-    match Hashtbl.find_opt t.per_link link with
+    match Link_id.Tbl.find_opt t.per_link link with
     | Some cell -> cell
     | None ->
       let cell = { c_packets = 0; c_bytes = 0; c_data_bytes = 0 } in
-      Hashtbl.replace t.per_link link cell;
+      Link_id.Tbl.replace t.per_link link cell;
       cell
   in
   cell.c_packets <- cell.c_packets + 1;
   cell.c_bytes <- cell.c_bytes + size;
   cell.c_data_bytes <- cell.c_data_bytes + Packet.payload_data_bytes packet
 
-(* No conditions table entries means no link has ever been impaired —
-   the overwhelmingly common case — and both transmit and delivery can
-   skip every per-link fault lookup.  [Hashtbl.length] is O(1). *)
-let faultless t = Hashtbl.length t.conditions = 0
+(* No impaired link — the overwhelmingly common case, and the state a
+   network returns to when every fault window has closed — lets both
+   transmit and delivery skip every per-link fault lookup: a pristine
+   condition draws no randomness and changes no delay. *)
+let faultless t = t.impaired_links = 0
 
-let condition t link =
-  match Hashtbl.find_opt t.conditions link with
-  | Some c -> c
-  | None ->
-    let c = pristine () in
-    Hashtbl.replace t.conditions link c;
-    c
+let impaired_links t = t.impaired_links
+
+(* Apply [f] to the link's condition, keeping [impaired_links] exact. *)
+let update_condition t link f =
+  let c =
+    match Hashtbl.find_opt t.conditions link with
+    | Some c -> c
+    | None ->
+      let c = pristine () in
+      Hashtbl.replace t.conditions link c;
+      c
+  in
+  let before = impaired c in
+  f c;
+  match (before, impaired c) with
+  | false, true -> t.impaired_links <- t.impaired_links + 1
+  | true, false -> t.impaired_links <- t.impaired_links - 1
+  | true, true | false, false -> ()
 
 let check_rate name rate =
   if rate < 0.0 || rate > 1.0 then
@@ -169,7 +186,7 @@ let check_rate name rate =
 
 let set_loss_rate t link rate =
   check_rate "set_loss_rate" rate;
-  (condition t link).loss <- rate
+  update_condition t link (fun c -> c.loss <- rate)
 
 let loss_rate t link =
   match Hashtbl.find_opt t.conditions link with
@@ -178,7 +195,7 @@ let loss_rate t link =
 
 let set_duplicate_rate t link rate =
   check_rate "set_duplicate_rate" rate;
-  (condition t link).dup <- rate
+  update_condition t link (fun c -> c.dup <- rate)
 
 let duplicate_rate t link =
   match Hashtbl.find_opt t.conditions link with
@@ -188,16 +205,16 @@ let duplicate_rate t link =
 let set_reorder t link ~rate ~jitter =
   check_rate "set_reorder" rate;
   if jitter < 0.0 then invalid_arg "Network.set_reorder: negative jitter";
-  let c = condition t link in
-  c.reorder <- rate;
-  c.reorder_jitter <- jitter
+  update_condition t link (fun c ->
+      c.reorder <- rate;
+      c.reorder_jitter <- jitter)
 
 let set_wire_check t flag = t.wire_check <- flag
 let wire_check t = t.wire_check
 
 let set_corrupt_rate t link rate =
   check_rate "set_corrupt_rate" rate;
-  (condition t link).corrupt <- rate
+  update_condition t link (fun c -> c.corrupt <- rate)
 
 let corrupt_rate t link =
   match Hashtbl.find_opt t.conditions link with
@@ -217,19 +234,18 @@ let count_malformed t node =
   | Some r -> incr r
   | None -> Hashtbl.replace t.malformed node (ref 1)
 
-let set_link_up t link up =
-  let c = condition t link in
-  if c.up <> up then begin
-    c.up <- up;
-    Engine.Trace.recordf t.trace ~category:"fault" "link %s %s"
-      (Topology.link_name t.topology link)
-      (if up then "up" else "down")
-  end
-
 let link_is_up t link =
   match Hashtbl.find_opt t.conditions link with
   | Some c -> c.up
   | None -> true
+
+let set_link_up t link up =
+  if link_is_up t link <> up then begin
+    update_condition t link (fun c -> c.up <- up);
+    Engine.Trace.recordf t.trace ~category:"fault" "link %s %s"
+      (Topology.link_name t.topology link)
+      (if up then "up" else "down")
+  end
 
 let losses t = t.lost
 let duplicates_injected t = t.duplicated
@@ -329,7 +345,7 @@ let deliver t ~link ~from ~to_node ~txsp cell =
       record_drop t ~to_node ~txsp Engine.Span.Loss_fault
     end
     else
-      match Hashtbl.find_opt t.handlers to_node with
+      match Node_id.Tbl.find_opt t.handlers to_node with
       | Some handler -> (
         match Engine.Sim.lineage t.sim with
         | None ->
@@ -478,12 +494,12 @@ let addresses_of t node =
   |> List.sort compare
 
 let link_stats t link =
-  match Hashtbl.find_opt t.per_link link with
+  match Link_id.Tbl.find_opt t.per_link link with
   | None -> empty_stats
   | Some c -> { packets = c.c_packets; bytes = c.c_bytes; data_bytes = c.c_data_bytes }
 
 let total_stats t =
-  Hashtbl.fold
+  Link_id.Tbl.fold
     (fun _ c acc ->
       { packets = acc.packets + c.c_packets;
         bytes = acc.bytes + c.c_bytes;
@@ -511,7 +527,7 @@ let add_frame_observer t f =
   t.n_frame_observers <- t.n_frame_observers + 1
 
 let reset_stats t =
-  Hashtbl.reset t.per_link;
+  Link_id.Tbl.reset t.per_link;
   t.dropped <- 0;
   t.lost <- 0;
   t.duplicated <- 0;

@@ -134,6 +134,12 @@ val set_link_up : t -> Ids.Link_id.t -> bool -> unit
 val link_is_up : t -> Ids.Link_id.t -> bool
 (** True unless {!set_link_up} turned the link down. *)
 
+val impaired_links : t -> int
+(** Links currently down or with a non-zero loss, duplication,
+    reordering or corruption rate; O(1).  Zero means every link
+    behaves as an untouched one, so a reader polling link conditions
+    can skip the per-link scan. *)
+
 val losses : t -> int
 (** Deliveries suppressed by loss injection so far. *)
 

@@ -6,97 +6,146 @@ type decision =
   | Forward of { out_link : Link_id.t; next_hop : Node_id.t }
   | Unreachable
 
-(* Per-source BFS result: for every reachable link, its hop distance
-   and how it was discovered (previous link + the router joining them). *)
-type link_route = {
-  dist : int;
-  via : (Link_id.t * Node_id.t) option;  (* None for directly attached links *)
+(* The attachment graph as int arrays, built once per topology version:
+   [links_of.(node)] and [routers_on.(link)], both ascending, so the BFS
+   visits neighbours in the same order as the sorted sets they come
+   from. *)
+type adjacency = {
+  n_links : int;
+  links_of : int array array;
+  routers_on : int array array;
 }
 
-type table = link_route Link_id.Map.t
+(* Per-source BFS result, indexed by link id: hop distance, and the
+   previous link and the router joining the two; -1 for none (an
+   unreachable link, or the via fields of a directly attached one). *)
+type table = {
+  dist : int array;
+  via_link : int array;
+  via_router : int array;
+}
 
 type t = {
   topology : Topology.t;
   mutable cache_version : int;
-  cache : (Node_id.t, table) Hashtbl.t;
+  mutable adjacency : adjacency option;
+  cache : (int, table) Hashtbl.t;
 }
 
 let create topology =
-  { topology; cache_version = Topology.version topology; cache = Hashtbl.create 32 }
+  { topology;
+    cache_version = Topology.version topology;
+    adjacency = None;
+    cache = Hashtbl.create 32 }
 
-let compute_table topo ~from =
-  let queue = Queue.create () in
-  let table = ref Link_id.Map.empty in
-  let discover link route =
-    if not (Link_id.Map.mem link !table) then begin
-      table := Link_id.Map.add link route !table;
-      Queue.add link queue
+let build_adjacency topo =
+  let ids to_int l = Array.of_list (List.map to_int l) in
+  let nodes = Topology.nodes topo and links = Topology.links topo in
+  let size to_int = List.fold_left (fun m x -> max m (to_int x + 1)) 0 in
+  let links_of = Array.make (size Node_id.to_int nodes) [||] in
+  List.iter
+    (fun n ->
+      links_of.(Node_id.to_int n) <- ids Link_id.to_int (Topology.links_of_node topo n))
+    nodes;
+  let n_links = size Link_id.to_int links in
+  let routers_on = Array.make n_links [||] in
+  List.iter
+    (fun l ->
+      routers_on.(Link_id.to_int l) <- ids Node_id.to_int (Topology.routers_on_link topo l))
+    links;
+  { n_links; links_of; routers_on }
+
+let compute_table topo adj ~from =
+  let n = adj.n_links in
+  let dist = Array.make n (-1) in
+  let via_link = Array.make n (-1) in
+  let via_router = Array.make n (-1) in
+  (* Every link is discovered at most once, so an array is the queue. *)
+  let queue = Array.make n 0 in
+  let tail = ref 0 in
+  let discover link d prev router =
+    if dist.(link) < 0 then begin
+      dist.(link) <- d;
+      via_link.(link) <- prev;
+      via_router.(link) <- router;
+      queue.(!tail) <- link;
+      incr tail
     end
   in
-  List.iter (fun l -> discover l { dist = 0; via = None }) (Topology.links_of_node topo from);
-  while not (Queue.is_empty queue) do
-    let current = Queue.pop queue in
-    let { dist; _ } = Link_id.Map.find current !table in
+  let f = Node_id.to_int from in
+  let roots =
+    if f >= 0 && f < Array.length adj.links_of then adj.links_of.(f)
+    else (* raises the topology's unknown-node error *)
+      Array.of_list (List.map Link_id.to_int (Topology.links_of_node topo from))
+  in
+  Array.iter (fun l -> discover l 0 (-1) (-1)) roots;
+  let head = ref 0 in
+  while !head < !tail do
+    let current = queue.(!head) in
+    incr head;
+    let d = dist.(current) + 1 in
     (* Only routers forward between links, and the deciding node itself
        is not a transit hop. *)
-    let transit =
-      List.filter
-        (fun r -> not (Node_id.equal r from))
-        (Topology.routers_on_link topo current)
-    in
-    List.iter
+    Array.iter
       (fun router ->
-        List.iter
-          (fun next ->
-            if not (Link_id.equal next current) then
-              discover next { dist = dist + 1; via = Some (current, router) })
-          (Topology.links_of_node topo router))
-      transit
+        if router <> f then
+          Array.iter
+            (fun next -> if next <> current then discover next d current router)
+            adj.links_of.(router))
+      adj.routers_on.(current)
   done;
-  !table
+  { dist; via_link; via_router }
 
 let table t ~from =
   let version = Topology.version t.topology in
   if version <> t.cache_version then begin
     Hashtbl.reset t.cache;
+    t.adjacency <- None;
     t.cache_version <- version
   end;
-  match Hashtbl.find_opt t.cache from with
+  let key = Node_id.to_int from in
+  match Hashtbl.find_opt t.cache key with
   | Some table -> table
   | None ->
-    let computed = compute_table t.topology ~from in
-    Hashtbl.add t.cache from computed;
+    let adj =
+      match t.adjacency with
+      | Some adj -> adj
+      | None ->
+        let adj = build_adjacency t.topology in
+        t.adjacency <- Some adj;
+        adj
+    in
+    let computed = compute_table t.topology adj ~from in
+    Hashtbl.add t.cache key computed;
     computed
 
-let rec trace_path table link acc =
-  match Link_id.Map.find_opt link table with
-  | None -> None
-  | Some { via = None; _ } -> Some acc
-  | Some { via = Some (prev, router); _ } -> trace_path table prev ((link, router) :: acc)
+let dist_of tbl link =
+  let l = Link_id.to_int link in
+  if l >= 0 && l < Array.length tbl.dist then tbl.dist.(l) else -1
+
+(* The first link traversed on the way to [l] (distance >= 1): the one
+   whose predecessor is a directly attached link. *)
+let rec first_traversed tbl l =
+  let prev = tbl.via_link.(l) in
+  if tbl.dist.(prev) = 0 then l else first_traversed tbl prev
 
 let distance_to_link t ~from link =
-  match Link_id.Map.find_opt link (table t ~from) with
-  | None -> None
-  | Some { dist; _ } -> Some dist
+  match dist_of (table t ~from) link with
+  | -1 -> None
+  | d -> Some d
 
 let path_to_link t ~from link =
   let tbl = table t ~from in
-  match Link_id.Map.find_opt link tbl with
-  | None -> None
-  | Some { via = None; _ } -> Some []
-  | Some _ -> (
-    (* [steps] pairs each traversed link with the router entering it;
-       the first step's predecessor is the attached link the path
-       leaves through. *)
-    match trace_path tbl link [] with
-    | None | Some [] -> None
-    | Some ((first_traversed, _) :: _ as steps) ->
-      let start =
-        match Link_id.Map.find_opt first_traversed tbl with
-        | Some { via = Some (prev, _); _ } -> prev
-        | Some { via = None; _ } | None -> first_traversed
-      in
-      Some (start :: List.map fst steps))
+  match dist_of tbl link with
+  | -1 -> None
+  | 0 -> Some []
+  | _ ->
+    (* Walk back to the attached link the path leaves through. *)
+    let rec back l acc =
+      let acc = Link_id.of_int l :: acc in
+      if tbl.dist.(l) = 0 then acc else back tbl.via_link.(l) acc
+    in
+    Some (back (Link_id.to_int link) [])
 
 let decide t ~at ~dst =
   match Topology.link_of_address t.topology dst with
@@ -105,15 +154,12 @@ let decide t ~at ~dst =
     if Topology.is_attached t.topology at dst_link then Deliver_on_link dst_link
     else
       let tbl = table t ~from:at in
-      match trace_path tbl dst_link [] with
-      | None | Some [] -> Unreachable
-      | Some ((first_traversed, first_router) :: _) ->
-        let out_link =
-          match Link_id.Map.find_opt first_traversed tbl with
-          | Some { via = Some (prev, _); _ } -> prev
-          | Some { via = None; _ } | None -> first_traversed
-        in
-        Forward { out_link; next_hop = first_router }
+      if dist_of tbl dst_link <= 0 then Unreachable
+      else
+        let first = first_traversed tbl (Link_id.to_int dst_link) in
+        Forward
+          { out_link = Link_id.of_int tbl.via_link.(first);
+            next_hop = Node_id.of_int tbl.via_router.(first) }
 
 let rpf t ~at ~source =
   match decide t ~at ~dst:source with

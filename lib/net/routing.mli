@@ -7,9 +7,26 @@
     is, which is exactly the property Mobile IPv6 exists to work
     around.
 
-    Tables are cached and recomputed lazily when the topology version
-    changes.  Only routers forward, so paths traverse router nodes; a
-    host reaches off-link destinations through a router on its link. *)
+    Only routers forward, so paths traverse router nodes; a host
+    reaches off-link destinations through a router on its link.
+
+    {b Tables.}  A node's table is a breadth-first search over the
+    attachment graph, stored as three int arrays indexed by link id:
+    hop distance, previous link and the router joining the two (-1 for
+    none).  A query walks the previous-link array back from the
+    destination, so it costs the path length, not a map lookup per
+    hop.  The graph itself — each node's links and each link's routers,
+    both ascending — is flattened into arrays once per topology
+    version; the search visits neighbours in that order, which fixes
+    every equal-cost tie-break.
+
+    {b Caching.}  Tables and the flattened graph are built lazily and
+    dropped whenever {!Topology.version} moves, host moves included.
+    Keying a second cache on router attachments alone, so that host
+    moves kept transit tables, was measured on the 100-router Waxman
+    cell: it would save about one build in ten, not enough to justify
+    a second invalidation rule (a table rooted at a host would still
+    depend on that host's attachment). *)
 
 open Ipv6
 

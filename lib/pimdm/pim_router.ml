@@ -6,6 +6,7 @@ type prune_state =
   | Pruned
 
 type oif = {
+  nbrs : int ref;  (* the router's neighbour count on this interface *)
   mutable prune : prune_state;
   prune_timer : Engine.Timer.t;  (* pending->pruned, then pruned->forwarding *)
   mutable assert_lost : (int * int * Addr.t) option;  (* winner pref, metric, addr *)
@@ -28,6 +29,9 @@ type entry = {
   mutable iif_assert : (int * int * Addr.t) option;
   iif_assert_timer : Engine.Timer.t;
   oifs : (Pim_env.iface, oif) Hashtbl.t;
+  mutable oif_order : (Pim_env.iface * oif) list;  (* [oifs], ascending by iface *)
+  mutable olist_gen : int;  (* router generation [olist_memo] was computed at *)
+  mutable olist_memo : (Pim_env.iface * oif) list;
   expiry : Engine.Timer.t;
   mutable upstream_state : upstream_state;
   graft_timer : Engine.Timer.t;
@@ -42,13 +46,26 @@ type entry = {
   mutable graft_ctx : int * int;
 }
 
+(* Interfaces are small ints: hash them without a C call. *)
+module Iface_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash i = i land max_int
+end)
+
 type t = {
   env : Pim_env.t;
   entries : (Addr.t * Addr.t, entry) Hashtbl.t;
   neighbors : (Pim_env.iface * Addr.t, Engine.Timer.t) Hashtbl.t;
+  neighbor_count : int ref Iface_tbl.t;  (* live entries of [neighbors], per iface *)
   hello_timer : Engine.Timer.t;
   mutable running : bool;
+  mutable generation : int;
 }
+
+(* Every mutation a {!snapshot} could observe moves the generation. *)
+let touch t = t.generation <- t.generation + 1
 
 let trace t fmt = Pim_env.trace t.env fmt
 let config t = t.env.Pim_env.config
@@ -73,8 +90,22 @@ let sg entry = { Pim_message.source = entry.source; group = entry.group }
 
 (* ---- neighbours ---- *)
 
+(* One count cell per interface, created on first use and never
+   replaced, so an outgoing interface can hold on to its own. *)
+let neighbor_cell t iface =
+  match Iface_tbl.find_opt t.neighbor_count iface with
+  | Some n -> n
+  | None ->
+    let n = ref 0 in
+    Iface_tbl.replace t.neighbor_count iface n;
+    n
+
 let has_neighbors t iface =
-  Hashtbl.fold (fun (i, _) _ acc -> acc || i = iface) t.neighbors false
+  match Iface_tbl.find_opt t.neighbor_count iface with
+  | Some n -> !n > 0
+  | None -> false
+
+let oif_has_neighbors o = !(o.nbrs) > 0
 
 let neighbors t ~iface =
   Hashtbl.fold (fun (i, a) _ acc -> if i = iface then a :: acc else acc) t.neighbors []
@@ -87,9 +118,16 @@ let refresh_neighbor t iface addr ~holdtime =
     let timer =
       Engine.Timer.create ~category:"pim" t.env.Pim_env.sim
         ~name:(Printf.sprintf "%s.nbr.%d" t.env.Pim_env.label iface)
-        ~on_expire:(fun () -> Hashtbl.remove t.neighbors (iface, addr))
+        ~on_expire:(fun () ->
+          if Hashtbl.mem t.neighbors (iface, addr) then begin
+            Hashtbl.remove t.neighbors (iface, addr);
+            decr (neighbor_cell t iface);
+            touch t
+          end)
     in
     Hashtbl.replace t.neighbors (iface, addr) timer;
+    incr (neighbor_cell t iface);
+    touch t;
     Engine.Timer.start timer holdtime;
     trace t "neighbor %s on iface %d" (Addr.to_string addr) iface
 
@@ -124,12 +162,14 @@ let delete_entry t entry =
    | Some h -> Engine.Sim.cancel t.env.Pim_env.sim h
    | None -> ());
   Hashtbl.remove t.entries (entry_key entry.source entry.group);
+  touch t;
   trace t "(%s,%s) state expired" (Addr.to_string entry.source) (Addr.to_string entry.group)
 
-let make_oif t label =
+let make_oif t iface label =
   let rec o =
     lazy
-      { prune = Forwarding;
+      { nbrs = neighbor_cell t iface;
+        prune = Forwarding;
         prune_timer =
           Engine.Timer.create ~category:"pim" t.env.Pim_env.sim ~name:(label ^ ".prune")
             ~on_expire:(fun () ->
@@ -137,13 +177,18 @@ let make_oif t label =
               match o.prune with
               | Prune_pending ->
                 o.prune <- Pruned;
+                touch t;
                 Engine.Timer.start o.prune_timer (config t).Pim_config.prune_holdtime
-              | Pruned -> o.prune <- Forwarding
+              | Pruned ->
+                o.prune <- Forwarding;
+                touch t
               | Forwarding -> ());
         assert_lost = None;
         assert_timer =
           Engine.Timer.create ~category:"pim" t.env.Pim_env.sim ~name:(label ^ ".assert")
-            ~on_expire:(fun () -> (Lazy.force o).assert_lost <- None);
+            ~on_expire:(fun () ->
+              (Lazy.force o).assert_lost <- None;
+              touch t);
         leaf_flooded = false }
   in
   Lazy.force o
@@ -154,7 +199,7 @@ let make_oif t label =
 let originate_state_refresh t entry ~interval =
   Hashtbl.iter
     (fun iface o ->
-      if o.assert_lost = None && has_neighbors t iface then
+      if o.assert_lost = None && oif_has_neighbors o then
         t.env.Pim_env.send_message iface
           (Pim_message.State_refresh
              { refresh_source = entry.source;
@@ -164,6 +209,10 @@ let originate_state_refresh t entry ~interval =
     entry.oifs;
   trace t "(%s,%s) state refresh originated" (Addr.to_string entry.source)
     (Addr.to_string entry.group)
+
+let sorted_oifs entry =
+  Hashtbl.fold (fun iface o acc -> (iface, o) :: acc) entry.oifs []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
 let create_entry t ~source ~group (rpf : Pim_env.rpf_result) =
   let label =
@@ -184,12 +233,16 @@ let create_entry t ~source ~group (rpf : Pim_env.rpf_result) =
             ~on_expire:(fun () ->
               let e = Lazy.force entry in
               e.iif_assert <- None;
+              touch t;
               if e.upstream <> e.rpf_upstream then begin
                 e.upstream <- e.rpf_upstream;
                 e.last_prune_sent <- None;
                 if e.upstream_state = Pruned_up then e.upstream_state <- Joined
               end);
         oifs = Hashtbl.create 4;
+        oif_order = [];
+        olist_gen = -1;
+        olist_memo = [];
         expiry =
           Engine.Timer.create ~category:"pim" t.env.Pim_env.sim ~name:(label ^ ".expiry")
             ~on_expire:(fun () -> delete_entry t (Lazy.force entry));
@@ -228,9 +281,12 @@ let create_entry t ~source ~group (rpf : Pim_env.rpf_result) =
   List.iter
     (fun iface ->
       if iface <> entry.iif then
-        Hashtbl.replace entry.oifs iface (make_oif t (Printf.sprintf "%s.oif%d" label iface)))
+        Hashtbl.replace entry.oifs iface
+          (make_oif t iface (Printf.sprintf "%s.oif%d" label iface)))
     (t.env.Pim_env.interfaces ());
+  entry.oif_order <- sorted_oifs entry;
   Hashtbl.replace t.entries (entry_key source group) entry;
+  touch t;
   Engine.Timer.start entry.expiry (config t).Pim_config.data_timeout;
   (* First-hop routers originate State Refresh when the extension is
      enabled. *)
@@ -275,17 +331,21 @@ let oif_would_forward t entry iface o =
   o.assert_lost = None
   && (t.env.Pim_env.has_local_members iface entry.group
       ||
-      if has_neighbors t iface then o.prune <> Pruned
+      if oif_has_neighbors o then o.prune <> Pruned
       else
         (config t).Pim_config.flood_to_leaf_links
         && t.env.Pim_env.flood_eligible iface
         && not o.leaf_flooded)
 
+(* Every input of [oif_would_forward] moves the generation, so the list
+   is recomputed only after a state change, not per datagram. *)
 let olist t entry =
-  Hashtbl.fold
-    (fun iface o acc -> if oif_would_forward t entry iface o then (iface, o) :: acc else acc)
-    entry.oifs []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  if entry.olist_gen <> t.generation then begin
+    entry.olist_memo <-
+      List.filter (fun (iface, o) -> oif_would_forward t entry iface o) entry.oif_order;
+    entry.olist_gen <- t.generation
+  end;
+  entry.olist_memo
 
 (* ---- upstream prune / graft / join ---- *)
 
@@ -315,6 +375,7 @@ let send_prune_upstream t entry =
            { upstream_neighbor = up; holdtime_s; joins = []; prunes = [ sg entry ] });
       entry.last_prune_sent <- Some (now t);
       entry.upstream_state <- Pruned_up;
+      touch t;
       entry.prune_cause <- levent t "pim-prune-sent" entry;
       trace t "(%s,%s) pruned upstream via iface %d" (Addr.to_string entry.source)
         (Addr.to_string entry.group) entry.iif
@@ -326,6 +387,7 @@ let send_graft_upstream t entry =
   | Some up ->
     if (config t).Pim_config.enable_graft && entry.upstream_state <> Grafting then begin
       entry.upstream_state <- Grafting;
+      touch t;
       (* The Graft is sent *because* an earlier Prune detached this
          branch: a causal edge back to the recorded prune span turns
          "graft sent" into an explainable event across lineages. *)
@@ -390,8 +452,14 @@ let forward t entry packet =
   let targets = olist t entry in
   List.iter
     (fun (iface, o) ->
-      if not (has_neighbors t iface) && not (t.env.Pim_env.has_local_members iface entry.group)
-      then o.leaf_flooded <- true;
+      if
+        (not o.leaf_flooded)
+        && (not (oif_has_neighbors o))
+        && not (t.env.Pim_env.has_local_members iface entry.group)
+      then begin
+        o.leaf_flooded <- true;
+        touch t
+      end;
       t.env.Pim_env.forward_data iface packet)
     targets;
   if targets = [] then begin
@@ -459,6 +527,7 @@ let handle_prune t ~iface ~upstream_neighbor entry =
       match o.prune with
       | Forwarding ->
         o.prune <- Prune_pending;
+        touch t;
         Engine.Timer.start o.prune_timer (config t).Pim_config.prune_delay;
         ignore (levent t "pim-prune-pending" entry);
         trace t "(%s,%s) prune pending on iface %d (TPruneDel window)"
@@ -487,6 +556,7 @@ let handle_join t ~iface ~upstream_neighbor entry =
     | Some o ->
       if o.prune <> Forwarding then begin
         o.prune <- Forwarding;
+        touch t;
         Engine.Timer.stop o.prune_timer;
         ignore (levent t "pim-join" entry);
         trace t "(%s,%s) join cancels prune on iface %d" (Addr.to_string entry.source)
@@ -517,6 +587,7 @@ let handle_graft t ~iface ~src ~upstream_neighbor joins =
               o.prune <- Forwarding;
               Engine.Timer.stop o.prune_timer;
               o.leaf_flooded <- false;
+              touch t;
               ignore (levent t "pim-grafted-iface" entry);
               trace t "(%s,%s) grafted iface %d" (Addr.to_string source)
                 (Addr.to_string group) iface;
@@ -537,6 +608,7 @@ let handle_graft_ack t ~iface ~upstream_neighbor joins =
         match find_entry t ~source ~group with
         | Some entry when entry.upstream_state = Grafting ->
           entry.upstream_state <- Joined;
+          touch t;
           Engine.Timer.stop entry.graft_timer;
           entry.prune_cause <- -1;
           entry.graft_ctx <- (-1, -1);
@@ -580,6 +652,7 @@ let handle_assert t ~iface ~src ~group ~source ~metric_preference ~metric =
         in
         entry.iif_assert <- Some theirs;
         entry.upstream <- Some src;
+        touch t;
         Engine.Timer.start entry.iif_assert_timer (config t).Pim_config.assert_time;
         (* A Prune sent to the previous upstream never reached the
            elected forwarder: allow an immediate re-prune toward the
@@ -601,6 +674,7 @@ let handle_assert t ~iface ~src ~group ~source ~metric_preference ~metric =
           let mine = (pref, my_metric, local_addr t iface) in
           if assert_beats theirs mine then begin
             o.assert_lost <- Some theirs;
+            touch t;
             Engine.Timer.start o.assert_timer (config t).Pim_config.assert_time;
             trace t "(%s,%s) lost assert on iface %d to %s" (Addr.to_string source)
               (Addr.to_string group) iface (Addr.to_string src)
@@ -652,6 +726,7 @@ let handle_state_refresh t ~iface ~refresh_source ~refresh_group ~interval_s
            prune went out.  Recover with a Graft (RFC 3973's
            prune-indicator rule, extended to our own pruned state). *)
         entry.upstream_state <- Pruned_up;
+        touch t;
         send_graft_upstream t entry
       end;
       Hashtbl.iter
@@ -662,7 +737,7 @@ let handle_state_refresh t ~iface ~refresh_source ~refresh_group ~interval_s
                 re-flood it. *)
              Engine.Timer.start o.prune_timer (config t).Pim_config.prune_holdtime
            | Forwarding | Prune_pending -> ());
-          if o.assert_lost = None && has_neighbors t oif_iface then
+          if o.assert_lost = None && oif_has_neighbors o then
             t.env.Pim_env.send_message oif_iface
               (Pim_message.State_refresh
                  { refresh_source;
@@ -699,6 +774,9 @@ let handle_message t ~iface ~src msg =
         ~prune_indicator
 
 let local_members_changed t ~iface ~group ~present =
+  (* Membership feeds [oif_would_forward], so a snapshot sees it either
+     way. *)
+  touch t;
   if t.running && present then
     (* A listener appeared: re-attach every (S,G) of the group whose
        upstream we pruned away (the Graft case of section 3.1). *)
@@ -718,11 +796,14 @@ let local_members_changed t ~iface ~group ~present =
 let interface_added t ~iface =
   Hashtbl.iter
     (fun (source, group) entry ->
-      if iface <> entry.iif && not (Hashtbl.mem entry.oifs iface) then
+      if iface <> entry.iif && not (Hashtbl.mem entry.oifs iface) then begin
         Hashtbl.replace entry.oifs iface
-          (make_oif t
+          (make_oif t iface
              (Printf.sprintf "%s.(%s,%s).oif%d" t.env.Pim_env.label (Addr.to_string source)
-                (Addr.to_string group) iface)))
+                (Addr.to_string group) iface));
+        entry.oif_order <- sorted_oifs entry;
+        touch t
+      end)
     t.entries
 
 (* ---- lifecycle ---- *)
@@ -733,6 +814,7 @@ let create env =
       { env;
         entries = Hashtbl.create 8;
         neighbors = Hashtbl.create 8;
+        neighbor_count = Iface_tbl.create 8;
         hello_timer =
           Engine.Timer.create ~category:"pim" env.Pim_env.sim ~name:(env.Pim_env.label ^ ".hello")
             ~on_expire:(fun () ->
@@ -741,12 +823,14 @@ let create env =
                 send_hellos t;
                 Engine.Timer.start t.hello_timer (config t).Pim_config.hello_period
               end);
-        running = false }
+        running = false;
+        generation = 0 }
   in
   Lazy.force t
 
 let start t =
   t.running <- true;
+  touch t;
   send_hellos t;
   Engine.Timer.start t.hello_timer (config t).Pim_config.hello_period
 
@@ -755,6 +839,8 @@ let stop t =
   Engine.Timer.stop t.hello_timer;
   Hashtbl.iter (fun _ timer -> Engine.Timer.stop timer) t.neighbors;
   Hashtbl.reset t.neighbors;
+  Iface_tbl.iter (fun _ n -> n := 0) t.neighbor_count;
+  touch t;
   let all = Hashtbl.fold (fun _ e acc -> e :: acc) t.entries [] in
   List.iter
     (fun e ->
@@ -792,15 +878,13 @@ let entry_info t ~source ~group =
   | None -> None
   | Some entry ->
     let oifs =
-      Hashtbl.fold
-        (fun iface o acc ->
+      List.map
+        (fun (iface, o) ->
           { oif = iface;
             forwarding = oif_would_forward t entry iface o;
             pruned = o.prune = Pruned;
-            assert_lost = o.assert_lost <> None }
-          :: acc)
-        entry.oifs []
-      |> List.sort (fun a b -> Int.compare a.oif b.oif)
+            assert_lost = o.assert_lost <> None })
+        entry.oif_order
     in
     Some { source; group; iif = entry.iif; upstream = entry.upstream; oifs }
 
@@ -838,8 +922,8 @@ type entry_snapshot = {
 
 let snapshot_entry t entry =
   let snap_oifs =
-    Hashtbl.fold
-      (fun iface o acc ->
+    List.map
+      (fun (iface, o) ->
         { snap_oif = iface;
           snap_forwarding = oif_would_forward t entry iface o;
           snap_prune_pending = o.prune = Prune_pending;
@@ -847,10 +931,8 @@ let snapshot_entry t entry =
           snap_assert_winner =
             (match o.assert_lost with
              | Some (_, _, winner) -> Some winner
-             | None -> None) }
-        :: acc)
-      entry.oifs []
-    |> List.sort (fun a b -> Int.compare a.snap_oif b.snap_oif)
+             | None -> None) })
+      entry.oif_order
   in
   { snap_source = entry.source;
     snap_group = entry.group;
@@ -869,3 +951,5 @@ let snapshot t =
          match Addr.compare a.snap_source b.snap_source with
          | 0 -> Addr.compare a.snap_group b.snap_group
          | c -> c)
+
+let generation t = t.generation

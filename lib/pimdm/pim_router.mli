@@ -72,6 +72,10 @@ val entry_info : t -> source:Addr.t -> group:Addr.t -> entry_info option
 val neighbors : t -> iface:Pim_env.iface -> Addr.t list
 (** Live PIM neighbours on an interface, sorted. *)
 
+val has_neighbors : t -> Pim_env.iface -> bool
+(** [neighbors t ~iface <> []], in O(1): a per-interface count kept on
+    neighbour discovery, expiry and {!stop}. *)
+
 val is_forwarding : t -> source:Addr.t -> group:Addr.t -> iface:Pim_env.iface -> bool
 
 (** {1 Read-only snapshots}
@@ -108,3 +112,15 @@ type entry_snapshot = {
 
 val snapshot : t -> entry_snapshot list
 (** Every live (S,G) entry, sorted by (source, group). *)
+
+val generation : t -> int
+(** A counter that moves on every change {!snapshot} could observe:
+    entry creation and expiry, prune, assert, leaf-flood and upstream
+    transitions, neighbour discovery and expiry, interface addition,
+    every {!local_members_changed} call, {!start} and {!stop}.  While it
+    stands still, {!snapshot} returns an equal value, so a reader may
+    keep the previous one; the router itself keeps each entry's
+    outgoing-interface list the same way instead of recomputing it per
+    datagram.  The environment must therefore report every change of
+    {!Pim_env.t.has_local_members} through {!local_members_changed},
+    removals included. *)

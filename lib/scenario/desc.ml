@@ -50,7 +50,9 @@ let event_time = function
 let validate t =
   let ( let* ) = Result.bind in
   let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
-  let link_known n = List.mem_assoc n t.d_links in
+  let link_names = Hashtbl.create (List.length t.d_links) in
+  List.iter (fun (n, _) -> Hashtbl.replace link_names n ()) t.d_links;
+  let link_known n = Hashtbl.mem link_names n in
   let host_known n = List.mem_assoc n t.d_hosts in
   let router_known n = List.exists (fun (r, _, _) -> String.equal r n) t.d_routers in
   let finite x = Float.is_finite x && x >= 0.0 in

@@ -128,7 +128,7 @@ let compile_faults scenario (d : Desc.t) =
           Faults.corrupt_window ~link:(link l) ~rate ~from_t ~until)
       d.Desc.d_windows
 
-let run ?sustain ?sched ?decider ?(lineage = false) (d : Desc.t) approach =
+let run ?sustain ?sched ?decider ?(lineage = false) ?inspect (d : Desc.t) approach =
   (match Desc.validate d with
   | Ok () -> ()
   | Error msg -> invalid_arg (Printf.sprintf "Runner.run: %s: %s" d.Desc.d_name msg));
@@ -186,6 +186,7 @@ let run ?sustain ?sched ?decider ?(lineage = false) (d : Desc.t) approach =
            ~from_t:tr.Desc.tr_from ~until:tr.Desc.tr_until ~interval:tr.Desc.tr_interval
            ~bytes:tr.Desc.tr_bytes))
     d.Desc.d_senders;
+  Option.iter (fun f -> f scenario) inspect;
   Scenario.run_until scenario d.Desc.d_duration;
   Monitor.detach monitor;
   let groups = List.map Desc.group_addr (groups_of d) in

@@ -80,6 +80,7 @@ val run :
   ?sched:schedule ->
   ?decider:(kind:Engine.Sim.choice_kind -> arity:int -> int) ->
   ?lineage:bool ->
+  ?inspect:(Mmcast.Scenario.t -> unit) ->
   Desc.t ->
   Mmcast.Approach.t ->
   outcome
@@ -91,6 +92,10 @@ val run :
     packet-lineage collector ({!Engine.Sim.set_lineage}) so detected
     violations carry rendered causal chains; it draws no randomness
     and leaves the outcome digest unchanged.
+
+    [inspect] sees the fully set-up scenario (monitor attached, churn
+    and senders scheduled) just before the run starts; tests use it to
+    schedule read-only probes alongside the monitor's samples.
 
     [sched] pins the interleaving: its choices drive every engine
     choice point and its delay parameters configure per-hop delay

@@ -249,6 +249,88 @@ let verdict_tests =
             (List.sort compare counts) got))
     verdict_runs
 
+(* ---- generation-gated snapshots ----
+
+   The monitor keeps a router's PIM snapshot for as long as the
+   router's generation counter stands still.  That is only sound if
+   every state change a snapshot can observe moves the counter: probe
+   it on the verdict-pin runs at the monitor's own sample instants. *)
+
+let generation_oracle_test =
+  Alcotest.test_case "an unmoved PIM generation means an unchanged snapshot" `Slow
+    (fun () ->
+      let module P = Pimdm.Pim_router in
+      let probes = ref 0 and unmoved = ref 0 in
+      let inspect (sc : Scenario.t) =
+        let topo = Net.Network.topology sc.Scenario.net in
+        let last = Hashtbl.create 64 in
+        let check () =
+          List.iter
+            (fun (name, r) ->
+              if not (Router_stack.is_failed r) then begin
+                let p = Router_stack.pim r in
+                let gen = P.generation p and snap = P.snapshot p in
+                incr probes;
+                (match Hashtbl.find_opt last name with
+                 | Some (gen', snap') when gen = gen' ->
+                   incr unmoved;
+                   if snap <> snap' then
+                     Alcotest.failf "%s at %.1f s: snapshot changed under generation %d" name
+                       (Engine.Sim.now sc.Scenario.sim) gen
+                 | Some _ | None -> ());
+                Hashtbl.replace last name (gen, snap);
+                List.iter
+                  (fun l ->
+                    let i = Net.Ids.Link_id.to_int l in
+                    Alcotest.(check bool)
+                      (Printf.sprintf "%s has_neighbors on iface %d" name i)
+                      (P.neighbors p ~iface:i <> [])
+                      (P.has_neighbors p i))
+                  (Net.Topology.links_of_node topo (Router_stack.node_id r))
+              end)
+            sc.Scenario.routers
+        in
+        (* Scheduled after the monitor attached, so at each sample
+           instant this probe runs right after the sample. *)
+        let interval = Check.Monitor.default_config.Check.Monitor.sample_interval in
+        let rec loop () =
+          check ();
+          ignore (Engine.Sim.schedule_after sc.Scenario.sim interval loop)
+        in
+        ignore (Engine.Sim.schedule_after sc.Scenario.sim interval loop)
+      in
+      List.iter
+        (fun (_, desc, sustain, _) ->
+          List.iter
+            (fun approach -> ignore (Scale.Runner.run ~sustain ~inspect desc approach))
+            Approach.all)
+        verdict_runs;
+      Alcotest.(check bool) "most probes found the generation unmoved" true
+        (!unmoved * 2 > !probes))
+
+(* The ROADMAP's 100-router Waxman cell, approach 3: the scale at which
+   the monitor's generation-gated snapshots and the array routing
+   tables do most of their work.  Pinned from the implementation that
+   snapshotted every router at every sample and routed over map-based
+   tables. *)
+let waxman_r100_test =
+  Alcotest.test_case "waxman-r100 approach 3 verdicts are pinned" `Slow (fun () ->
+      let desc = Scale.Gen.scenario ~model:`Waxman ~routers:100 ~seed:42 () in
+      let o = Scale.Runner.run ~sustain:0.5 desc (Approach.of_number 3) in
+      let vs = o.Scale.Runner.out_violations in
+      let count inv =
+        List.length
+          (List.filter (fun v -> Check.Monitor.invariant_name v.Check.Monitor.v_invariant = inv) vs)
+      in
+      Alcotest.(check (pair string int))
+        "digest and samples"
+        ("8a128b5673e2d3efb1ced6cbb344a1c4", 319)
+        (Digest.to_hex (Digest.string (render_verdicts vs)), o.Scale.Runner.out_samples);
+      Alcotest.(check (list (pair string int)))
+        "violations per invariant"
+        [ ("assert-winner", 2213); ("black-hole", 19) ]
+        [ ("assert-winner", count "assert-winner"); ("black-hole", count "black-hole") ])
+
 (* ---- wire-check mode ---- *)
 
 let wire_tests =
@@ -296,6 +378,6 @@ let () =
   Alcotest.run "check"
     [ ("hop_limit", hop_limit_tests);
       ("monitor", monitor_tests);
-      ("verdicts", verdict_tests);
+      ("verdicts", verdict_tests @ [ waxman_r100_test; generation_oracle_test ]);
       ("wire", wire_tests)
     ]

@@ -420,9 +420,199 @@ let routing_properties =
   in
   List.map QCheck_alcotest.to_alcotest [ reachability; forward_progress ]
 
+(* ---- reference model ----
+
+   The map-based BFS that array-indexed routing tables replaced, kept
+   verbatim as the oracle, with the linear-scan prefix lookup it used. *)
+module Oracle = struct
+  type link_route = {
+    dist : int;
+    via : (Link_id.t * Node_id.t) option;
+  }
+
+  let table topo ~from =
+    let queue = Queue.create () in
+    let table = ref Link_id.Map.empty in
+    let discover link route =
+      if not (Link_id.Map.mem link !table) then begin
+        table := Link_id.Map.add link route !table;
+        Queue.add link queue
+      end
+    in
+    List.iter (fun l -> discover l { dist = 0; via = None }) (Topology.links_of_node topo from);
+    while not (Queue.is_empty queue) do
+      let current = Queue.pop queue in
+      let { dist; _ } = Link_id.Map.find current !table in
+      let transit =
+        List.filter
+          (fun r -> not (Node_id.equal r from))
+          (Topology.routers_on_link topo current)
+      in
+      List.iter
+        (fun router ->
+          List.iter
+            (fun next ->
+              if not (Link_id.equal next current) then
+                discover next { dist = dist + 1; via = Some (current, router) })
+            (Topology.links_of_node topo router))
+        transit
+    done;
+    !table
+
+  let rec trace_path table link acc =
+    match Link_id.Map.find_opt link table with
+    | None -> None
+    | Some { via = None; _ } -> Some acc
+    | Some { via = Some (prev, router); _ } -> trace_path table prev ((link, router) :: acc)
+
+  let distance_to_link tbl link =
+    match Link_id.Map.find_opt link tbl with
+    | None -> None
+    | Some { dist; _ } -> Some dist
+
+  let path_to_link tbl link =
+    match Link_id.Map.find_opt link tbl with
+    | None -> None
+    | Some { via = None; _ } -> Some []
+    | Some _ -> (
+      match trace_path tbl link [] with
+      | None | Some [] -> None
+      | Some ((first_traversed, _) :: _ as steps) ->
+        let start =
+          match Link_id.Map.find_opt first_traversed tbl with
+          | Some { via = Some (prev, _); _ } -> prev
+          | Some { via = None; _ } | None -> first_traversed
+        in
+        Some (start :: List.map fst steps))
+
+  let link_of_address topo addr =
+    List.fold_left
+      (fun acc l -> if Prefix.contains (Topology.link_prefix topo l) addr then Some l else acc)
+      None (Topology.links topo)
+
+  let decide topo tbl ~at ~dst =
+    match link_of_address topo dst with
+    | None -> Routing.Unreachable
+    | Some dst_link ->
+      if Topology.is_attached topo at dst_link then Routing.Deliver_on_link dst_link
+      else (
+        match trace_path tbl dst_link [] with
+        | None | Some [] -> Routing.Unreachable
+        | Some ((first_traversed, first_router) :: _) ->
+          let out_link =
+            match Link_id.Map.find_opt first_traversed tbl with
+            | Some { via = Some (prev, _); _ } -> prev
+            | Some { via = None; _ } | None -> first_traversed
+          in
+          Routing.Forward { out_link; next_hop = first_router })
+
+  let rpf topo tbl ~at ~source =
+    match decide topo tbl ~at ~dst:source with
+    | Routing.Deliver_on_link l -> Some (l, None)
+    | Routing.Forward { out_link; next_hop } -> Some (out_link, Some next_hop)
+    | Routing.Unreachable -> None
+end
+
+(* A generated router graph as a bare topology: a stub LAN per router,
+   a backbone link per edge, a few LANs shared by three random routers,
+   one /48 umbrella link overlapping every
+   stub's /64 (so prefix lookup must pick the highest link id), and
+   hosts on random stubs. *)
+let oracle_topology ~pref ~seed ~routers ~hosts =
+  let edges =
+    if pref then Workload.Topo_gen.pref_attach_edges ~seed ~routers ()
+    else Workload.Topo_gen.waxman_edges ~seed ~routers ()
+  in
+  let topo = Topology.create () in
+  let rng = Engine.Rng.create seed in
+  let link name prefix = Topology.add_link topo ~name ~prefix:(Prefix.of_string prefix) () in
+  let stub i = link (Printf.sprintf "S%d" i) (Printf.sprintf "2001:db8:0:%x::/64" i) in
+  let half = Array.init (routers / 2) stub in
+  (* Added between the two halves of the stubs: it covers the first
+     half's addresses, the second half covers their own. *)
+  let umbrella = link "U" "2001:db8::/48" in
+  let stubs = Array.append half (Array.init (routers - (routers / 2)) (fun i -> stub (i + (routers / 2)))) in
+  let rnodes =
+    Array.init routers (fun i ->
+        Topology.add_node topo ~name:(Printf.sprintf "N%d" i) ~kind:Topology.Router)
+  in
+  Array.iteri (fun i r -> Topology.attach topo r stubs.(i)) rnodes;
+  List.iteri
+    (fun k (u, v) ->
+      let l = link (Printf.sprintf "B%d" k) (Printf.sprintf "2001:db8:1:%x::/64" k) in
+      Topology.attach topo rnodes.(u) l;
+      Topology.attach topo rnodes.(v) l)
+    edges;
+  Topology.attach topo rnodes.(Engine.Rng.int rng routers) umbrella;
+  (* Multi-router LANs give equal-length paths through different
+     routers: the BFS visiting order decides the next hop. *)
+  for k = 0 to routers / 3 do
+    let lan = link (Printf.sprintf "M%d" k) (Printf.sprintf "2001:db8:2:%x::/64" k) in
+    for _ = 1 to 3 do
+      Topology.attach topo rnodes.(Engine.Rng.int rng routers) lan
+    done
+  done;
+  let hnodes =
+    Array.init hosts (fun j ->
+        let h = Topology.add_node topo ~name:(Printf.sprintf "H%d" j) ~kind:Topology.Host in
+        Topology.attach topo h stubs.(Engine.Rng.int rng routers);
+        h)
+  in
+  (topo, rng, stubs, hnodes)
+
+(* Move, detach or multi-home a random host. *)
+let churn_host topo rng stubs hnodes =
+  let h = hnodes.(Engine.Rng.int rng (Array.length hnodes)) in
+  let target = stubs.(Engine.Rng.int rng (Array.length stubs)) in
+  match Engine.Rng.int rng 3 with
+  | 0 -> List.iter (Topology.detach topo h) (Topology.links_of_node topo h)
+  | 1 -> Topology.attach topo h target
+  | _ ->
+    List.iter (Topology.detach topo h) (Topology.links_of_node topo h);
+    Topology.attach topo h target
+
+let agrees_with_oracle topo r =
+  let links = Topology.links topo in
+  let addrs =
+    Addr.of_string "2001:dead::1"
+    :: List.map (fun l -> Prefix.append_interface_id (Topology.link_prefix topo l) 4242L) links
+  in
+  List.for_all
+    (fun node ->
+      let tbl = Oracle.table topo ~from:node in
+      List.for_all
+        (fun l ->
+          Routing.distance_to_link r ~from:node l = Oracle.distance_to_link tbl l
+          && Routing.path_to_link r ~from:node l = Oracle.path_to_link tbl l)
+        links
+      && List.for_all
+           (fun a ->
+             Routing.decide r ~at:node ~dst:a = Oracle.decide topo tbl ~at:node ~dst:a
+             && Routing.rpf r ~at:node ~source:a = Oracle.rpf topo tbl ~at:node ~source:a)
+           addrs)
+    (Topology.nodes topo)
+
+let routing_oracle_property =
+  QCheck.Test.make ~count:30
+    ~name:"array routing tables answer as the map-based BFS under host churn"
+    QCheck.(make Gen.(triple bool gen_topo_seed (int_range 2 24)))
+    (fun (pref, seed, routers) ->
+      let topo, rng, stubs, hnodes = oracle_topology ~pref ~seed ~routers ~hosts:6 in
+      let r = Routing.create topo in
+      let rec steps k =
+        k = 0
+        || begin
+          churn_host topo rng stubs hnodes;
+          agrees_with_oracle topo r && steps (k - 1)
+        end
+      in
+      agrees_with_oracle topo r && steps 4)
+
 let () =
   Alcotest.run "net"
     [ ("topology", topology_tests);
-      ("routing", routing_tests @ routing_properties);
+      ("routing",
+       routing_tests @ routing_properties
+       @ [ QCheck_alcotest.to_alcotest routing_oracle_property ]);
       ("network", network_tests)
     ]

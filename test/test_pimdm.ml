@@ -680,57 +680,58 @@ let state_refresh_tests =
         Alcotest.(check int) "renewed prune" 1 (List.length (sent_of_kind h is_prune)))
   ]
 
-(* Model-style property: throw random operation sequences at a router
-   and check structural invariants after every step. *)
+(* Model-style properties: throw random operation sequences at a router
+   and check invariants after every step. *)
+(* [~idle] weighs time passing and data on the incoming interface
+   (which keeps (S,G) state alive) against Join and Graft (which cancel
+   prune state): a high weight lets prune and assert timers run out. *)
+let gen_op ~idle =
+  QCheck.Gen.(
+    frequency
+      [ (4, map (fun i -> `Data (i mod 3)) small_nat);
+        (idle, return (`Data 0));
+        (2, return `Prune);
+        (2, return `Join);
+        (1, return `Graft);
+        (2, map (fun i -> `Member (i mod 3, i mod 2 = 0)) small_nat);
+        (1, return `Hello);
+        (2 + idle, map (fun i -> `Advance (float_of_int (i mod 100))) small_nat);
+        (1, return `Assert_in) ])
+
+let apply_op h = function
+  | `Data iface -> receive_data h ~iface
+  | `Prune ->
+    Pimdm.Pim_router.handle_message h.router ~iface:1 ~src:downstream1
+      (Pim_message.Join_prune
+         { upstream_neighbor = my_addr; holdtime_s = 210; joins = []; prunes = [ sg ] })
+  | `Join ->
+    Pimdm.Pim_router.handle_message h.router ~iface:1 ~src:downstream2
+      (Pim_message.Join_prune
+         { upstream_neighbor = my_addr; holdtime_s = 210; joins = [ sg ]; prunes = [] })
+  | `Graft ->
+    Pimdm.Pim_router.handle_message h.router ~iface:1 ~src:downstream1
+      (Pim_message.Graft { upstream_neighbor = my_addr; joins = [ sg ] })
+  | `Member (iface, present) ->
+    if present then add_member h ~iface else drop_member h ~iface;
+    Pimdm.Pim_router.local_members_changed h.router ~iface ~group ~present
+  | `Hello -> hello h ~iface:1 ~from:downstream1
+  | `Advance dt -> Engine.Sim.run ~until:(Engine.Sim.now h.sim +. dt) h.sim
+  | `Assert_in ->
+    Pimdm.Pim_router.handle_message h.router ~iface:1 ~src:downstream1
+      (Pim_message.Assert { group; source; metric_preference = 101; metric = 1 })
+
+let gen_ops ~idle =
+  QCheck.make QCheck.Gen.(list_size (int_range 1 (40 + (5 * idle))) (gen_op ~idle))
+
 let random_ops_property =
-  let gen_op =
-    QCheck.Gen.(
-      frequency
-        [ (4, map (fun i -> `Data (i mod 3)) small_nat);
-          (2, return `Prune);
-          (2, return `Join);
-          (1, return `Graft);
-          (2, map (fun i -> `Member (i mod 3, i mod 2 = 0)) small_nat);
-          (1, return `Hello);
-          (2, map (fun i -> `Advance (float_of_int (i mod 100))) small_nat);
-          (1, return `Assert_in) ])
-  in
   QCheck.Test.make ~name:"invariants hold under random operation sequences" ~count:100
-    (QCheck.make QCheck.Gen.(list_size (int_range 1 40) gen_op))
+    (gen_ops ~idle:0)
     (fun ops ->
       let h = make () in
       let ok = ref true in
       List.iter
         (fun op ->
-          (match op with
-           | `Data iface -> receive_data h ~iface
-           | `Prune ->
-             Pimdm.Pim_router.handle_message h.router ~iface:1 ~src:downstream1
-               (Pim_message.Join_prune
-                  { upstream_neighbor = my_addr;
-                    holdtime_s = 210;
-                    joins = [];
-                    prunes = [ sg ] })
-           | `Join ->
-             Pimdm.Pim_router.handle_message h.router ~iface:1 ~src:downstream2
-               (Pim_message.Join_prune
-                  { upstream_neighbor = my_addr;
-                    holdtime_s = 210;
-                    joins = [ sg ];
-                    prunes = [] })
-           | `Graft ->
-             Pimdm.Pim_router.handle_message h.router ~iface:1 ~src:downstream1
-               (Pim_message.Graft { upstream_neighbor = my_addr; joins = [ sg ] })
-           | `Member (iface, present) ->
-             if present then add_member h ~iface else drop_member h ~iface;
-             Pimdm.Pim_router.local_members_changed h.router ~iface ~group ~present
-           | `Hello -> hello h ~iface:1 ~from:downstream1
-           | `Advance dt ->
-             Engine.Sim.run ~until:(Engine.Sim.now h.sim +. dt) h.sim
-           | `Assert_in ->
-             Pimdm.Pim_router.handle_message h.router ~iface:1 ~src:downstream1
-               (Pim_message.Assert
-                  { group; source; metric_preference = 101; metric = 1 }));
+          apply_op h op;
           (* Invariants: data is never replicated back onto the
              incoming interface, and at most one (S,G) entry exists for
              our single source/group. *)
@@ -738,6 +739,40 @@ let random_ops_property =
           if List.length (Pimdm.Pim_router.entries h.router) > 1 then ok := false)
         ops;
       !ok)
+
+(* The invariant monitor keeps a router's snapshot while its generation
+   stands still, and [has_neighbors] answers from a counter: both must
+   agree with a fresh look after every operation. *)
+let generation_property =
+  QCheck.Test.make ~name:"an unmoved generation means an unchanged snapshot" ~count:300
+    (gen_ops ~idle:8)
+    (fun ops ->
+      let h = make () in
+      let module P = Pimdm.Pim_router in
+      let last = ref (P.generation h.router, P.snapshot h.router) in
+      let agrees () =
+        let gen = P.generation h.router and snap = P.snapshot h.router in
+        let gen', snap' = !last in
+        last := (gen, snap);
+        (gen <> gen' || snap = snap')
+        && List.for_all
+             (fun i -> P.has_neighbors h.router i = (P.neighbors h.router ~iface:i <> []))
+             [ 0; 1; 2 ]
+      in
+      (* Time advances one event at a time, so a timer that changes
+         state without moving the generation is caught at that event. *)
+      let rec advance until =
+        let executed = Engine.Sim.events_executed h.sim in
+        Engine.Sim.run ~until ~max_events:(executed + 1) h.sim;
+        agrees () && (Engine.Sim.events_executed h.sim = executed || advance until)
+      in
+      List.for_all
+        (function
+          | `Advance dt -> advance (Engine.Sim.now h.sim +. dt)
+          | op ->
+            apply_op h op;
+            agrees ())
+        ops)
 
 let prune_indicator_tests =
   [ Alcotest.test_case "P-bit refresh recovers a needing branch with a graft" `Quick
@@ -783,5 +818,6 @@ let () =
       ("assert", assert_tests);
       ("neighbors", neighbor_tests);
       ("prune indicator", prune_indicator_tests);
-      ("random ops", [ QCheck_alcotest.to_alcotest random_ops_property ])
+      ("random ops",
+       List.map QCheck_alcotest.to_alcotest [ random_ops_property; generation_property ])
     ]
