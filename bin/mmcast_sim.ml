@@ -826,7 +826,11 @@ let lineage_cmd dir receiver from_s to_s =
     else dir
   in
   match Obs.Lineage.load path with
-  | Error e -> `Error (false, Printf.sprintf "%s: %s" path e)
+  | Error e ->
+    (* A document that does not load is bad data, not bad usage: exit 1
+       rather than cmdliner's command-line error status. *)
+    Printf.eprintf "mmcast_sim lineage: %s: %s\n" path e;
+    exit 1
   | Ok l ->
     let node = if receiver = "any" then "" else receiver in
     Printf.printf "%s: %d span(s), %d mark(s)%s\n" path (Obs.Lineage.span_count l)

@@ -249,14 +249,13 @@ let chain_at t ~at ~where =
   match Engine.Sim.lineage t.scenario.Scenario.sim with
   | None -> []
   | Some c ->
-    let dropped sp = sp.Engine.Span.sp_drop <> None in
     let pick =
       match
-        Engine.Span.last_matching c ~before:at (fun sp ->
-            dropped sp && sp.Engine.Span.sp_node = where)
+        Engine.Span.last_matching c ~before:at ~dropped:true (fun sp ->
+            sp.Engine.Span.sp_node = where)
       with
       | Some _ as sp -> sp
-      | None -> Engine.Span.last_matching c ~before:at dropped
+      | None -> Engine.Span.last_matching c ~before:at ~dropped:true (fun _ -> true)
     in
     (match pick with
      | None -> []

@@ -150,9 +150,7 @@ let send_data t ~group ~bytes =
           Engine.Span.open_span c ~at ~name:("inject " ^ Packet.label packet)
             ~node:t.label ()
         in
-        Engine.Span.in_context c
-          ((Engine.Span.get c id).Engine.Span.sp_trace, id)
-          send;
+        Engine.Span.within c id send;
         Engine.Span.close_span c ~at id)
     | Foreign coa, Approach.Send_tunnel -> (
       (* Reverse tunnel: home address inside, care-of outside
@@ -169,13 +167,11 @@ let send_data t ~group ~bytes =
             ~node:t.label ()
         in
         let enc =
-          Engine.Span.open_span c ~at ~name:"encap" ~node:t.label ~parent:id ()
+          Engine.Span.open_span c ~at ~name:"encap" ~node:t.label ~parent:id
+            ~attrs:[ ("inner", Packet.label inner); ("care-of", Addr.to_string coa) ]
+            ()
         in
-        Engine.Span.set_attr c enc "care-of" (Addr.to_string coa);
-        Engine.Span.set_attr c enc "inner" (Packet.label inner);
-        Engine.Span.in_context c
-          ((Engine.Span.get c enc).Engine.Span.sp_trace, enc)
-          (fun () -> send_unicast t outer);
+        Engine.Span.within c enc (fun () -> send_unicast t outer);
         Engine.Span.close_span c ~at enc;
         Engine.Span.close_span c ~at id)
   end
@@ -261,15 +257,11 @@ let deliver_app t ~group packet =
        | None -> ()
        | Some c ->
          let at = Engine.Sim.now (sim t) in
-         let id =
-           Engine.Span.event c ~at ~name:("deliver " ^ Packet.label packet)
-             ~node:t.label ()
-         in
-         Engine.Span.set_attr c id "group" (Addr.to_string group);
-         if first then
-           Engine.Span.mark c ~at ~name:"first-delivery" ~node:t.label
-             ~attrs:[ ("group", Addr.to_string group) ]
-             ());
+         let attrs = Network.group_attrs t.net group in
+         ignore
+           (Engine.Span.event c ~at ~name:("deliver " ^ Packet.label packet)
+              ~node:t.label ~attrs ());
+         if first then Engine.Span.mark c ~at ~name:"first-delivery" ~node:t.label ~attrs ());
       List.iter (fun observe -> observe ~group packet) t.data_observers;
       match t.on_data with
       | Some f -> f ~group packet
@@ -294,11 +286,11 @@ let handle_encapsulated t inner =
   | None -> handle_encapsulated_inner t inner
   | Some c ->
     let at = Engine.Sim.now (sim t) in
-    let id = Engine.Span.open_span c ~at ~name:"decap" ~node:t.label () in
-    Engine.Span.set_attr c id "inner" (Packet.label inner);
-    Engine.Span.in_context c
-      ((Engine.Span.get c id).Engine.Span.sp_trace, id)
-      (fun () -> handle_encapsulated_inner t inner);
+    let id =
+      Engine.Span.open_span c ~at ~name:"decap" ~node:t.label
+        ~attrs:[ ("inner", Packet.label inner) ] ()
+    in
+    Engine.Span.within c id (fun () -> handle_encapsulated_inner t inner);
     Engine.Span.close_span c ~at id
 
 let on_receive t ~link ~from:_ packet =

@@ -124,6 +124,12 @@ let lmark t name attrs =
   | Some c ->
     Engine.Span.mark c ~at:(Engine.Sim.now (sim t)) ~name ~node:t.label ~attrs ()
 
+(* An encap span's attributes, newest first: the care-of address,
+   then the inner packet. *)
+let encap_attrs entry packet =
+  [ ("inner", Packet.label packet);
+    ("care-of", Addr.to_string entry.Mipv6.Binding_cache.care_of) ]
+
 (* ---- unicast origination and forwarding ---- *)
 
 let transmit t ~link dest packet = Network.transmit t.net ~from:t.node ~link dest packet
@@ -163,13 +169,11 @@ and intercept_to_mobile t entry packet =
   | None -> forward_unicast t outer
   | Some c ->
     let at = Engine.Sim.now (sim t) in
-    let id = Engine.Span.open_span c ~at ~name:"encap" ~node:t.label () in
-    Engine.Span.set_attr c id "care-of"
-      (Addr.to_string entry.Mipv6.Binding_cache.care_of);
-    Engine.Span.set_attr c id "inner" (Packet.label packet);
-    Engine.Span.in_context c
-      ((Engine.Span.get c id).Engine.Span.sp_trace, id)
-      (fun () -> forward_unicast t outer);
+    let id =
+      Engine.Span.open_span c ~at ~name:"encap" ~node:t.label
+        ~attrs:(encap_attrs entry packet) ()
+    in
+    Engine.Span.within c id (fun () -> forward_unicast t outer);
     Engine.Span.close_span c ~at id
 
 (* ---- home agent ---- *)
@@ -205,13 +209,11 @@ let send_through_tunnel t tunnel packet =
     | None -> forward_unicast t outer
     | Some c ->
       let at = Engine.Sim.now (sim t) in
-      let id = Engine.Span.open_span c ~at ~name:"encap" ~node:t.label () in
-      Engine.Span.set_attr c id "care-of"
-        (Addr.to_string entry.Mipv6.Binding_cache.care_of);
-      Engine.Span.set_attr c id "inner" (Packet.label packet);
-      Engine.Span.in_context c
-        ((Engine.Span.get c id).Engine.Span.sp_trace, id)
-        (fun () -> forward_unicast t outer);
+      let id =
+        Engine.Span.open_span c ~at ~name:"encap" ~node:t.label
+          ~attrs:(encap_attrs entry packet) ()
+      in
+      Engine.Span.within c id (fun () -> forward_unicast t outer);
       Engine.Span.close_span c ~at id)
 
 let start_tunnel_mld t tunnel =
@@ -601,11 +603,11 @@ let local_process t packet =
     | None -> dispatch_decapsulated t inner
     | Some c ->
       let at = Engine.Sim.now (sim t) in
-      let id = Engine.Span.open_span c ~at ~name:"decap" ~node:t.label () in
-      Engine.Span.set_attr c id "inner" (Packet.label inner);
-      Engine.Span.in_context c
-        ((Engine.Span.get c id).Engine.Span.sp_trace, id)
-        (fun () -> dispatch_decapsulated t inner);
+      let id =
+        Engine.Span.open_span c ~at ~name:"decap" ~node:t.label
+          ~attrs:[ ("inner", Packet.label inner) ] ()
+      in
+      Engine.Span.within c id (fun () -> dispatch_decapsulated t inner);
       Engine.Span.close_span c ~at id)
   | Packet.Data _ | Packet.Mld _ | Packet.Pim _ | Packet.Nd _ | Packet.Empty -> ()
 

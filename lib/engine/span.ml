@@ -35,21 +35,39 @@ let drop_reason_of_name = function
   | "not-joined" -> Some Not_joined
   | _ -> None
 
-let all_drop_reasons =
-  [ Loss_fault; Link_down; Not_attached; No_handler; Malformed; Rpf_fail;
-    Pruned_iface; Hop_limit; No_route; Not_joined ]
+(* The drop column holds an index into this array, -1 for none. *)
+let drop_reasons =
+  [| Loss_fault; Link_down; Not_attached; No_handler; Malformed; Rpf_fail;
+     Pruned_iface; Hop_limit; No_route; Not_joined |]
+
+let all_drop_reasons = Array.to_list drop_reasons
+
+let drop_index = function
+  | Loss_fault -> 0
+  | Link_down -> 1
+  | Not_attached -> 2
+  | No_handler -> 3
+  | Malformed -> 4
+  | Rpf_fail -> 5
+  | Pruned_iface -> 6
+  | Hop_limit -> 7
+  | No_route -> 8
+  | Not_joined -> 9
+
+(* Names of drop spans, built once rather than per drop. *)
+let drop_span_names = Array.map (fun r -> "drop:" ^ drop_reason_name r) drop_reasons
 
 type span = {
   sp_id : int;
   sp_trace : int;
-  sp_parent : int;  (* span id, -1 = trace root *)
+  sp_parent : int;
   sp_name : string;
   sp_node : string;
   sp_start : Time.t;
-  mutable sp_end : Time.t;
-  mutable sp_drop : drop_reason option;
-  mutable sp_cause : int;  (* causal edge to a span in another lineage, -1 = none *)
-  mutable sp_attrs : (string * string) list;  (* newest first *)
+  sp_end : Time.t;
+  sp_drop : drop_reason option;
+  sp_cause : int;
+  sp_attrs : (string * string) list;
 }
 
 type mark = {
@@ -59,8 +77,43 @@ type mark = {
   mk_attrs : (string * string) list;
 }
 
+(* Span [id] lives in chunk [id lsr chunk_bits] at slot
+   [id land chunk_mask], one column per field.  A full store gains a
+   chunk; recorded spans never move. *)
+let chunk_bits = 12
+let chunk_size = 1 lsl chunk_bits
+let chunk_mask = chunk_size - 1
+
+type chunk = {
+  trace : int array;
+  parent : int array;
+  cause : int array;
+  drop : int array;
+  name : string array;
+  node : string array;
+  start : Float.Array.t;
+  stop : Float.Array.t;
+  attrs : (string * string) list array;
+}
+
+(* Fills the spine's unused slots. *)
+let no_chunk =
+  { trace = [||]; parent = [||]; cause = [||]; drop = [||]; name = [||]; node = [||];
+    start = Float.Array.create 0; stop = Float.Array.create 0; attrs = [||] }
+
+let new_chunk () =
+  { trace = Array.make chunk_size 0;
+    parent = Array.make chunk_size 0;
+    cause = Array.make chunk_size 0;
+    drop = Array.make chunk_size 0;
+    name = Array.make chunk_size "";
+    node = Array.make chunk_size "";
+    start = Float.Array.make chunk_size 0.0;
+    stop = Float.Array.make chunk_size 0.0;
+    attrs = Array.make chunk_size [] }
+
 type t = {
-  mutable spans : span array;
+  mutable chunks : chunk array;  (* the spine: only it is ever copied *)
   mutable n_spans : int;
   mutable marks_rev : mark list;
   mutable n_marks : int;
@@ -69,13 +122,8 @@ type t = {
   mutable cur_span : int;
 }
 
-let dummy_span =
-  { sp_id = -1; sp_trace = -1; sp_parent = -1; sp_name = ""; sp_node = "";
-    sp_start = Time.zero; sp_end = Time.zero; sp_drop = None; sp_cause = -1;
-    sp_attrs = [] }
-
 let create () =
-  { spans = [||];
+  { chunks = [||];
     n_spans = 0;
     marks_rev = [];
     n_marks = 0;
@@ -86,17 +134,40 @@ let create () =
 let span_count t = t.n_spans
 let mark_count t = t.n_marks
 
-let get t id =
+let chunk_of t id = Array.unsafe_get t.chunks (id lsr chunk_bits)
+
+let check_id t what id =
   if id < 0 || id >= t.n_spans then
-    invalid_arg (Printf.sprintf "Span.get: no span %d" id);
-  t.spans.(id)
+    invalid_arg (Printf.sprintf "Span.%s: no span %d" what id)
+
+let view t id =
+  let c = chunk_of t id and i = id land chunk_mask in
+  let d = c.drop.(i) in
+  { sp_id = id;
+    sp_trace = c.trace.(i);
+    sp_parent = c.parent.(i);
+    sp_name = c.name.(i);
+    sp_node = c.node.(i);
+    sp_start = Float.Array.get c.start i;
+    sp_end = Float.Array.get c.stop i;
+    sp_drop = (if d < 0 then None else Some drop_reasons.(d));
+    sp_cause = c.cause.(i);
+    sp_attrs = c.attrs.(i) }
+
+let get t id =
+  check_id t "get" id;
+  view t id
+
+let trace_of t id =
+  check_id t "trace_of" id;
+  (chunk_of t id).trace.(id land chunk_mask)
 
 let iter t f =
   for i = 0 to t.n_spans - 1 do
-    f t.spans.(i)
+    f (view t i)
   done
 
-let spans t = List.init t.n_spans (fun i -> t.spans.(i))
+let spans t = List.init t.n_spans (view t)
 let marks t = List.rev t.marks_rev
 
 let fresh_trace t =
@@ -106,90 +177,94 @@ let fresh_trace t =
 
 let context t = (t.cur_trace, t.cur_span)
 
-let set_context t (trace, span) =
-  t.cur_trace <- trace;
-  t.cur_span <- span
-
 let clear_context t =
   t.cur_trace <- -1;
   t.cur_span <- -1
 
-let in_context t (trace, span) f =
+let within t id f =
+  let trace = trace_of t id in
   let saved_trace = t.cur_trace and saved_span = t.cur_span in
   t.cur_trace <- trace;
-  t.cur_span <- span;
-  Fun.protect
-    ~finally:(fun () ->
-      t.cur_trace <- saved_trace;
-      t.cur_span <- saved_span)
-    f
+  t.cur_span <- id;
+  match f () with
+  | v ->
+    t.cur_trace <- saved_trace;
+    t.cur_span <- saved_span;
+    v
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    t.cur_trace <- saved_trace;
+    t.cur_span <- saved_span;
+    Printexc.raise_with_backtrace e bt
 
-let push t span =
-  if t.n_spans = Array.length t.spans then begin
-    let grown = Array.make (max 64 (2 * t.n_spans)) dummy_span in
-    Array.blit t.spans 0 grown 0 t.n_spans;
-    t.spans <- grown
+let push t ~trace ~parent ~cause ~drop ~name ~node ~start ~stop ~attrs =
+  let id = t.n_spans in
+  let k = id lsr chunk_bits in
+  if k = Array.length t.chunks then begin
+    let spine = Array.make (max 4 (2 * k)) no_chunk in
+    Array.blit t.chunks 0 spine 0 k;
+    t.chunks <- spine
   end;
-  t.spans.(t.n_spans) <- span;
-  t.n_spans <- t.n_spans + 1
+  if id land chunk_mask = 0 then t.chunks.(k) <- new_chunk ();
+  let c = t.chunks.(k) and i = id land chunk_mask in
+  c.trace.(i) <- trace;
+  c.parent.(i) <- parent;
+  c.cause.(i) <- cause;
+  c.drop.(i) <- drop;
+  c.name.(i) <- name;
+  c.node.(i) <- node;
+  Float.Array.set c.start i start;
+  Float.Array.set c.stop i stop;
+  c.attrs.(i) <- attrs;
+  t.n_spans <- id + 1;
+  id
 
-(* Restoring spans loaded back from disk: ids must arrive in order so
-   that id = array index keeps holding. *)
-let restore t span =
-  if span.sp_id <> t.n_spans then
+let restore t s =
+  if s.sp_id <> t.n_spans then
     invalid_arg
-      (Printf.sprintf "Span.restore: span id %d out of order (expected %d)"
-         span.sp_id t.n_spans);
-  push t span;
-  if span.sp_trace >= t.next_trace then t.next_trace <- span.sp_trace + 1
+      (Printf.sprintf "Span.restore: span id %d out of order (expected %d)" s.sp_id
+         t.n_spans);
+  if s.sp_parent < -1 || s.sp_parent >= s.sp_id then
+    invalid_arg
+      (Printf.sprintf "Span.restore: span %d has parent %d, not an earlier span" s.sp_id
+         s.sp_parent);
+  if s.sp_cause < -1 then
+    invalid_arg (Printf.sprintf "Span.restore: span %d has cause %d" s.sp_id s.sp_cause);
+  ignore
+    (push t ~trace:s.sp_trace ~parent:s.sp_parent ~cause:s.sp_cause
+       ~drop:(match s.sp_drop with None -> -1 | Some r -> drop_index r)
+       ~name:s.sp_name ~node:s.sp_node ~start:s.sp_start ~stop:s.sp_end ~attrs:s.sp_attrs);
+  if s.sp_trace >= t.next_trace then t.next_trace <- s.sp_trace + 1
 
 let restore_mark t mark =
   t.marks_rev <- mark :: t.marks_rev;
   t.n_marks <- t.n_marks + 1
 
-let open_span t ~at ~name ~node ?parent ?cause () =
-  let parent_id =
-    match parent with
-    | Some p when p >= 0 -> p
-    | Some _ | None -> t.cur_span
-  in
+let record t ~at ~name ~node ~parent ~cause ~drop ~attrs =
+  let parent_id = if parent >= 0 then parent else t.cur_span in
+  let known = parent_id >= 0 && parent_id < t.n_spans in
   let trace =
-    if parent_id >= 0 && parent_id < t.n_spans then t.spans.(parent_id).sp_trace
+    if known then (chunk_of t parent_id).trace.(parent_id land chunk_mask)
     else if t.cur_trace >= 0 then t.cur_trace
     else fresh_trace t
   in
-  let id = t.n_spans in
-  push t
-    { sp_id = id;
-      sp_trace = trace;
-      sp_parent = (if parent_id >= 0 && parent_id < t.n_spans then parent_id else -1);
-      sp_name = name;
-      sp_node = node;
-      sp_start = at;
-      sp_end = at;
-      sp_drop = None;
-      sp_cause = (match cause with Some c when c >= 0 -> c | _ -> -1);
-      sp_attrs = [] };
-  id
+  push t ~trace ~parent:(if known then parent_id else -1)
+    ~cause:(if cause >= 0 then cause else -1)
+    ~drop ~name ~node ~start:at ~stop:at ~attrs
 
-let close_span t ~at id = (get t id).sp_end <- at
+let open_span t ~at ~name ~node ?(parent = -1) ?(cause = -1) ?(attrs = []) () =
+  record t ~at ~name ~node ~parent ~cause ~drop:(-1) ~attrs
 
-let set_attr t id key value =
-  let s = get t id in
-  s.sp_attrs <- (key, value) :: s.sp_attrs
+let close_span t ~at id =
+  check_id t "close_span" id;
+  Float.Array.set (chunk_of t id).stop (id land chunk_mask) at
 
-let set_cause t id cause = (get t id).sp_cause <- cause
+let event = open_span
 
-let event t ~at ~name ~node ?parent ?cause () =
-  open_span t ~at ~name ~node ?parent ?cause ()
-
-let drop t ~at ~node ~reason ?detail ?parent () =
-  let id =
-    open_span t ~at ~name:("drop:" ^ drop_reason_name reason) ~node ?parent ()
-  in
-  (get t id).sp_drop <- Some reason;
-  (match detail with Some d -> set_attr t id "detail" d | None -> ());
-  id
+let drop t ~at ~node ~reason ?detail ?(parent = -1) () =
+  let d = drop_index reason in
+  record t ~at ~name:drop_span_names.(d) ~node ~parent ~cause:(-1) ~drop:d
+    ~attrs:(match detail with Some v -> [ ("detail", v) ] | None -> [])
 
 let mark t ~at ~name ~node ?(attrs = []) () =
   t.marks_rev <- { mk_at = at; mk_name = name; mk_node = node; mk_attrs = attrs }
@@ -198,13 +273,32 @@ let mark t ~at ~name ~node ?(attrs = []) () =
 
 (* ---- queries ---- *)
 
-let last_matching t ?before pred =
-  let ok s =
-    (match before with None -> true | Some b -> Time.compare s.sp_start b <= 0)
-    && pred s
+let last_matching t ?before ?(dropped = false) pred =
+  let rec scan id =
+    if id < 0 then None
+    else
+      let c = chunk_of t id and i = id land chunk_mask in
+      if
+        (match before with
+         | None -> true
+         | Some b -> Time.compare (Float.Array.get c.start i) b <= 0)
+        && ((not dropped) || c.drop.(i) >= 0)
+      then
+        let s = view t id in
+        if pred s then Some s else scan (id - 1)
+      else scan (id - 1)
   in
-  let rec scan i = if i < 0 then None else if ok t.spans.(i) then Some t.spans.(i) else scan (i - 1) in
   scan (t.n_spans - 1)
+
+let drop_counts t =
+  let counts = Array.make (Array.length drop_reasons) 0 in
+  for id = 0 to t.n_spans - 1 do
+    let d = (chunk_of t id).drop.(id land chunk_mask) in
+    if d >= 0 then counts.(d) <- counts.(d) + 1
+  done;
+  List.filter_map
+    (fun r -> match counts.(drop_index r) with 0 -> None | n -> Some (r, n))
+    all_drop_reasons
 
 let ancestry t id =
   let rec up id acc guard =

@@ -1,12 +1,31 @@
 (** Causal packet-lineage collector.
 
-    A collector owns a flat array of {e spans} — intervals of simulated
-    time attributed to a node, linked into trees by parent edges and
-    across trees by {e causal} edges — plus point-in-time {e marks}
-    used for handover latency breakdowns.  Every injected packet starts
-    a fresh {e trace}; the span tree grown under that trace id records
-    the packet's journey across links, tunnels and fan-out, and a typed
+    A collector records {e spans} — intervals of simulated time
+    attributed to a node, linked into trees by parent edges and across
+    trees by {e causal} edges — plus point-in-time {e marks} used for
+    handover latency breakdowns.  Every injected packet starts a fresh
+    {e trace}; the span tree grown under that trace id records the
+    packet's journey across links, tunnels and fan-out, and a typed
     {!drop_reason} terminates the branches that die.
+
+    {b Storage.}  Spans live in a chunked columnar store: fixed chunks
+    of 4,096 spans, one column per field (ints for trace, parent, cause
+    and drop reason, strings for name and node, unboxed floats for the
+    start and end times, and the attribute lists).  A span's id is its
+    position.  A full store gains a chunk and never copies a recorded
+    span; the first chunk is allocated by the first span, so an unused
+    collector costs a few words.  The {!span} record is a read-only
+    {e view} built on demand by {!get}, {!iter}, {!spans} and
+    {!last_matching}; recording never builds one.
+
+    {b Cost.}  Recording a span writes nine column slots: nine retained
+    words on a 64-bit host.  What it allocates besides is the caller's:
+    an interned name or attribute list costs nothing, so the
+    instrumented hot paths pass shared ones ([Net.Network] interns its
+    ["tx …"]/["rx …"] names per frame and its [("link", …)] and
+    [("group", …)] lists per link and group) and run nested work with
+    {!within}, which costs one closure.  On perfbench's [fig1-lineage]
+    workload lineage allocates about 32 words per span in all.
 
     Collection is owned by {!Sim.set_lineage} and is {b off by
     default}: no collector installed means the instrumented hot paths
@@ -33,6 +52,7 @@ val drop_reason_name : drop_reason -> string
 val drop_reason_of_name : string -> drop_reason option
 val all_drop_reasons : drop_reason list
 
+(** A read-only view of one recorded span. *)
 type span = {
   sp_id : int;
   sp_trace : int;  (** trace (injection) this span belongs to *)
@@ -40,13 +60,13 @@ type span = {
   sp_name : string;
   sp_node : string;  (** node the work happened on, [""] if n/a *)
   sp_start : Time.t;
-  mutable sp_end : Time.t;
-  mutable sp_drop : drop_reason option;
-  mutable sp_cause : int;
+  sp_end : Time.t;
+  sp_drop : drop_reason option;
+  sp_cause : int;
       (** causal edge into another lineage ([-1] = none): the span that
           {e made} this one happen without being its tree parent — e.g.
           the received Prune that triggered a Graft. *)
-  mutable sp_attrs : (string * string) list;  (** newest first *)
+  sp_attrs : (string * string) list;  (** newest first *)
 }
 
 type mark = {
@@ -66,6 +86,10 @@ val mark_count : t -> int
 val get : t -> int -> span
 (** @raise Invalid_argument for an unknown id. *)
 
+val trace_of : t -> int -> int
+(** [(get t id).sp_trace] without building a view.
+    @raise Invalid_argument for an unknown id. *)
+
 val iter : t -> (span -> unit) -> unit
 val spans : t -> span list
 val marks : t -> mark list
@@ -82,26 +106,47 @@ val fresh_trace : t -> int
 val context : t -> int * int
 (** [(trace, span)]; [(-1, -1)] when outside any lineage. *)
 
-val set_context : t -> int * int -> unit
 val clear_context : t -> unit
 
-val in_context : t -> int * int -> (unit -> 'a) -> 'a
-(** Run with the ambient context replaced, restoring on exit — used to
-    re-establish a stored causal context inside timer callbacks. *)
+val within : t -> int -> (unit -> 'a) -> 'a
+(** [within t id f] runs [f] with the ambient context set to span [id]
+    (and its trace), restoring the previous context when [f] returns or
+    raises.  It is the one way to run work under a span: a handler
+    running inside a receive span, or a timer callback re-entering the
+    span it stored.  @raise Invalid_argument for an unknown id. *)
 
 (** {2 Recording} *)
 
 val open_span :
-  t -> at:Time.t -> name:string -> node:string -> ?parent:int -> ?cause:int -> unit -> int
+  t ->
+  at:Time.t ->
+  name:string ->
+  node:string ->
+  ?parent:int ->
+  ?cause:int ->
+  ?attrs:(string * string) list ->
+  unit ->
+  int
 (** Parents to [?parent] if given (inheriting its trace), else to the
-    ambient span; with no ambient context a fresh trace is started. *)
+    ambient span; with no ambient context a fresh trace is started.
+    [?attrs] are the span's initial attributes, newest first (the order
+    of {!field-sp_attrs}); the list is stored as given, so a caller may
+    share one list among many spans. *)
 
 val close_span : t -> at:Time.t -> int -> unit
-val set_attr : t -> int -> string -> string -> unit
-val set_cause : t -> int -> int -> unit
 
-val event : t -> at:Time.t -> name:string -> node:string -> ?parent:int -> ?cause:int -> unit -> int
-(** Zero-duration span (a state transition). *)
+val event :
+  t ->
+  at:Time.t ->
+  name:string ->
+  node:string ->
+  ?parent:int ->
+  ?cause:int ->
+  ?attrs:(string * string) list ->
+  unit ->
+  int
+(** Zero-duration span (a state transition); same arguments as
+    {!open_span}. *)
 
 val drop :
   t -> at:Time.t -> node:string -> reason:drop_reason -> ?detail:string -> ?parent:int -> unit -> int
@@ -112,15 +157,25 @@ val mark : t -> at:Time.t -> name:string -> node:string -> ?attrs:(string * stri
 
 val restore : t -> span -> unit
 (** Re-add a span loaded from disk.  Ids must arrive in ascending
-    0-based order.  @raise Invalid_argument otherwise. *)
+    0-based order, each parent must be [-1] or an earlier span, and a
+    cause must be [-1] or non-negative (that it names a span is for
+    the loader to check once every span is in).
+    @raise Invalid_argument otherwise. *)
 
 val restore_mark : t -> mark -> unit
 
 (** {2 Queries} *)
 
-val last_matching : t -> ?before:Time.t -> (span -> bool) -> span option
-(** Most recently opened span satisfying the predicate (and starting at
-    or before [?before]). *)
+val last_matching :
+  t -> ?before:Time.t -> ?dropped:bool -> (span -> bool) -> span option
+(** Most recently opened span satisfying the predicate, starting at or
+    before [?before] and, with [~dropped:true], carrying a drop reason.
+    [?before] and [?dropped] are tested on the columns, so only
+    candidate spans are viewed and handed to the predicate. *)
+
+val drop_counts : t -> (drop_reason * int) list
+(** Per-reason totals of the drop spans, in {!all_drop_reasons} order,
+    omitting zero counts; read from the drop column alone. *)
 
 val ancestry : t -> int -> span list
 (** Root-first parent chain ending at the given span. *)

@@ -69,12 +69,6 @@ let to_bytes t buf off =
   put64 t.hi off;
   put64 t.lo (off + 8)
 
-let groups t =
-  (* The eight 16-bit groups of the address, most significant first. *)
-  let group_of v shift = Int64.to_int (Int64.shift_right_logical v shift) land 0xffff in
-  [| group_of t.hi 48; group_of t.hi 32; group_of t.hi 16; group_of t.hi 0;
-     group_of t.lo 48; group_of t.lo 32; group_of t.lo 16; group_of t.lo 0 |]
-
 let of_groups g =
   let half a b c d =
     Int64.logor
@@ -83,35 +77,56 @@ let of_groups g =
   in
   { hi = half g.(0) g.(1) g.(2) g.(3); lo = half g.(4) g.(5) g.(6) g.(7) }
 
+let hex_digits = "0123456789abcdef"
+
+(* The [i]th 16-bit group of the address, most significant first. *)
+let group t i =
+  let half = if i < 4 then t.hi else t.lo in
+  Int64.to_int (Int64.shift_right_logical half (48 - (16 * (i land 3)))) land 0xffff
+
+(* Writes [v] as lowercase hex without leading zeros (["%x"]) at [pos];
+   returns the position after it. *)
+let write_hex buf pos v =
+  let digits = if v >= 0x1000 then 4 else if v >= 0x100 then 3 else if v >= 0x10 then 2 else 1 in
+  for k = 0 to digits - 1 do
+    Bytes.unsafe_set buf (pos + k) hex_digits.[(v lsr (4 * (digits - 1 - k))) land 0xf]
+  done;
+  pos + digits
+
 let to_string t =
-  let g = groups t in
-  (* Find the longest run of zero groups (length >= 2) to compress. *)
-  let best_start = ref (-1) and best_len = ref 0 in
-  let cur_start = ref (-1) and cur_len = ref 0 in
+  (* The first longest run of zero groups (length >= 2) is compressed
+     to "::". *)
+  let best_start = ref 8 and best_len = ref 0 and cur_len = ref 0 in
   for i = 0 to 7 do
-    if g.(i) = 0 then begin
-      if !cur_start < 0 then cur_start := i;
+    if group t i = 0 then begin
       incr cur_len;
       if !cur_len > !best_len then begin
-        best_start := !cur_start;
+        best_start := i + 1 - !cur_len;
         best_len := !cur_len
       end
     end
-    else begin
-      cur_start := -1;
-      cur_len := 0
+    else cur_len := 0
+  done;
+  let skip_from = if !best_len >= 2 then !best_start else 8 in
+  let skip_to = skip_from + !best_len in
+  (* At most eight 4-digit groups and seven separators. *)
+  let buf = Bytes.create 39 in
+  let pos = ref 0 in
+  for i = 0 to 7 do
+    if i = skip_from then begin
+      Bytes.unsafe_set buf !pos ':';
+      Bytes.unsafe_set buf (!pos + 1) ':';
+      pos := !pos + 2
+    end
+    else if i < skip_from || i >= skip_to then begin
+      if i > 0 && i <> skip_to then begin
+        Bytes.unsafe_set buf !pos ':';
+        incr pos
+      end;
+      pos := write_hex buf !pos (group t i)
     end
   done;
-  if !best_len < 2 then
-    String.concat ":" (List.map (Printf.sprintf "%x") (Array.to_list g))
-  else begin
-    let before = Array.to_list (Array.sub g 0 !best_start) in
-    let after =
-      Array.to_list (Array.sub g (!best_start + !best_len) (8 - !best_start - !best_len))
-    in
-    let fmt parts = String.concat ":" (List.map (Printf.sprintf "%x") parts) in
-    fmt before ^ "::" ^ fmt after
-  end
+  Bytes.sub_string buf 0 !pos
 
 let parse_group s =
   if String.length s = 0 || String.length s > 4 then None

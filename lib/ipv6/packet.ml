@@ -185,11 +185,13 @@ let rec pp ppf t =
    | Empty -> ())
 
 (* Compact single-token label for lineage span names: cheap to build
-   (no formatter), stable across runs, and short enough for trace-event
-   viewers.  Called only when lineage collection is enabled. *)
+   (concatenation, no formatter), stable across runs, and short enough
+   for trace-event viewers.  Called only when lineage collection is
+   enabled. *)
 let rec label t =
   match t.payload with
-  | Data { stream_id; seq; _ } -> Printf.sprintf "data s%d#%d" stream_id seq
+  | Data { stream_id; seq; _ } ->
+    "data s" ^ string_of_int stream_id ^ "#" ^ string_of_int seq
   | Mld (Mld_message.Query _) -> "mld-query"
   | Mld (Mld_message.Report _) -> "mld-report"
   | Mld (Mld_message.Done _) -> "mld-done"

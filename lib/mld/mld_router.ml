@@ -78,11 +78,11 @@ let lmld_event t name group =
   match Engine.Sim.lineage t.env.Mld_env.sim with
   | None -> ()
   | Some c ->
-    let id =
-      Engine.Span.event c ~at:(Engine.Sim.now t.env.Mld_env.sim) ~name
-        ~node:t.env.Mld_env.label ()
-    in
-    Engine.Span.set_attr c id "group" (Addr.to_string group)
+    ignore
+      (Engine.Span.event c ~at:(Engine.Sim.now t.env.Mld_env.sim) ~name
+         ~node:t.env.Mld_env.label
+         ~attrs:[ ("group", Addr.to_string group) ]
+         ())
 
 let remove_membership t group m =
   Engine.Timer.stop m.expiry;

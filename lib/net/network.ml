@@ -94,6 +94,27 @@ type t = {
      choice point and slot k adds k·[delay_step] of extra latency. *)
   mutable delay_slots : int;
   mutable delay_step : Engine.Time.t;
+  mutable span_names : span_names option;  (* built on first use *)
+}
+
+(* Names and attributes that lineage spans share, so a network that
+   records no lineage allocates none of them: each link's
+   [("link", name)] list, each group's [("group", address)] list, and
+   the names of the frame cells last transmitted and last delivered (a
+   fan-out transmits, and its receivers take delivery of, one cell
+   several times in a row). *)
+and span_names = {
+  mutable link_attrs : (string * string) list array;
+  mutable group_attrs : (Addr.t * (string * string) list) list;
+  mutable last_tx : frame_names option;
+  mutable last_rx : frame_names option;
+}
+
+(* The ["tx …"] and ["rx …"] span names of one frame cell. *)
+and frame_names = {
+  named : Codec.Frame.t;
+  tx_name : string;
+  rx_name : string;
 }
 
 let create sim topology =
@@ -125,7 +146,8 @@ let create sim topology =
     malformed = Hashtbl.create 8;
     malformed_total = 0;
     delay_slots = 1;
-    delay_step = 0.0 }
+    delay_step = 0.0;
+    span_names = None }
 
 let set_delay_exploration t ~slots ~max_extra =
   if slots < 1 then invalid_arg "Network.set_delay_exploration: slots < 1";
@@ -252,6 +274,71 @@ let duplicates_injected t = t.duplicated
 let reordered t = t.reordered
 let blocked t = t.blocked
 
+let span_names t =
+  match t.span_names with
+  | Some n -> n
+  | None ->
+    let n = { link_attrs = [||]; group_attrs = []; last_tx = None; last_rx = None } in
+    t.span_names <- Some n;
+    n
+
+let link_attrs t link =
+  let n = span_names t in
+  let i = Link_id.to_int link in
+  let len = Array.length n.link_attrs in
+  if i >= len then begin
+    let grown = Array.make (max (i + 1) (2 * len)) [] in
+    Array.blit n.link_attrs 0 grown 0 len;
+    n.link_attrs <- grown
+  end;
+  match n.link_attrs.(i) with
+  | [] ->
+    let attrs = [ ("link", Topology.link_name t.topology link) ] in
+    n.link_attrs.(i) <- attrs;
+    attrs
+  | attrs -> attrs
+
+(* [] when [group] has no list yet; a built list is never empty. *)
+let rec attrs_of_group group = function
+  | [] -> []
+  | (g, attrs) :: rest -> if Addr.equal g group then attrs else attrs_of_group group rest
+
+let group_attrs t group =
+  let n = span_names t in
+  match attrs_of_group group n.group_attrs with
+  | [] ->
+    let attrs = [ ("group", Addr.to_string group) ] in
+    n.group_attrs <- (group, attrs) :: n.group_attrs;
+    attrs
+  | attrs -> attrs
+
+(* The span names of [cell], from either slot or built once. *)
+let frame_names n cell =
+  match (n.last_tx, n.last_rx) with
+  | Some f, _ when f.named == cell -> f
+  | _, Some f when f.named == cell -> f
+  | _ ->
+    let label = Packet.label (Codec.Frame.packet cell) in
+    { named = cell; tx_name = "tx " ^ label; rx_name = "rx " ^ label }
+
+let tx_name t cell =
+  let n = span_names t in
+  match n.last_tx with
+  | Some f when f.named == cell -> f.tx_name
+  | _ ->
+    let f = frame_names n cell in
+    n.last_tx <- Some f;
+    f.tx_name
+
+let rx_name t cell =
+  let n = span_names t in
+  match n.last_rx with
+  | Some f when f.named == cell -> f.rx_name
+  | _ ->
+    let f = frame_names n cell in
+    n.last_rx <- Some f;
+    f.rx_name
+
 (* Lineage drop record at a delivery-stage decision point, parented to
    the transmission span when one exists.  A plain function (not a
    closure built per delivery) so the disabled path allocates nothing. *)
@@ -354,14 +441,11 @@ let deliver t ~link ~from ~to_node ~txsp cell =
         | Some c ->
           let at = Engine.Sim.now t.sim in
           let rx =
-            Engine.Span.open_span c ~at
-              ~name:("rx " ^ Packet.label (Codec.Frame.packet cell))
+            Engine.Span.open_span c ~at ~name:(rx_name t cell)
               ~node:(Topology.node_name t.topology to_node)
-              ~parent:txsp ()
+              ~parent:txsp ~attrs:(link_attrs t link) ()
           in
-          Engine.Span.set_attr c rx "link" (Topology.link_name t.topology link);
-          Engine.Span.in_context c ((Engine.Span.get c rx).Engine.Span.sp_trace, rx)
-            (fun () ->
+          Engine.Span.within c rx (fun () ->
               if t.wire_check then deliver_wire t ~link ~from ~to_node handler cell
               else handler ~link ~from (Codec.Frame.packet cell));
           Engine.Span.close_span c ~at rx)
@@ -427,12 +511,10 @@ let transmit t ~from ~link dest packet =
         | Some c ->
           let at = Engine.Sim.now t.sim in
           let id =
-            Engine.Span.open_span c ~at
-              ~name:("tx " ^ Packet.label packet)
+            Engine.Span.open_span c ~at ~name:(tx_name t cell)
               ~node:(Topology.node_name t.topology from)
-              ()
+              ~attrs:(link_attrs t link) ()
           in
-          Engine.Span.set_attr c id "link" (Topology.link_name t.topology link);
           Engine.Span.close_span c ~at:(Engine.Time.add at base_delay) id;
           id
       in

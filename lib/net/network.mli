@@ -54,6 +54,11 @@ val transmit : t -> from:Ids.Node_id.t -> link:Ids.Link_id.t -> l2_dest -> Packe
     (a handoff drops in-flight frames).  Transmitting from a detached
     node is a silent drop, counted in {!drops}. *)
 
+val group_attrs : t -> Addr.t -> (string * string) list
+(** The lineage attribute list [[("group", address)]] of a multicast
+    group, built once per network and group so that every span naming
+    the group can share it.  Call it only while lineage is on. *)
+
 (** {2 Fault injection}
 
     Per-link impairments, driven declaratively by the [Faults] library

@@ -22,8 +22,7 @@ let node_matches node sp = node = "" || sp.Engine.Span.sp_node = node
 
 let why_dropped t ?(node = "") ?before () =
   match
-    Engine.Span.last_matching t.collector ?before (fun sp ->
-        sp.Engine.Span.sp_drop <> None && node_matches node sp)
+    Engine.Span.last_matching t.collector ?before ~dropped:true (node_matches node)
   with
   | None -> None
   | Some sp -> Some (Engine.Span.causal_chain t.collector sp.Engine.Span.sp_id)
@@ -39,20 +38,9 @@ let delivery_chain t ?(node = "") ?before () =
   | Some sp -> Some (Engine.Span.causal_chain t.collector sp.Engine.Span.sp_id)
 
 let drop_counts t =
-  let tbl = Hashtbl.create 8 in
-  Engine.Span.iter t.collector (fun sp ->
-      match sp.Engine.Span.sp_drop with
-      | None -> ()
-      | Some r ->
-        let name = Engine.Span.drop_reason_name r in
-        Hashtbl.replace tbl name (1 + Option.value ~default:0 (Hashtbl.find_opt tbl name)));
-  List.filter_map
-    (fun r ->
-      let name = Engine.Span.drop_reason_name r in
-      match Hashtbl.find_opt tbl name with
-      | None -> None
-      | Some n -> Some (name, n))
-    Engine.Span.all_drop_reasons
+  List.map
+    (fun (r, n) -> (Engine.Span.drop_reason_name r, n))
+    (Engine.Span.drop_counts t.collector)
 
 (* ---- persistence ---- *)
 
@@ -198,6 +186,15 @@ let of_json j =
     in
     let* spans = fold_results span_of_json [] span_list in
     let* marks = fold_results mark_of_json [] mark_list in
+    let n = List.length spans in
+    let* () =
+      match List.find_opt (fun sp -> sp.Engine.Span.sp_cause >= n) spans with
+      | Some sp ->
+        Error
+          (Printf.sprintf "lineage: span %d has cause %d, not a loaded span"
+             sp.Engine.Span.sp_id sp.Engine.Span.sp_cause)
+      | None -> Ok ()
+    in
     let t = create ~approach () in
     (try
        List.iter (Engine.Span.restore t.collector) spans;

@@ -39,11 +39,11 @@ type entry = {
   mutable join_override : Engine.Sim.handle option;
   mutable refresh_timer : Engine.Timer.t option;  (* state-refresh origination *)
   (* Lineage: the span that recorded our own upstream Prune (so a later
-     Graft can carry a causal edge back to it), and the causal context
-     under which the Graft went out (so retransmissions from the graft
-     timer rejoin the same lineage instead of rooting fresh traces). *)
+     Graft can carry a causal edge back to it), and the span under which
+     the Graft went out (so retransmissions from the graft timer rejoin
+     the same lineage instead of rooting fresh traces); -1 = none. *)
   mutable prune_cause : int;
-  mutable graft_ctx : int * int;
+  mutable graft_span : int;
 }
 
 (* Interfaces are small ints: hash them without a C call. *)
@@ -80,11 +80,9 @@ let levent t name ?cause entry =
   match lineage t with
   | None -> -1
   | Some c ->
-    let id =
-      Engine.Span.event c ~at:(now t) ~name ~node:t.env.Pim_env.label ?cause ()
-    in
-    Engine.Span.set_attr c id "group" (Addr.to_string entry.group);
-    id
+    Engine.Span.event c ~at:(now t) ~name ~node:t.env.Pim_env.label ?cause
+      ~attrs:[ ("group", Addr.to_string entry.group) ]
+      ()
 
 let sg entry = { Pim_message.source = entry.source; group = entry.group }
 
@@ -262,8 +260,8 @@ let create_entry t ~source ~group (rpf : Pim_env.rpf_result) =
                       Graft went out, so retransmissions stay causally
                       chained to the packet that triggered grafting. *)
                    (match lineage t with
-                    | Some c when fst e.graft_ctx >= 0 ->
-                      Engine.Span.in_context c e.graft_ctx send
+                    | Some c when e.graft_span >= 0 ->
+                      Engine.Span.within c e.graft_span send
                     | Some _ | None -> send ());
                    trace t "(%s,%s) graft retransmitted" (Addr.to_string source)
                      (Addr.to_string group)
@@ -275,7 +273,7 @@ let create_entry t ~source ~group (rpf : Pim_env.rpf_result) =
         join_override = None;
         refresh_timer = None;
         prune_cause = -1;
-        graft_ctx = (-1, -1) }
+        graft_span = -1 }
   in
   let entry = Lazy.force entry in
   List.iter
@@ -396,10 +394,8 @@ let send_graft_upstream t entry =
        | Some c ->
          let cause = if entry.prune_cause >= 0 then Some entry.prune_cause else None in
          let id = levent t "pim-graft-sent" ?cause entry in
-         let ctx = Engine.Span.context c in
-         entry.graft_ctx <-
-           (if fst ctx >= 0 then ctx
-            else ((Engine.Span.get c id).Engine.Span.sp_trace, id));
+         let _, ambient = Engine.Span.context c in
+         entry.graft_span <- (if ambient >= 0 then ambient else id);
          Engine.Span.mark c ~at:(now t) ~name:"graft-sent" ~node:t.env.Pim_env.label
            ~attrs:[ ("group", Addr.to_string entry.group) ]
            ());
@@ -611,7 +607,7 @@ let handle_graft_ack t ~iface ~upstream_neighbor joins =
           touch t;
           Engine.Timer.stop entry.graft_timer;
           entry.prune_cause <- -1;
-          entry.graft_ctx <- (-1, -1);
+          entry.graft_span <- -1;
           ignore (levent t "pim-graft-acked" entry);
           (match lineage t with
            | None -> ()

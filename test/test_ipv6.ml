@@ -71,6 +71,98 @@ let addr_properties =
   ]
   |> List.map QCheck_alcotest.to_alcotest
 
+(* The Printf-based [Addr.to_string] the hex writer replaced, kept
+   verbatim as the oracle the writer must match byte for byte. *)
+let oracle_groups t =
+  (* The eight 16-bit groups of the address, most significant first. *)
+  let group_of v shift = Int64.to_int (Int64.shift_right_logical v shift) land 0xffff in
+  let hi = Addr.hi t and lo = Addr.lo t in
+  [| group_of hi 48; group_of hi 32; group_of hi 16; group_of hi 0;
+     group_of lo 48; group_of lo 32; group_of lo 16; group_of lo 0 |]
+
+let oracle_to_string t =
+  let g = oracle_groups t in
+  (* Find the longest run of zero groups (length >= 2) to compress. *)
+  let best_start = ref (-1) and best_len = ref 0 in
+  let cur_start = ref (-1) and cur_len = ref 0 in
+  for i = 0 to 7 do
+    if g.(i) = 0 then begin
+      if !cur_start < 0 then cur_start := i;
+      incr cur_len;
+      if !cur_len > !best_len then begin
+        best_start := !cur_start;
+        best_len := !cur_len
+      end
+    end
+    else begin
+      cur_start := -1;
+      cur_len := 0
+    end
+  done;
+  if !best_len < 2 then
+    String.concat ":" (List.map (Printf.sprintf "%x") (Array.to_list g))
+  else begin
+    let before = Array.to_list (Array.sub g 0 !best_start) in
+    let after =
+      Array.to_list (Array.sub g (!best_start + !best_len) (8 - !best_start - !best_len))
+    in
+    let fmt parts = String.concat ":" (List.map (Printf.sprintf "%x") parts) in
+    fmt before ^ "::" ^ fmt after
+  end
+
+let addr_of_groups g =
+  let half a b c d =
+    List.fold_left (fun acc v -> Int64.logor (Int64.shift_left acc 16) (Int64.of_int v)) 0L
+      [ a; b; c; d ]
+  in
+  Addr.make (half g.(0) g.(1) g.(2) g.(3)) (half g.(4) g.(5) g.(6) g.(7))
+
+(* Bit [i] of [zeros] clear makes group [i] zero, set takes the next
+   value of [fill] (never zero).  The 256 masks put a zero run of every
+   length at every position, ties between equal runs included. *)
+let addr_of_mask zeros fill =
+  addr_of_groups (Array.init 8 (fun i -> if zeros land (1 lsl i) = 0 then 0 else fill.(i)))
+
+(* The first and last non-zero group of each hex width. *)
+let width_edges = [ 0x1; 0xf; 0x10; 0xff; 0x100; 0xfff; 0x1000; 0xffff ]
+
+(* Non-zero groups of one to four hex digits, so the writer's
+   leading-zero suppression is exercised at every width. *)
+let gen_nonzero_group =
+  QCheck.Gen.(
+    oneof
+      [ oneofl width_edges; int_range 1 0xf; int_range 0x10 0xff; int_range 0x100 0xfff;
+        int_range 0x1000 0xffff ])
+
+let gen_zero_run_addr =
+  QCheck.Gen.(
+    map2 addr_of_mask (int_bound 255) (array_repeat 8 gen_nonzero_group))
+
+let addr_oracle_tests =
+  [ Alcotest.test_case "to_string matches the Printf oracle on every zero mask" `Quick
+      (fun () ->
+        List.iter
+          (fun fill ->
+            for zeros = 0 to 255 do
+              let a = addr_of_mask zeros fill in
+              Alcotest.(check string) (oracle_to_string a) (oracle_to_string a) (Addr.to_string a)
+            done)
+          [ [| 0x1; 0x20; 0x300; 0x4000; 0xabcd; 0xf; 0xff; 0xfff |]; Array.of_list width_edges ];
+        List.iter
+          (fun a -> Alcotest.(check string) (oracle_to_string a) (oracle_to_string a) (Addr.to_string a))
+          [ Addr.unspecified; Addr.loopback; Addr.all_nodes; Addr.make (-1L) (-1L) ])
+  ]
+
+let addr_oracle_properties =
+  [ QCheck.Test.make ~name:"to_string matches the Printf oracle" ~count:2000
+      (QCheck.make ~print:oracle_to_string gen_zero_run_addr)
+      (fun a -> String.equal (oracle_to_string a) (Addr.to_string a));
+    QCheck.Test.make ~name:"to_string matches the Printf oracle on random addresses"
+      ~count:1000 arb_addr
+      (fun a -> String.equal (oracle_to_string a) (Addr.to_string a))
+  ]
+  |> List.map QCheck_alcotest.to_alcotest
+
 let prefix_tests =
   [ Alcotest.test_case "parse and print" `Quick (fun () ->
         let p = Prefix.of_string "2001:db8:1::/64" in
@@ -559,7 +651,7 @@ let hexdump_tests =
 
 let () =
   Alcotest.run "ipv6"
-    [ ("addr", addr_tests @ addr_properties);
+    [ ("addr", addr_tests @ addr_properties @ addr_oracle_tests @ addr_oracle_properties);
       ("prefix", prefix_tests @ prefix_properties);
       ("packet", packet_tests);
       ("codec", codec_tests @ codec_properties @ frame_properties @ fuzz_properties);

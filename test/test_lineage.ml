@@ -132,6 +132,182 @@ let roundtrip_tests =
         | Ok _ -> Alcotest.fail "wrong schema accepted")
   ]
 
+(* Byte-identity pins: the md5 of the whole mmcast-lineage/1 document
+   of [traced_run] under each approach, with its span and mark counts.
+   Recorded before the span store became columnar; any change to what a
+   run records, or to how it is serialised, moves one of these. *)
+let lineage_pins =
+  [ (Approach.local_membership, "0fd6b11f7da5e0b106035555415de1f7", 3320, 12);
+    (Approach.bidirectional_tunnel, "d590253d564eb2d5d0a08a8f6905f71e", 3799, 10);
+    (Approach.tunnel_to_home_agent, "f7b3210319a68710fd8c79c74b2ad479", 3320, 12);
+    (Approach.tunnel_from_home_agent, "28a164a2fdf41d94a334b9f9524cad00", 3799, 10) ]
+
+let pin_tests =
+  List.map
+    (fun (approach, md5, n_spans, n_marks) ->
+      Alcotest.test_case
+        (Printf.sprintf "approach %d lineage bytes pinned" (Approach.number approach))
+        `Quick (fun () ->
+          let lin = traced_run approach in
+          let text = Obs.Json.to_string (Obs.Lineage.to_json lin) in
+          Alcotest.(check int) "span count" n_spans (Obs.Lineage.span_count lin);
+          Alcotest.(check int) "mark count" n_marks (Obs.Lineage.mark_count lin);
+          Alcotest.(check string) "document md5" md5 (Digest.to_hex (Digest.string text));
+          let path = Filename.temp_file "lineage" ".json" in
+          Fun.protect
+            ~finally:(fun () -> Sys.remove path)
+            (fun () ->
+              Obs.Lineage.save lin ~path;
+              match Obs.Lineage.load path with
+              | Error e -> Alcotest.failf "reload failed: %s" e
+              | Ok back ->
+                Alcotest.(check string) "save -> load -> to_json identical" text
+                  (Obs.Json.to_string (Obs.Lineage.to_json back)))))
+    lineage_pins
+
+(* The columnar store across chunk boundaries (a chunk holds 4,096
+   spans; the Figure-1 runs stay inside one). *)
+let store_tests =
+  [ Alcotest.test_case "views read back what was recorded across chunks" `Quick (fun () ->
+        let c = Engine.Span.create () in
+        let n = 10_000 in
+        for i = 0 to n - 1 do
+          let at = float_of_int i in
+          if i mod 7 = 3 then
+            ignore
+              (Engine.Span.drop c ~at ~node:"N" ~reason:Engine.Span.Hop_limit
+                 ~detail:(string_of_int i) ~parent:(i - 1) ())
+          else begin
+            let id =
+              Engine.Span.open_span c ~at ~name:(Printf.sprintf "s%d" i) ~node:"N"
+                ~parent:(i / 2) ~cause:(i - 3) ~attrs:[ ("i", string_of_int i) ] ()
+            in
+            Engine.Span.close_span c ~at:(at +. 0.5) id
+          end
+        done;
+        Alcotest.(check int) "count" n (Engine.Span.span_count c);
+        List.iter
+          (fun i ->
+            let sp = Engine.Span.get c i in
+            Alcotest.(check int) "id" i sp.Engine.Span.sp_id;
+            Alcotest.(check (float 0.0)) "start" (float_of_int i) sp.Engine.Span.sp_start;
+            if i mod 7 = 3 then begin
+              Alcotest.(check bool) "drop" true (sp.Engine.Span.sp_drop = Some Engine.Span.Hop_limit);
+              Alcotest.(check string) "drop name" "drop:hop-limit" sp.Engine.Span.sp_name;
+              Alcotest.(check int) "drop parent" (i - 1) sp.Engine.Span.sp_parent;
+              Alcotest.(check (list (pair string string))) "detail"
+                [ ("detail", string_of_int i) ] sp.Engine.Span.sp_attrs
+            end
+            else begin
+              Alcotest.(check string) "name" (Printf.sprintf "s%d" i) sp.Engine.Span.sp_name;
+              Alcotest.(check (float 0.0)) "end" (float_of_int i +. 0.5) sp.Engine.Span.sp_end;
+              Alcotest.(check int) "parent" (if i = 0 then -1 else i / 2) sp.Engine.Span.sp_parent;
+              Alcotest.(check int) "cause" (if i < 3 then -1 else i - 3) sp.Engine.Span.sp_cause;
+              Alcotest.(check int) "trace inherited from the root"
+                (Engine.Span.trace_of c 0) (Engine.Span.trace_of c i)
+            end)
+          [ 0; 1; 4095; 4096; 4097; 8191; 8192; n - 1 ];
+        let drops = List.length (List.filter (fun i -> i mod 7 = 3) (List.init n Fun.id)) in
+        Alcotest.(check bool) "drop totals"
+          true
+          (Engine.Span.drop_counts c = [ (Engine.Span.Hop_limit, drops) ]);
+        (match Engine.Span.last_matching c ~before:5000.0 ~dropped:true (fun _ -> true) with
+         | Some sp -> Alcotest.(check int) "last drop at or before 5000" 4994 sp.Engine.Span.sp_id
+         | None -> Alcotest.fail "no drop found");
+        match Engine.Span.last_matching c ~before:8192.0 (fun sp -> sp.Engine.Span.sp_drop = None) with
+        | Some sp -> Alcotest.(check int) "last plain span at or before 8192" 8192 sp.Engine.Span.sp_id
+        | None -> Alcotest.fail "no span found");
+    Alcotest.test_case "within restores the ambient context, also on a raise" `Quick (fun () ->
+        let c = Engine.Span.create () in
+        let root = Engine.Span.open_span c ~at:0.0 ~name:"root" ~node:"A" () in
+        Engine.Span.clear_context c;
+        let child = ref (-1) in
+        Engine.Span.within c root (fun () ->
+            Alcotest.(check (pair int int)) "inside"
+              (Engine.Span.trace_of c root, root) (Engine.Span.context c);
+            child := Engine.Span.event c ~at:1.0 ~name:"child" ~node:"A" ());
+        Alcotest.(check int) "child parented to the ambient span" root
+          (Engine.Span.get c !child).Engine.Span.sp_parent;
+        Alcotest.(check (pair int int)) "restored" (-1, -1) (Engine.Span.context c);
+        (match Engine.Span.within c !child (fun () -> failwith "boom") with
+         | () -> Alcotest.fail "no exception"
+         | exception Failure _ -> ());
+        Alcotest.(check (pair int int)) "restored after a raise" (-1, -1) (Engine.Span.context c))
+  ]
+
+(* Loader fuzzing: a recorded document with one span mutated.  Each
+   mutation breaks an invariant the queries rely on, so [of_json] must
+   answer [Error] — and must not raise. *)
+let recorded_doc = lazy (Obs.Lineage.to_json (traced_run Approach.bidirectional_tunnel))
+
+let with_spans doc f =
+  match doc with
+  | Obs.Json.Obj fields ->
+    Obs.Json.Obj
+      (List.map
+         (function
+           | "spans", Obs.Json.List spans -> ("spans", Obs.Json.List (f spans))
+           | field -> field)
+         fields)
+  | _ -> Alcotest.fail "lineage document is not an object"
+
+(* Replace (or add) field [name] of span [k]. *)
+let set_span_field k name value doc =
+  with_spans doc
+    (List.mapi (fun i sp ->
+         match sp with
+         | Obs.Json.Obj fields when i = k ->
+           Obs.Json.Obj ((name, value) :: List.remove_assoc name fields)
+         | sp -> sp))
+
+let rejects what doc =
+  match Obs.Lineage.of_json doc with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.failf "%s accepted" what
+  | exception e -> Alcotest.failf "%s raised %s" what (Printexc.to_string e)
+
+let loader_tests =
+  [ Alcotest.test_case "the unmutated document loads" `Quick (fun () ->
+        match Obs.Lineage.of_json (Lazy.force recorded_doc) with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "recorded document rejected: %s" e);
+    Alcotest.test_case "a dangling parent is rejected" `Quick (fun () ->
+        let span =
+          Obs.Json.Obj
+            [ ("id", Obs.Json.Int 0); ("trace", Obs.Json.Int 0); ("parent", Obs.Json.Int 7);
+              ("name", Obs.Json.String "drop:loss-fault"); ("node", Obs.Json.String "R3");
+              ("start_s", Obs.Json.float 1.0); ("end_s", Obs.Json.float 1.0);
+              ("drop", Obs.Json.String "loss-fault") ]
+        in
+        rejects "a one-span document with parent 7"
+          (Obs.Json.Obj
+             [ ("schema", Obs.Json.String Obs.Lineage.schema);
+               ("spans", Obs.Json.List [ span ]);
+               ("marks", Obs.Json.List []) ]));
+    Alcotest.test_case "a forward parent is rejected" `Quick (fun () ->
+        let doc = Lazy.force recorded_doc in
+        rejects "parent = own id" (set_span_field 100 "parent" (Obs.Json.Int 100) doc);
+        rejects "parent after the span" (set_span_field 100 "parent" (Obs.Json.Int 101) doc);
+        rejects "parent below -1" (set_span_field 100 "parent" (Obs.Json.Int (-2)) doc));
+    Alcotest.test_case "an out-of-range cause is rejected" `Quick (fun () ->
+        let doc = Lazy.force recorded_doc in
+        let n = Obs.Lineage.span_count (Result.get_ok (Obs.Lineage.of_json doc)) in
+        rejects "cause past the last span" (set_span_field 100 "cause" (Obs.Json.Int n) doc);
+        rejects "cause below -1" (set_span_field 100 "cause" (Obs.Json.Int (-5)) doc));
+    Alcotest.test_case "an id gap is rejected" `Quick (fun () ->
+        rejects "span 100 removed"
+          (with_spans (Lazy.force recorded_doc) (List.filteri (fun i _ -> i <> 100))));
+    Alcotest.test_case "an unknown drop name is rejected" `Quick (fun () ->
+        rejects "drop \"eaten-by-grue\""
+          (set_span_field 100 "drop" (Obs.Json.String "eaten-by-grue")
+             (Lazy.force recorded_doc)));
+    Alcotest.test_case "a non-string attribute is rejected" `Quick (fun () ->
+        rejects "attrs {link: 3}"
+          (set_span_field 100 "attrs"
+             (Obs.Json.Obj [ ("link", Obs.Json.Int 3) ])
+             (Lazy.force recorded_doc)))
+  ]
+
 let member = Obs.Json.member
 
 let catapult_tests =
@@ -278,6 +454,9 @@ let () =
   Alcotest.run "lineage"
     [ ("queries", query_tests);
       ("round trip", roundtrip_tests);
+      ("byte pins", pin_tests);
+      ("store", store_tests);
+      ("loader", loader_tests);
       ("catapult", catapult_tests);
       ("handover", handover_tests);
       ("purity", purity_tests)
