@@ -1,6 +1,9 @@
 (* Reproduction harness: one section per table/figure of the paper,
-   plus ablations for the design decisions called out in DESIGN.md and
-   Bechamel microbenchmarks of the substrate.
+   plus ablations for the design decisions called out in DESIGN.md,
+   fault recovery, Bechamel microbenchmarks of the substrate and the
+   perf section that bench/check_perf.py gates.  Runs under the
+   invariant monitor (scale matrix, chaos soak, schedule exploration)
+   belong to mmcast_sim's scale, check and explore commands.
 
    Run everything:        dune exec bench/main.exe
    Run one section:       dune exec bench/main.exe -- fig2 table1 micro
@@ -23,12 +26,6 @@ let telemetry_dir = ref "."
 let capture_setting : string option ref = ref None
 let outputs : (string * string) list ref = ref []
 
-let rec ensure_dir dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    ensure_dir (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 (* Every report embeds a manifest (tool, argv, git describe, wall time)
    so a checked-in BENCH_*.json is enough to re-run what produced it. *)
 let report_manifest () =
@@ -38,7 +35,7 @@ let report_manifest () =
   m
 
 let write_report ~kind name doc =
-  ensure_dir !telemetry_dir;
+  Obs.Json.ensure_dir !telemetry_dir;
   let path = Filename.concat !telemetry_dir name in
   Obs.Json.write_file ~pretty:true ~path doc;
   outputs := (kind, path) :: !outputs;
@@ -446,55 +443,6 @@ let churn () =
      encapsulation bytes for fewer handoff losses; local membership with\n\
      unsolicited Reports stays close behind at a fraction of the cost."
 
-(* Run suite cells, print the table and every violation, and write the
-   JSON report; exits non-zero on any violation. *)
-let run_suite ~kind ~file ~base_seed cells =
-  let rows = Scale.Suite.run ~jobs:!jobs_setting cells in
-  Format.printf "%a" Scale.Suite.pp_table rows;
-  let total = Scale.Suite.violation_total rows in
-  List.iter
-    (fun row ->
-      List.iter
-        (fun (o : Scale.Runner.outcome) ->
-          List.iter
-            (fun v ->
-              Format.printf "  %s, approach %d:@,%a@." row.Scale.Suite.r_name
-                (Approach.number o.Scale.Runner.out_approach)
-                Check.Monitor.pp_violation v)
-            o.Scale.Runner.out_violations)
-        row.Scale.Suite.r_outcomes)
-    rows;
-  let doc =
-    match Scale.Suite.to_json rows with
-    | Obs.Json.Obj fields ->
-      Obs.Json.Obj
-        (fields
-        @ [ ("base_seed", Obs.Json.Int base_seed);
-            ("quick", Obs.Json.Bool !quick_setting);
-            ("manifest", Obs.Manifest.to_json (report_manifest ())) ])
-    | other -> other
-  in
-  let path = write_report ~kind file doc in
-  Printf.printf "\n  JSON report written to %s\n" path;
-  if total > 0 then begin
-    Printf.eprintf "%s: %d invariant violation(s) detected\n" kind total;
-    exit 1
-  end
-
-let scale () =
-  section
-    "Scale suite: generated scenarios x all four approaches under the invariant \
-     monitor";
-  let sizes = if !quick_setting then [ 25 ] else [ 25; 50; 100 ] in
-  let base_seed = 42 in
-  run_suite ~kind:"scale" ~file:"BENCH_scale.json" ~base_seed
-    (Scale.Suite.cells ~sizes ~base_seed ());
-  print_endline
-    "\nWaxman and preferential-attachment router graphs with membership churn,\n\
-     handover churn and recoverable faults, every cell checked by the runtime\n\
-     invariant monitor: the protocols converge with zero violations at every\n\
-     size, and the simulator stays super-real-time throughout."
-
 (* ---- fault injection: reconvergence after failures ---- *)
 
 let faults () =
@@ -562,20 +510,6 @@ let faults () =
      is one inter-packet gap; ambient loss stretches it to the Graft-retry /\n\
      binding-update backoff timescale, and tunnelled delivery pays the extra\n\
      unicast leg."
-
-(* ---- chaos soak: randomized fault schedules under the monitor ---- *)
-
-let soak () =
-  section "Soak: randomized recoverable fault schedules under the invariant monitor";
-  let schedules = if !quick_setting then 5 else 20 in
-  let base_seed = 7 in
-  run_suite ~kind:"soak" ~file:"BENCH_soak.json" ~base_seed
-    (List.init schedules (fun i -> Scale.Suite.Soak { seed = base_seed + i }));
-  print_endline
-    "\nEvery run is wire-exact (each frame serialized, optionally corrupted, and\n\
-     re-parsed before delivery); the monitor verified assert winners, querier\n\
-     election, loop freedom, prune/graft consistency, tunnel coherence and\n\
-     eventual delivery throughout — zero violations."
 
 (* ---- microbenchmarks ---- *)
 
@@ -1097,204 +1031,7 @@ let perf () =
     prerr_endline "perf: parallel Table 1 rows differ from sequential rows";
     exit 1)
 
-(* ---- lineage micro: traced vs untraced figure-1 throughput ---- *)
-
-(* A focused cut of the perf section for iterating on the lineage
-   instrumentation: the same figure-1 workload with tracing off and on,
-   plus the span/mark volume a traced run produces.  The regression
-   gate for the tracing-off path lives in the perf section
-   (bench/check_perf.py against bench/baseline_perf.json). *)
-let lineage_bench () =
-  section "Lineage: traced vs untraced figure-1 throughput";
-  let seconds = 120.0 in
-  let runs = if !quick_setting then 2 else 3 in
-  let untraced =
-    perf_scenario_row "untraced" ~wire:false ~capture:false ~seconds ~runs ()
-  in
-  let traced =
-    perf_scenario_row "traced" ~wire:false ~capture:false ~lineage:true ~seconds
-      ~runs ()
-  in
-  List.iter
-    (fun r ->
-      Printf.printf
-        "  %-12s %8d events  %8.4f s  %9.0f ev/s  %10.0f alloc B/sim-s\n"
-        r.pr_name r.pr_events r.pr_wall_s r.pr_events_per_s r.pr_alloc_per_sim_s)
-    [ untraced; traced ];
-  Printf.printf "  tracing-on throughput loss vs untraced: %.1f%%, %.2fx allocation\n"
-    (100.0 *. (1.0 -. (traced.pr_events_per_s /. untraced.pr_events_per_s)))
-    (traced.pr_alloc_per_sim_s /. untraced.pr_alloc_per_sim_s);
-  (* Span volume, from a single traced run. *)
-  let spec =
-    { Scenario.default_spec with
-      Scenario.approach = Approach.tunnel_to_home_agent }
-  in
-  let scenario = Scenario.paper_figure1 spec in
-  let lin = Obs.Lineage.create () in
-  Obs.Lineage.attach lin scenario.Scenario.sim;
-  Traffic.at scenario 5.0 (fun () -> Scenario.subscribe_receivers scenario group);
-  ignore
-    (Traffic.cbr scenario (Scenario.host scenario "S") ~group ~from_t:10.0
-       ~until:(seconds -. 10.0) ~interval:0.01 ~bytes:500);
-  Traffic.at scenario 45.0 (fun () ->
-      Host_stack.move_to (Scenario.host scenario "R3") (Scenario.link scenario "L6"));
-  Scenario.run_until scenario seconds;
-  Printf.printf "  traced run recorded %d span(s), %d mark(s)\n"
-    (Obs.Lineage.span_count lin) (Obs.Lineage.mark_count lin)
-
 (* ---- driver ---- *)
-
-(* ---- schedule exploration (BENCH_explore.json) ---- *)
-
-let explore_bench () =
-  section
-    "Explore: schedule-space search — violation hunt per strategy + clean sweep \
-     (BENCH_explore.json)";
-  let seed = 42 in
-  let sustain = 10.0 in
-  let hunt_budget = if !quick_setting then 120 else 500 in
-  let clean_budget = if !quick_setting then 100 else 1000 in
-  let broken = Scale.Gen.broken ~seed () in
-  let clean = Scale.Gen.clean ~seed () in
-  let approach = Approach.local_membership in
-  let per_s (o : Explore.Explorer.outcome) =
-    if o.Explore.Explorer.ex_wall_s > 0.0 then
-      float_of_int o.Explore.Explorer.ex_runs /. o.Explore.Explorer.ex_wall_s
-    else 0.0
-  in
-  (* Violation hunt: every strategy must rediscover the seeded
-     graft-disabled violation within the budget, and its shrunk repro
-     must still replay. *)
-  Printf.printf "  hunt: %s under %s, budget %d/strategy\n\n"
-    broken.Scale.Desc.d_name (Approach.name approach) hunt_budget;
-  Printf.printf "  %-8s %6s %8s %10s %8s %7s %7s %6s\n" "strategy" "runs"
-    "distinct" "sched/s" "found@" "shrink" "minimal" "replay";
-  let hunt_failures = ref 0 in
-  let hunt_rows =
-    List.map
-      (fun sname ->
-        let strat = Option.get (Explore.Strategy.of_name sname) in
-        let o =
-          Explore.Explorer.explore ~budget:hunt_budget ~sustain ~seed ~strategy:strat
-            broken approach
-        in
-        let found, found_at, shrink_runs, min_choices, replay_ok, invariant =
-          match o.Explore.Explorer.ex_violation with
-          | None ->
-            incr hunt_failures;
-            (false, -1, 0, -1, false, "")
-          | Some (sc, v) -> (
-            match Explore.Explorer.minimize ~sustain broken approach sc with
-            | None ->
-              incr hunt_failures;
-              ( true,
-                sc.Explore.Schedule.sc_index,
-                0,
-                -1,
-                false,
-                Check.Monitor.invariant_name v.Check.Monitor.v_invariant )
-            | Some (ss, repro) ->
-              let ok = Scale.Repro.replay repro <> [] in
-              if not ok then incr hunt_failures;
-              ( true,
-                sc.Explore.Schedule.sc_index,
-                ss.Scale.Shrink.ss_runs,
-                List.length ss.Scale.Shrink.ss_sched.Scale.Runner.sched_choices,
-                ok,
-                Check.Monitor.invariant_name
-                  ss.Scale.Shrink.ss_invariant ))
-        in
-        Printf.printf "  %-8s %6d %8d %10.1f %8s %7d %7d %6s\n" sname
-          o.Explore.Explorer.ex_runs o.Explore.Explorer.ex_distinct (per_s o)
-          (if found then string_of_int found_at else "miss")
-          shrink_runs min_choices
-          (if replay_ok then "ok" else "FAIL");
-        Obs.Json.Obj
-          [ ("strategy", Obs.Json.String sname);
-            ("runs", Obs.Json.Int o.Explore.Explorer.ex_runs);
-            ("distinct_digests", Obs.Json.Int o.Explore.Explorer.ex_distinct);
-            ("schedules_per_s", Obs.Json.float (per_s o));
-            ("found", Obs.Json.Bool found);
-            ("found_at_run", Obs.Json.Int found_at);
-            ("invariant", Obs.Json.String invariant);
-            ("shrink_runs", Obs.Json.Int shrink_runs);
-            ("minimal_choices", Obs.Json.Int min_choices);
-            ("replay_ok", Obs.Json.Bool replay_ok) ])
-      Explore.Strategy.all_names
-  in
-  (* Clean sweep: the graft-enabled twin must survive a full PCT budget
-     under every approach.  Runs are independent, so fan the four
-     approaches across domains. *)
-  Printf.printf
-    "\n  clean sweep: %s, pct, budget %d/approach (%d domain(s))\n\n"
-    clean.Scale.Desc.d_name clean_budget (min !jobs_setting 4);
-  Printf.printf "  %-34s %6s %8s %10s %5s\n" "approach" "runs" "distinct"
-    "sched/s" "viol";
-  let clean_outcomes =
-    Parallel.map ~jobs:!jobs_setting
-      (fun a ->
-        Explore.Explorer.explore ~budget:clean_budget ~sustain ~seed
-          ~stop_on_violation:false
-          ~strategy:(Explore.Strategy.pct ())
-          clean a)
-      Approach.all
-  in
-  let clean_violations = ref 0 in
-  let clean_rows =
-    List.map
-      (fun (o : Explore.Explorer.outcome) ->
-        let viol = if Option.is_some o.Explore.Explorer.ex_violation then 1 else 0 in
-        clean_violations := !clean_violations + viol;
-        Printf.printf "  %-34s %6d %8d %10.1f %5d\n"
-          (Approach.name o.Explore.Explorer.ex_approach)
-          o.Explore.Explorer.ex_runs o.Explore.Explorer.ex_distinct (per_s o) viol;
-        (match o.Explore.Explorer.ex_violation with
-        | Some (sc, v) ->
-          Format.printf "    %s:@,    %a@."
-            (Explore.Schedule.summary sc) Check.Monitor.pp_violation v
-        | None -> ());
-        Obs.Json.Obj
-          [ ( "approach",
-              Obs.Json.String (Approach.name o.Explore.Explorer.ex_approach) );
-            ("runs", Obs.Json.Int o.Explore.Explorer.ex_runs);
-            ("distinct_digests", Obs.Json.Int o.Explore.Explorer.ex_distinct);
-            ("schedules_per_s", Obs.Json.float (per_s o));
-            ("violations", Obs.Json.Int viol) ])
-      clean_outcomes
-  in
-  let doc =
-    Obs.Json.Obj
-      [ ("schema", Obs.Json.String "mmcast-bench-explore/1");
-        ("seed", Obs.Json.Int seed);
-        ("sustain_s", Obs.Json.float sustain);
-        ("hunt_budget", Obs.Json.Int hunt_budget);
-        ("clean_budget", Obs.Json.Int clean_budget);
-        ("quick", Obs.Json.Bool !quick_setting);
-        ("broken_scenario", Obs.Json.String broken.Scale.Desc.d_name);
-        ("broken_digest", Obs.Json.String (Scale.Desc.digest broken));
-        ("clean_scenario", Obs.Json.String clean.Scale.Desc.d_name);
-        ("clean_digest", Obs.Json.String (Scale.Desc.digest clean));
-        ("hunt", Obs.Json.List hunt_rows);
-        ("clean", Obs.Json.List clean_rows);
-        ("manifest", Obs.Manifest.to_json (report_manifest ())) ]
-  in
-  let path = write_report ~kind:"explore" "BENCH_explore.json" doc in
-  Printf.printf "\n  JSON report written to %s\n" path;
-  if !hunt_failures > 0 then begin
-    Printf.eprintf
-      "explore: %d strategy hunt(s) failed to find/shrink/replay the seeded \
-       violation\n"
-      !hunt_failures;
-    exit 1
-  end;
-  if !clean_violations > 0 then begin
-    Printf.eprintf "explore: %d violation(s) on the clean twin\n" !clean_violations;
-    exit 1
-  end;
-  print_endline
-    "\nAll three strategies rediscovered the seeded graft-disabled violation and\n\
-     shrunk it to a replayable minimal schedule; the graft-enabled twin survived\n\
-     the full PCT budget under all four approaches."
 
 let sections =
   [ ("fig1", fig1);
@@ -1310,11 +1047,7 @@ let sections =
     ("extensions", extensions);
     ("churn", churn);
     ("faults", faults);
-    ("scale", scale);
-    ("soak", soak);
-    ("explore", explore_bench);
     ("micro", micro);
-    ("lineage", lineage_bench);
     ("perf", perf) ]
 
 (* Canonical Figure-1 capture (the README quickstart scenario): CBR
@@ -1330,7 +1063,7 @@ let write_quickstart_capture file =
   Traffic.at scenario 60.0 (fun () ->
       Host_stack.move_to (Scenario.host scenario "R3") (Scenario.link scenario "L6"));
   Scenario.run_until scenario 120.0;
-  ensure_dir (Filename.dirname file);
+  Obs.Json.ensure_dir (Filename.dirname file);
   Obs.Capture.to_file cap file;
   outputs := ("capture", file) :: !outputs;
   Printf.printf "  %d frame(s) (%d unencodable) -> %s\n" (Obs.Capture.frames cap)
@@ -1404,7 +1137,7 @@ let () =
   (* --telemetry DIR also gets a top-level manifest tying the artifacts
      of this invocation together. *)
   if !telemetry_dir <> "." || !capture_setting <> None then begin
-    ensure_dir !telemetry_dir;
+    Obs.Json.ensure_dir !telemetry_dir;
     let m = report_manifest () in
     Obs.Manifest.add_string m "sections" (String.concat " " chosen);
     List.iter (fun (kind, path) -> Obs.Manifest.add_output m ~kind path) (List.rev !outputs);

@@ -55,12 +55,6 @@ let capture_arg =
   let doc = "Write a pcapng capture of every transmitted frame to $(docv)." in
   Arg.(value & opt (some string) None & info [ "capture" ] ~docv:"FILE" ~doc)
 
-let rec ensure_dir dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    ensure_dir (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let sample_interval = 1.0 (* telemetry sampling period, simulated seconds *)
 
 let manifest_of_spec ~command spec =
@@ -80,12 +74,16 @@ let write_capture cap file =
   Obs.Capture.to_file cap file;
   Printf.printf "capture: %d frame(s) -> %s\n" (Obs.Capture.frames cap) file
 
+let tquery_too_small tquery =
+  tquery < Mld.Mld_config.default.Mld.Mld_config.query_response_interval
+
+let tquery_error =
+  `Error
+    (false, "TQuery must not be below TRespDel = 10 s (paper, section 4.4 footnote)")
+
 let spec_of ~approach ~seed ~no_unsolicited ~tquery =
   if approach < 1 || approach > 4 then `Error (false, "approach must be 1-4")
-  else if tquery < Mld.Mld_config.default.Mld.Mld_config.query_response_interval then
-    `Error
-      ( false,
-        "TQuery must not be below TRespDel = 10 s (paper, section 4.4 footnote)" )
+  else if tquery_too_small tquery then tquery_error
   else
     let mld =
       { (Mld.Mld_config.with_query_interval tquery Mld.Mld_config.default) with
@@ -137,7 +135,7 @@ let run_cmd approach seed no_unsolicited tquery moves duration rate bytes loss f
     let tele =
       Option.map
         (fun dir ->
-          ensure_dir dir;
+          Obs.Json.ensure_dir dir;
           let reg = Obs.Registry.create scenario.Scenario.sim in
           let t = Telemetry.attach reg scenario metrics in
           Obs.Registry.run_sampler reg ~every:sample_interval ~until:duration;
@@ -404,7 +402,7 @@ let compare_cmd seed no_unsolicited tquery jobs telemetry =
     let observe =
       Option.map
         (fun dir ->
-          ensure_dir dir;
+          Obs.Json.ensure_dir dir;
           compare_observer ~seed dir)
         telemetry
     in
@@ -463,11 +461,10 @@ let sweep_row_json (r : Experiments.sweep_row) =
       ("wasted_mean_bytes", Obs.Json.float r.Experiments.wasted_mean_bytes);
       ("mld_bytes_per_s", Obs.Json.float r.Experiments.mld_bytes_per_s) ]
 
-let sweep_cmd seed trials no_unsolicited tqueries jobs telemetry =
-  let values =
-    String.split_on_char ',' tqueries |> List.filter_map float_of_string_opt
-  in
-  if values = [] then `Error (false, "no valid TQuery values")
+let sweep_cmd seed trials no_unsolicited values jobs telemetry =
+  if values = [] then `Error (false, "no TQuery values")
+  else if List.exists tquery_too_small values then tquery_error
+  else if trials < 1 then `Error (false, "trials must be at least 1")
   else if jobs < 1 then `Error (false, "jobs must be at least 1")
   else begin
     let rows =
@@ -485,7 +482,7 @@ let sweep_cmd seed trials no_unsolicited tqueries jobs telemetry =
     (match telemetry with
      | None -> ()
      | Some dir ->
-       ensure_dir dir;
+       Obs.Json.ensure_dir dir;
        let path = Filename.concat dir "sweep.json" in
        Obs.Json.write_file ~pretty:true ~path
          (Obs.Json.Obj
@@ -515,7 +512,10 @@ let sweep_term =
   in
   let tqueries =
     let doc = "Comma-separated TQuery values (seconds)." in
-    Arg.(value & opt string "125,60,30,10" & info [ "tquery" ] ~docv:"LIST" ~doc)
+    Arg.(
+      value
+      & opt (list float) [ 125.0; 60.0; 30.0; 10.0 ]
+      & info [ "tquery" ] ~docv:"S,S,.." ~doc)
   in
   Term.(
     ret
@@ -563,41 +563,6 @@ let trace_term =
 
 (* ---- check ---- *)
 
-let broken_graft_demo ~seed =
-  (* A deliberately broken configuration: Grafts disabled.  Once R3's
-     branch is pruned it can never be restored, which the monitor must
-     catch (prune-graft and, eventually, black-hole). *)
-  let spec =
-    { Scenario.default_spec with
-      Scenario.seed;
-      mld = Mld.Mld_config.with_query_interval 15.0 Mld.Mld_config.default;
-      pim = { Pimdm.Pim_config.default with Pimdm.Pim_config.enable_graft = false }
-    }
-  in
-  let scenario = Scenario.paper_figure1 spec in
-  let monitor =
-    Check.Monitor.attach
-      ~config:{ Check.Monitor.default_config with Check.Monitor.sustain = Some 10.0 }
-      scenario
-  in
-  Traffic.at scenario 1.0 (fun () -> Scenario.subscribe_receivers scenario group);
-  ignore
-    (Traffic.cbr scenario (Scenario.host scenario "S") ~group ~from_t:5.0 ~until:115.0
-       ~interval:0.2 ~bytes:256);
-  (* R3 leaves, its branch is pruned, then it re-joins: the Graft that
-     should restore the branch is the one we disabled. *)
-  Traffic.at scenario 30.0 (fun () ->
-      Host_stack.unsubscribe (Scenario.host scenario "R3") group);
-  Traffic.at scenario 45.0 (fun () ->
-      Host_stack.subscribe (Scenario.host scenario "R3") group);
-  Scenario.run_until scenario 120.0;
-  Check.Monitor.detach monitor;
-  Format.printf "deliberately broken configuration (enable_graft = false):@.%a@."
-    Check.Monitor.pp_report monitor;
-  if Check.Monitor.violation_count monitor = 0 then
-    `Error (false, "monitor failed to catch the disabled-graft configuration")
-  else `Ok ()
-
 let print_violations rows =
   List.iter
     (fun row ->
@@ -640,9 +605,8 @@ let write_soak_repros rows ~dir =
         row.Scale.Suite.r_outcomes)
     rows
 
-let check_cmd approach seed schedules jobs disable_graft telemetry =
-  if disable_graft then broken_graft_demo ~seed
-  else if approach < 0 || approach > 4 then
+let check_cmd approach seed schedules jobs telemetry =
+  if approach < 0 || approach > 4 then
     `Error (false, "approach must be 1-4, or 0 for all four")
   else if schedules < 1 then `Error (false, "no runs selected")
   else begin
@@ -671,7 +635,7 @@ let check_cmd approach seed schedules jobs disable_graft telemetry =
     (match telemetry with
      | None -> ()
      | Some dir ->
-       ensure_dir dir;
+       Obs.Json.ensure_dir dir;
        let path = Filename.concat dir "soak.json" in
        Obs.Json.write_file ~pretty:true ~path (Scale.Suite.to_json rows);
        let m = Obs.Manifest.create ~tool:"mmcast_sim" () in
@@ -696,17 +660,8 @@ let check_term =
     let doc = "Randomized fault schedules per approach." in
     Arg.(value & opt int 3 & info [ "schedules" ] ~docv:"K" ~doc)
   in
-  let disable_graft =
-    let doc =
-      "Instead of the soak, run a deliberately broken configuration (PIM Grafts \
-       disabled) and show the monitor catching it."
-    in
-    Arg.(value & flag & info [ "disable-graft" ] ~doc)
-  in
   Term.(
-    ret
-      (const check_cmd $ approach $ seed_arg $ schedules $ jobs_arg $ disable_graft
-      $ telemetry_arg))
+    ret (const check_cmd $ approach $ seed_arg $ schedules $ jobs_arg $ telemetry_arg))
 
 (* ---- pcap ---- *)
 
@@ -910,9 +865,10 @@ let gen_cmd model routers hosts seed out =
   match Scale.Gen.model_of_name model with
   | None -> `Error (false, Printf.sprintf "unknown model %S (waxman or pref)" model)
   | Some model ->
-    if routers < 2 then `Error (false, "need at least two routers")
-    else begin
-      let d = Scale.Gen.scenario ~model ?hosts ~routers ~seed () in
+    (* The generator names the router or host count it rejects. *)
+    match Scale.Gen.scenario ~model ?hosts ~routers ~seed () with
+    | exception Invalid_argument msg -> `Error (false, msg)
+    | d ->
       Printf.printf "%s: %s, duration %.1f s, digest %s\n" d.Scale.Desc.d_name
         (Scale.Desc.size_summary d) d.Scale.Desc.d_duration (Scale.Desc.digest d);
       (match Scale.Desc.validate d with
@@ -923,11 +879,10 @@ let gen_cmd model routers hosts seed out =
       (match out with
        | None -> ()
        | Some path ->
-         ensure_dir (Filename.dirname path);
+         Obs.Json.ensure_dir (Filename.dirname path);
          Obs.Json.write_file ~pretty:true ~path (Scale.Desc.to_json d);
          Printf.printf "descriptor -> %s\n" path);
       `Ok ()
-    end
 
 let gen_term =
   let model =
@@ -998,6 +953,7 @@ let scale_cmd quick sizes models seeds seed jobs telemetry =
   if models = [] then `Error (false, "models must name waxman and/or pref")
   else if List.exists (fun s -> s < 2) sizes then
     `Error (false, "every size needs at least two routers")
+  else if seeds < 1 then `Error (false, "seeds must be at least 1")
   else begin
     let cells = Scale.Suite.cells ~sizes ~models ~seeds ~base_seed:seed () in
     Printf.printf
@@ -1010,7 +966,7 @@ let scale_cmd quick sizes models seeds seed jobs telemetry =
     (match telemetry with
      | None -> ()
      | Some dir ->
-       ensure_dir dir;
+       Obs.Json.ensure_dir dir;
        let path = Filename.concat dir "scale.json" in
        Obs.Json.write_file ~pretty:true ~path (Scale.Suite.to_json rows);
        let m = Obs.Manifest.create ~tool:"mmcast_sim" () in
@@ -1136,7 +1092,6 @@ let explore_cmd strategy budget seed approach routers clean desc_file sustain
           match telemetry with
           | None -> ()
           | Some dir ->
-            ensure_dir dir;
             let progress_path = Explore.Explorer.write_progress outcome ~dir in
             Obs.Manifest.add_output manifest ~kind:"explore-progress" progress_path;
             Printf.printf "exploration progress -> %s\n" progress_path;

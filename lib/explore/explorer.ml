@@ -147,10 +147,7 @@ let progress_to_json o =
              o.ex_progress) ) ]
 
 let write_progress o ~dir =
-  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+  Json.ensure_dir dir;
   let path = Filename.concat dir "explore_progress.json" in
-  let oc = open_out path in
-  output_string oc (Json.to_string ~pretty:true (progress_to_json o));
-  output_char oc '\n';
-  close_out oc;
+  Json.write_file ~pretty:true ~path (progress_to_json o);
   path

@@ -72,4 +72,4 @@ val progress_to_json : outcome -> Obs.Json.t
 
 val write_progress : outcome -> dir:string -> string
 (** Write {!progress_to_json} to [<dir>/explore_progress.json]
-    (creating [dir] if needed); returns the path. *)
+    (creating [dir] and any missing parents); returns the path. *)

@@ -118,6 +118,12 @@ let write_file ?pretty ~path v =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> to_channel ?pretty oc v)
 
+let rec ensure_dir dir =
+  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
+    ensure_dir (Filename.dirname dir);
+    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+  end
+
 (* ---- parser ---- *)
 
 exception Parse_error of string

@@ -40,6 +40,10 @@ val to_channel : ?pretty:bool -> out_channel -> t -> unit
 
 val write_file : ?pretty:bool -> path:string -> t -> unit
 
+val ensure_dir : string -> unit
+(** Create a directory and any missing parents; a directory that
+    already exists (or appears concurrently) is not an error. *)
+
 (** {2 Reading} *)
 
 val of_string : string -> (t, string) result

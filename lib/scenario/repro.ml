@@ -133,15 +133,10 @@ let of_json j =
       { rp_desc; rp_approach; rp_invariant; rp_sustain; rp_sched; rp_detail; rp_trace;
         rp_chain }
 
-let ensure_dir dir = if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
-
 let write t ~dir =
-  ensure_dir dir;
+  Json.ensure_dir dir;
   let path = Filename.concat dir (Printf.sprintf "repro_%s.json" t.rp_desc.Desc.d_name) in
-  let oc = open_out path in
-  output_string oc (Json.to_string ~pretty:true (to_json t));
-  output_char oc '\n';
-  close_out oc;
+  Json.write_file ~pretty:true ~path (to_json t);
   let manifest = Obs.Manifest.create ~tool:"mmcast-repro" () in
   Obs.Manifest.add_string manifest "scenario" t.rp_desc.Desc.d_name;
   Obs.Manifest.add_string manifest "scenario_digest" (Desc.digest t.rp_desc);

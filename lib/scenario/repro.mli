@@ -47,7 +47,7 @@ val of_json : Obs.Json.t -> (t, string) result
 
 val write : t -> dir:string -> string
 (** Writes [<dir>/repro_<name>.json] and a manifest beside it; creates
-    [dir] if needed; returns the bundle path. *)
+    [dir] and any missing parents; returns the bundle path. *)
 
 val load : string -> (t, string) result
 

@@ -491,7 +491,34 @@ let repro_tests =
           [ [ (-1, 2) ]; [ (0, 0) ]; [ (3, 1); (2, 1) ]; [ (3, 1); (3, 2) ] ];
         match Scale.Repro.of_json (with_choices [ (5, 1); (40, 2) ]) with
         | Ok _ -> ()
-        | Error e -> Alcotest.fail e)
+        | Error e -> Alcotest.fail e);
+    Alcotest.test_case "bundles and progress land in a missing nested directory"
+      `Quick (fun () ->
+        let root =
+          Filename.concat (Filename.get_temp_dir_name ())
+            (Printf.sprintf "mmcast_nested_%d" (Unix.getpid ()))
+        in
+        let dir = Filename.concat (Filename.concat root "a") "b" in
+        let repro =
+          match Result.bind (Json.of_string pinned_bundle) Scale.Repro.of_json with
+          | Ok r -> r
+          | Error e -> Alcotest.fail e
+        in
+        let o =
+          Explorer.explore ~budget:2 ~sustain ~strategy:(Strategy.walk ()) clean a1
+        in
+        let written =
+          [ Scale.Repro.write repro ~dir; Explorer.write_progress o ~dir ]
+        in
+        List.iter
+          (fun path ->
+            Alcotest.(check bool) (path ^ " parses") true
+              (Result.is_ok (Json.of_file path)))
+          written;
+        (* Writing again into the now-existing directory is fine too. *)
+        ignore (Explorer.write_progress o ~dir);
+        Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+        List.iter Sys.rmdir [ dir; Filename.dirname dir; root ])
   ]
 
 let () =
