@@ -11,6 +11,30 @@ open Mmcast
 
 let group = Scenario.group
 
+(* ---- exit status ---- *)
+
+(* Besides cmdliner's codes (0 success, 124 a bad command line, 125 an
+   internal error), a run whose verdict is a failure exits 1: that is
+   the run's result, which a script must be able to tell from a usage
+   error. *)
+let exit_failed = 1
+
+let exits =
+  Cmd.Exit.info exit_failed
+    ~doc:
+      "on a failed verdict: an invariant violation, a seeded violation that was \
+       not found or did not replay, or input data that does not load."
+  :: Cmd.Exit.defaults
+
+let fail_run command msg =
+  Format.print_flush ();
+  flush stdout;
+  Printf.eprintf "mmcast_sim %s: %s\n" command msg;
+  exit exit_failed
+
+let positive_finite x = Float.is_finite x && x > 0.0
+let non_negative_finite x = Float.is_finite x && x >= 0.0
+
 (* ---- shared options ---- *)
 
 let approach_arg =
@@ -115,7 +139,17 @@ let run_cmd approach seed no_unsolicited tquery moves duration rate bytes loss f
     telemetry capture =
   match spec_of ~approach ~seed ~no_unsolicited ~tquery with
   | `Error _ as e -> e
-  | `Ok _ when loss < 0.0 || loss > 1.0 -> `Error (false, "loss must be within [0,1]")
+  | `Ok _ when not (positive_finite duration) ->
+    `Error (false, "duration must be a positive number of seconds")
+  | `Ok _ when not (positive_finite rate) ->
+    `Error (false, "rate must be a positive number of datagrams per second")
+  | `Ok _ when bytes < Ipv6.Codec.data_min_bytes ->
+    `Error
+      ( false,
+        Printf.sprintf "bytes must be at least %d (the datagram's stream/seq header)"
+          Ipv6.Codec.data_min_bytes )
+  | `Ok _ when not (loss >= 0.0 && loss <= 1.0) ->
+    `Error (false, "loss must be within [0,1]")
   | `Ok _ when List.exists (fun f -> Result.is_error (parse_flap f)) flaps ->
     `Error (false, "flap must be LINK:DOWN:UP, e.g. L3:80:100")
   | `Ok spec ->
@@ -295,6 +329,8 @@ let run_term =
 let tree_cmd approach seed no_unsolicited tquery at =
   match spec_of ~approach ~seed ~no_unsolicited ~tquery with
   | `Error _ as e -> e
+  | `Ok _ when not (non_negative_finite at) ->
+    `Error (false, "at must be a non-negative number of seconds")
   | `Ok spec ->
     let scenario = Scenario.paper_figure1 spec in
     Traffic.at scenario 5.0 (fun () -> Scenario.subscribe_receivers scenario group);
@@ -648,7 +684,7 @@ let check_cmd approach seed schedules jobs telemetry =
        Obs.Manifest.write m ~path:(Filename.concat dir "manifest.json");
        Printf.printf "soak telemetry -> %s\n" path;
        write_soak_repros rows ~dir);
-    if total > 0 then `Error (false, "invariant violations detected") else `Ok ()
+    if total > 0 then fail_run "check" "invariant violations detected" else `Ok ()
   end
 
 let check_term =
@@ -782,10 +818,8 @@ let lineage_cmd dir receiver from_s to_s =
   in
   match Obs.Lineage.load path with
   | Error e ->
-    (* A document that does not load is bad data, not bad usage: exit 1
-       rather than cmdliner's command-line error status. *)
-    Printf.eprintf "mmcast_sim lineage: %s: %s\n" path e;
-    exit 1
+    (* A document that does not load is bad data, not bad usage. *)
+    fail_run "lineage" (Printf.sprintf "%s: %s" path e)
   | Ok l ->
     let node = if receiver = "any" then "" else receiver in
     Printf.printf "%s: %d span(s), %d mark(s)%s\n" path (Obs.Lineage.span_count l)
@@ -916,7 +950,7 @@ let shrink_demo ~seed ~telemetry =
     (Scale.Desc.size_summary broken);
   let approach = Approach.local_membership in
   match Scale.Shrink.minimize ~sustain:shrink_sustain broken approach with
-  | None -> `Error (false, "broken variant did not violate any invariant")
+  | None -> fail_run "scale" "broken variant did not violate any invariant"
   | Some r ->
     Printf.printf "  %s violated; minimized to %s in %d oracle run(s)\n"
       (Check.Monitor.invariant_name r.Scale.Shrink.sh_invariant)
@@ -930,11 +964,8 @@ let shrink_demo ~seed ~telemetry =
        let path = Scale.Repro.write repro ~dir in
        Printf.printf "  minimal repro -> %s\n" path);
     if Scale.Repro.replay repro = [] then
-      `Error (false, "minimal reproduction no longer replays its violation")
-    else begin
-      Printf.printf "  replay of the minimum reproduces the violation\n";
-      `Ok ()
-    end
+      fail_run "scale" "minimal reproduction no longer replays its violation"
+    else Printf.printf "  replay of the minimum reproduces the violation\n"
 
 let scale_cmd quick sizes models seeds seed jobs telemetry =
   let sizes =
@@ -983,11 +1014,9 @@ let scale_cmd quick sizes models seeds seed jobs telemetry =
        Printf.printf "scale telemetry -> %s\n" path);
     Printf.printf "\n%d scenario(s), %d violation(s) across the matrix\n"
       (List.length rows) total;
-    match shrink_demo ~seed ~telemetry with
-    | `Error _ as e -> e
-    | `Ok () ->
-      if total > 0 then `Error (false, "invariant violations in the scale matrix")
-      else `Ok ()
+    shrink_demo ~seed ~telemetry;
+    if total > 0 then fail_run "scale" "invariant violations in the scale matrix"
+    else `Ok ()
   end
 
 let scale_term =
@@ -1019,6 +1048,10 @@ let explore_cmd strategy budget seed approach routers clean desc_file sustain
   if approach < 1 || approach > 4 then `Error (false, "approach must be 1-4")
   else if budget < 1 then `Error (false, "budget must be at least 1")
   else if delay_slots < 1 then `Error (false, "delay-slots must be at least 1")
+  else if not (non_negative_finite delay_max) then
+    `Error (false, "delay-max must be a non-negative number of seconds")
+  else if not (positive_finite sustain) then
+    `Error (false, "sustain must be a positive number of seconds")
   else
     match Explore.Strategy.of_name strategy with
     | None ->
@@ -1108,12 +1141,11 @@ let explore_cmd strategy budget seed approach routers clean desc_file sustain
         | None ->
           write_artifacts None;
           if expect_violation then
-            `Error
-              ( false,
-                Printf.sprintf
-                  "the seeded graft-disabled violation was not found within %d \
-                   schedule(s)"
-                  budget )
+            fail_run "explore"
+              (Printf.sprintf
+                 "the seeded graft-disabled violation was not found within %d \
+                  schedule(s)"
+                 budget)
           else begin
             Printf.printf
               "no invariant violation under any explored interleaving\n";
@@ -1128,7 +1160,7 @@ let explore_cmd strategy budget seed approach routers clean desc_file sustain
           with
           | None ->
             write_artifacts None;
-            `Error (false, "violating schedule did not reproduce under shrinking")
+            fail_run "explore" "violating schedule did not reproduce under shrinking"
           | Some (ss, repro) ->
             let n_choices =
               List.length
@@ -1141,11 +1173,11 @@ let explore_cmd strategy budget seed approach routers clean desc_file sustain
               (Check.Monitor.invariant_name ss.Scale.Shrink.ss_invariant);
             write_artifacts (Some repro);
             if Scale.Repro.replay repro = [] then
-              `Error (false, "repro bundle no longer replays its violation")
+              fail_run "explore" "repro bundle no longer replays its violation"
             else begin
               Printf.printf "repro bundle replays the violation deterministically\n";
               if expect_violation then `Ok ()
-              else `Error (false, "invariant violation found by exploration")
+              else fail_run "explore" "invariant violation found by exploration"
             end)))
 
 let explore_term =
@@ -1164,7 +1196,7 @@ let explore_term =
   let clean =
     let doc =
       "Explore the graft-enabled twin of the broken variant instead: every \
-       interleaving must pass (exit nonzero if any violates)."
+       interleaving must pass (exit 1 if any violates)."
     in
     Arg.(value & flag & info [ "clean" ] ~doc)
   in
@@ -1193,48 +1225,49 @@ let explore_term =
 
 let cmds =
   [ Cmd.v
-      (Cmd.info "run" ~doc:"Run a mobile-receiver scenario and print delivery metrics")
+      (Cmd.info "run" ~exits
+         ~doc:"Run a mobile-receiver scenario and print delivery metrics")
       run_term;
-    Cmd.v (Cmd.info "tree" ~doc:"Print the multicast distribution tree") tree_term;
+    Cmd.v (Cmd.info "tree" ~exits ~doc:"Print the multicast distribution tree") tree_term;
     Cmd.v
-      (Cmd.info "compare" ~doc:"Quantitative Table 1: all four approaches")
+      (Cmd.info "compare" ~exits ~doc:"Quantitative Table 1: all four approaches")
       compare_term;
-    Cmd.v (Cmd.info "sweep" ~doc:"Section 4.4 MLD timer sweep") sweep_term;
-    Cmd.v (Cmd.info "trace" ~doc:"Dump the protocol event trace") trace_term;
+    Cmd.v (Cmd.info "sweep" ~exits ~doc:"Section 4.4 MLD timer sweep") sweep_term;
+    Cmd.v (Cmd.info "trace" ~exits ~doc:"Dump the protocol event trace") trace_term;
     Cmd.v
-      (Cmd.info "check"
+      (Cmd.info "check" ~exits
          ~doc:
            "Soak the protocol stack under the runtime invariant monitor and \
             randomized recoverable faults")
       check_term;
     Cmd.v
-      (Cmd.info "pcap"
+      (Cmd.info "pcap" ~exits
          ~doc:
            "Validate and summarize a pcapng capture: every frame must re-decode \
             through the wire codec")
       pcap_term;
     Cmd.v
-      (Cmd.info "lineage"
+      (Cmd.info "lineage" ~exits
          ~doc:
            "Reconstruct causal packet chains from a recorded lineage: how a \
             packet reached a receiver (inject, encap, tunnel, decap, fan-out) \
             and why the last drop happened")
       lineage_term;
     Cmd.v
-      (Cmd.info "gen"
+      (Cmd.info "gen" ~exits
          ~doc:
            "Procedurally generate a seed-deterministic scale scenario and print or \
             save its descriptor")
       gen_term;
     Cmd.v
-      (Cmd.info "scale"
+      (Cmd.info "scale" ~exits
          ~doc:
            "Run a matrix of generated scenarios under all four approaches with the \
             invariant monitor, then shrink a seeded broken variant to a minimal \
             replayable reproduction")
       scale_term;
     Cmd.v
-      (Cmd.info "explore"
+      (Cmd.info "explore" ~exits
          ~doc:
            "Systematically explore event interleavings (bounded DFS, PCT-style \
             priorities, or a seeded random walk) under the invariant monitor, \
@@ -1243,7 +1276,7 @@ let cmds =
 
 let () =
   let info =
-    Cmd.info "mmcast_sim" ~version:"1.0.0"
+    Cmd.info "mmcast_sim" ~exits ~version:"1.0.0"
       ~doc:"Mobile IPv6 + PIM-DM multicast interoperation simulator"
   in
   exit (Cmd.eval (Cmd.group info cmds))

@@ -34,6 +34,14 @@ type rx_stats = {
   mutable first_after_attach : Engine.Time.t option;
 }
 
+(* Stream ids and sequence numbers: hashed without a C call. *)
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash i = i land max_int
+end)
+
 type t = {
   net : Network.t;
   node : Node_id.t;
@@ -54,7 +62,7 @@ type t = {
   mutable on_data : (group:Addr.t -> Packet.t -> unit) option;
   mutable data_observers : (group:Addr.t -> Packet.t -> unit) list;
   rx : (Addr.t, rx_stats) Hashtbl.t;
-  seen : (int * int, unit) Hashtbl.t;
+  seen : unit Int_tbl.t Int_tbl.t;  (* stream id -> seqs delivered *)
   mutable attached_at : Engine.Time.t;
   mutable seq : int;
   mutable sent : int;
@@ -243,13 +251,22 @@ let rx_stats t group =
     Hashtbl.replace t.rx group s;
     s
 
+let seen_of_stream t stream_id =
+  match Int_tbl.find t.seen stream_id with
+  | seen -> seen
+  | exception Not_found ->
+    let seen = Int_tbl.create 64 in
+    Int_tbl.replace t.seen stream_id seen;
+    seen
+
 let deliver_app t ~group packet =
   match packet.Packet.payload with
   | Packet.Data { stream_id; seq; _ } ->
     let s = rx_stats t group in
-    if Hashtbl.mem t.seen (stream_id, seq) then s.dups <- s.dups + 1
+    let seen = seen_of_stream t stream_id in
+    if Int_tbl.mem seen seq then s.dups <- s.dups + 1
     else begin
-      Hashtbl.replace t.seen (stream_id, seq) ();
+      Int_tbl.replace seen seq ();
       s.count <- s.count + 1;
       let first = s.first_after_attach = None in
       if first then s.first_after_attach <- Some (Engine.Sim.now (sim t));
@@ -556,7 +573,7 @@ let create ?home_agent net node ~home_link cfg =
     on_data = None;
     data_observers = [];
     rx = Hashtbl.create 4;
-    seen = Hashtbl.create 64;
+    seen = Int_tbl.create 4;
     attached_at = Engine.Time.zero;
     seq = 0;
     sent = 0;

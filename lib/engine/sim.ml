@@ -1,4 +1,4 @@
-type handle = Wheel.handle
+type handle = (unit -> unit) Wheel.handle
 
 type category_profile = { cat_events : int; cat_seconds : float }
 
@@ -88,17 +88,24 @@ let instrument t category f =
             Hashtbl.replace p.cells category { p_events = 1; p_seconds = dt })
         f
 
-let schedule_at ?(category = "other") t time f =
+let check_future t fn time =
   if Time.compare time t.clock < 0 then
     invalid_arg
-      (Printf.sprintf "Sim.schedule_at: %g is in the past (now %g)"
-         (Time.seconds time) (Time.seconds t.clock));
+      (Printf.sprintf "Sim.%s: %g is in the past (now %g)" fn (Time.seconds time)
+         (Time.seconds t.clock))
+
+let schedule_at ?(category = "other") t time f =
+  check_future t "schedule_at" time;
   Wheel.push t.queue time (instrument t category f)
 
 let schedule_after ?category t delay f =
   schedule_at ?category t (Time.add t.clock delay) f
 
 let cancel t handle = Wheel.cancel t.queue handle
+
+let postpone ?(category = "other") t handle time f =
+  check_future t "postpone" time;
+  Wheel.postpone t.queue handle time (instrument t category f)
 
 let pending t = Wheel.size t.queue
 

@@ -30,6 +30,17 @@ val schedule_after : ?category:string -> t -> Time.t -> (unit -> unit) -> handle
 
 val cancel : t -> handle -> unit
 
+val postpone : ?category:string -> t -> handle -> Time.t -> (unit -> unit) -> handle
+(** [postpone sim h t f] re-schedules the pending callback [h] to run
+    [f] at [t]; the result is the handle to keep.  Observably it is
+    [cancel sim h] followed by [schedule_at sim t f] — same firing
+    order, same event count, same profiling — but when [t] is strictly
+    later than [h]'s deadline the event moves in place ({!Wheel.postpone})
+    and [h] itself comes back, so a timer refreshed by every packet
+    leaves no dead event behind.
+    @raise Invalid_argument if [t] is in the past or [h] is no longer
+    pending. *)
+
 val pending : t -> int
 (** Number of live scheduled callbacks. *)
 

@@ -3,47 +3,54 @@ type t = {
   name : string;
   category : string;
   on_expire : unit -> unit;
-  mutable armed : (Sim.handle * Time.t) option;
-  mutable generation : int;
+  mutable armed : Sim.handle option;
+  mutable expiry : Time.t;  (* meaningful only while [armed] *)
+  fire : unit -> unit;
+      (* one callback for the timer's whole life: cancellation is
+         exact, so it only ever runs for the armed event *)
 }
 
 let create ?(category = "timer") sim ~name ~on_expire =
-  { sim; name; category; on_expire; armed = None; generation = 0 }
+  let rec t =
+    { sim;
+      name;
+      category;
+      on_expire;
+      armed = None;
+      expiry = Time.zero;
+      fire =
+        (fun () ->
+          t.armed <- None;
+          t.on_expire ()) }
+  in
+  t
 
 let stop t =
   match t.armed with
   | None -> ()
-  | Some (handle, _) ->
+  | Some handle ->
     Sim.cancel t.sim handle;
-    t.armed <- None;
-    t.generation <- t.generation + 1
+    t.armed <- None
 
 let start t duration =
-  stop t;
-  let generation = t.generation in
   let expiry = Time.add (Sim.now t.sim) duration in
-  let fire () =
-    (* The generation guard makes a stale callback harmless even if the
-       underlying event somehow survives a cancel. *)
-    if t.generation = generation then begin
-      t.armed <- None;
-      t.generation <- t.generation + 1;
-      t.on_expire ()
-    end
-  in
-  let handle = Sim.schedule_at ~category:t.category t.sim expiry fire in
-  t.armed <- Some (handle, expiry)
+  (match t.armed with
+   | None -> t.armed <- Some (Sim.schedule_at ~category:t.category t.sim expiry t.fire)
+   | Some handle ->
+     let moved = Sim.postpone ~category:t.category t.sim handle expiry t.fire in
+     if moved != handle then t.armed <- Some moved);
+  t.expiry <- expiry
 
 let is_armed t = t.armed <> None
 
 let expiry t =
   match t.armed with
   | None -> None
-  | Some (_, e) -> Some e
+  | Some _ -> Some t.expiry
 
 let remaining t =
   match t.armed with
   | None -> None
-  | Some (_, e) -> Some (Time.sub e (Sim.now t.sim))
+  | Some _ -> Some (Time.sub t.expiry (Sim.now t.sim))
 
 let name t = t.name

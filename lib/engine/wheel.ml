@@ -30,19 +30,43 @@
    an earlier minimum than the entry being popped — which is also why a
    slot index aliased from an older window can never hide a live entry:
    such leftovers are provably cancelled and are dropped on the next
-   prune or cascade of that slot. *)
+   prune or cascade of that slot.
 
-type status = Live | Cancelled | Fired
+   [postpone] moves a pending event to a strictly later deadline in
+   place: the entry is stamped with its new key — the new deadline and
+   the next global seq, exactly what cancel + push would give it — but
+   stays physically where it is, under its old key (a cascade moves it
+   down under that key too), until it reaches a slot head; only then
+   does [prune] re-place it under the new key.  Its old key is earlier than its new one, so it
+   surfaces before anything it could now precede: the scan meets it at
+   a slot head before passing any later slot, and re-places it there.
+   Hence the argument above extends unchanged — a skipped slot holds no
+   postponed entry either, because the scan that moved past it met every
+   entry it held — and pops still come out in strictly increasing
+   (time, seq) order, identical to cancel + push, with no extra event
+   ever dispatched. *)
 
-type handle = { mutable status : status }
-
+(* An entry is also its own handle.  [time]/[q]/[seq] are the key it
+   is physically placed under; [due]/[key] are the key it will pop at.
+   The two agree until [postpone] moves the event later, and [key]
+   doubles as the status: [>= 0] pending, [-1] cancelled, [-2] fired.
+   So [e.key = e.seq] is exactly "pending and not moved". *)
 type 'a entry = {
-  time : Time.t;
-  q : int;  (* quantized deadline: [time * 1024] truncated *)
-  seq : int;  (* global push order; the tie-break everywhere *)
-  payload : 'a;
-  cell : handle;
+  mutable time : Time.t;
+  mutable q : int;  (* quantized deadline: [time * 1024] truncated *)
+  mutable seq : int;  (* global push order; the tie-break everywhere *)
+  mutable payload : 'a;
+  mutable due : Time.t;  (* shares [time]'s box until postponed *)
+  mutable key : int;
 }
+
+type 'a handle = 'a entry
+
+let cancelled = -1
+let fired = -2
+
+let pending e = e.key >= 0
+let settled e = e.key = e.seq
 
 (* A slot: small binary min-heap on (time, seq).  [arr] is [||] while
    empty so a drained slot retains no payloads. *)
@@ -79,7 +103,8 @@ type 'a t = {
   (* Memoized front of the queue: the live entry the next pop will
      return, and which level holds it (3 = overflow).  Set by a scan or
      by a push that beats the cached entry; cleared by pop.  Cancelling
-     the cached entry leaves it stale — validity is its Live status. *)
+     or postponing the cached entry leaves it stale — it is valid only
+     while [settled]. *)
   mutable front : 'a entry option;
   mutable front_level : int;
 }
@@ -224,8 +249,7 @@ let push t time payload =
   let q = quantum time in
   if q < t.b0 lsl bits0 then
     invalid_arg "Wheel.push: time precedes the last popped event";
-  let cell = { status = Live } in
-  let e = { time; q; seq = t.seq; payload; cell } in
+  let e = { time; q; seq = t.seq; payload; due = time; key = t.seq } in
   t.seq <- t.seq + 1;
   t.live <- t.live + 1;
   let level = place t e in
@@ -233,28 +257,44 @@ let push t time payload =
      or stale cache stays as-is: claiming [e] is the minimum without a
      scan would be wrong. *)
   (match t.front with
-   | Some f when f.cell.status = Live ->
+   | Some f when settled f ->
      if entry_before e f then begin
        t.front <- Some e;
        t.front_level <- level
      end
    | Some _ | None -> ());
-  cell
+  e
 
-let cancel t handle =
-  if handle.status = Live then begin
-    handle.status <- Cancelled;
+let cancel t e =
+  if pending e then begin
+    e.key <- cancelled;
     t.live <- t.live - 1
   end
 
-let is_cancelled _t handle = handle.status = Cancelled
+let is_cancelled _t e = e.key = cancelled
+
+let postpone t e time payload =
+  if not (pending e) then invalid_arg "Wheel.postpone: event is not pending";
+  if Time.compare time e.due > 0 then begin
+    e.due <- time;
+    e.key <- t.seq;
+    t.seq <- t.seq + 1;
+    e.payload <- payload;
+    e
+  end
+  else begin
+    cancel t e;
+    push t time payload
+  end
+
 
 (* ---- cascading ---- *)
 
 (* Move every entry of an L1/L2 slot one level down (after the windows
    advanced), dropping cancelled entries — including aliased leftovers
    from older windows, which the header argument shows are always
-   cancelled. *)
+   cancelled.  A postponed entry moves down under its old key like any
+   other; [prune] re-places it when it reaches its slot's head. *)
 let cascade t s ~level =
   let n = s.len in
   if n > 0 then begin
@@ -266,7 +306,7 @@ let cascade t s ~level =
     s.len <- 0;
     for i = 0 to n - 1 do
       let e = arr.(i) in
-      if e.cell.status = Live then ignore (place t e)
+      if pending e then ignore (place t e)
     done
   end
 
@@ -294,20 +334,26 @@ let advance_to t q =
 
 (* ---- the front of the queue ---- *)
 
-let prune t s ~level =
-  while
-    s.len > 0
-    &&
-    match s.arr.(0).cell.status with
-    | Cancelled -> true
-    | Live | Fired -> false
-  do
-    ignore (slot_pop s);
-    match level with
-    | 0 -> t.c0 <- t.c0 - 1
-    | 1 -> t.c1 <- t.c1 - 1
-    | _ -> t.c2 <- t.c2 - 1
-  done
+(* Drop cancelled slot heads and re-place postponed ones under their
+   new key (possibly back into this very slot) until the head is a
+   settled entry or the slot is empty. *)
+let rec prune t s ~level =
+  if s.len > 0 && not (settled s.arr.(0)) then begin
+    let e = slot_pop s in
+    (match level with
+     | 0 -> t.c0 <- t.c0 - 1
+     | 1 -> t.c1 <- t.c1 - 1
+     | 2 -> t.c2 <- t.c2 - 1
+     | _ -> ());
+    if pending e then begin
+      (* Postponed: its new key becomes its placed key. *)
+      e.time <- e.due;
+      e.q <- quantum e.due;
+      e.seq <- e.key;
+      ignore (place t e)
+    end;
+    prune t s ~level
+  end
 
 let rec scan_l0 t q w_end =
   if q >= w_end then begin
@@ -380,30 +426,21 @@ let wheel_min t =
       | Some e -> Some (e, 2)
       | None -> None))
 
-let prune_overflow t =
-  let s = t.overflow in
-  while
-    s.len > 0
-    &&
-    match s.arr.(0).cell.status with
-    | Cancelled -> true
-    | Live | Fired -> false
-  do
-    ignore (slot_pop s)
-  done
-
 (* Make [t.front] the global minimum: the earlier of the wheel scan
    and the overflow root, compared on (time, seq) — the overflow can
    hold quanta that meanwhile fell inside the windows.  A valid cache
-   (set by the previous scan or by a push that beat it, and still Live)
-   is reused as-is, which makes the peek-then-pop cycle cost one scan
-   and no allocation beyond the cached option. *)
+   (set by the previous scan or by a push that beat it, and still
+   settled) is reused as-is, which makes the peek-then-pop cycle cost
+   one scan and no allocation beyond the cached option.  The overflow
+   is pruned first: a postponed root it re-places may land in the
+   wheel, which the scan then sees; what the scan re-places into the
+   overflow is settled, so the root read afterwards needs no prune. *)
 let refresh_front t =
   match t.front with
-  | Some e when e.cell.status = Live -> ()
+  | Some e when settled e -> ()
   | Some _ | None -> (
+    prune t t.overflow ~level:3;
     let w = wheel_min t in
-    prune_overflow t;
     let o = if t.overflow.len > 0 then Some t.overflow.arr.(0) else None in
     match (w, o) with
     | None, None -> t.front <- None
@@ -450,7 +487,7 @@ let pop t =
        ignore (slot_pop t.overflow);
        (* Advance anyway so subsequent pushes place near the new now. *)
        advance_to t e.q);
-    e.cell.status <- Fired;
+    e.key <- fired;
     t.live <- t.live - 1;
     t.front <- None;
     Some (e.time, e.payload)
@@ -469,7 +506,8 @@ let is_empty t = t.live = 0
    minimum, and [advance_to] cascades exactly the slots a new window
    uncovers — so live entries never linger at a stale level above the
    one this function reports (the header argument: skipped slots hold
-   only cancelled entries). *)
+   only cancelled entries; postponed ones are re-placed before a scan
+   moves past them). *)
 let slot_of_quantum t q =
   if q lsr bits0 = t.b0 then Some (t.l0.(q land ((1 lsl bits0) - 1)), 0)
   else if q lsr (bits0 + bits1) = t.b1 then
@@ -481,12 +519,14 @@ let slot_of_quantum t q =
 (* Apply [f entry slot level heap_index] to every live entry whose
    timestamp equals the front entry's.  Candidates live in the front
    quantum's placement slot and (rarely) the overflow heap: equal times
-   share a quantum, so nothing else can hold one. *)
+   share a quantum, so nothing else can hold one.  A postponed entry
+   still placed at the front's time is skipped: its new deadline is
+   strictly later, so it is no tie. *)
 let iter_front_ties t front f =
   let scan s level =
     for i = 0 to s.len - 1 do
       let x = s.arr.(i) in
-      if x.cell.status = Live && Time.compare x.time front.time = 0 then
+      if settled x && Time.compare x.time front.time = 0 then
         f x s level i
     done
   in
@@ -529,7 +569,7 @@ let pop_kth t k =
        | 1 -> t.c1 <- t.c1 - 1
        | 2 -> t.c2 <- t.c2 - 1
        | _ -> ());
-      x.cell.status <- Fired;
+      x.key <- fired;
       t.live <- t.live - 1;
       t.front <- None;
       (* Advance after removal, matching [pop]'s floor semantics: the

@@ -18,21 +18,42 @@
 
 type 'a t
 
-type handle
-(** Identifies a scheduled event so it can be cancelled.  Handles are
-    physical: a handle cancels exactly the event whose [push] returned
-    it. *)
+type 'a handle
+(** Identifies a scheduled event so it can be cancelled or postponed.
+    Handles are physical: a handle cancels exactly the event whose
+    [push] returned it. *)
 
 val create : unit -> 'a t
 
-val push : 'a t -> Time.t -> 'a -> handle
+val push : 'a t -> Time.t -> 'a -> 'a handle
 (** @raise Invalid_argument if [time] precedes the time of the most
     recently popped event. *)
 
-val cancel : 'a t -> handle -> unit
+val cancel : 'a t -> 'a handle -> unit
 (** Cancelling an already-fired or already-cancelled event is a no-op. *)
 
-val is_cancelled : 'a t -> handle -> bool
+val is_cancelled : 'a t -> 'a handle -> bool
+
+val postpone : 'a t -> 'a handle -> Time.t -> 'a -> 'a handle
+(** [postpone t h time payload] re-schedules the pending event [h] to
+    fire [payload] at [time], with exactly the effect of [cancel t h]
+    followed by [push t time payload]: the event is stamped with the
+    next global push sequence number, so it pops after every event
+    already scheduled for [time] and before every later push for it.
+
+    When [time] is strictly later than [h]'s current deadline the
+    event moves in place and [h] itself is returned: nothing is
+    allocated, and no second entry waits in the wheel for the old
+    deadline.  The stale placement is corrected lazily, when the entry
+    reaches the head of its slot — always before any event it could
+    now precede pops, because its old deadline is the earlier one.  Pops, {!front_count} and {!pop_kth} therefore
+    see exactly what cancel + push would show them.
+
+    An earlier or equal [time] falls back to cancel + push and returns
+    the new handle.
+    @raise Invalid_argument if [h] has fired or was cancelled, or (on
+    the fallback) if [time] precedes the time of the most recently
+    popped event. *)
 
 val peek_time : 'a t -> Time.t option
 (** Timestamp of the earliest live event, if any. *)

@@ -48,26 +48,11 @@ let make_multicast ~scope ~group_id =
   { hi; lo = group_id }
 
 let of_bytes buf off =
-  let get64 off =
-    let b i = Int64.of_int (Char.code (Bytes.get buf (off + i))) in
-    let acc = ref 0L in
-    for i = 0 to 7 do
-      acc := Int64.logor (Int64.shift_left !acc 8) (b i)
-    done;
-    !acc
-  in
-  { hi = get64 off; lo = get64 (off + 8) }
+  { hi = Bytes.get_int64_be buf off; lo = Bytes.get_int64_be buf (off + 8) }
 
 let to_bytes t buf off =
-  let put64 v off =
-    for i = 0 to 7 do
-      let shift = 8 * (7 - i) in
-      Bytes.set buf (off + i)
-        (Char.chr (Int64.to_int (Int64.shift_right_logical v shift) land 0xff))
-    done
-  in
-  put64 t.hi off;
-  put64 t.lo (off + 8)
+  Bytes.set_int64_be buf off t.hi;
+  Bytes.set_int64_be buf (off + 8) t.lo
 
 let of_groups g =
   let half a b c d =

@@ -1,5 +1,7 @@
 exception Error of string
 
+let data_min_bytes = 8
+
 let error fmt = Format.kasprintf (fun s -> raise (Error s)) fmt
 
 let next_header_dest_options = 60
@@ -226,10 +228,11 @@ let rec write_packet w (p : Packet.t) =
    | opts -> write_dest_options w opts ~payload_next_header:inner_nh);
   (match p.payload with
    | Data { stream_id; seq; bytes } ->
-     if bytes < 8 then error "Data payload must be at least 8 bytes (stream/seq header)";
+     if bytes < data_min_bytes then
+       error "Data payload must be at least 8 bytes (stream/seq header)";
      Wire.Writer.u32 w stream_id;
      Wire.Writer.u32 w seq;
-     Wire.Writer.zeros w (bytes - 8)
+     Wire.Writer.zeros w (bytes - data_min_bytes)
    | Mld m -> write_mld w m
    | Pim m -> write_pim w m
    | Nd m -> write_nd w m

@@ -18,6 +18,10 @@
 
 exception Error of string
 
+val data_min_bytes : int
+(** [8]: the smallest [Data] payload that encodes — its stream/seq
+    header. *)
+
 val encode : Packet.t -> bytes
 (** @raise Error when the packet cannot be put on the wire: a [Data]
     payload smaller than 8 bytes (the stream/seq header) or a total

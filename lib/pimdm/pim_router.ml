@@ -54,9 +54,20 @@ module Iface_tbl = Hashtbl.Make (struct
   let hash i = i land max_int
 end)
 
+(* (S,G) keys: [Addr.equal] instead of polymorphic compare, but the
+   polymorphic hash, so buckets — and with them every iteration order,
+   hence Graft and State Refresh emission order — stay those of the
+   generic table. *)
+module Sg_tbl = Hashtbl.Make (struct
+  type t = Addr.t * Addr.t
+
+  let equal (s, g) (s', g') = Addr.equal s s' && Addr.equal g g'
+  let hash = Hashtbl.hash
+end)
+
 type t = {
   env : Pim_env.t;
-  entries : (Addr.t * Addr.t, entry) Hashtbl.t;
+  entries : entry Sg_tbl.t;
   neighbors : (Pim_env.iface * Addr.t, Engine.Timer.t) Hashtbl.t;
   neighbor_count : int ref Iface_tbl.t;  (* live entries of [neighbors], per iface *)
   hello_timer : Engine.Timer.t;
@@ -159,7 +170,7 @@ let delete_entry t entry =
   (match entry.join_override with
    | Some h -> Engine.Sim.cancel t.env.Pim_env.sim h
    | None -> ());
-  Hashtbl.remove t.entries (entry_key entry.source entry.group);
+  Sg_tbl.remove t.entries (entry_key entry.source entry.group);
   touch t;
   trace t "(%s,%s) state expired" (Addr.to_string entry.source) (Addr.to_string entry.group)
 
@@ -283,7 +294,7 @@ let create_entry t ~source ~group (rpf : Pim_env.rpf_result) =
           (make_oif t iface (Printf.sprintf "%s.oif%d" label iface)))
     (t.env.Pim_env.interfaces ());
   entry.oif_order <- sorted_oifs entry;
-  Hashtbl.replace t.entries (entry_key source group) entry;
+  Sg_tbl.replace t.entries (entry_key source group) entry;
   touch t;
   Engine.Timer.start entry.expiry (config t).Pim_config.data_timeout;
   (* First-hop routers originate State Refresh when the extension is
@@ -294,7 +305,7 @@ let create_entry t ~source ~group (rpf : Pim_env.rpf_result) =
        lazy
          (Engine.Timer.create ~category:"pim" t.env.Pim_env.sim ~name:(label ^ ".refresh")
             ~on_expire:(fun () ->
-              if t.running && Hashtbl.mem t.entries (entry_key source group) then begin
+              if t.running && Sg_tbl.mem t.entries (entry_key source group) then begin
                 originate_state_refresh t entry ~interval;
                 Engine.Timer.start (Lazy.force timer) interval
               end))
@@ -309,7 +320,7 @@ let create_entry t ~source ~group (rpf : Pim_env.rpf_result) =
      | None -> "direct");
   entry
 
-let find_entry t ~source ~group = Hashtbl.find_opt t.entries (entry_key source group)
+let find_entry t ~source ~group = Sg_tbl.find_opt t.entries (entry_key source group)
 
 let find_or_create_entry t ~source ~group =
   match find_entry t ~source ~group with
@@ -776,7 +787,7 @@ let local_members_changed t ~iface ~group ~present =
   if t.running && present then
     (* A listener appeared: re-attach every (S,G) of the group whose
        upstream we pruned away (the Graft case of section 3.1). *)
-    Hashtbl.iter
+    Sg_tbl.iter
       (fun (_, g) entry ->
         if Addr.equal g group && iface <> entry.iif then begin
           (match Hashtbl.find_opt entry.oifs iface with
@@ -790,7 +801,7 @@ let local_members_changed t ~iface ~group ~present =
    is exactly the leave-delay behaviour the paper analyses. *)
 
 let interface_added t ~iface =
-  Hashtbl.iter
+  Sg_tbl.iter
     (fun (source, group) entry ->
       if iface <> entry.iif && not (Hashtbl.mem entry.oifs iface) then begin
         Hashtbl.replace entry.oifs iface
@@ -808,7 +819,7 @@ let create env =
   let rec t =
     lazy
       { env;
-        entries = Hashtbl.create 8;
+        entries = Sg_tbl.create 8;
         neighbors = Hashtbl.create 8;
         neighbor_count = Iface_tbl.create 8;
         hello_timer =
@@ -837,13 +848,13 @@ let stop t =
   Hashtbl.reset t.neighbors;
   Iface_tbl.iter (fun _ n -> n := 0) t.neighbor_count;
   touch t;
-  let all = Hashtbl.fold (fun _ e acc -> e :: acc) t.entries [] in
+  let all = Sg_tbl.fold (fun _ e acc -> e :: acc) t.entries [] in
   List.iter
     (fun e ->
       stop_entry_timers e;
       cancel_join_override t e)
     all;
-  Hashtbl.reset t.entries
+  Sg_tbl.reset t.entries
 
 (* ---- introspection ---- *)
 
@@ -863,7 +874,7 @@ type entry_info = {
 }
 
 let entries t =
-  Hashtbl.fold (fun key _ acc -> key :: acc) t.entries []
+  Sg_tbl.fold (fun key _ acc -> key :: acc) t.entries []
   |> List.sort (fun (s1, g1) (s2, g2) ->
          match Addr.compare s1 s2 with
          | 0 -> Addr.compare g1 g2
@@ -942,7 +953,7 @@ let snapshot_entry t entry =
     snap_oifs }
 
 let snapshot t =
-  Hashtbl.fold (fun _ entry acc -> snapshot_entry t entry :: acc) t.entries []
+  Sg_tbl.fold (fun _ entry acc -> snapshot_entry t entry :: acc) t.entries []
   |> List.sort (fun a b ->
          match Addr.compare a.snap_source b.snap_source with
          | 0 -> Addr.compare a.snap_group b.snap_group

@@ -181,6 +181,24 @@ let wheel_tests =
         Alcotest.(check int) "size counts live only" 2 (Wheel.size w);
         Alcotest.(check (list (pair (float 1e-9) string)))
           "b skipped" [ (1.0, "a"); (3.0, "c") ] (drain w));
+    Alcotest.test_case "postpone moves later in place, earlier by cancel + push" `Quick
+      (fun () ->
+        let w = Wheel.create () in
+        let a = Wheel.push w 1.0 "a" in
+        let _b = Wheel.push w 2.0 "b" in
+        let a' = Wheel.postpone w a 2.0 "a" in
+        Alcotest.(check bool) "later: same handle" true (a' == a);
+        let a'' = Wheel.postpone w a' 0.5 "a" in
+        Alcotest.(check bool) "earlier: new handle" false (a'' == a');
+        Alcotest.(check bool) "old handle cancelled" true (Wheel.is_cancelled w a');
+        let a3 = Wheel.postpone w a'' 2.0 "a" in
+        Alcotest.(check int) "size" 2 (Wheel.size w);
+        (* Re-stamped after "b": the tie at 2.0 goes to "b" first. *)
+        Alcotest.(check (list (pair (float 1e-9) string)))
+          "cancel + push order" [ (2.0, "b"); (2.0, "a") ] (drain w);
+        Alcotest.check_raises "fired handle"
+          (Invalid_argument "Wheel.postpone: event is not pending")
+          (fun () -> ignore (Wheel.postpone w a3 9.0 "a")));
     Alcotest.test_case "push before the pop floor raises" `Quick (fun () ->
         let w = Wheel.create () in
         ignore (Wheel.push w 10.0 ());
@@ -193,51 +211,83 @@ let wheel_tests =
 let wheel_properties =
   let wheel_matches_heap =
     (* The wheel must be observationally identical to the binary heap
-       under any schedule/cancel/pop interleaving the simulator can
-       produce (deadlines never precede the last popped time).  Deltas
-       are scaled to land in every placement tier — L0 slots, L1/L2
-       cascades, and the overflow heap. *)
+       under any schedule/cancel/postpone/pop interleaving the simulator
+       can produce (deadlines never precede the last popped time).
+       Deltas are scaled to land in every placement tier — L0 slots,
+       L1/L2 cascades, and the overflow heap.  The heap has no
+       postpone: its oracle is the cancel + push that [Wheel.postpone]
+       must be indistinguishable from, in pops and in the front ties
+       [front_count]/[pop_kth] expose. *)
     QCheck.Test.make ~name:"wheel and heap fire identical sequences" ~count:300
-      QCheck.(list (triple (int_range 0 5) (int_range 0 2_000_000) (int_range 0 15)))
+      QCheck.(list (triple (int_range 0 7) (int_range 0 2_000_000) (int_range 0 15)))
       (fun ops ->
         let w = Wheel.create () in
         let q = Event_queue.create () in
         let scales = [| 0.0005; 0.3; 40.0; 3000.0 |] in
         let now = ref 0.0 in
         let next_id = ref 0 in
-        (* Live entries: (id, wheel handle, heap handle). *)
+        (* Live entries: (id, deadline, wheel handle, heap handle). *)
         let live = ref [] in
         let ok = ref true in
+        let popped (wt, wid) =
+          now := wt;
+          live := List.filter (fun (i, _, _, _) -> i <> wid) !live
+        in
         List.iter
           (fun (tag, draw, pick) ->
+            (* A quarter of the draws are coarse, so same-time ties —
+               the explorer's choice points — are common too. *)
+            let units = if pick >= 12 then draw mod 3 else draw mod 997 in
+            let delta = float_of_int units *. scales.(pick land 3) in
             match tag with
             | 0 | 1 | 2 ->
-              let delta =
-                float_of_int (draw mod 997) *. scales.(pick land 3)
-              in
               let time = !now +. delta in
               let id = !next_id in
               incr next_id;
               let wh = Wheel.push w time id in
               let qh = Event_queue.push q time id in
-              live := (id, wh, qh) :: !live
+              live := (id, time, wh, qh) :: !live
             | 3 -> (
               match !live with
               | [] -> ()
               | entries ->
-                let ((_, wh, qh) as victim) =
+                let ((_, _, wh, qh) as victim) =
                   List.nth entries (pick mod List.length entries)
                 in
                 Wheel.cancel w wh;
                 Event_queue.cancel q qh;
                 live := List.filter (fun e -> e != victim) entries)
+            | 4 | 5 -> (
+              match !live with
+              | [] -> ()
+              | entries ->
+                let ((id, due, wh, qh) as victim) =
+                  List.nth entries (pick mod List.length entries)
+                in
+                (* Mostly later (the in-place move), sometimes equal or
+                   earlier (the cancel + push fallback). *)
+                let time = if tag = 4 then due +. delta else !now +. delta in
+                let wh' = Wheel.postpone w wh time id in
+                if time > due && wh' != wh then ok := false;
+                Event_queue.cancel q qh;
+                let qh' = Event_queue.push q time id in
+                live :=
+                  (id, time, wh', qh') :: List.filter (fun e -> e != victim) entries)
+            | 6 -> (
+              let wn = Wheel.front_count w in
+              if wn <> Event_queue.front_count q then ok := false;
+              if wn > 0 then
+                let k = pick mod wn in
+                match (Wheel.pop_kth w k, Event_queue.pop_kth q k) with
+                | Some (wt, wid), Some (qt, qid) when wt = qt && wid = qid ->
+                  popped (wt, wid)
+                | _ -> ok := false)
             | _ -> (
               if Wheel.peek_time w <> Event_queue.peek_time q then ok := false;
               match (Wheel.pop w, Event_queue.pop q) with
               | None, None -> ()
               | Some (wt, wid), Some (qt, qid) when wt = qt && wid = qid ->
-                now := wt;
-                live := List.filter (fun (i, _, _) -> i <> wid) !live
+                popped (wt, wid)
               | _ -> ok := false))
           ops;
         (* Drain whatever is left and compare the tails too. *)
@@ -317,7 +367,29 @@ let tie_break_tests =
           try
             ignore (Event_queue.pop_kth q 5);
             Alcotest.fail "heap accepted out-of-range k"
-          with Invalid_argument _ -> ())
+          with Invalid_argument _ -> ());
+      Alcotest.test_case "a postponed tie leaves the front" `Quick (fun () ->
+          (* Ids 0-2 tie at 7.25; id 1 moves to 9.0 but stays placed at
+             7.25 until it surfaces, and must not count as a tie. *)
+          let w = Wheel.create () in
+          let q = Event_queue.create () in
+          let wh = List.init 3 (fun i -> Wheel.push w 7.25 i) in
+          let qh = List.init 3 (fun i -> Event_queue.push q 7.25 i) in
+          ignore (Wheel.postpone w (List.nth wh 1) 9.0 1);
+          Event_queue.cancel q (List.nth qh 1);
+          ignore (Event_queue.push q 9.0 1);
+          Alcotest.(check int) "wheel" 2 (Wheel.front_count w);
+          Alcotest.(check int) "heap" 2 (Event_queue.front_count q);
+          Alcotest.(check (option (pair (float 1e-9) int)))
+            "wheel kth" (Some (7.25, 2)) (Wheel.pop_kth w 1);
+          Alcotest.(check (option (pair (float 1e-9) int)))
+            "heap kth" (Some (7.25, 2)) (Event_queue.pop_kth q 1);
+          Alcotest.(check (list (pair (float 1e-9) int)))
+            "wheel rest" [ (7.25, 0); (9.0, 1) ]
+            (List.filter_map (fun _ -> Wheel.pop w) [ (); (); () ]);
+          Alcotest.(check (list (pair (float 1e-9) int)))
+            "heap rest" [ (7.25, 0); (9.0, 1) ]
+            (List.filter_map (fun _ -> Event_queue.pop q) [ (); (); () ]))
     ]
   in
   let agree =
@@ -473,6 +545,56 @@ let timer_tests =
                Alcotest.(check (option (float 1e-9))) "expiry" (Some 12.0) (Timer.expiry t);
                Alcotest.(check (option (float 1e-9))) "remaining" (Some 5.0) (Timer.remaining t)));
         Sim.run sim);
+    Alcotest.test_case "restarted a thousand times, fires once in cancel + push order" `Quick
+      (fun () ->
+        (* The timer is refreshed every 0.1 s, each refresh pushing its
+           deadline 5 s past the refresh, so the last one lands on
+           105 s.  Two unrelated events share that instant: one
+           scheduled before the last refresh, one after.  A restart is
+           a cancel + push, so the timer fires between them.  The same
+           script with an explicit cancel + schedule_at is the
+           oracle. *)
+        let script ~restart ~expire_with =
+          let sim = Sim.create () in
+          let log = ref [] in
+          let note what () = log := (Sim.now sim, what) :: !log in
+          let refresh = restart sim (note "timer") in
+          ignore (Sim.schedule_at sim 105.0 (note "before"));
+          for i = 1 to 1000 do
+            let at = float_of_int i /. 10.0 in
+            ignore
+              (Sim.schedule_at sim at (fun () ->
+                   refresh ();
+                   if i = 1000 then ignore (Sim.schedule_at sim 105.0 (note "after"))))
+          done;
+          expire_with sim;
+          (List.rev !log, Sim.events_executed sim, Sim.pending sim)
+        in
+        let with_timer =
+          script
+            ~restart:(fun sim on_expire ->
+              let t = Timer.create sim ~name:"t" ~on_expire in
+              Timer.start t 5.0;
+              fun () -> Timer.start t 5.0)
+            ~expire_with:Sim.run
+        in
+        let with_cancel_push =
+          script
+            ~restart:(fun sim on_expire ->
+              let h = ref (Sim.schedule_after sim 5.0 on_expire) in
+              fun () ->
+                Sim.cancel sim !h;
+                h := Sim.schedule_after sim 5.0 on_expire)
+            ~expire_with:Sim.run
+        in
+        let log, events, pending = with_timer in
+        Alcotest.(check (list (pair (float 1e-9) string)))
+          "fires once, between the ties"
+          [ (105.0, "before"); (105.0, "timer"); (105.0, "after") ]
+          log;
+        Alcotest.(check int) "events: refreshes + 3" 1003 events;
+        Alcotest.(check int) "nothing left" 0 pending;
+        Alcotest.(check bool) "same as cancel + push" true (with_timer = with_cancel_push));
     Alcotest.test_case "restart from inside callback" `Quick (fun () ->
         let sim = Sim.create () in
         let count = ref 0 in

@@ -163,6 +163,48 @@ let addr_oracle_properties =
   ]
   |> List.map QCheck_alcotest.to_alcotest
 
+(* The byte-loop [Addr.of_bytes]/[to_bytes] the 64-bit accessors
+   replaced, kept verbatim as the oracle they must match. *)
+let oracle_of_bytes buf off =
+  let get64 off =
+    let b i = Int64.of_int (Char.code (Bytes.get buf (off + i))) in
+    let acc = ref 0L in
+    for i = 0 to 7 do
+      acc := Int64.logor (Int64.shift_left !acc 8) (b i)
+    done;
+    !acc
+  in
+  Addr.make (get64 off) (get64 (off + 8))
+
+let oracle_to_bytes t buf off =
+  let put64 v off =
+    for i = 0 to 7 do
+      let shift = 8 * (7 - i) in
+      Bytes.set buf (off + i)
+        (Char.chr (Int64.to_int (Int64.shift_right_logical v shift) land 0xff))
+    done
+  in
+  put64 (Addr.hi t) off;
+  put64 (Addr.lo t) (off + 8)
+
+let addr_codec_oracle_properties =
+  [ QCheck.Test.make ~name:"of_bytes matches the byte-loop oracle" ~count:1000
+      QCheck.(pair (string_of_size (Gen.return 40)) (int_range 0 24))
+      (fun (s, off) ->
+        let buf = Bytes.of_string s in
+        let a = Addr.of_bytes buf off in
+        let b = oracle_of_bytes buf off in
+        Addr.equal a b && Addr.compare a b = 0 && Hashtbl.hash a = Hashtbl.hash b);
+    QCheck.Test.make ~name:"to_bytes matches the byte-loop oracle" ~count:1000
+      QCheck.(triple arb_addr (string_of_size (Gen.return 40)) (int_range 0 24))
+      (fun (a, s, off) ->
+        let mine = Bytes.of_string s and theirs = Bytes.of_string s in
+        Addr.to_bytes a mine off;
+        oracle_to_bytes a theirs off;
+        Bytes.equal mine theirs)
+  ]
+  |> List.map QCheck_alcotest.to_alcotest
+
 let prefix_tests =
   [ Alcotest.test_case "parse and print" `Quick (fun () ->
         let p = Prefix.of_string "2001:db8:1::/64" in
@@ -651,7 +693,9 @@ let hexdump_tests =
 
 let () =
   Alcotest.run "ipv6"
-    [ ("addr", addr_tests @ addr_properties @ addr_oracle_tests @ addr_oracle_properties);
+    [ ( "addr",
+        addr_tests @ addr_properties @ addr_oracle_tests @ addr_oracle_properties
+        @ addr_codec_oracle_properties );
       ("prefix", prefix_tests @ prefix_properties);
       ("packet", packet_tests);
       ("codec", codec_tests @ codec_properties @ frame_properties @ fuzz_properties);

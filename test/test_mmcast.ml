@@ -170,6 +170,28 @@ let host_stack_tests =
         Scenario.run_until s 120.0;
         Alcotest.(check bool) "encapsulation work" true
           ((Host_stack.load snd).Load.encapsulations > 0));
+    Alcotest.test_case "duplicates counted per stream and seq" `Quick (fun () ->
+        (* S and R1 number their datagrams from the same start, so only
+           the stream id tells their seqs apart; every frame on R2's
+           link is delivered twice, so each datagram is replayed once. *)
+        let s = Scenario.paper_figure1 Scenario.default_spec in
+        Traffic.at s 5.0 (fun () -> Scenario.subscribe_receivers s group);
+        let send name =
+          ignore
+            (Traffic.cbr s (Scenario.host s name) ~group ~from_t:30.0 ~until:35.0
+               ~interval:0.5 ~bytes:500)
+        in
+        send "S";
+        send "R1";
+        Net.Network.set_duplicate_rate s.Scenario.net (Scenario.link s "L2") 1.0;
+        Scenario.run_until s 40.0;
+        let sent name = Host_stack.data_sent (Scenario.host s name) in
+        let r2 = Scenario.host s "R2" in
+        Alcotest.(check bool) "two equal streams" true (sent "S" > 0 && sent "S" = sent "R1");
+        Alcotest.(check int) "each datagram delivered once" (sent "S" + sent "R1")
+          (Host_stack.received_count r2 ~group);
+        Alcotest.(check int) "each replay counted" (sent "S" + sent "R1")
+          (Host_stack.duplicate_count r2 ~group));
     Alcotest.test_case "no duplicates delivered to a stationary receiver" `Quick (fun () ->
         let s, _ = stream_scenario () in
         Scenario.run_until s 100.0;
