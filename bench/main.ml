@@ -813,7 +813,7 @@ let perf () =
     let net = Net.Network.create sim topo in
     if wire then Net.Network.set_wire_check net true;
     List.iter
-      (fun n -> Net.Network.set_handler net n (fun ~link:_ ~from:_ _ -> ()))
+      (fun n -> Net.Network.set_handler net n (fun ~link:_ ~from:_ ~chan:_ _ -> ()))
       receivers;
     (sim, net, sender, link)
   in

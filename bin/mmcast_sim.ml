@@ -135,8 +135,27 @@ let parse_flap s =
     | _ -> Error s)
   | _ -> Error s
 
+(* A usage error naming the first of [names] that is no link of
+   Figure 1. *)
+let unknown_link option names =
+  let links = List.map fst Scenario.figure1.Scenario.lay_links in
+  Option.map
+    (fun name ->
+      Printf.sprintf "%s: unknown link %s (Figure 1 has %s)" option name
+        (String.concat ", " links))
+    (List.find_opt (fun name -> not (List.mem name links)) names)
+
 let run_cmd approach seed no_unsolicited tquery moves duration rate bytes loss flaps
     telemetry capture =
+  let link_error =
+    match unknown_link "moves" (List.map snd (parse_moves moves)) with
+    | Some _ as e -> e
+    | None ->
+      unknown_link "flap"
+        (List.filter_map
+           (fun f -> Result.to_option (Result.map (fun (link, _, _) -> link) (parse_flap f)))
+           flaps)
+  in
   match spec_of ~approach ~seed ~no_unsolicited ~tquery with
   | `Error _ as e -> e
   | `Ok _ when not (positive_finite duration) ->
@@ -148,10 +167,17 @@ let run_cmd approach seed no_unsolicited tquery moves duration rate bytes loss f
       ( false,
         Printf.sprintf "bytes must be at least %d (the datagram's stream/seq header)"
           Ipv6.Codec.data_min_bytes )
+  | `Ok _ when bytes > Ipv6.Codec.data_max_bytes ->
+    `Error
+      ( false,
+        Printf.sprintf
+          "bytes must be at most %d (the largest datagram that still fits a tunnel)"
+          Ipv6.Codec.data_max_bytes )
   | `Ok _ when not (loss >= 0.0 && loss <= 1.0) ->
     `Error (false, "loss must be within [0,1]")
   | `Ok _ when List.exists (fun f -> Result.is_error (parse_flap f)) flaps ->
     `Error (false, "flap must be LINK:DOWN:UP, e.g. L3:80:100")
+  | `Ok _ when link_error <> None -> `Error (false, Option.get link_error)
   | `Ok spec ->
     let scenario = Scenario.paper_figure1 spec in
     let metrics = Metrics.attach scenario.Scenario.net in

@@ -2,6 +2,7 @@ open Ipv6
 open Net
 open Mmcast
 module Link_id = Ids.Link_id
+module Channel_id = Ids.Channel_id
 module P = Pimdm.Pim_router
 
 type invariant =
@@ -102,64 +103,35 @@ type 'k sustained = {
 
 let sustained () = { pending = Hashtbl.create 8; opened = Hashtbl.create 8 }
 
-(* Allocation-free hash combining for the per-packet tables (FNV-style
-   multiply, then fold the high bits down: table indices use the low
-   ones). *)
-let mix h x = (h * 0x100000001b3) lxor x
-let finish h = (h lxor (h lsr 32)) land max_int
-
-(* One transmission of a datagram onto a link, as the loop counter sees
-   it: (src, dst, stream, seq, link), or (dst, stream, seq, link) for a
-   tunnelled datagram. *)
-module Tx_key = struct
-  type t =
-    | Mcast of Addr.t * Addr.t * int * int * int
-    | Ucast of Addr.t * Addr.t * int * int * int
-    | Tunnel of Addr.t * int * int * int
-
-  let equal a b =
-    match (a, b) with
-    | Mcast (s, d, st, sq, l), Mcast (s', d', st', sq', l')
-    | Ucast (s, d, st, sq, l), Ucast (s', d', st', sq', l') ->
-      sq = sq' && l = l' && st = st' && Addr.equal d d' && Addr.equal s s'
-    | Tunnel (d, st, sq, l), Tunnel (d', st', sq', l') ->
-      sq = sq' && l = l' && st = st' && Addr.equal d d'
-    | _ -> false
-
-  let hash = function
-    | Mcast (s, d, st, sq, l) ->
-      finish (mix (mix (mix (mix (mix 0 (Addr.hash s)) (Addr.hash d)) st) sq) l)
-    | Ucast (s, d, st, sq, l) ->
-      finish (mix (mix (mix (mix (mix 1 (Addr.hash s)) (Addr.hash d)) st) sq) l)
-    | Tunnel (d, st, sq, l) -> finish (mix (mix (mix (mix 2 (Addr.hash d)) st) sq) l)
-
-  let to_string = function
-    | Mcast (s, d, st, sq, l) ->
-      Printf.sprintf "m|%s|%s|%d|%d|%d" (Addr.to_string s) (Addr.to_string d) st sq l
-    | Ucast (s, d, st, sq, l) ->
-      Printf.sprintf "u|%s|%s|%d|%d|%d" (Addr.to_string s) (Addr.to_string d) st sq l
-    | Tunnel (d, st, sq, l) -> Printf.sprintf "t|%s|%d|%d|%d" (Addr.to_string d) st sq l
-end
-
-module Tx_counts = Hashtbl.Make (Tx_key)
-
-(* The per-packet liveness tables, keyed by group, (source, group) and
-   (link, source, group). *)
 module Addr_tbl = Hashtbl.Make (Addr)
 
 module Sg_tbl = Hashtbl.Make (struct
   type t = Addr.t * Addr.t
 
   let equal (s, g) (s', g') = Addr.equal s s' && Addr.equal g g'
-  let hash (s, g) = finish (mix (Addr.hash s) (Addr.hash g))
+
+  let hash (s, g) =
+    let h = (Addr.hash s * 0x100000001b3) lxor Addr.hash g in
+    (h lxor (h lsr 32)) land max_int
 end)
 
-module Link_sg_tbl = Hashtbl.Make (struct
-  type t = int * Addr.t * Addr.t
-
-  let equal (l, s, g) (l', s', g') = l = l' && Addr.equal s s' && Addr.equal g g'
-  let hash (l, s, g) = finish (mix (mix l (Addr.hash s)) (Addr.hash g))
-end)
+(* What the per-packet observer keeps for one data channel, from the
+   channel's first transmit on; the liveness times are in arrays by
+   channel and by link, so updating them allocates nothing. *)
+type chan_state = {
+  cs_group : int;  (* a multicast channel's index into [group_tx]; -1 otherwise *)
+  mutable cs_link_tx : float array;
+      (* a multicast channel's last plain data transmit, by link id;
+         [||] until its first one *)
+  cs_owner : (string * Host_stack.t * Link_id.t) option;
+      (* a tunnel's destination resolved to a host and the link whose
+         prefix it carries, when it names one *)
+  (* The inner (S,G) of the channel's last encapsulated datagram and
+     that pair's channel: a tunnel carries one stream at a time. *)
+  mutable cs_inner_src : Addr.t;
+  mutable cs_inner_grp : Addr.t;
+  mutable cs_inner_chan : Channel_id.t;
+}
 
 (* One router's last PIM snapshot and the generation it was taken at;
    [c_pim] is compared physically, so a re-created instance never
@@ -223,14 +195,21 @@ type t = {
      host's interface id, so ownership is two lookups. *)
   link_of_hi : (int64, Link_id.t) Hashtbl.t;
   host_of_iid : (int64, string * Host_stack.t) Hashtbl.t;
-  tx_counts : int ref Tx_counts.t;
+  tx_counts : Tx_window.t;
   tx_limit : int array;  (* by link id: max legitimate transmits *)
   link_names : string array;  (* by link id *)
-  last_data_tx : Engine.Time.t Addr_tbl.t;  (* group -> time *)
-  src_data_tx : Engine.Time.t Sg_tbl.t;  (* (src, group) *)
-  link_data_tx : Engine.Time.t Link_sg_tbl.t;
-      (* (link, src, group) — a roamed sender's stale care-of source
-         must not inherit liveness from the home source's stream *)
+  (* Per-packet liveness, by the network's channel ids.  [src_tx] is
+     the last data transmit of each multicast channel (S,G), plain or
+     encapsulated; [group_tx] the last of each group, by the index that
+     [groups] assigns; each channel's [cs_link_tx] the last per link — a
+     roamed sender's stale care-of source must not inherit liveness from
+     the home source's stream.  [sg_chans] finds a multicast channel by
+     (S,G) for the sampled checks. *)
+  mutable chans : chan_state option array;  (* by channel id *)
+  mutable src_tx : float array;  (* by channel id; neg_infinity = never *)
+  mutable group_tx : float array;  (* by group index *)
+  groups : int Addr_tbl.t;
+  sg_chans : Channel_id.t Sg_tbl.t;
   progress : (string * Addr.t, int) Hashtbl.t;  (* (host, group) -> rx+dup *)
 }
 
@@ -328,26 +307,84 @@ let link_name_of t li =
 
 (* ---- transmit-observer checks (per packet, event time) ---- *)
 
-(* How many times this transmission has been seen, this one included.
-   The table grows with traffic volume; a periodic wholesale reset keeps
-   it bounded — an actual loop re-crosses its links within milliseconds
-   and re-trips the counter immediately. *)
-let bump_tx t key =
-  if Tx_counts.length t.tx_counts > 65536 then Tx_counts.reset t.tx_counts;
-  match Tx_counts.find_opt t.tx_counts key with
-  | Some r ->
-    incr r;
-    !r
-  | None ->
-    Tx_counts.add t.tx_counts key (ref 1);
-    1
+(* The dedup key of a loop report: the transmission's addresses,
+   datagram and link. *)
+let loop_key kind ~src ~dst ~stream ~seq ~li =
+  let a = Addr.to_string in
+  match kind with
+  | `Mcast -> Printf.sprintf "loop|m|%s|%s|%d|%d|%d" (a src) (a dst) stream seq li
+  | `Ucast -> Printf.sprintf "loop|u|%s|%s|%d|%d|%d" (a src) (a dst) stream seq li
+  | `Tunnel -> Printf.sprintf "loop|t|%s|%d|%d|%d" (a dst) stream seq li
 
 (* Callers test [count > limit && not (in_chaos t ~at)] themselves, so
    the common path formats no detail and allocates no closure. *)
 let report_loop t ~at ~li key detail =
-  record_keyed t ~at
-    ~key:("loop|" ^ Tx_key.to_string key)
-    ~inv:Forwarding_loop ~where:(link_name_of t li) ~detail
+  record_keyed t ~at ~key ~inv:Forwarding_loop ~where:(link_name_of t li) ~detail
+
+let grow_floats a n =
+  let len = Array.length a in
+  if n <= len then a
+  else begin
+    let grown = Array.make (max n (2 * len)) neg_infinity in
+    Array.blit a 0 grown 0 len;
+    grown
+  end
+
+let group_index t group =
+  match Addr_tbl.find_opt t.groups group with
+  | Some g -> g
+  | None ->
+    let g = Addr_tbl.length t.groups in
+    Addr_tbl.replace t.groups group g;
+    t.group_tx <- grow_floats t.group_tx (g + 1);
+    g
+
+let new_chan_state t chan (packet : Packet.t) =
+  let mcast = Packet.is_multicast_dst packet in
+  let tunnel =
+    match packet.Packet.payload with
+    | Packet.Encapsulated _ -> not mcast
+    | Packet.Data _ | Packet.Mld _ | Packet.Pim _ | Packet.Nd _ | Packet.Empty -> false
+  in
+  if mcast then Sg_tbl.replace t.sg_chans (packet.Packet.src, packet.Packet.dst) chan;
+  { cs_group = (if mcast then group_index t packet.Packet.dst else -1);
+    cs_link_tx = [||];
+    cs_owner =
+      (if not tunnel then None
+       else
+         let dst = packet.Packet.dst in
+         match
+           ( Hashtbl.find_opt t.host_of_iid (Addr.lo dst),
+             Hashtbl.find_opt t.link_of_hi (Addr.hi dst) )
+         with
+         | Some (hname, h), Some owner_link -> Some (hname, h, owner_link)
+         | None, _ | _, None -> None);
+    cs_inner_src = Addr.unspecified;
+    cs_inner_grp = Addr.unspecified;
+    cs_inner_chan = Channel_id.none }
+
+(* The state of the data channel [chan] of [packet]: an array read after
+   the channel's first transmit. *)
+let chan_state t chan packet =
+  let c = (chan : Channel_id.t :> int) in
+  let len = Array.length t.chans in
+  if c >= len then begin
+    let grown = Array.make (max (c + 1) (2 * len)) None in
+    Array.blit t.chans 0 grown 0 len;
+    t.chans <- grown;
+    t.src_tx <- grow_floats t.src_tx (Array.length grown)
+  end;
+  match Array.unsafe_get t.chans c with
+  | Some cs -> cs
+  | None ->
+    let cs = new_chan_state t chan packet in
+    t.chans.(c) <- Some cs;
+    cs
+
+(* A multicast datagram of (S,G) went out: the stream is live. *)
+let note_sg_tx t chan cs ~at =
+  Array.unsafe_set t.src_tx (chan : Channel_id.t :> int) at;
+  Array.unsafe_set t.group_tx cs.cs_group at
 
 let low_hop_limit t ~at ~li (packet : Packet.t) =
   if packet.Packet.hop_limit <= 4 && not (in_chaos t ~at) then
@@ -365,13 +402,10 @@ let low_hop_limit t ~at ~li (packet : Packet.t) =
            (Addr.to_string packet.Packet.dst)
            packet.Packet.hop_limit)
 
-let tunnel_coherence t ~at ~li (packet : Packet.t) =
-  match
-    ( Hashtbl.find_opt t.host_of_iid (Addr.lo packet.Packet.dst),
-      Hashtbl.find_opt t.link_of_hi (Addr.hi packet.Packet.dst) )
-  with
-  | None, _ | _, None -> ()
-  | Some (hname, h), Some owner_link ->
+let tunnel_coherence t ~at ~li cs (packet : Packet.t) =
+  match cs.cs_owner with
+  | None -> ()
+  | Some (hname, h, owner_link) ->
     let current = Host_stack.current_link h in
     if Link_id.to_int current <> Link_id.to_int owner_link then begin
       let settled_since =
@@ -393,22 +427,27 @@ let tunnel_coherence t ~at ~li (packet : Packet.t) =
                (link_name_of t (Link_id.to_int current)))
     end
 
-let on_transmit t link (packet : Packet.t) =
-  if t.running then begin
+let on_transmit t link chan (packet : Packet.t) =
+  if t.running && (chan : Channel_id.t :> int) >= 0 then begin
     let at = now t in
     let li = Link_id.to_int link in
     let mcast = Packet.is_multicast_dst packet in
     match packet.Packet.payload with
     | Packet.Data { stream_id; seq; _ } ->
+      let cs = chan_state t chan packet in
       if mcast then begin
-        Addr_tbl.replace t.last_data_tx packet.Packet.dst at;
-        Sg_tbl.replace t.src_data_tx (packet.Packet.src, packet.Packet.dst) at;
-        Link_sg_tbl.replace t.link_data_tx (li, packet.Packet.src, packet.Packet.dst) at;
+        note_sg_tx t chan cs ~at;
+        if li >= Array.length cs.cs_link_tx then
+          cs.cs_link_tx <- grow_floats cs.cs_link_tx (max (li + 1) (Array.length t.link_names));
+        Array.unsafe_set cs.cs_link_tx li at;
         let limit = if li >= 0 && li < Array.length t.tx_limit then t.tx_limit.(li) else 3 in
-        let key = Tx_key.Mcast (packet.Packet.src, packet.Packet.dst, stream_id, seq, li) in
-        let count = bump_tx t key in
+        let count =
+          Tx_window.bump t.tx_counts ~chan:(chan :> int) ~link:li ~stream:stream_id ~seq
+        in
         if count > limit && not (in_chaos t ~at) then
-          report_loop t ~at ~li key
+          report_loop t ~at ~li
+            (loop_key `Mcast ~src:packet.Packet.src ~dst:packet.Packet.dst ~stream:stream_id ~seq
+               ~li)
             (Printf.sprintf
                "multicast datagram (stream %d, seq %d) from %s crossed %s %d times \
                 where at most %d sender/assert transmissions are possible"
@@ -417,10 +456,13 @@ let on_transmit t link (packet : Packet.t) =
                (link_name_of t li) count limit)
       end
       else begin
-        let key = Tx_key.Ucast (packet.Packet.src, packet.Packet.dst, stream_id, seq, li) in
-        let count = bump_tx t key in
+        let count =
+          Tx_window.bump t.tx_counts ~chan:(chan :> int) ~link:li ~stream:stream_id ~seq
+        in
         if count > 2 && not (in_chaos t ~at) then
-          report_loop t ~at ~li key
+          report_loop t ~at ~li
+            (loop_key `Ucast ~src:packet.Packet.src ~dst:packet.Packet.dst ~stream:stream_id ~seq
+               ~li)
             (Printf.sprintf
                "unicast datagram (stream %d, seq %d) %s -> %s crossed %s %d times"
                stream_id seq
@@ -430,15 +472,29 @@ let on_transmit t link (packet : Packet.t) =
         low_hop_limit t ~at ~li packet
       end
     | Packet.Encapsulated inner ->
+      let cs = chan_state t chan packet in
       (match inner.Packet.payload with
        | Packet.Data { stream_id; seq; _ } when Packet.is_multicast_dst inner ->
-         Addr_tbl.replace t.last_data_tx inner.Packet.dst at;
-         Sg_tbl.replace t.src_data_tx (inner.Packet.src, inner.Packet.dst) at;
+         if
+           not
+             ((cs.cs_inner_chan :> int) >= 0
+             && Addr.equal cs.cs_inner_src inner.Packet.src
+             && Addr.equal cs.cs_inner_grp inner.Packet.dst)
+         then begin
+           cs.cs_inner_src <- inner.Packet.src;
+           cs.cs_inner_grp <- inner.Packet.dst;
+           cs.cs_inner_chan <- Network.channel (net t) inner
+         end;
+         let ichan = cs.cs_inner_chan in
+         note_sg_tx t ichan (chan_state t ichan inner) ~at;
          if not mcast then begin
-           let key = Tx_key.Tunnel (packet.Packet.dst, stream_id, seq, li) in
-           let count = bump_tx t key in
+           let count =
+             Tx_window.bump t.tx_counts ~chan:(chan :> int) ~link:li ~stream:stream_id ~seq
+           in
            if count > 2 && not (in_chaos t ~at) then
-             report_loop t ~at ~li key
+             report_loop t ~at ~li
+               (loop_key `Tunnel ~src:packet.Packet.src ~dst:packet.Packet.dst ~stream:stream_id
+                  ~seq ~li)
                (Printf.sprintf
                   "tunnelled datagram (stream %d, seq %d) for %s crossed %s %d times"
                   stream_id seq
@@ -448,7 +504,7 @@ let on_transmit t link (packet : Packet.t) =
        | _ -> ());
       if not mcast then begin
         low_hop_limit t ~at ~li packet;
-        tunnel_coherence t ~at ~li packet
+        tunnel_coherence t ~at ~li cs packet
       end
     | Packet.Mld _ | Packet.Pim _ | Packet.Nd _ | Packet.Empty -> ()
   end
@@ -643,8 +699,12 @@ let check_assert t ~at =
            asserts are data-driven, so without traffic two routers may
            validly both consider an interface forwarding. *)
         let data_recent =
-          match Link_sg_tbl.find_opt t.link_data_tx key with
-          | Some tx -> Engine.Time.sub at tx < 5.0
+          match Sg_tbl.find_opt t.sg_chans (src, grp) with
+          | Some chan -> (
+            match t.chans.((chan :> int)) with
+            | Some cs when li >= 0 && li < Array.length cs.cs_link_tx ->
+              Engine.Time.sub at cs.cs_link_tx.(li) < 5.0
+            | Some _ | None -> false)
           | None -> false
         in
         if data_recent then
@@ -677,8 +737,8 @@ let check_prune_graft t ~at =
          data-driven residue, not a broken branch; it times out on its
          own. *)
       let stream_live () =
-        match Sg_tbl.find_opt t.src_data_tx (src, grp) with
-        | Some tx -> Engine.Time.sub at tx < 5.0
+        match Sg_tbl.find_opt t.sg_chans (src, grp) with
+        | Some chan -> Engine.Time.sub at t.src_tx.((chan :> int)) < 5.0
         | None -> false
       in
       (match e.pg_state with
@@ -750,8 +810,8 @@ let check_black_hole t ~at =
             let prev = Hashtbl.find_opt t.progress key in
             Hashtbl.replace t.progress key progress;
             let data_active =
-              match Addr_tbl.find_opt t.last_data_tx g with
-              | Some tx -> Engine.Time.sub at tx < 3.0
+              match Addr_tbl.find_opt t.groups g with
+              | Some gi -> Engine.Time.sub at t.group_tx.(gi) < 3.0
               | None -> false
             in
             match prev with
@@ -868,7 +928,7 @@ let attach ?(config = default_config) ?faults (scenario : Scenario.t) =
       host_state = Hashtbl.create 8;
       link_of_hi = Hashtbl.create 16;
       host_of_iid = Hashtbl.create 8;
-      tx_counts = Tx_counts.create 1024;
+      tx_counts = Tx_window.create ~links:n_links;
       tx_limit =
         per_link (function
           | Some l -> 1 + List.length (Topology.routers_on_link topo l)
@@ -877,9 +937,11 @@ let attach ?(config = default_config) ?faults (scenario : Scenario.t) =
         per_link (function
           | Some l -> Topology.link_name topo l
           | None -> "");
-      last_data_tx = Addr_tbl.create 8;
-      src_data_tx = Sg_tbl.create 8;
-      link_data_tx = Link_sg_tbl.create 16;
+      chans = [||];
+      src_tx = [||];
+      group_tx = [||];
+      groups = Addr_tbl.create 8;
+      sg_chans = Sg_tbl.create 8;
       progress = Hashtbl.create 16 }
   in
   List.iter
@@ -895,7 +957,7 @@ let attach ?(config = default_config) ?faults (scenario : Scenario.t) =
     (fun l ->
       Hashtbl.replace t.link_of_hi (Addr.hi (Prefix.address (Topology.link_prefix topo l))) l)
     links;
-  Network.add_transmit_observer net (fun link p -> on_transmit t link p);
+  Network.add_transmit_observer net (fun link chan p -> on_transmit t link chan p);
   let rec loop () =
     if t.running then begin
       sample t;
@@ -907,18 +969,21 @@ let attach ?(config = default_config) ?faults (scenario : Scenario.t) =
   t
 
 (* Nothing samples or observes a detached monitor, so the tables that
-   only serve that — the loop counter above all, up to 65,536 keys —
-   are released; the recorded violations stay. *)
+   only serve that — the loop counter above all, {!Tx_window.size}
+   datagrams for every (channel, link) that carried data — are
+   released; the recorded violations stay. *)
 let detach t =
   t.running <- false;
   Array.fill t.snap_cache 0 (Array.length t.snap_cache) None;
   t.forwarders <- Hashtbl.create 1;
   t.contested <- [];
   t.pg_entries <- [];
-  Tx_counts.reset t.tx_counts;
-  Addr_tbl.reset t.last_data_tx;
-  Sg_tbl.reset t.src_data_tx;
-  Link_sg_tbl.reset t.link_data_tx;
+  Tx_window.clear t.tx_counts;
+  t.chans <- [||];
+  t.src_tx <- [||];
+  t.group_tx <- [||];
+  Addr_tbl.reset t.groups;
+  Sg_tbl.reset t.sg_chans;
   Hashtbl.reset t.progress;
   Hashtbl.reset t.querier_st.pending;
   Hashtbl.reset t.assert_st.pending;

@@ -49,10 +49,12 @@
     {!Net.Network.impaired_links} is non-zero.  Each check keeps its
     liveness clocks under its own typed key, so dropping the conditions
     that stopped holding walks only that check's pending set.  The
-    per-packet observer costs a constant number of hash-table updates
-    under typed keys hashed without allocation, reads per-link limits
-    and names from arrays, and formats a string only when it records
-    a violation. *)
+    per-packet observer hashes nothing: it indexes arrays by the
+    transmission's channel ({!Net.Ids.Channel_id}) and link id, for
+    the streams' liveness times, the per-link limits and names, and
+    the loop counter ({!Tx_window}), which keeps the {!Tx_window.size}
+    most recent datagrams of each (channel, link) that carried data.
+    It formats a string only when it records a violation. *)
 
 open Mmcast
 
@@ -112,7 +114,8 @@ val attach : ?config:config -> ?faults:Faults.t -> Scenario.t -> t
 
 val detach : t -> unit
 (** Stop sampling and observing, and release the tables that served
-    only that (snapshots, liveness clocks, the loop counter); recorded
+    only that (snapshots, liveness clocks, and the loop counter's
+    {!Tx_window.size} datagrams per (channel, link)); recorded
     violations and the sample count stay readable. *)
 
 val bound : t -> Engine.Time.t

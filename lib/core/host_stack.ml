@@ -2,6 +2,7 @@ open Ipv6
 open Net
 module Node_id = Ids.Node_id
 module Link_id = Ids.Link_id
+module Channel_id = Ids.Channel_id
 
 type detection_mode =
   | Fixed_delay
@@ -42,6 +43,47 @@ module Int_tbl = Hashtbl.Make (struct
   let hash i = i land max_int
 end)
 
+module Addr_tbl = Hashtbl.Make (Addr)
+
+(* The seqs delivered of one stream, as bitmap pages of 4096 seqs keyed
+   by [seq lsr page_bits].  A stream's seqs climb, so one page serves
+   4096 deliveries and the page in use is remembered: marking a seq is
+   a bit test, and the set costs a bit per seq instead of a hash-table
+   binding. *)
+type seqs = {
+  pages : Bytes.t Int_tbl.t;
+  mutable page_no : int;  (* [page]'s key; -1 = none yet *)
+  mutable page : Bytes.t;
+}
+
+let page_bits = 12
+
+let new_seqs () = { pages = Int_tbl.create 4; page_no = -1; page = Bytes.empty }
+
+(* Mark [seq] delivered; whether it already was. *)
+let seen_before s seq =
+  let no = seq lsr page_bits in
+  if no <> s.page_no then begin
+    let page =
+      match Int_tbl.find_opt s.pages no with
+      | Some page -> page
+      | None ->
+        let page = Bytes.make (1 lsl (page_bits - 3)) '\000' in
+        Int_tbl.replace s.pages no page;
+        page
+    in
+    s.page_no <- no;
+    s.page <- page
+  end;
+  let bit = seq land ((1 lsl page_bits) - 1) in
+  let byte = Char.code (Bytes.unsafe_get s.page (bit lsr 3)) in
+  let mask = 1 lsl (bit land 7) in
+  byte land mask <> 0
+  || begin
+    Bytes.unsafe_set s.page (bit lsr 3) (Char.unsafe_chr (byte lor mask));
+    false
+  end
+
 type t = {
   net : Network.t;
   node : Node_id.t;
@@ -61,8 +103,13 @@ type t = {
   mutable subscriptions : Addr.Set.t;
   mutable on_data : (group:Addr.t -> Packet.t -> unit) option;
   mutable data_observers : (group:Addr.t -> Packet.t -> unit) list;
-  rx : (Addr.t, rx_stats) Hashtbl.t;
-  seen : unit Int_tbl.t Int_tbl.t;  (* stream id -> seqs delivered *)
+  rx : rx_stats Addr_tbl.t;  (* by group *)
+  mutable rx_by_chan : rx_stats option array;
+      (* by the network's channel id of the datagrams' (S,G): several
+         sources' channels share their group's record *)
+  seen : seqs Int_tbl.t;  (* by stream id *)
+  mutable last_stream : int;  (* the stream of [last_seqs]; -1 = none *)
+  mutable last_seqs : seqs;
   mutable attached_at : Engine.Time.t;
   mutable seq : int;
   mutable sent : int;
@@ -244,29 +291,55 @@ let handle_nd t ~link (msg : Ipv6.Nd_message.t) =
 (* ---- application receive ---- *)
 
 let rx_stats t group =
-  match Hashtbl.find_opt t.rx group with
+  match Addr_tbl.find_opt t.rx group with
   | Some s -> s
   | None ->
     let s = { count = 0; dups = 0; first_after_attach = None } in
-    Hashtbl.replace t.rx group s;
+    Addr_tbl.replace t.rx group s;
     s
 
-let seen_of_stream t stream_id =
-  match Int_tbl.find t.seen stream_id with
-  | seen -> seen
-  | exception Not_found ->
-    let seen = Int_tbl.create 64 in
-    Int_tbl.replace t.seen stream_id seen;
-    seen
+(* The group's record through the channel of a received datagram: an
+   array read after the channel's first datagram. *)
+let rx_stats_of_chan t ~chan group =
+  let c = (chan : Channel_id.t :> int) in
+  if c < 0 then rx_stats t group
+  else begin
+    let len = Array.length t.rx_by_chan in
+    if c >= len then begin
+      let grown = Array.make (max (c + 1) (2 * len)) None in
+      Array.blit t.rx_by_chan 0 grown 0 len;
+      t.rx_by_chan <- grown
+    end;
+    match Array.unsafe_get t.rx_by_chan c with
+    | Some s -> s
+    | None ->
+      let s = rx_stats t group in
+      t.rx_by_chan.(c) <- Some s;
+      s
+  end
 
-let deliver_app t ~group packet =
+let seen_of_stream t stream_id =
+  if stream_id = t.last_stream then t.last_seqs
+  else begin
+    let seen =
+      match Int_tbl.find_opt t.seen stream_id with
+      | Some seen -> seen
+      | None ->
+        let seen = new_seqs () in
+        Int_tbl.replace t.seen stream_id seen;
+        seen
+    in
+    t.last_stream <- stream_id;
+    t.last_seqs <- seen;
+    seen
+  end
+
+let deliver_app t ~chan ~group packet =
   match packet.Packet.payload with
   | Packet.Data { stream_id; seq; _ } ->
-    let s = rx_stats t group in
-    let seen = seen_of_stream t stream_id in
-    if Int_tbl.mem seen seq then s.dups <- s.dups + 1
+    let s = rx_stats_of_chan t ~chan group in
+    if seen_before (seen_of_stream t stream_id) seq then s.dups <- s.dups + 1
     else begin
-      Int_tbl.replace seen seq ();
       s.count <- s.count + 1;
       let first = s.first_after_attach = None in
       if first then s.first_after_attach <- Some (Engine.Sim.now (sim t));
@@ -295,7 +368,7 @@ let handle_encapsulated_inner t inner =
     | None -> ())
   | Packet.Data _ | Packet.Encapsulated _ | Packet.Empty | Packet.Pim _ | Packet.Nd _ ->
     if Packet.is_multicast_dst inner && Addr.Set.mem inner.Packet.dst t.subscriptions then
-      deliver_app t ~group:inner.Packet.dst inner
+      deliver_app t ~chan:Channel_id.none ~group:inner.Packet.dst inner
 
 let handle_encapsulated t inner =
   t.load.Load.decapsulations <- t.load.Load.decapsulations + 1;
@@ -310,7 +383,7 @@ let handle_encapsulated t inner =
     Engine.Span.within c id (fun () -> handle_encapsulated_inner t inner);
     Engine.Span.close_span c ~at id
 
-let on_receive t ~link ~from:_ packet =
+let on_receive t ~link ~from:_ ~chan packet =
   if t.running then begin
     t.load.Load.packets_processed <- t.load.Load.packets_processed + 1;
     if Packet.is_multicast_dst packet then begin
@@ -326,7 +399,7 @@ let on_receive t ~link ~from:_ packet =
            groups joined on this interface. *)
         match t.mld_local with
         | Some mld when Mld.Mld_host.is_joined mld packet.Packet.dst ->
-          deliver_app t ~group:packet.Packet.dst packet
+          deliver_app t ~chan ~group:packet.Packet.dst packet
         | Some _ | None -> (
           match lineage t with
           | None -> ()
@@ -429,7 +502,7 @@ let unsubscribe t group =
 (* ---- movement ---- *)
 
 let reset_rx_marks t =
-  Hashtbl.iter (fun _ s -> s.first_after_attach <- None) t.rx
+  Addr_tbl.iter (fun _ s -> s.first_after_attach <- None) t.rx
 
 let finalize_attach t =
   t.pending_detection <- None;
@@ -572,8 +645,11 @@ let create ?home_agent net node ~home_link cfg =
     subscriptions = Addr.Set.empty;
     on_data = None;
     data_observers = [];
-    rx = Hashtbl.create 4;
+    rx = Addr_tbl.create 4;
+    rx_by_chan = [||];
     seen = Int_tbl.create 4;
+    last_stream = -1;
+    last_seqs = new_seqs ();
     attached_at = Engine.Time.zero;
     seq = 0;
     sent = 0;
@@ -594,7 +670,8 @@ let start t =
     Network.claim_address t.net t.node ~link:t.home_link t.home_address;
     Network.claim_address t.net t.node ~link:t.home_link (Topology.link_local (topo t) t.node);
     t.mld_local <- Some (make_local_mld t);
-    Network.set_handler t.net t.node (fun ~link ~from packet -> on_receive t ~link ~from packet);
+    Network.set_handler t.net t.node (fun ~link ~from ~chan packet ->
+        on_receive t ~link ~from ~chan packet);
     t.attached_at <- Engine.Sim.now (sim t)
   end
 

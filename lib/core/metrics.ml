@@ -154,7 +154,7 @@ let attach net =
           m_ras = 0;
           m_heartbeats = 0 } }
   in
-  Network.add_transmit_observer net (fun link packet -> classify t link packet);
+  Network.add_transmit_observer net (fun link _ packet -> classify t link packet);
   t
 
 let control_counts t =

@@ -66,7 +66,8 @@ type t = {
   links : Link_id.t list;
   label : string;
   load : Load.t;
-  mld_routers : Mld.Mld_router.t Link_id.Tbl.t;  (* one per link in [links] *)
+  link_ids : int array;  (* [links] as ints *)
+  mld_routers : Mld.Mld_router.t option array;  (* by position in [links] *)
   mutable pim : Pimdm.Pim_router.t option;
   mutable cache : Mipv6.Binding_cache.t option;
   tunnels_by_home : (Addr.t, tunnel) Hashtbl.t;
@@ -97,10 +98,17 @@ let cache t =
   | Some c -> c
   | None -> invalid_arg "Router_stack: no binding cache"
 
-let mld_on t link = Link_id.Tbl.find_opt t.mld_routers link
+(* A router has a handful of links: a scan of their ids beats hashing
+   on the data path's membership test and the monitor's querier check. *)
+let rec mld_at t l i =
+  if i >= Array.length t.link_ids then None
+  else if Array.unsafe_get t.link_ids i = l then Array.unsafe_get t.mld_routers i
+  else mld_at t l (i + 1)
+
+let mld_on t link = mld_at t (Link_id.to_int link) 0
 
 (* In [links] order, as the routers were created. *)
-let iter_mld t f = List.iter (fun link -> Option.iter f (mld_on t link)) t.links
+let iter_mld t f = Array.iter (Option.iter f) t.mld_routers
 
 let address_on t link = Topology.address_on (topo t) t.node link
 
@@ -579,7 +587,9 @@ let reinject_from_reverse_tunnel t inner =
   | Some home_link when Topology.is_attached (topo t) t.node home_link ->
     transmit t ~link:home_link Network.To_all inner;
     (match t.pim with
-     | Some p -> Pimdm.Pim_router.handle_data p ~iface:(Link_id.to_int home_link) inner
+     | Some p ->
+       let chan = (Network.channel t.net inner :> int) in
+       Pimdm.Pim_router.handle_data p ~iface:(Link_id.to_int home_link) ~chan inner
      | None -> ())
   | Some _ | None ->
     trace t "reverse-tunnelled packet from %s not for a local home link"
@@ -624,7 +634,7 @@ let handle_unicast t packet =
       end
       else forward_unicast t { packet with Packet.hop_limit = packet.Packet.hop_limit - 1 }
 
-let handle_multicast t ~link packet =
+let handle_multicast t ~link ~chan packet =
   match packet.Packet.payload with
   | Packet.Mld msg -> (
     t.load.Load.control_messages <- t.load.Load.control_messages + 1;
@@ -650,14 +660,17 @@ let handle_multicast t ~link packet =
     match Addr.multicast_scope packet.Packet.dst with
     | Some scope when scope > 2 -> (
       match t.pim with
-      | Some p -> Pimdm.Pim_router.handle_data p ~iface:(Link_id.to_int link) packet
+      | Some p ->
+        Pimdm.Pim_router.handle_data p ~iface:(Link_id.to_int link)
+          ~chan:(chan : Ids.Channel_id.t :> int)
+          packet
       | None -> ())
     | Some _ | None -> ())
 
-let on_receive t ~link ~from:_ packet =
+let on_receive t ~link ~from:_ ~chan packet =
   if t.running then begin
     t.load.Load.packets_processed <- t.load.Load.packets_processed + 1;
-    if Packet.is_multicast_dst packet then handle_multicast t ~link packet
+    if Packet.is_multicast_dst packet then handle_multicast t ~link ~chan packet
     else handle_unicast t packet
   end
 
@@ -673,7 +686,8 @@ let create net node config =
     links;
     label;
     load = Load.create ();
-    mld_routers = Link_id.Tbl.create 8;
+    link_ids = Array.of_list (List.map Link_id.to_int links);
+    mld_routers = Array.make (List.length links) None;
     pim = None;
     cache = None;
     tunnels_by_home = Hashtbl.create 4;
@@ -869,8 +883,9 @@ let start t =
                refreshed = (fun ~previous entry -> on_binding_refreshed t ~previous entry);
                removed = (fun entry -> on_binding_removed t entry);
                expiring = (fun entry -> on_binding_expiring t entry) });
-    List.iter (fun link -> Link_id.Tbl.replace t.mld_routers link (make_mld_router t link)) t.links;
-    Network.set_handler t.net t.node (fun ~link ~from packet -> on_receive t ~link ~from packet);
+    List.iteri (fun i link -> t.mld_routers.(i) <- Some (make_mld_router t link)) t.links;
+    Network.set_handler t.net t.node (fun ~link ~from ~chan packet ->
+        on_receive t ~link ~from ~chan packet);
     Pimdm.Pim_router.start (pim t);
     iter_mld t Mld.Mld_router.start;
     (* When failover is off, a served link's agent is always active. *)

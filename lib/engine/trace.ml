@@ -8,18 +8,35 @@ type t = {
   sim : Sim.t;
   mutable items : record list;  (* newest first *)
   mutable total : int;
-  per_category : (string, int) Hashtbl.t;
+  per_category : (string, int ref) Hashtbl.t;
+  (* The counter of the category recorded last: runs of one category
+     skip the string hash. *)
+  mutable last_category : string;
+  mutable last_count : int ref;
+  (* One buffer formatter reused by every [recordf], built on first use:
+     a fresh formatter per record cost more than the rest of recording.
+     [formatting] is set while it is in use, so a nested [recordf] (from
+     a [%a] printer) formats on its own. *)
+  mutable out : (Buffer.t * Format.formatter) option;
+  mutable formatting : bool;
   (* Memoized oldest-first view of [items]; invalidated on record/clear
      so repeated [records]/[by_category] calls don't re-reverse. *)
   mutable oldest_first : record list option;
   mutable enabled : bool;
 }
 
+(* Physically unique, so no caller's category is taken for it. *)
+let no_category = String.make 1 '\000'
+
 let create ?(enabled = true) sim =
   { sim;
     items = [];
     total = 0;
     per_category = Hashtbl.create 8;
+    last_category = no_category;
+    last_count = ref 0;
+    out = None;
+    formatting = false;
     oldest_first = None;
     enabled }
 
@@ -30,8 +47,19 @@ let record t ~category message =
   if t.enabled then begin
     t.items <- { at = Sim.now t.sim; category; message } :: t.items;
     t.total <- t.total + 1;
-    Hashtbl.replace t.per_category category
-      (1 + Option.value ~default:0 (Hashtbl.find_opt t.per_category category));
+    if category != t.last_category then begin
+      let n =
+        match Hashtbl.find_opt t.per_category category with
+        | Some n -> n
+        | None ->
+          let n = ref 0 in
+          Hashtbl.replace t.per_category category n;
+          n
+      in
+      t.last_category <- category;
+      t.last_count <- n
+    end;
+    incr t.last_count;
     t.oldest_first <- None
   end
 
@@ -39,8 +67,30 @@ let recordf t ~category fmt =
   (* Check [enabled] before rendering: [kasprintf] formats eagerly, and
      hot paths (transmit, faults) call this on every packet, so a
      disabled trace must not pay the formatting cost. *)
-  if t.enabled then Format.kasprintf (fun message -> record t ~category message) fmt
-  else Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
+  if not t.enabled then Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
+  else if t.formatting then Format.kasprintf (fun message -> record t ~category message) fmt
+  else begin
+    let buf, ppf =
+      match t.out with
+      | Some out -> out
+      | None ->
+        let buf = Buffer.create 128 in
+        let out = (buf, Format.formatter_of_buffer buf) in
+        t.out <- Some out;
+        out
+    in
+    t.formatting <- true;
+    (* Flushing resets the formatter to its initial state, so each
+       message renders exactly as on a fresh formatter. *)
+    Format.kfprintf
+      (fun ppf ->
+        Format.pp_print_flush ppf ();
+        let message = Buffer.contents buf in
+        Buffer.clear buf;
+        t.formatting <- false;
+        record t ~category message)
+      ppf fmt
+  end
 
 let records t =
   match t.oldest_first with
@@ -66,12 +116,17 @@ let recent t ~n =
 let count ?category t =
   match category with
   | None -> t.total
-  | Some c -> Option.value ~default:0 (Hashtbl.find_opt t.per_category c)
+  | Some c -> (
+    match Hashtbl.find_opt t.per_category c with
+    | Some n -> !n
+    | None -> 0)
 
 let clear t =
   t.items <- [];
   t.total <- 0;
   Hashtbl.reset t.per_category;
+  t.last_category <- no_category;
+  t.last_count <- ref 0;
   t.oldest_first <- None
 
 let digest t =

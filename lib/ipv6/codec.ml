@@ -2,6 +2,10 @@ exception Error of string
 
 let data_min_bytes = 8
 
+(* One IPv6-in-IPv6 tunnel header around the datagram must still fit
+   the outer Payload Length. *)
+let data_max_bytes = 0xffff - Packet.header_size
+
 let error fmt = Format.kasprintf (fun s -> raise (Error s)) fmt
 
 let next_header_dest_options = 60

@@ -22,6 +22,12 @@ val data_min_bytes : int
 (** [8]: the smallest [Data] payload that encodes — its stream/seq
     header. *)
 
+val data_max_bytes : int
+(** [65495]: the largest [Data] payload that encodes both as a plain
+    datagram and inside one IPv6-in-IPv6 tunnel (RFC 2473), whose extra
+    40-byte header counts against the outer Payload Length of 65,535
+    — the tunnelled approaches carry every datagram that way. *)
+
 val encode : Packet.t -> bytes
 (** @raise Error when the packet cannot be put on the wire: a [Data]
     payload smaller than 8 bytes (the stream/seq header) or a total

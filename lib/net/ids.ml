@@ -43,3 +43,14 @@ end)
 module Link_id = Make (struct
   let prefix = "l"
 end)
+
+(* Not made by [Make], whose result is abstract: the per-packet paths
+   index arrays with channel ids, and a private [int] converts for
+   free. *)
+module Channel_id = struct
+  type t = int
+
+  let of_int i = i
+  let to_int i = i
+  let none = -1
+end

@@ -1,6 +1,7 @@
 open Ipv6
 module Node_id = Ids.Node_id
 module Link_id = Ids.Link_id
+module Channel_id = Ids.Channel_id
 
 type l2_dest =
   | To_node of Node_id.t
@@ -14,9 +15,8 @@ type link_stats = {
 
 let empty_stats = { packets = 0; bytes = 0; data_bytes = 0 }
 
-(* Per-link counters live in mutable records so the per-packet path is
-   one hash lookup plus three in-place increments — no functional-map
-   rebuild per packet. *)
+(* Per-link counters live in mutable records, one per link id, so the
+   per-packet path is one array read plus three in-place increments. *)
 type stats_cell = {
   mutable c_packets : int;
   mutable c_bytes : int;
@@ -39,19 +39,41 @@ let pristine () =
 (* A condition that behaves differently from an absent one. *)
 let impaired c = (not c.up) || c.loss > 0.0 || c.dup > 0.0 || c.reorder > 0.0 || c.corrupt > 0.0
 
+(* A channel's key: (source, group) for multicast, (source,
+   destination) for unicast, the destination alone for a tunnel.
+   Only [intern] builds one, on a memo miss. *)
+type chan_kind =
+  | Mcast
+  | Ucast
+  | Tunnel
+
+module Chan_tbl = Hashtbl.Make (struct
+  type t = chan_kind * Addr.t * Addr.t
+
+  let equal (k, a, b) (k', a', b') = k = k' && Addr.equal a a' && Addr.equal b b'
+
+  let hash (k, a, b) =
+    let kind = match k with Mcast -> 0 | Ucast -> 1 | Tunnel -> 2 in
+    let h = (((Addr.hash a * 0x100000001b3) lxor Addr.hash b) * 31) + kind in
+    (h lxor (h lsr 32)) land max_int
+end)
+
+type handler = link:Link_id.t -> from:Node_id.t -> chan:Channel_id.t -> Packet.t -> unit
+
 type t = {
   sim : Engine.Sim.t;
   topology : Topology.t;
   routing : Routing.t;
   trace : Engine.Trace.t;
-  handlers : (link:Link_id.t -> from:Node_id.t -> Packet.t -> unit) Node_id.Tbl.t;
+  mutable handlers : handler option array;  (* by node id *)
   owners : (Link_id.t * Addr.t, Node_id.t) Hashtbl.t;
-  per_link : stats_cell Link_id.Tbl.t;
+  mutable per_link : stats_cell array;  (* by link id *)
+  channels : Channel_id.t Chan_tbl.t;
   mutable dropped : int;
   (* Observers in registration order in [observers.(0 .. n_observers-1)];
      a growable array keeps registration O(1) amortized and the
      per-packet iteration a tight counted loop. *)
-  mutable observers : (Link_id.t -> Packet.t -> unit) array;
+  mutable observers : (Link_id.t -> Channel_id.t -> Packet.t -> unit) array;
   mutable n_observers : int;
   (* Frame observers additionally see the sender and L2 destination;
      the packet-capture layer filters on them.  Same growable-array
@@ -67,6 +89,14 @@ type t = {
      transmissions shares a single interned frame cell (one encode for
      the whole dense-mode flood step). *)
   mutable last_frame : Codec.Frame.t option;
+  (* The channel of [last_frame], and the packet and channel of the
+     delivery handled last: a router forwards what it received (the
+     same value, or a copy with the hop limit decremented), so one of
+     the two names the channel of almost every transmission and
+     [intern] hashes only the first hop of a stream. *)
+  mutable last_chan : Channel_id.t;
+  mutable rx_packet : Packet.t;
+  mutable rx_chan : Channel_id.t;
   conditions : (Link_id.t, condition) Hashtbl.t;
   mutable impaired_links : int;  (* entries of [conditions] that are [impaired] *)
   (* Independent fault randomness: [loss_rng] is split from the root
@@ -117,21 +147,31 @@ and frame_names = {
   rx_name : string;
 }
 
+let new_cell () = { c_packets = 0; c_bytes = 0; c_data_bytes = 0 }
+
+(* Node and link ids are dense from 0. *)
+let id_bound to_int = List.fold_left (fun m x -> max m (to_int x + 1)) 0
+
 let create sim topology =
   let loss_rng = Engine.Rng.split (Engine.Sim.rng sim) in
   { sim;
     topology;
     routing = Routing.create topology;
     trace = Engine.Trace.create sim;
-    handlers = Node_id.Tbl.create 32;
+    handlers = Array.make (id_bound Node_id.to_int (Topology.nodes topology)) None;
     owners = Hashtbl.create 64;
-    per_link = Link_id.Tbl.create 16;
+    per_link =
+      Array.init (id_bound Link_id.to_int (Topology.links topology)) (fun _ -> new_cell ());
+    channels = Chan_tbl.create 8;
     dropped = 0;
     observers = [||];
     n_observers = 0;
     frame_observers = [||];
     n_frame_observers = 0;
     last_frame = None;
+    last_chan = Channel_id.none;
+    rx_packet = Packet.make ~src:Addr.unspecified ~dst:Addr.unspecified Packet.Empty;
+    rx_chan = Channel_id.none;
     conditions = Hashtbl.create 4;
     impaired_links = 0;
     loss_rng;
@@ -162,17 +202,76 @@ let topology t = t.topology
 let routing t = t.routing
 let trace t = t.trace
 
-let set_handler t node f = Node_id.Tbl.replace t.handlers node f
+let set_handler t node f =
+  let i = Node_id.to_int node in
+  let len = Array.length t.handlers in
+  if i >= len then begin
+    let grown = Array.make (max (i + 1) (2 * len)) None in
+    Array.blit t.handlers 0 grown 0 len;
+    t.handlers <- grown
+  end;
+  t.handlers.(i) <- Some f
+
+let handler t node =
+  let i = Node_id.to_int node in
+  if i < Array.length t.handlers then Array.unsafe_get t.handlers i else None
+
+(* ---- channels ---- *)
+
+(* Data and tunnelled packets have a channel; control messages none. *)
+let data_bearing (p : Packet.t) =
+  match p.Packet.payload with
+  | Packet.Data _ | Packet.Encapsulated _ -> true
+  | Packet.Mld _ | Packet.Pim _ | Packet.Nd _ | Packet.Empty -> false
+
+let tunnelled (p : Packet.t) =
+  match p.Packet.payload with
+  | Packet.Encapsulated _ -> not (Packet.is_multicast_dst p)
+  | Packet.Data _ | Packet.Mld _ | Packet.Pim _ | Packet.Nd _ | Packet.Empty -> false
+
+(* Whether two data-bearing packets have the same channel key, without
+   building either. *)
+let same_channel (p : Packet.t) (q : Packet.t) =
+  p == q
+  || Addr.equal p.Packet.dst q.Packet.dst
+     &&
+     let tp = tunnelled p in
+     tp = tunnelled q && (tp || Addr.equal p.Packet.src q.Packet.src)
+
+let intern t (p : Packet.t) =
+  let key =
+    if Packet.is_multicast_dst p then (Mcast, p.Packet.src, p.Packet.dst)
+    else if tunnelled p then (Tunnel, p.Packet.dst, p.Packet.dst)
+    else (Ucast, p.Packet.src, p.Packet.dst)
+  in
+  match Chan_tbl.find_opt t.channels key with
+  | Some c -> c
+  | None ->
+    let c = Channel_id.of_int (Chan_tbl.length t.channels) in
+    Chan_tbl.add t.channels key c;
+    c
+
+let channel t packet =
+  if not (data_bearing packet) then Channel_id.none
+  else if (t.rx_chan :> int) >= 0 && same_channel t.rx_packet packet then t.rx_chan
+  else
+    match t.last_frame with
+    | Some f when (t.last_chan :> int) >= 0 && same_channel (Codec.Frame.packet f) packet ->
+      t.last_chan
+    | Some _ | None -> intern t packet
+
+(* The per-link cell; links added to the topology after [create] get
+   theirs on first use. *)
+let stats_cell t link =
+  let i = Link_id.to_int link in
+  let len = Array.length t.per_link in
+  if i >= len then
+    t.per_link <-
+      Array.init (max (i + 1) (2 * len)) (fun j -> if j < len then t.per_link.(j) else new_cell ());
+  Array.unsafe_get t.per_link i
 
 let count t link packet ~size =
-  let cell =
-    match Link_id.Tbl.find_opt t.per_link link with
-    | Some cell -> cell
-    | None ->
-      let cell = { c_packets = 0; c_bytes = 0; c_data_bytes = 0 } in
-      Link_id.Tbl.replace t.per_link link cell;
-      cell
-  in
+  let cell = stats_cell t link in
   cell.c_packets <- cell.c_packets + 1;
   cell.c_bytes <- cell.c_bytes + size;
   cell.c_data_bytes <- cell.c_data_bytes + Packet.payload_data_bytes packet
@@ -368,6 +467,13 @@ let drop_malformed t ~link ~to_node reason =
     (Topology.link_name t.topology link)
     reason
 
+(* Hand a received packet to its node, noting it and its channel for
+   the node's forwarding transmits. *)
+let hand_over t (handler : handler) ~link ~from ~chan packet =
+  t.rx_packet <- packet;
+  t.rx_chan <- chan;
+  handler ~link ~from ~chan packet
+
 (* Wire-exact delivery: serialize, optionally corrupt, re-parse.  The
    receiver only ever sees what the byte-exact frame decodes to; a
    frame the decoder rejects (truncation, checksum mismatch, malformed
@@ -381,12 +487,12 @@ let drop_malformed t ~link ~to_node reason =
    value each receiver would have computed alone.  Corruption injection
    copies the shared frame before flipping bytes (copy-on-write), then
    decodes its private damaged copy. *)
-let deliver_wire t ~link ~from ~to_node handler cell =
+let deliver_wire t ~link ~from ~to_node ~chan handler cell =
   match Codec.Frame.force cell with
   | Error _ ->
     (* Not expressible on the wire (a model-only packet): hand it over
        structurally rather than invent a drop no real link would add. *)
-    handler ~link ~from (Codec.Frame.packet cell)
+    hand_over t handler ~link ~from ~chan (Codec.Frame.packet cell)
   | Ok shared -> (
     let rate = corrupt_rate t link in
     if rate > 0.0 && Engine.Rng.float t.corrupt_rng 1.0 < rate then begin
@@ -402,15 +508,17 @@ let deliver_wire t ~link ~from ~to_node handler cell =
         Bytes.set frame i (Char.chr (Char.code (Bytes.get frame i) lxor mask))
       done;
       match Codec.decode frame with
-      | Ok received -> handler ~link ~from received
+      | Ok received ->
+        (* Damage to the header may have moved it to another channel. *)
+        hand_over t handler ~link ~from ~chan:(channel t received) received
       | Error reason -> drop_malformed t ~link ~to_node reason
     end
     else
       match Codec.Frame.decoded cell with
-      | Ok received -> handler ~link ~from received
+      | Ok received -> hand_over t handler ~link ~from ~chan received
       | Error reason -> drop_malformed t ~link ~to_node reason)
 
-let deliver t ~link ~from ~to_node ~txsp cell =
+let deliver t ~link ~from ~to_node ~txsp ~chan cell =
   (* Attachment and link state are re-checked at delivery time: a node
      that moved away while the frame was in flight misses it, and a
      link that went down kills its in-flight frames.  On a faultless
@@ -432,12 +540,12 @@ let deliver t ~link ~from ~to_node ~txsp cell =
       record_drop t ~to_node ~txsp Engine.Span.Loss_fault
     end
     else
-      match Node_id.Tbl.find_opt t.handlers to_node with
+      match handler t to_node with
       | Some handler -> (
         match Engine.Sim.lineage t.sim with
         | None ->
-          if t.wire_check then deliver_wire t ~link ~from ~to_node handler cell
-          else handler ~link ~from (Codec.Frame.packet cell)
+          if t.wire_check then deliver_wire t ~link ~from ~to_node ~chan handler cell
+          else hand_over t handler ~link ~from ~chan (Codec.Frame.packet cell)
         | Some c ->
           let at = Engine.Sim.now t.sim in
           let rx =
@@ -446,8 +554,8 @@ let deliver t ~link ~from ~to_node ~txsp cell =
               ~parent:txsp ~attrs:(link_attrs t link) ()
           in
           Engine.Span.within c rx (fun () ->
-              if t.wire_check then deliver_wire t ~link ~from ~to_node handler cell
-              else handler ~link ~from (Codec.Frame.packet cell));
+              if t.wire_check then deliver_wire t ~link ~from ~to_node ~chan handler cell
+              else hand_over t handler ~link ~from ~chan (Codec.Frame.packet cell));
           Engine.Span.close_span c ~at rx)
       | None -> record_drop t ~to_node ~txsp Engine.Span.No_handler
   end
@@ -473,21 +581,24 @@ let transmit t ~from ~link dest packet =
     | _ ->
       let size = Packet.size packet in
       count t link packet ~size;
-      for i = 0 to t.n_observers - 1 do
-        (Array.unsafe_get t.observers i) link packet
-      done;
-      (* The interned frame cell for this transmission; consecutive
-         transmits of the physically-same packet (a flood step's
-         per-link fan-out) reuse the previous cell, so the whole
-         fan-out encodes once. *)
+      (* The interned frame cell for this transmission and its channel;
+         consecutive transmits of the physically-same packet (a flood
+         step's per-link fan-out) reuse the previous cell, so the whole
+         fan-out encodes once and looks its channel up once. *)
       let cell =
         match t.last_frame with
         | Some f when Codec.Frame.packet f == packet -> f
-        | _ ->
+        | Some _ | None ->
+          let chan = channel t packet in
           let f = Codec.Frame.of_packet packet in
           t.last_frame <- Some f;
+          t.last_chan <- chan;
           f
       in
+      let chan = t.last_chan in
+      for i = 0 to t.n_observers - 1 do
+        (Array.unsafe_get t.observers i) link chan packet
+      done;
       for i = 0 to t.n_frame_observers - 1 do
         (Array.unsafe_get t.frame_observers i) ~link ~from ~dest cell
       done;
@@ -521,7 +632,7 @@ let transmit t ~from ~link dest packet =
       let schedule to_node delay =
         ignore
           (Engine.Sim.schedule_after ~category:"net" t.sim delay (fun () ->
-               deliver t ~link ~from ~to_node ~txsp cell))
+               deliver t ~link ~from ~to_node ~txsp ~chan cell))
       in
       let deliver_to to_node =
         let delay =
@@ -576,17 +687,19 @@ let addresses_of t node =
   |> List.sort compare
 
 let link_stats t link =
-  match Link_id.Tbl.find_opt t.per_link link with
-  | None -> empty_stats
-  | Some c -> { packets = c.c_packets; bytes = c.c_bytes; data_bytes = c.c_data_bytes }
+  let i = Link_id.to_int link in
+  if i < 0 || i >= Array.length t.per_link then empty_stats
+  else
+    let c = t.per_link.(i) in
+    { packets = c.c_packets; bytes = c.c_bytes; data_bytes = c.c_data_bytes }
 
 let total_stats t =
-  Link_id.Tbl.fold
-    (fun _ c acc ->
+  Array.fold_left
+    (fun acc c ->
       { packets = acc.packets + c.c_packets;
         bytes = acc.bytes + c.c_bytes;
         data_bytes = acc.data_bytes + c.c_data_bytes })
-    t.per_link empty_stats
+    empty_stats t.per_link
 
 let drops t = t.dropped
 
@@ -609,7 +722,12 @@ let add_frame_observer t f =
   t.n_frame_observers <- t.n_frame_observers + 1
 
 let reset_stats t =
-  Link_id.Tbl.reset t.per_link;
+  Array.iter
+    (fun c ->
+      c.c_packets <- 0;
+      c.c_bytes <- 0;
+      c.c_data_bytes <- 0)
+    t.per_link;
   t.dropped <- 0;
   t.lost <- 0;
   t.duplicated <- 0;

@@ -17,9 +17,11 @@
     the protocol code knowing about metrics.
 
     The per-packet path is engineered for sweep throughput: counters
-    are mutable records behind one hash lookup, and a network on which
-    no fault was ever installed skips the fault-condition machinery
-    entirely. *)
+    are mutable records in an array by link id, receive handlers an
+    array by node id, and a network on which no fault was ever
+    installed skips the fault-condition machinery entirely.  Every
+    data-bearing transmission carries a dense {!Ids.Channel_id}, which
+    the observers and receivers index their own per-packet state by. *)
 
 open Ipv6
 
@@ -42,10 +44,23 @@ val topology : t -> Topology.t
 val routing : t -> Routing.t
 val trace : t -> Engine.Trace.t
 
-val set_handler :
-  t -> Ids.Node_id.t -> (link:Ids.Link_id.t -> from:Ids.Node_id.t -> Packet.t -> unit) -> unit
-(** The node's receive callback.  At most one per node; setting again
-    replaces it. *)
+type handler =
+  link:Ids.Link_id.t -> from:Ids.Node_id.t -> chan:Ids.Channel_id.t -> Packet.t -> unit
+(** A node's receive callback.  [chan] is the received packet's
+    {!channel}. *)
+
+val set_handler : t -> Ids.Node_id.t -> handler -> unit
+(** At most one handler per node; setting again replaces it. *)
+
+val channel : t -> Packet.t -> Ids.Channel_id.t
+(** The packet's channel: {!Ids.Channel_id.none} for a control message
+    (an MLD, PIM, ND or empty payload), otherwise a network-wide dense
+    id of its address part — (source, group) for a multicast
+    destination, the destination for a unicast tunnelled packet, and
+    (source, destination) for other unicast — interned on first sight.
+    Transmission interns once per fan-out: a router's transmits of the
+    packet it just received, or of a copy with the same addresses, read
+    the channel from a memo; other calls hash the address part once. *)
 
 val transmit : t -> from:Ids.Node_id.t -> link:Ids.Link_id.t -> l2_dest -> Packet.t -> unit
 (** Put a packet on a link.  Delivery callbacks fire after the link's
@@ -173,9 +188,10 @@ val link_stats : t -> Ids.Link_id.t -> link_stats
 val total_stats : t -> link_stats
 val drops : t -> int
 
-val add_transmit_observer : t -> (Ids.Link_id.t -> Packet.t -> unit) -> unit
-(** Called synchronously on every transmit, before delivery, in
-    registration order.  Registration is O(1) amortized. *)
+val add_transmit_observer : t -> (Ids.Link_id.t -> Ids.Channel_id.t -> Packet.t -> unit) -> unit
+(** Called synchronously on every transmit, with the packet's
+    {!channel}, before delivery, in registration order.  Registration
+    is O(1) amortized. *)
 
 val add_frame_observer :
   t ->

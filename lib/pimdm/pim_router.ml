@@ -29,7 +29,9 @@ type entry = {
   mutable iif_assert : (int * int * Addr.t) option;
   iif_assert_timer : Engine.Timer.t;
   oifs : (Pim_env.iface, oif) Hashtbl.t;
-  mutable oif_order : (Pim_env.iface * oif) list;  (* [oifs], ascending by iface *)
+      (* the ordered store: State Refresh goes out in its iteration order *)
+  mutable oif_ifaces : Pim_env.iface array;  (* [oifs]' keys, ascending *)
+  mutable oif_cells : oif array;  (* [oif_cells.(k)] is the oif of [oif_ifaces.(k)] *)
   mutable olist_gen : int;  (* router generation [olist_memo] was computed at *)
   mutable olist_memo : (Pim_env.iface * oif) list;
   expiry : Engine.Timer.t;
@@ -44,6 +46,7 @@ type entry = {
      the same lineage instead of rooting fresh traces); -1 = none. *)
   mutable prune_cause : int;
   mutable graft_span : int;
+  mutable chan : int;  (* the [by_chan] slot caching this entry; -1 = none *)
 }
 
 (* Interfaces are small ints: hash them without a C call. *)
@@ -57,7 +60,16 @@ end)
 (* (S,G) keys: [Addr.equal] instead of polymorphic compare, but the
    polymorphic hash, so buckets — and with them every iteration order,
    hence Graft and State Refresh emission order — stay those of the
-   generic table. *)
+   generic table.
+
+   Invariant: [entries] is the one ordered store of a router's (S,G)
+   state.  Every walk over the entries ([local_members_changed],
+   [interface_added], [stop], the introspection folds) goes through it,
+   so the order of the Grafts and State Refreshes those walks send, and
+   with it every trace digest, does not depend on how data finds its
+   entry.  [by_chan] is only a cache in front of it for the data path:
+   an entry is in [by_chan] at most once, under the channel recorded in
+   its [chan] field, and leaves it when it leaves [entries]. *)
 module Sg_tbl = Hashtbl.Make (struct
   type t = Addr.t * Addr.t
 
@@ -68,6 +80,7 @@ end)
 type t = {
   env : Pim_env.t;
   entries : entry Sg_tbl.t;
+  mutable by_chan : entry option array;  (* by the network's channel id of (S,G) *)
   neighbors : (Pim_env.iface * Addr.t, Engine.Timer.t) Hashtbl.t;
   neighbor_count : int ref Iface_tbl.t;  (* live entries of [neighbors], per iface *)
   hello_timer : Engine.Timer.t;
@@ -152,6 +165,22 @@ let send_hellos t =
 
 let entry_key source group = (source, group)
 
+(* The outgoing interface [iface] of [entry]: a scan of a few ints. *)
+let rec oif_from entry iface k =
+  if k >= Array.length entry.oif_ifaces then None
+  else if Array.unsafe_get entry.oif_ifaces k = iface then Some (Array.unsafe_get entry.oif_cells k)
+  else oif_from entry iface (k + 1)
+
+let find_oif entry iface = oif_from entry iface 0
+
+let uncache t entry =
+  if entry.chan >= 0 then begin
+    (match t.by_chan.(entry.chan) with
+     | Some e when e == entry -> t.by_chan.(entry.chan) <- None
+     | Some _ | None -> ());
+    entry.chan <- -1
+  end
+
 let stop_entry_timers entry =
   Engine.Timer.stop entry.expiry;
   Engine.Timer.stop entry.graft_timer;
@@ -171,6 +200,7 @@ let delete_entry t entry =
    | Some h -> Engine.Sim.cancel t.env.Pim_env.sim h
    | None -> ());
   Sg_tbl.remove t.entries (entry_key entry.source entry.group);
+  uncache t entry;
   touch t;
   trace t "(%s,%s) state expired" (Addr.to_string entry.source) (Addr.to_string entry.group)
 
@@ -219,9 +249,18 @@ let originate_state_refresh t entry ~interval =
   trace t "(%s,%s) state refresh originated" (Addr.to_string entry.source)
     (Addr.to_string entry.group)
 
-let sorted_oifs entry =
-  Hashtbl.fold (fun iface o acc -> (iface, o) :: acc) entry.oifs []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+(* Rebuild the lookup arrays from [oifs]. *)
+let index_oifs entry =
+  let sorted =
+    Hashtbl.fold (fun iface o acc -> (iface, o) :: acc) entry.oifs []
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  in
+  entry.oif_ifaces <- Array.of_list (List.map fst sorted);
+  entry.oif_cells <- Array.of_list (List.map snd sorted)
+
+(* [(iface, oif)] pairs, ascending by iface. *)
+let oif_list entry =
+  List.init (Array.length entry.oif_ifaces) (fun k -> (entry.oif_ifaces.(k), entry.oif_cells.(k)))
 
 let create_entry t ~source ~group (rpf : Pim_env.rpf_result) =
   let label =
@@ -249,7 +288,8 @@ let create_entry t ~source ~group (rpf : Pim_env.rpf_result) =
                 if e.upstream_state = Pruned_up then e.upstream_state <- Joined
               end);
         oifs = Hashtbl.create 4;
-        oif_order = [];
+        oif_ifaces = [||];
+        oif_cells = [||];
         olist_gen = -1;
         olist_memo = [];
         expiry =
@@ -284,7 +324,8 @@ let create_entry t ~source ~group (rpf : Pim_env.rpf_result) =
         join_override = None;
         refresh_timer = None;
         prune_cause = -1;
-        graft_span = -1 }
+        graft_span = -1;
+        chan = -1 }
   in
   let entry = Lazy.force entry in
   List.iter
@@ -293,7 +334,7 @@ let create_entry t ~source ~group (rpf : Pim_env.rpf_result) =
         Hashtbl.replace entry.oifs iface
           (make_oif t iface (Printf.sprintf "%s.oif%d" label iface)))
     (t.env.Pim_env.interfaces ());
-  entry.oif_order <- sorted_oifs entry;
+  index_oifs entry;
   Sg_tbl.replace t.entries (entry_key source group) entry;
   touch t;
   Engine.Timer.start entry.expiry (config t).Pim_config.data_timeout;
@@ -330,6 +371,39 @@ let find_or_create_entry t ~source ~group =
     | None -> None
     | Some rpf -> Some (create_entry t ~source ~group rpf))
 
+(* The data path's lookup: an array read when [chan] caches the entry,
+   [find_or_create_entry] otherwise.  A cached entry is checked against
+   the packet's (S,G), so a caller's stray channel id costs a miss, never
+   a wrong entry. *)
+let entry_for_data t ~chan ~source ~group =
+  let cached =
+    if chan >= 0 && chan < Array.length t.by_chan then
+      match Array.unsafe_get t.by_chan chan with
+      | Some e as hit when Addr.equal e.source source && Addr.equal e.group group -> hit
+      | Some _ | None -> None
+    else None
+  in
+  match cached with
+  | Some _ -> cached
+  | None ->
+    let found = find_or_create_entry t ~source ~group in
+    (match found with
+     | Some e when chan >= 0 ->
+       let len = Array.length t.by_chan in
+       if chan >= len then begin
+         let grown = Array.make (max (chan + 1) (2 * len)) None in
+         Array.blit t.by_chan 0 grown 0 len;
+         t.by_chan <- grown
+       end;
+       uncache t e;
+       (match t.by_chan.(chan) with
+        | Some other -> other.chan <- -1
+        | None -> ());
+       t.by_chan.(chan) <- found;
+       e.chan <- chan
+     | Some _ | None -> ());
+    found
+
 (* ---- forwarding decision ---- *)
 
 (* An interface carries (S,G) data when we won (or never contested) the
@@ -338,20 +412,24 @@ let find_or_create_entry t ~source ~group =
    datagram is still owed. *)
 let oif_would_forward t entry iface o =
   o.assert_lost = None
-  && (t.env.Pim_env.has_local_members iface entry.group
-      ||
-      if oif_has_neighbors o then o.prune <> Pruned
-      else
-        (config t).Pim_config.flood_to_leaf_links
-        && t.env.Pim_env.flood_eligible iface
-        && not o.leaf_flooded)
+  && ((if oif_has_neighbors o then o.prune <> Pruned
+       else
+         (config t).Pim_config.flood_to_leaf_links
+         && t.env.Pim_env.flood_eligible iface
+         && not o.leaf_flooded)
+      (* last: the membership test is the one lookup *)
+      || t.env.Pim_env.has_local_members iface entry.group)
 
 (* Every input of [oif_would_forward] moves the generation, so the list
    is recomputed only after a state change, not per datagram. *)
 let olist t entry =
   if entry.olist_gen <> t.generation then begin
-    entry.olist_memo <-
-      List.filter (fun (iface, o) -> oif_would_forward t entry iface o) entry.oif_order;
+    let memo = ref [] in
+    for k = Array.length entry.oif_ifaces - 1 downto 0 do
+      let iface = entry.oif_ifaces.(k) and o = entry.oif_cells.(k) in
+      if oif_would_forward t entry iface o then memo := (iface, o) :: !memo
+    done;
+    entry.olist_memo <- !memo;
     entry.olist_gen <- t.generation
   end;
   entry.olist_memo
@@ -493,10 +571,10 @@ let send_assert t entry iface =
   trace t "(%s,%s) assert sent on iface %d" (Addr.to_string entry.source)
     (Addr.to_string entry.group) iface
 
-let handle_data t ~iface packet =
+let handle_data t ~iface ~chan packet =
   if t.running then begin
     let source = packet.Packet.src and group = packet.Packet.dst in
-    match find_or_create_entry t ~source ~group with
+    match entry_for_data t ~chan ~source ~group with
     | None ->
       (match lineage t with
        | None -> ()
@@ -515,7 +593,7 @@ let handle_data t ~iface packet =
         (* Reverse-path failure: a datagram showed up on an interface we
            forward onto, so another forwarder is active on that LAN —
            start the Assert process (paper, section 3.1). *)
-        match Hashtbl.find_opt entry.oifs iface with
+        match find_oif entry iface with
         | Some o when oif_would_forward t entry iface o -> send_assert t entry iface
         | Some _ | None -> ()
       end
@@ -528,7 +606,7 @@ let local_addr t iface = t.env.Pim_env.local_address iface
 let handle_prune t ~iface ~upstream_neighbor entry =
   let mine = Addr.equal upstream_neighbor (local_addr t iface) in
   if mine then begin
-    match Hashtbl.find_opt entry.oifs iface with
+    match find_oif entry iface with
     | None -> ()
     | Some o -> (
       match o.prune with
@@ -558,7 +636,7 @@ let handle_prune t ~iface ~upstream_neighbor entry =
 let handle_join t ~iface ~upstream_neighbor entry =
   let mine = Addr.equal upstream_neighbor (local_addr t iface) in
   if mine then begin
-    match Hashtbl.find_opt entry.oifs iface with
+    match find_oif entry iface with
     | None -> ()
     | Some o ->
       if o.prune <> Forwarding then begin
@@ -588,7 +666,7 @@ let handle_graft t ~iface ~src ~upstream_neighbor joins =
           match find_entry t ~source ~group with
           | None -> None
           | Some entry -> (
-            match Hashtbl.find_opt entry.oifs iface with
+            match find_oif entry iface with
             | None -> None
             | Some o ->
               o.prune <- Forwarding;
@@ -673,7 +751,7 @@ let handle_assert t ~iface ~src ~group ~source ~metric_preference ~metric =
       end
     end
     else begin
-      match Hashtbl.find_opt entry.oifs iface with
+      match find_oif entry iface with
       | None -> ()
       | Some o ->
         if o.assert_lost = None && oif_would_forward t entry iface o then begin
@@ -790,7 +868,7 @@ let local_members_changed t ~iface ~group ~present =
     Sg_tbl.iter
       (fun (_, g) entry ->
         if Addr.equal g group && iface <> entry.iif then begin
-          (match Hashtbl.find_opt entry.oifs iface with
+          (match find_oif entry iface with
            | Some o -> o.leaf_flooded <- false
            | None -> ());
           if entry.upstream_state = Pruned_up then send_graft_upstream t entry
@@ -808,7 +886,7 @@ let interface_added t ~iface =
           (make_oif t iface
              (Printf.sprintf "%s.(%s,%s).oif%d" t.env.Pim_env.label (Addr.to_string source)
                 (Addr.to_string group) iface));
-        entry.oif_order <- sorted_oifs entry;
+        index_oifs entry;
         touch t
       end)
     t.entries
@@ -820,6 +898,7 @@ let create env =
     lazy
       { env;
         entries = Sg_tbl.create 8;
+        by_chan = [||];
         neighbors = Hashtbl.create 8;
         neighbor_count = Iface_tbl.create 8;
         hello_timer =
@@ -852,7 +931,8 @@ let stop t =
   List.iter
     (fun e ->
       stop_entry_timers e;
-      cancel_join_override t e)
+      cancel_join_override t e;
+      uncache t e)
     all;
   Sg_tbl.reset t.entries
 
@@ -891,7 +971,7 @@ let entry_info t ~source ~group =
             forwarding = oif_would_forward t entry iface o;
             pruned = o.prune = Pruned;
             assert_lost = o.assert_lost <> None })
-        entry.oif_order
+        (oif_list entry)
     in
     Some { source; group; iif = entry.iif; upstream = entry.upstream; oifs }
 
@@ -899,7 +979,7 @@ let is_forwarding t ~source ~group ~iface =
   match find_entry t ~source ~group with
   | None -> false
   | Some entry -> (
-    match Hashtbl.find_opt entry.oifs iface with
+    match find_oif entry iface with
     | None -> false
     | Some o -> oif_would_forward t entry iface o)
 
@@ -939,7 +1019,7 @@ let snapshot_entry t entry =
             (match o.assert_lost with
              | Some (_, _, winner) -> Some winner
              | None -> None) })
-      entry.oif_order
+      (oif_list entry)
   in
   { snap_source = entry.source;
     snap_group = entry.group;

@@ -34,9 +34,13 @@ val stop : t -> unit
 
 val handle_message : t -> iface:Pim_env.iface -> src:Addr.t -> Pim_message.t -> unit
 
-val handle_data : t -> iface:Pim_env.iface -> Packet.t -> unit
+val handle_data : t -> iface:Pim_env.iface -> chan:int -> Packet.t -> unit
 (** Process a multicast data packet received on an interface.  The
-    packet's source/destination define the (S,G) pair. *)
+    packet's source/destination define the (S,G) pair.  [chan] is the
+    network's dense channel id of that pair ([Net.Network.channel]), or
+    a negative number when the caller has none: the router keeps its
+    entries in an array by channel, so the per-datagram lookup is an
+    array read instead of a hash of the (S,G) key. *)
 
 val local_members_changed : t -> iface:Pim_env.iface -> group:Addr.t -> present:bool -> unit
 (** MLD notification hook (listener appeared / disappeared on a

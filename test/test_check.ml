@@ -35,7 +35,7 @@ let hop_limit_tests =
         (* Count every frame carrying our destination: only the
            injected one may ever appear on a wire. *)
         let seen = ref 0 in
-        Net.Network.add_transmit_observer net (fun _link p ->
+        Net.Network.add_transmit_observer net (fun _link _ p ->
             if Ipv6.Addr.equal p.Ipv6.Packet.dst dst then incr seen);
         Traffic.at scenario 10.0 (fun () ->
             let p =
@@ -374,10 +374,254 @@ let wire_tests =
           (received scenario "R3" > 0))
   ]
 
+(* ---- the forwarding-loop counter against its hash-keyed oracle ---- *)
+
+(* The loop counter the monitor used before its per-(channel, link)
+   window: one global table of (addresses, stream, seq, link) keys,
+   emptied whenever it passes 65,536 of them. *)
+module Tx_oracle = struct
+  open Ipv6
+
+  let mix h x = (h * 0x100000001b3) lxor x
+  let finish h = (h lxor (h lsr 32)) land max_int
+
+  module Tx_key = struct
+    type t =
+      | Mcast of Addr.t * Addr.t * int * int * int
+      | Ucast of Addr.t * Addr.t * int * int * int
+      | Tunnel of Addr.t * int * int * int
+
+    let equal a b =
+      match (a, b) with
+      | Mcast (s, d, st, sq, l), Mcast (s', d', st', sq', l')
+      | Ucast (s, d, st, sq, l), Ucast (s', d', st', sq', l') ->
+        sq = sq' && l = l' && st = st' && Addr.equal d d' && Addr.equal s s'
+      | Tunnel (d, st, sq, l), Tunnel (d', st', sq', l') ->
+        sq = sq' && l = l' && st = st' && Addr.equal d d'
+      | _ -> false
+
+    let hash = function
+      | Mcast (s, d, st, sq, l) ->
+        finish (mix (mix (mix (mix (mix 0 (Addr.hash s)) (Addr.hash d)) st) sq) l)
+      | Ucast (s, d, st, sq, l) ->
+        finish (mix (mix (mix (mix (mix 1 (Addr.hash s)) (Addr.hash d)) st) sq) l)
+      | Tunnel (d, st, sq, l) -> finish (mix (mix (mix (mix 2 (Addr.hash d)) st) sq) l)
+
+    let to_string = function
+      | Mcast (s, d, st, sq, l) ->
+        Printf.sprintf "m|%s|%s|%d|%d|%d" (Addr.to_string s) (Addr.to_string d) st sq l
+      | Ucast (s, d, st, sq, l) ->
+        Printf.sprintf "u|%s|%s|%d|%d|%d" (Addr.to_string s) (Addr.to_string d) st sq l
+      | Tunnel (d, st, sq, l) -> Printf.sprintf "t|%s|%d|%d|%d" (Addr.to_string d) st sq l
+  end
+
+  module Tx_counts = Hashtbl.Make (Tx_key)
+
+  let create () = Tx_counts.create 1024
+
+  let bump t key =
+    if Tx_counts.length t > 65536 then Tx_counts.reset t;
+    match Tx_counts.find_opt t key with
+    | Some r ->
+      incr r;
+      !r
+    | None ->
+      Tx_counts.add t key (ref 1);
+      1
+end
+
+(* A channel of the random streams: its kind and addresses. *)
+type chan_kind =
+  | K_mcast
+  | K_ucast
+  | K_tunnel
+
+let chan_addrs i =
+  ( Ipv6.Addr.of_string (Printf.sprintf "2001:db8:%x::1" (i + 1)),
+    Ipv6.Addr.of_string (Printf.sprintf "ff1e::%x" (i + 1)),
+    Ipv6.Addr.of_string (Printf.sprintf "2001:db8:%x::2" (i + 0x100)) )
+
+let oracle_key kind i ~stream ~seq ~link =
+  let src, grp, ucast = chan_addrs i in
+  match kind with
+  | K_mcast -> Tx_oracle.Tx_key.Mcast (src, grp, stream, seq, link)
+  | K_ucast -> Tx_oracle.Tx_key.Ucast (src, ucast, stream, seq, link)
+  | K_tunnel -> Tx_oracle.Tx_key.Tunnel (ucast, stream, seq, link)
+
+(* One random stream: channels with their kinds, per-link limits, and
+   the transmits [(chan, link, stream, seq)] in order. *)
+type tx_stream = {
+  kinds : chan_kind array;
+  limits : int array;  (* by link, for multicast *)
+  txs : (int * int * int * int) list;
+}
+
+(* Datagrams cross random links a random number of times (more than a
+   link's limit is a loop, two crossings of a unicast link a duplicate).
+   The crossings of each run of [Check.Tx_window.size] consecutive
+   datagrams are shuffled together, so copies are duplicated and
+   reordered within the window but never beyond it. *)
+let gen_tx_stream =
+  let open QCheck.Gen in
+  let* n_chans = int_range 1 4 in
+  let* n_links = int_range 1 4 in
+  let* kinds = array_size (return n_chans) (oneofl [ K_mcast; K_ucast; K_tunnel ]) in
+  let* limits = array_size (return n_links) (int_range 1 4) in
+  let* n_dgrams = int_range 1 400 in
+  let* dgrams =
+    list_size (return n_dgrams)
+      (let* chan = int_bound (n_chans - 1) in
+       let* stream = int_range 1 2 in
+       let* gap = int_range 1 3 in
+       let* crossings =
+         list_size (int_range 1 n_links)
+           (pair (int_bound (n_links - 1))
+              (frequency [ (4, return 1); (2, int_range 2 3); (1, int_range 4 7) ]))
+       in
+       return (chan, stream, gap, crossings))
+  in
+  (* Seqs climb per (channel, stream); a datagram crosses each link of
+     its list once, with that link's multiplicity. *)
+  let next_seq = Hashtbl.create 8 in
+  let dgrams =
+    List.map
+      (fun (chan, stream, gap, crossings) ->
+        let seq = Option.value (Hashtbl.find_opt next_seq (chan, stream)) ~default:0 + gap in
+        Hashtbl.replace next_seq (chan, stream) seq;
+        let crossings = List.sort_uniq (fun (a, _) (b, _) -> compare a b) crossings in
+        List.concat_map
+          (fun (link, n) -> List.init n (fun _ -> (chan, link, stream, seq)))
+          crossings)
+      dgrams
+  in
+  let rec chunks acc = function
+    | [] -> return (List.rev acc)
+    | l ->
+      let chunk = List.filteri (fun i _ -> i < Check.Tx_window.size) l in
+      let rest = List.filteri (fun i _ -> i >= Check.Tx_window.size) l in
+      let* shuffled = shuffle_l (List.concat chunk) in
+      chunks (shuffled :: acc) rest
+  in
+  let* txs = chunks [] dgrams in
+  return { kinds; limits; txs = List.concat txs }
+
+(* The forwarding-loop findings of one counter over a stream: each
+   over-limit transmission's key and count, first report per key only,
+   as the monitor dedups them. *)
+let findings st count =
+  let reported = Hashtbl.create 8 in
+  List.filter_map
+    (fun (chan, link, stream, seq) ->
+      let n = count (chan, link, stream, seq) in
+      let limit =
+        match st.kinds.(chan) with
+        | K_mcast -> st.limits.(link)
+        | K_ucast | K_tunnel -> 2
+      in
+      let key = Tx_oracle.Tx_key.to_string (oracle_key st.kinds.(chan) chan ~stream ~seq ~link) in
+      if n > limit && not (Hashtbl.mem reported key) then begin
+        Hashtbl.replace reported key ();
+        Some (key, n)
+      end
+      else None)
+    st.txs
+
+let window_tests =
+  [ QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:300 ~name:"the window counter reports the hash counter's loops"
+         (QCheck.make
+            ~print:(fun st ->
+              String.concat " "
+                (List.map (fun (c, l, s, q) -> Printf.sprintf "(%d,%d,%d,%d)" c l s q) st.txs))
+            gen_tx_stream)
+         (fun st ->
+           let oracle = Tx_oracle.create () in
+           let window = Check.Tx_window.create ~links:1 in
+           let by_oracle =
+             findings st (fun (chan, link, stream, seq) ->
+                 Tx_oracle.bump oracle (oracle_key st.kinds.(chan) chan ~stream ~seq ~link))
+           in
+           let by_window =
+             findings st (fun (chan, link, stream, seq) ->
+                 Check.Tx_window.bump window ~chan ~link ~stream ~seq)
+           in
+           by_oracle = by_window));
+    Alcotest.test_case "a copy beyond the window starts a fresh count" `Quick (fun () ->
+        let w = Check.Tx_window.create ~links:2 in
+        let bump seq = Check.Tx_window.bump w ~chan:0 ~link:1 ~stream:5 ~seq in
+        Alcotest.(check int) "first crossing" 1 (bump 0);
+        Alcotest.(check int) "second crossing" 2 (bump 0);
+        for seq = 1 to Check.Tx_window.size - 1 do
+          ignore (bump seq)
+        done;
+        Alcotest.(check int) "still in the window" 3 (bump 0);
+        ignore (bump Check.Tx_window.size);
+        Alcotest.(check int) "pushed out by the next datagram" 1 (bump 0);
+        Alcotest.(check int) "another link counts apart" 1
+          (Check.Tx_window.bump w ~chan:0 ~link:0 ~stream:5 ~seq:0);
+        Alcotest.(check int) "another channel counts apart" 1
+          (Check.Tx_window.bump w ~chan:3 ~link:1 ~stream:5 ~seq:0));
+    Alcotest.test_case "a loop after 65,536 transmissions on other channels is reported once"
+      `Quick (fun () ->
+        let scenario = Scenario.paper_figure1 (soak_like_spec ()) in
+        let net = scenario.Scenario.net in
+        let topo = Net.Network.topology net in
+        let monitor = Check.Monitor.attach scenario in
+        let l1 = Scenario.link scenario "L1" in
+        let limit = 1 + List.length (Net.Topology.routers_on_link topo l1) in
+        let from = Host_stack.node_id (Scenario.host scenario "S") in
+        (* Unroutable sources: routers drop every copy on the RPF check. *)
+        let send ~src ~seq =
+          Net.Network.transmit net ~from ~link:l1 Net.Network.To_all
+            (Ipv6.Packet.make ~src ~dst:group
+               (Ipv6.Packet.Data { stream_id = 7; seq; bytes = 64 }))
+        in
+        let loop_src = Ipv6.Addr.of_string "2001:db8:99::1" in
+        let others = 8 and batch = 1024 in
+        let per_channel = (65536 / others) + 1 in
+        (* The loop's first crossing, then more than 65,536 distinct
+           datagrams on eight other channels of the same link — the old
+           counter emptied its table in between — then the crossings
+           that make it a loop. *)
+        Traffic.at scenario 1.0 (fun () -> send ~src:loop_src ~seq:0);
+        let sent = ref 0 in
+        for b = 0 to (others * per_channel / batch) + 1 do
+          Traffic.at scenario (1.0 +. (0.001 *. float_of_int (b + 1))) (fun () ->
+              for _ = 1 to batch do
+                if !sent < others * per_channel then begin
+                  let k = !sent in
+                  incr sent;
+                  let src = Printf.sprintf "2001:db8:98::%x" ((k mod others) + 1) in
+                  send ~src:(Ipv6.Addr.of_string src) ~seq:(k / others)
+                end
+              done)
+        done;
+        Traffic.at scenario 1.5 (fun () ->
+            for _ = 1 to limit do
+              send ~src:loop_src ~seq:0
+            done);
+        Scenario.run_until scenario 2.0;
+        Check.Monitor.detach monitor;
+        Alcotest.(check bool) "more than 65,536 other transmissions" true (!sent > 65536);
+        match Check.Monitor.violations monitor with
+        | [ v ] ->
+          Alcotest.(check string) "invariant" "forwarding-loop"
+            (Check.Monitor.invariant_name v.Check.Monitor.v_invariant);
+          Alcotest.(check string) "where" "L1" v.Check.Monitor.v_where;
+          Alcotest.(check string) "today's detail"
+            (Printf.sprintf
+               "multicast datagram (stream 7, seq 0) from 2001:db8:99::1 crossed L1 %d \
+                times where at most %d sender/assert transmissions are possible"
+               (limit + 1) limit)
+            v.Check.Monitor.v_detail
+        | vs -> Alcotest.failf "expected one forwarding-loop violation, got %d" (List.length vs))
+  ]
+
 let () =
   Alcotest.run "check"
     [ ("hop_limit", hop_limit_tests);
       ("monitor", monitor_tests);
       ("verdicts", verdict_tests @ [ waxman_r100_test; generation_oracle_test ]);
-      ("wire", wire_tests)
+      ("wire", wire_tests);
+      ("window", window_tests)
     ]

@@ -865,7 +865,33 @@ let trace_tests =
         Alcotest.(check int) "printer invoked once enabled" 1 !renders;
         match Trace.records tr with
         | [ r ] -> Alcotest.(check string) "rendered" "value=probe n=7" r.Trace.message
-        | other -> Alcotest.failf "expected 1 record, got %d" (List.length other))
+        | other -> Alcotest.failf "expected 1 record, got %d" (List.length other));
+    Alcotest.test_case "recordf renders each message as a fresh formatter would" `Quick
+      (fun () ->
+        let sim = Sim.create () in
+        let tr = Trace.create sim in
+        let long = String.make 70 'x' in
+        (* A printer that records while the outer message is being
+           rendered, and box and break hints that a reused formatter
+           would carry over if it were not reset. *)
+        let nested fmt =
+          Trace.recordf tr ~category:"inner" "inner %d" 1;
+          Format.pp_print_string fmt "n"
+        in
+        Trace.recordf tr ~category:"x" "@[<v 2>open box %s@ %s" long long;
+        Trace.recordf tr ~category:"x" "after %s@ %s@." long long;
+        Trace.recordf tr ~category:"x" "outer %t" nested;
+        Trace.recordf tr ~category:"x" "plain %d" 3;
+        let fresh =
+          [ Format.asprintf "@[<v 2>open box %s@ %s" long long;
+            Format.asprintf "after %s@ %s@." long long;
+            "inner 1";
+            "outer n";
+            "plain 3" ]
+        in
+        Alcotest.(check (list string)) "messages" fresh
+          (List.map (fun r -> r.Trace.message) (Trace.records tr));
+        Alcotest.(check int) "per category" 4 (Trace.count ~category:"x" tr))
   ]
 
 let odds_and_ends =

@@ -456,6 +456,19 @@ let codec_tests =
         in
         match Codec.encode p with
         | _ -> Alcotest.fail "expected Codec.Error"
+        | exception Codec.Error _ -> ());
+    Alcotest.test_case "the largest data payload still fits a tunnel" `Quick (fun () ->
+        let data bytes =
+          Packet.make ~src:mh_home ~dst:group (Packet.Data { stream_id = 1; seq = 1; bytes })
+        in
+        let tunnelled bytes = Packet.encapsulate ~src:mh_home ~dst:ha (data bytes) in
+        let max = Codec.data_max_bytes in
+        Alcotest.(check int) "plain" (Packet.size (data max))
+          (Bytes.length (Codec.encode (data max)));
+        Alcotest.(check int) "tunnelled" (Packet.size (tunnelled max))
+          (Bytes.length (Codec.encode (tunnelled max)));
+        match Codec.encode (tunnelled (max + 1)) with
+        | _ -> Alcotest.fail "one byte more must not fit the tunnel"
         | exception Codec.Error _ -> ())
   ]
 

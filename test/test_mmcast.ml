@@ -314,7 +314,7 @@ let router_stack_tests =
             (Packet.Data { stream_id = 99; seq = 1; bytes = 64 })
         in
         let received = ref false in
-        Net.Network.add_transmit_observer s.Scenario.net (fun link packet ->
+        Net.Network.add_transmit_observer s.Scenario.net (fun link _ packet ->
             (* The tunnelled copy appears on L6 as an encapsulated
                unicast addressed to the care-of address. *)
             if

@@ -248,7 +248,7 @@ let network_tests =
   [ Alcotest.test_case "delivery after link delay" `Quick (fun () ->
         let sim, f, net = make_net () in
         let got = ref [] in
-        Network.set_handler net f.b (fun ~link ~from p ->
+        Network.set_handler net f.b (fun ~link ~from ~chan:_ p ->
             got := (Engine.Sim.now sim, link, from, p) :: !got);
         let p = Packet.make ~src:Addr.loopback ~dst:Addr.loopback (data ~bytes:100) in
         Network.transmit net ~from:f.a ~link:f.l2 (Network.To_node f.b) p;
@@ -265,7 +265,7 @@ let network_tests =
         let hits = ref [] in
         List.iter
           (fun n ->
-            Network.set_handler net n (fun ~link:_ ~from:_ _ ->
+            Network.set_handler net n (fun ~link:_ ~from:_ ~chan:_ _ ->
                 hits := Topology.node_name f.topo n :: !hits))
           [ f.a; f.b; f.c ];
         let p = Packet.make ~src:Addr.loopback ~dst:Addr.all_nodes (data ~bytes:64) in
@@ -276,8 +276,9 @@ let network_tests =
     Alcotest.test_case "unicast reaches only the target" `Quick (fun () ->
         let sim, f, net = make_net () in
         let hits = ref 0 in
-        Network.set_handler net f.b (fun ~link:_ ~from:_ _ -> incr hits);
-        Network.set_handler net f.c (fun ~link:_ ~from:_ _ -> Alcotest.fail "C got unicast to B");
+        Network.set_handler net f.b (fun ~link:_ ~from:_ ~chan:_ _ -> incr hits);
+        Network.set_handler net f.c (fun ~link:_ ~from:_ ~chan:_ _ ->
+            Alcotest.fail "C got unicast to B");
         let p = Packet.make ~src:Addr.loopback ~dst:Addr.loopback (data ~bytes:64) in
         Network.transmit net ~from:f.a ~link:f.l2 (Network.To_node f.b) p;
         Engine.Sim.run sim;
@@ -292,7 +293,7 @@ let network_tests =
     Alcotest.test_case "receiver that detaches in flight misses the frame" `Quick (fun () ->
         let sim, f, net = make_net () in
         let hits = ref 0 in
-        Network.set_handler net f.h4 (fun ~link:_ ~from:_ _ -> incr hits);
+        Network.set_handler net f.h4 (fun ~link:_ ~from:_ ~chan:_ _ -> incr hits);
         let p = Packet.make ~src:Addr.loopback ~dst:Addr.all_nodes (data ~bytes:64) in
         Network.transmit net ~from:f.d ~link:f.l4 Network.To_all p;
         (* Detach before the 5 ms delivery. *)
@@ -338,12 +339,40 @@ let network_tests =
     Alcotest.test_case "transmit observers see every packet" `Quick (fun () ->
         let sim, f, net = make_net () in
         let seen = ref 0 in
-        Network.add_transmit_observer net (fun _ _ -> incr seen);
-        Network.add_transmit_observer net (fun _ _ -> incr seen);
+        Network.add_transmit_observer net (fun _ _ _ -> incr seen);
+        Network.add_transmit_observer net (fun _ _ _ -> incr seen);
         let p = Packet.make ~src:Addr.loopback ~dst:Addr.all_nodes (data ~bytes:64) in
         Network.transmit net ~from:f.a ~link:f.l2 Network.To_all p;
         Engine.Sim.run sim;
-        Alcotest.(check int) "both observers fired" 2 !seen)
+        Alcotest.(check int) "both observers fired" 2 !seen);
+    Alcotest.test_case "channels name the address part of data-bearing packets" `Quick
+      (fun () ->
+        let sim, f, net = make_net () in
+        let a = Addr.of_string "2001:db8:1::a" and b = Addr.of_string "2001:db8:2::b" in
+        let g = Addr.of_string "ff1e::1" and g' = Addr.of_string "ff1e::2" in
+        let chan p = Ids.Channel_id.to_int (Network.channel net p) in
+        let mk ?(hop_limit = 64) src dst payload = Packet.make ~hop_limit ~src ~dst payload in
+        let sg = chan (mk a g (data ~bytes:64)) in
+        Alcotest.(check int) "dense from 0" 0 sg;
+        Alcotest.(check int) "same (S,G), other datagram and hop limit" sg
+          (chan (mk ~hop_limit:3 a g (data ~bytes:100)));
+        Alcotest.(check bool) "another group" true (chan (mk a g' (data ~bytes:64)) <> sg);
+        let uc = chan (mk a b (data ~bytes:64)) in
+        Alcotest.(check bool) "unicast is its own channel" true (uc <> sg);
+        let tunnel src = mk src b (Packet.Encapsulated (mk a g (data ~bytes:64))) in
+        Alcotest.(check int) "a tunnel is keyed by its destination" (chan (tunnel a))
+          (chan (tunnel (Addr.of_string "2001:db8:3::c")));
+        Alcotest.(check bool) "tunnel and unicast differ" true (chan (tunnel a) <> uc);
+        Alcotest.(check bool) "control has none" true
+          (chan (mk a Addr.all_nodes Packet.Empty) < 0);
+        (* Receivers and observers get the packet's channel. *)
+        let seen = ref [] in
+        Network.add_transmit_observer net (fun _ c _ -> seen := Ids.Channel_id.to_int c :: !seen);
+        Network.set_handler net f.b (fun ~link:_ ~from:_ ~chan:c _ ->
+            seen := Ids.Channel_id.to_int c :: !seen);
+        Network.transmit net ~from:f.a ~link:f.l2 (Network.To_node f.b) (mk a g (data ~bytes:64));
+        Engine.Sim.run sim;
+        Alcotest.(check (list int)) "observer and receiver" [ sg; sg ] !seen)
   ]
 
 (* ---- properties over random topologies ---- *)

@@ -94,7 +94,7 @@ let is_assert = function
   | Pim_message.Assert _ -> true
   | _ -> false
 
-let receive_data h ~iface = Pimdm.Pim_router.handle_data h.router ~iface (data_packet ())
+let receive_data h ~iface = Pimdm.Pim_router.handle_data h.router ~iface ~chan:0 (data_packet ())
 
 let forwarding_tests =
   [ Alcotest.test_case "first datagram floods to neighbours and members" `Quick (fun () ->
@@ -137,7 +137,7 @@ let forwarding_tests =
           (List.mem 1 (forwarded_ifaces h)));
     Alcotest.test_case "data from an unroutable source is dropped" `Quick (fun () ->
         let h = make () in
-        Pimdm.Pim_router.handle_data h.router ~iface:0
+        Pimdm.Pim_router.handle_data h.router ~iface:0 ~chan:0
           (data_packet ~src:(Addr.of_string "2001:dead::1") ());
         Alcotest.(check int) "no state" 0 (List.length (Pimdm.Pim_router.entries h.router));
         Alcotest.(check (list int)) "nothing forwarded" [] (forwarded_ifaces h));
@@ -150,6 +150,31 @@ let forwarding_tests =
         Engine.Sim.run ~until:211.0 h.sim;
         Alcotest.(check int) "state gone at 210 s" 0
           (List.length (Pimdm.Pim_router.entries h.router)));
+    Alcotest.test_case "a channel id only caches: each (S,G) on it keeps its own entry" `Quick
+      (fun () ->
+        let h = make () in
+        add_member h ~iface:1;
+        let other = Addr.of_string "ff0e::1:2" in
+        let data g =
+          Pimdm.Pim_router.handle_data h.router ~iface:0 ~chan:0
+            (Packet.make ~src:source ~dst:g (Packet.Data { stream_id = 1; seq = 0; bytes = 500 }))
+        in
+        data group;
+        data other;
+        data group;
+        Alcotest.(check int) "one entry per (S,G)" 2
+          (List.length (Pimdm.Pim_router.entries h.router));
+        Engine.Sim.run ~until:211.0 h.sim;
+        Alcotest.(check int) "both expired" 0 (List.length (Pimdm.Pim_router.entries h.router));
+        clear h;
+        data group;
+        Alcotest.(check (list (pair string string))) "a fresh entry, not the expired one"
+          [ (Addr.to_string source, Addr.to_string group) ]
+          (List.map
+             (fun (s, g) -> (Addr.to_string s, Addr.to_string g))
+             (Pimdm.Pim_router.entries h.router));
+        Alcotest.(check bool) "and it forwards to the member" true
+          (List.mem 1 (forwarded_ifaces h)));
     Alcotest.test_case "continued data keeps state alive" `Quick (fun () ->
         let h = make () in
         add_member h ~iface:1;
@@ -401,7 +426,7 @@ let assert_tests =
         (* Creates state with iif 0; iface 1 is an oif and flood-eligible,
            so an assert is legitimate; now try a truly stateless case. *)
         clear h;
-        Pimdm.Pim_router.handle_data h.router ~iface:1
+        Pimdm.Pim_router.handle_data h.router ~iface:1 ~chan:0
           (data_packet ~src:(Addr.of_string "2001:dead::1") ());
         Alcotest.(check int) "silent for unroutable" 0
           (List.length (sent_of_kind h is_assert)));
