@@ -53,8 +53,23 @@ val digest : t -> string
     message), oldest first.  Two traces digest equal iff they hold the
     same records at the same times — the golden-trace regression tests
     pin these per approach so a refactor that silently changes protocol
-    behaviour fails loudly.  O(n) without forcing the memoized
-    reversal. *)
+    behaviour fails loudly.
+
+    Cost: O(n) without forcing the memoized reversal.  Each record is
+    rendered into one reused buffer, its time by {!fixed9}'s writer
+    rather than [Printf], and costs one MD5 of the rendering and one
+    16-byte partial; the partials are hashed once more at the end.  The
+    100-router scale cell's 29,855 records digest in ~0.013 s (0.041 s
+    through [Printf.sprintf] and [Buffer.contents] per record, measured
+    by perfbench [--trace 1] on a 2-vCPU Xeon container). *)
+
+val fixed9 : Time.t -> string
+(** [fixed9 t] is [Printf.sprintf "%.9f" t], the time field of the
+    rendering {!digest} hashes.  On [0 <= t * 1e9 < 2^52] it is computed
+    without [Printf], from [t *. 1e9] and its [Float.fma] residual,
+    rounded to nearest with ties to even as C's printf rounds the exact
+    binary value; elsewhere (negative, non-finite or larger times) it
+    falls back to [Printf]. *)
 
 val clear : t -> unit
 

@@ -4,24 +4,30 @@
    refresh, MLD queries, binding lifetimes — and under the heap every
    restart is a cancel plus an O(log n) push whose entry later bubbles
    through pops.  Here a push is an O(1) append into the slot covering
-   its quantized deadline (plus an amortized sift within that slot),
-   a cancel is one store, and cancelled entries die in bulk when their
-   slot is scanned or cascaded instead of sifting through a big heap.
+   its quantized deadline, a cancel is one store, and cancelled entries
+   die in bulk when their slot is scanned or cascaded instead of sifting
+   through a big heap.
 
    Correctness bar: pops must replay the heap's order {e exactly} —
    strictly increasing (time, global push seq) — because golden trace
    digests pin event order.  Three devices deliver that:
 
-   - Each slot is itself a tiny binary min-heap on (time, seq), so
-     entries that share a slot (and, at L1/L2, a coarse time range)
-     drain in true order, not insertion order.
+   - Each slot keeps its entries ordered on (time, seq), so entries
+     that share a slot (and, at L1/L2, a coarse time range) drain in
+     true order, not insertion order.  A slot is a sorted run plus a
+     small binary min-heap: an entry not before the run's tail is
+     appended to the run, any other goes to the heap, and the slot's
+     minimum is the earlier of the two heads.  A PIM-DM flood schedules
+     one delivery per downstream router at now + link delay, so a
+     flood's deliveries share a quantum and mostly arrive in time
+     order: they append and pop in O(1), and only the stragglers sift.
    - The quantum is fine (2^-10 s) relative to every protocol timer
      and link delay, and slots are scanned in quantum order, so
      cross-slot order equals time order; equal times always share a
      quantum and therefore a slot, where seq decides.
-   - Deadlines beyond the outermost window go to an overflow heap
+   - Deadlines beyond the outermost window go to an overflow slot
      ordered the same way; the front candidate is always min of the
-     wheel's first live root and the overflow root, compared on
+     wheel's first live slot minimum and the overflow's, compared on
      (time, seq) with the {e global} seq counter breaking ties across
      the two structures.
 
@@ -44,7 +50,13 @@
    postponed entry either, because the scan that moved past it met every
    entry it held — and pops still come out in strictly increasing
    (time, seq) order, identical to cancel + push, with no extra event
-   ever dispatched. *)
+   ever dispatched.
+
+   Slots are allocated lazily: the level arrays start out holding one
+   shared empty slot, which nothing ever mutates, and a slot record
+   replaces it at the first placement into that index.  A Figure-1 run
+   places into 322 of the 1,792 indices, a 5-router exploration
+   schedule into about 100, so most records would never be used. *)
 
 (* An entry is also its own handle.  [time]/[q]/[seq] are the key it
    is physically placed under; [due]/[key] are the key it will pop at.
@@ -68,9 +80,21 @@ let fired = -2
 let pending e = e.key >= 0
 let settled e = e.key = e.seq
 
-(* A slot: small binary min-heap on (time, seq).  [arr] is [||] while
-   empty so a drained slot retains no payloads. *)
-type 'a slot = { mutable arr : 'a entry array; mutable len : int }
+(* A slot: a sorted run and a binary min-heap, both on (time, seq).
+   [run.(rhead) .. run.(rlen - 1)] is sorted; [heap.(0) .. heap.(hlen -
+   1)] holds the entries that arrived before the run's tail.  Every
+   other cell holds [hole ()], so an entry that leaves the slot — fired,
+   dropped as cancelled, re-placed or cascaded — is not retained by it.
+   The heap holds entries only while the run does: a run that empties
+   takes the heap's entries over, in order.  So [rlen = 0] iff the slot
+   is empty, and then [rhead = hlen = 0]. *)
+type 'a slot = {
+  mutable run : 'a entry array;
+  mutable rhead : int;
+  mutable rlen : int;
+  mutable heap : 'a entry array;
+  mutable hlen : int;
+}
 
 let bits0 = 10 (* 1024 L0 slots of one quantum: a 1 s window *)
 
@@ -83,6 +107,10 @@ type 'a t = {
   l1 : 'a slot array;
   l2 : 'a slot array;
   overflow : 'a slot;  (* deadlines beyond the L2 window *)
+  (* The slot every unused index of [l0]/[l1]/[l2] holds.  It is never
+     written: placement swaps in a fresh slot first, and every other
+     mutation acts on a slot that holds an entry. *)
+  empty : 'a slot;
   mutable b0 : int;  (* current window index per level: b0 = floor-quantum lsr bits0 *)
   mutable b1 : int;
   mutable b2 : int;
@@ -109,13 +137,15 @@ type 'a t = {
   mutable front_level : int;
 }
 
-let fresh_slot () = { arr = [||]; len = 0 }
+let fresh_slot () = { run = [||]; rhead = 0; rlen = 0; heap = [||]; hlen = 0 }
 
 let create () =
-  { l0 = Array.init (1 lsl bits0) (fun _ -> fresh_slot ());
-    l1 = Array.init (1 lsl bits1) (fun _ -> fresh_slot ());
-    l2 = Array.init (1 lsl bits2) (fun _ -> fresh_slot ());
+  let empty = fresh_slot () in
+  { l0 = Array.make (1 lsl bits0) empty;
+    l1 = Array.make (1 lsl bits1) empty;
+    l2 = Array.make (1 lsl bits2) empty;
     overflow = fresh_slot ();
+    empty;
     b0 = 0;
     b1 = 0;
     b2 = 0;
@@ -141,7 +171,35 @@ let entry_before a b =
   | 0 -> a.seq < b.seq
   | c -> c < 0
 
-(* ---- slot heaps ---- *)
+(* ---- slots ---- *)
+
+(* The filler of vacated cells.  An immediate, so a cell holding it
+   keeps nothing reachable; sound because no cell outside a slot's live
+   ranges is ever read, and an entry array is never a float array. *)
+let hole () : 'a entry = Obj.magic 0
+
+let slot_is_empty s = s.rlen = 0
+
+let slot_size s = s.rlen - s.rhead + s.hlen
+
+(* The earlier of the two heads; caller checked the slot is not empty. *)
+let slot_min s =
+  let r = s.run.(s.rhead) in
+  if s.hlen = 0 then r
+  else
+    let h = s.heap.(0) in
+    if entry_before h r then h else r
+
+(* Empty a slot and give back its arrays, so a drained slot costs its
+   record alone.  An array field is stored only when it changes: a
+   pointer store pays the write barrier, and popping a slot's only
+   entry is the most common pop there is. *)
+let release s =
+  if s.run != [||] then s.run <- [||];
+  s.rhead <- 0;
+  s.rlen <- 0;
+  if s.heap != [||] then s.heap <- [||];
+  s.hlen <- 0
 
 let rec sift_down arr len i =
   let l = (2 * i) + 1 and r = (2 * i) + 2 in
@@ -169,50 +227,109 @@ let sift_up arr i =
     i := p
   done
 
-let slot_push s entry =
-  let arr =
-    if s.len = Array.length s.arr then begin
-      let bigger = Array.make (max 4 (2 * s.len)) entry in
-      Array.blit s.arr 0 bigger 0 s.len;
-      s.arr <- bigger;
-      bigger
+(* Append to the run.  A full array is compacted in place while its live
+   part fits in half of it, and doubled otherwise, so a run that keeps
+   draining at the head and growing at the tail stays within twice its
+   peak length. *)
+let run_append s e =
+  let cap = Array.length s.run in
+  if s.rlen = cap then begin
+    let live = s.rlen - s.rhead in
+    if cap > 0 && 2 * live <= cap then begin
+      Array.blit s.run s.rhead s.run 0 live;
+      Array.fill s.run live (cap - live) (hole ())
     end
-    else s.arr
-  in
-  arr.(s.len) <- entry;
-  s.len <- s.len + 1;
-  sift_up arr (s.len - 1)
-
-(* Pop the root; caller checked [len > 0].  Vacated cells are cleared
-   (aliased to a still-live entry, or the whole array dropped) so a
-   fired or cancelled payload is never retained by slot storage. *)
-let slot_pop s =
-  let arr = s.arr in
-  let top = arr.(0) in
-  s.len <- s.len - 1;
-  if s.len = 0 then s.arr <- [||]
-  else begin
-    arr.(0) <- arr.(s.len);
-    arr.(s.len) <- arr.(0);
-    sift_down arr s.len 0
+    else begin
+      let bigger = Array.make (max 4 (2 * cap)) (hole ()) in
+      if live > 0 then Array.blit s.run s.rhead bigger 0 live;
+      s.run <- bigger
+    end;
+    s.rhead <- 0;
+    s.rlen <- live
   end;
-  top
+  s.run.(s.rlen) <- e;
+  s.rlen <- s.rlen + 1
 
-(* Remove the entry at heap index [i] (not necessarily the root),
-   restoring the heap invariant and clearing the vacated cell like
-   [slot_pop].  Caller checked [i < s.len]. *)
-let slot_remove s i =
-  let arr = s.arr in
-  s.len <- s.len - 1;
-  if s.len = 0 then s.arr <- [||]
+let heap_push s e =
+  if s.hlen = Array.length s.heap then begin
+    let bigger = Array.make (max 4 (2 * s.hlen)) (hole ()) in
+    Array.blit s.heap 0 bigger 0 s.hlen;
+    s.heap <- bigger
+  end;
+  s.heap.(s.hlen) <- e;
+  s.hlen <- s.hlen + 1;
+  sift_up s.heap (s.hlen - 1)
+
+let slot_push s e =
+  if s.rlen = 0 || not (entry_before e s.run.(s.rlen - 1)) then run_append s e
+  else heap_push s e
+
+let heap_remove s i =
+  let h = s.heap in
+  s.hlen <- s.hlen - 1;
+  if i < s.hlen then begin
+    h.(i) <- h.(s.hlen);
+    h.(s.hlen) <- hole ();
+    if i > 0 && entry_before h.(i) h.((i - 1) / 2) then sift_up h i
+    else sift_down h s.hlen i
+  end
+  else h.(i) <- hole ()
+
+(* Drop the run's head cell.  A run that empties takes the heap's
+   entries over, popped in order, or, with the heap empty too, the slot
+   gives its arrays back (skipping the last cell's clear). *)
+let run_advance s =
+  if s.rhead + 1 < s.rlen then begin
+    s.run.(s.rhead) <- hole ();
+    s.rhead <- s.rhead + 1
+  end
+  else if s.hlen = 0 then release s
   else begin
-    if i < s.len then begin
-      arr.(i) <- arr.(s.len);
-      arr.(s.len) <- arr.(i);
-      if i > 0 && entry_before arr.(i) arr.((i - 1) / 2) then sift_up arr i
-      else sift_down arr s.len i
-    end
-    else arr.(s.len) <- arr.(0)
+    let n = s.hlen in
+    s.run.(s.rhead) <- hole ();
+    let run = if Array.length s.run >= n then s.run else Array.make n (hole ()) in
+    for i = 0 to n - 1 do
+      run.(i) <- s.heap.(0);
+      heap_remove s 0
+    done;
+    s.run <- run;
+    s.rhead <- 0;
+    s.rlen <- n;
+    s.heap <- [||]
+  end
+
+(* Remove and return the slot's minimum; caller checked the slot is not
+   empty. *)
+let slot_pop s =
+  let r = s.run.(s.rhead) in
+  if s.hlen > 0 && entry_before s.heap.(0) r then begin
+    let h = s.heap.(0) in
+    heap_remove s 0;
+    h
+  end
+  else begin
+    run_advance s;
+    r
+  end
+
+(* Remove the entry at location [i]: a run index when [i >= 0], heap
+   index [lnot i] otherwise (the locations [iter_front_ties] reports).
+   A run entry is removed by shifting the run's head over it. *)
+let slot_remove s i =
+  if i >= 0 then begin
+    if i > s.rhead then Array.blit s.run s.rhead s.run (s.rhead + 1) (i - s.rhead);
+    run_advance s
+  end
+  else heap_remove s (lnot i)
+
+(* The slot for index [i] of a level array, allocated on first use. *)
+let slot_for t level i =
+  let s = level.(i) in
+  if s != t.empty then s
+  else begin
+    let s = fresh_slot () in
+    level.(i) <- s;
+    s
   end
 
 (* ---- placement ---- *)
@@ -221,21 +338,21 @@ let slot_remove s i =
 let place t e =
   let q = e.q in
   if q lsr bits0 = t.b0 then begin
-    slot_push t.l0.(q land ((1 lsl bits0) - 1)) e;
+    slot_push (slot_for t t.l0 (q land ((1 lsl bits0) - 1))) e;
     t.c0 <- t.c0 + 1;
     if q < t.hint0 then t.hint0 <- q;
     0
   end
   else if q lsr (bits0 + bits1) = t.b1 then begin
     let s1 = q lsr bits0 in
-    slot_push t.l1.(s1 land ((1 lsl bits1) - 1)) e;
+    slot_push (slot_for t t.l1 (s1 land ((1 lsl bits1) - 1))) e;
     t.c1 <- t.c1 + 1;
     if s1 < t.hint1 then t.hint1 <- s1;
     1
   end
   else if q lsr (bits0 + bits1 + bits2) = t.b2 then begin
     let s2 = q lsr (bits0 + bits1) in
-    slot_push t.l2.(s2 land ((1 lsl bits2) - 1)) e;
+    slot_push (slot_for t t.l2 (s2 land ((1 lsl bits2) - 1))) e;
     t.c2 <- t.c2 + 1;
     if s2 < t.hint2 then t.hint2 <- s2;
     2
@@ -296,16 +413,20 @@ let postpone t e time payload =
    cancelled.  A postponed entry moves down under its old key like any
    other; [prune] re-places it when it reaches its slot's head. *)
 let cascade t s ~level =
-  let n = s.len in
+  let n = slot_size s in
   if n > 0 then begin
     (match level with
      | 1 -> t.c1 <- t.c1 - n
      | _ -> t.c2 <- t.c2 - n);
-    let arr = s.arr in
-    s.arr <- [||];
-    s.len <- 0;
-    for i = 0 to n - 1 do
-      let e = arr.(i) in
+    let run = s.run and rhead = s.rhead and rlen = s.rlen in
+    let heap = s.heap and hlen = s.hlen in
+    release s;
+    for i = rhead to rlen - 1 do
+      let e = run.(i) in
+      if pending e then ignore (place t e)
+    done;
+    for i = 0 to hlen - 1 do
+      let e = heap.(i) in
       if pending e then ignore (place t e)
     done
   end
@@ -334,11 +455,11 @@ let advance_to t q =
 
 (* ---- the front of the queue ---- *)
 
-(* Drop cancelled slot heads and re-place postponed ones under their
-   new key (possibly back into this very slot) until the head is a
+(* Drop cancelled slot minima and re-place postponed ones under their
+   new key (possibly back into this very slot) until the minimum is a
    settled entry or the slot is empty. *)
 let rec prune t s ~level =
-  if s.len > 0 && not (settled s.arr.(0)) then begin
+  if (not (slot_is_empty s)) && not (settled (slot_min s)) then begin
     let e = slot_pop s in
     (match level with
      | 0 -> t.c0 <- t.c0 - 1
@@ -355,110 +476,80 @@ let rec prune t s ~level =
     prune t s ~level
   end
 
-let rec scan_l0 t q w_end =
-  if q >= w_end then begin
-    t.hint0 <- w_end;
-    None
-  end
+(* The first absolute index in [i, stop) whose slot in [slots] (of
+   [mask + 1] slots) still holds an entry once pruned, or [stop].  Most
+   slots a scan passes are empty, so those are skipped before the
+   call to [prune]. *)
+let rec scan t slots mask ~level i stop =
+  if i >= stop then stop
   else begin
-    let s = t.l0.(q land ((1 lsl bits0) - 1)) in
-    prune t s ~level:0;
-    if s.len > 0 then begin
-      t.hint0 <- q;
-      Some s.arr.(0)
+    let s = slots.(i land mask) in
+    if slot_is_empty s then scan t slots mask ~level (i + 1) stop
+    else begin
+      prune t s ~level;
+      if slot_is_empty s then scan t slots mask ~level (i + 1) stop else i
     end
-    else scan_l0 t (q + 1) w_end
   end
 
-let rec scan_l1 t s1 s_end =
-  if s1 >= s_end then begin
-    t.hint1 <- s_end;
-    None
-  end
-  else begin
-    let s = t.l1.(s1 land ((1 lsl bits1) - 1)) in
-    prune t s ~level:1;
-    if s.len > 0 then begin
-      t.hint1 <- s1;
-      Some s.arr.(0)
-    end
-    else scan_l1 t (s1 + 1) s_end
-  end
-
-let rec scan_l2 t s2 s_end =
-  if s2 >= s_end then begin
-    t.hint2 <- s_end;
-    None
-  end
-  else begin
-    let s = t.l2.(s2 land ((1 lsl bits2) - 1)) in
-    prune t s ~level:2;
-    if s.len > 0 then begin
-      t.hint2 <- s2;
-      Some s.arr.(0)
-    end
-    else scan_l2 t (s2 + 1) s_end
-  end
-
-(* Earliest live wheel entry and its level.  Levels cover disjoint,
-   increasing quantum ranges, so the first level with a live entry
-   holds the wheel minimum. *)
+(* The slot holding the earliest live wheel entry, with its level in
+   [t.front_level], or [t.empty].  Levels cover disjoint, increasing
+   quantum ranges, so the first level with a live entry holds the wheel
+   minimum.  Each level's cursor moves to what its scan found, or to
+   the end of its window when the level holds nothing. *)
 let wheel_min t =
-  let from_l0 =
-    if t.c0 = 0 then None
-    else scan_l0 t (max t.hint0 (t.b0 lsl bits0)) ((t.b0 + 1) lsl bits0)
-  in
-  match from_l0 with
-  | Some e -> Some (e, 0)
-  | None -> (
-    let from_l1 =
-      if t.c1 = 0 then None
-      else scan_l1 t (max t.hint1 (t.b0 + 1)) ((t.b1 + 1) lsl bits1)
-    in
-    match from_l1 with
-    | Some e -> Some (e, 1)
-    | None -> (
-      let from_l2 =
-        if t.c2 = 0 then None
-        else scan_l2 t (max t.hint2 (t.b1 + 1)) ((t.b2 + 1) lsl bits2)
-      in
-      match from_l2 with
-      | Some e -> Some (e, 2)
-      | None -> None))
+  let stop0 = (t.b0 + 1) lsl bits0 in
+  t.hint0 <-
+    (if t.c0 = 0 then stop0
+     else scan t t.l0 ((1 lsl bits0) - 1) ~level:0 (max t.hint0 (t.b0 lsl bits0)) stop0);
+  if t.hint0 < stop0 then begin
+    t.front_level <- 0;
+    t.l0.(t.hint0 land ((1 lsl bits0) - 1))
+  end
+  else begin
+    let stop1 = (t.b1 + 1) lsl bits1 in
+    t.hint1 <-
+      (if t.c1 = 0 then stop1
+       else scan t t.l1 ((1 lsl bits1) - 1) ~level:1 (max t.hint1 (t.b0 + 1)) stop1);
+    if t.hint1 < stop1 then begin
+      t.front_level <- 1;
+      t.l1.(t.hint1 land ((1 lsl bits1) - 1))
+    end
+    else begin
+      let stop2 = (t.b2 + 1) lsl bits2 in
+      t.hint2 <-
+        (if t.c2 = 0 then stop2
+         else scan t t.l2 ((1 lsl bits2) - 1) ~level:2 (max t.hint2 (t.b1 + 1)) stop2);
+      if t.hint2 < stop2 then begin
+        t.front_level <- 2;
+        t.l2.(t.hint2 land ((1 lsl bits2) - 1))
+      end
+      else t.empty
+    end
+  end
 
 (* Make [t.front] the global minimum: the earlier of the wheel scan
-   and the overflow root, compared on (time, seq) — the overflow can
+   and the overflow minimum, compared on (time, seq) — the overflow can
    hold quanta that meanwhile fell inside the windows.  A valid cache
    (set by the previous scan or by a push that beat it, and still
    settled) is reused as-is, which makes the peek-then-pop cycle cost
    one scan and no allocation beyond the cached option.  The overflow
-   is pruned first: a postponed root it re-places may land in the
+   is pruned first: a postponed minimum it re-places may land in the
    wheel, which the scan then sees; what the scan re-places into the
-   overflow is settled, so the root read afterwards needs no prune. *)
+   overflow is settled, so the minimum read afterwards needs no prune. *)
 let refresh_front t =
   match t.front with
   | Some e when settled e -> ()
-  | Some _ | None -> (
+  | Some _ | None ->
     prune t t.overflow ~level:3;
     let w = wheel_min t in
-    let o = if t.overflow.len > 0 then Some t.overflow.arr.(0) else None in
-    match (w, o) with
-    | None, None -> t.front <- None
-    | Some (e, level), None ->
-      t.front <- Some e;
-      t.front_level <- level
-    | None, Some e ->
-      t.front <- Some e;
+    let o = t.overflow in
+    if slot_is_empty o then
+      t.front <- (if slot_is_empty w then None else Some (slot_min w))
+    else if slot_is_empty w || entry_before (slot_min o) (slot_min w) then begin
+      t.front <- Some (slot_min o);
       t.front_level <- 3
-    | Some (we, level), Some oe ->
-      if entry_before oe we then begin
-        t.front <- Some oe;
-        t.front_level <- 3
-      end
-      else begin
-        t.front <- Some we;
-        t.front_level <- level
-      end)
+    end
+    else t.front <- Some (slot_min w)
 
 let peek_time t =
   refresh_front t;
@@ -516,24 +607,38 @@ let slot_of_quantum t q =
     Some (t.l2.((q lsr (bits0 + bits1)) land ((1 lsl bits2) - 1)), 2)
   else None
 
-(* Apply [f entry slot level heap_index] to every live entry whose
-   timestamp equals the front entry's.  Candidates live in the front
-   quantum's placement slot and (rarely) the overflow heap: equal times
-   share a quantum, so nothing else can hold one.  A postponed entry
+(* Apply [f entry slot level location] to every live entry whose
+   timestamp equals the front entry's, [location] as [slot_remove] takes
+   it.  Candidates live in the front quantum's placement slot and
+   (rarely) the overflow: equal times share a quantum, so nothing else
+   can hold one.  Within a slot, the entries no later than the front
+   are a prefix of the run and a subtree at the top of the heap, so the
+   walk stops at the first later entry of each.  A postponed entry
    still placed at the front's time is skipped: its new deadline is
    strictly later, so it is no tie. *)
 let iter_front_ties t front f =
-  let scan s level =
-    for i = 0 to s.len - 1 do
-      let x = s.arr.(i) in
-      if settled x && Time.compare x.time front.time = 0 then
-        f x s level i
-    done
+  let visit x s level i =
+    if settled x && Time.compare x.time front.time = 0 then f x s level i
+  in
+  let walk s level =
+    let i = ref s.rhead in
+    while !i < s.rlen && Time.compare s.run.(!i).time front.time <= 0 do
+      visit s.run.(!i) s level !i;
+      incr i
+    done;
+    let rec down i =
+      if i < s.hlen && Time.compare s.heap.(i).time front.time <= 0 then begin
+        visit s.heap.(i) s level (lnot i);
+        down ((2 * i) + 1);
+        down ((2 * i) + 2)
+      end
+    in
+    down 0
   in
   (match slot_of_quantum t front.q with
-   | Some (s, level) -> scan s level
+   | Some (s, level) -> walk s level
    | None -> ());
-  scan t.overflow 3
+  walk t.overflow 3
 
 let front_count t =
   refresh_front t;

@@ -7,10 +7,20 @@
 
     Three levels of slots (1 s, 512 s, ~36 h of coverage at a 2^-10 s
     quantum) hold near-future deadlines; anything beyond the outermost
-    window falls back to a binary heap.  Each slot is itself a tiny
-    (time, push order) min-heap, so entries sharing a slot drain in
-    exact queue order and golden traces are bit-identical to the heap
-    implementation's.
+    window falls back to an overflow slot.  Each slot keeps its entries
+    in (time, push order): a sorted run that takes every entry not
+    before its tail in O(1), plus a small binary min-heap for the
+    stragglers, and pops the earlier of the two heads.  Entries sharing
+    a slot therefore drain in exact queue order and golden traces are
+    bit-identical to the heap implementation's, while a flood's
+    in-order deliveries cost no sifting.
+
+    Slot records are allocated at the first placement into their index;
+    until then every index shares one empty slot that is never written,
+    so {!create} allocates three arrays and no per-slot record.  A slot
+    clears every cell it vacates and gives back its arrays when it
+    drains: a fired payload is never reachable from the wheel, and a
+    cancelled one only until a scan or cascade drops its entry.
 
     Unlike {!Event_queue}, deadlines must not precede the time of the
     most recently popped event (the wheel's floor).  The simulator

@@ -301,7 +301,206 @@ let wheel_properties =
         drain ();
         !ok)
   in
-  List.map QCheck_alcotest.to_alcotest [ wheel_matches_heap ]
+  let wheel_matches_heap_on_floods =
+    (* A PIM-DM flood schedules one delivery per downstream router at
+       now + link delay, so its deliveries share a quantum and mostly
+       arrive in time order.  Bursts of 100-1,000 pushes into one
+       quantum — mostly ascending, with stragglers and exact ties —
+       interleaved with pops, tie pops, cancels and postpones drive a
+       slot's sorted run through growth, compaction and draining beside
+       its heap.  Half the bursts go back into the quantum being
+       drained and continue from the previous burst's last offset, so
+       they append to a run whose head has advanced. *)
+    QCheck.Test.make ~name:"wheel and heap agree on flood-shaped bursts" ~count:15
+      QCheck.(int_bound 0x3FFFFFFF)
+      (fun seed ->
+        let rng = Random.State.make [| seed |] in
+        let int n = Random.State.int rng n in
+        let w = Wheel.create () in
+        let q = Event_queue.create () in
+        let ok = ref true in
+        let now = ref 0.0 in
+        let next_id = ref 0 in
+        (* Live ids in a dense pool for random picks; [info] maps an id
+           to its deadline and both handles. *)
+        let pool = ref (Array.make 1024 0) and npool = ref 0 in
+        let pos = Hashtbl.create 1024 and info = Hashtbl.create 1024 in
+        let add id v =
+          if !npool = Array.length !pool then begin
+            let bigger = Array.make (2 * !npool) 0 in
+            Array.blit !pool 0 bigger 0 !npool;
+            pool := bigger
+          end;
+          !pool.(!npool) <- id;
+          Hashtbl.replace pos id !npool;
+          incr npool;
+          Hashtbl.replace info id v
+        in
+        let remove id =
+          let i = Hashtbl.find pos id in
+          decr npool;
+          let last = !pool.(!npool) in
+          !pool.(i) <- last;
+          Hashtbl.replace pos last i;
+          Hashtbl.remove pos id;
+          Hashtbl.remove info id
+        in
+        let push time =
+          let id = !next_id in
+          incr next_id;
+          add id (time, Wheel.push w time id, Event_queue.push q time id)
+        in
+        let popped = function
+          | None, None -> ()
+          | Some (wt, wid), Some (qt, qid) when wt = qt && wid = qid ->
+            now := wt;
+            remove wid
+          | _ -> ok := false
+        in
+        let pop () =
+          if Wheel.peek_time w <> Event_queue.peek_time q then ok := false;
+          popped (Wheel.pop w, Event_queue.pop q)
+        in
+        let pop_tie () =
+          let n = Wheel.front_count w in
+          if n <> Event_queue.front_count q then ok := false
+          else if n > 0 then begin
+            let k = int n in
+            popped (Wheel.pop_kth w k, Event_queue.pop_kth q k)
+          end
+        in
+        let cancel () =
+          if !npool > 0 then begin
+            let id = !pool.(int !npool) in
+            let _, wh, qh = Hashtbl.find info id in
+            Wheel.cancel w wh;
+            Event_queue.cancel q qh;
+            remove id
+          end
+        in
+        let postpone () =
+          if !npool > 0 then begin
+            let id = !pool.(int !npool) in
+            let due, wh, qh = Hashtbl.find info id in
+            (* Mostly later (the in-place move), sometimes back to the
+               floor (the cancel + push fallback). *)
+            let time =
+              if int 4 > 0 then due +. (float_of_int (1 + int 2048) /. 1048576.0)
+              else !now +. (float_of_int (int 64) /. 1048576.0)
+            in
+            let wh' = Wheel.postpone w wh time id in
+            if time > due && wh' != wh then ok := false;
+            Event_queue.cancel q qh;
+            Hashtbl.replace info id (time, wh', Event_queue.push q time id)
+          end
+        in
+        (* Offsets are in 2^-20 s, 1,024 to a quantum, so every time is
+           exact and equal offsets are exact ties. *)
+        let last_quantum = ref (-1) and offset = ref 0 in
+        let burst () =
+          let here = int_of_float (!now *. 1024.0) in
+          let quantum =
+            if !last_quantum >= here && int 2 = 0 then !last_quantum
+            else here + [| 0; 1; 3; 700; 1500 |].(int 5)
+          in
+          if quantum <> !last_quantum then offset := int 64;
+          last_quantum := quantum;
+          let base = float_of_int quantum /. 1024.0 in
+          let at k = Float.max !now (base +. (float_of_int k /. 1048576.0)) in
+          for _ = 1 to 100 + int 901 do
+            match int 100 with
+            | r when r < 7 -> push (at (int (!offset + 1)))  (* a straggler *)
+            | r when r < 20 -> push (at !offset)  (* a tie with the tail *)
+            | _ ->
+              offset := min 1023 (!offset + 1 + int 2);
+              push (at !offset)
+          done
+        in
+        for _ = 1 to 3 + int 5 do
+          burst ();
+          for _ = 1 to int 900 do
+            match int 100 with
+            | r when r < 60 -> pop ()
+            | r when r < 70 -> pop_tie ()
+            | r when r < 84 -> cancel ()
+            | r when r < 99 -> postpone ()
+            | _ -> burst ()
+          done
+        done;
+        if Wheel.size w <> !npool || Event_queue.size q <> !npool then ok := false;
+        while !npool > 0 && !ok do
+          pop ()
+        done;
+        popped (Wheel.pop w, Event_queue.pop q);
+        !ok)
+  in
+  List.map QCheck_alcotest.to_alcotest [ wheel_matches_heap; wheel_matches_heap_on_floods ]
+
+(* Fired and cancelled payloads must be garbage once the wheel is done
+   with them: slots clear every cell they vacate and drop a drained
+   slot's arrays, and the level arrays share one empty slot until an
+   index is first used. *)
+let wheel_memory_tests =
+  (* [n] payloads at times [base + k / 2^20], mostly ascending with
+     every seventh a straggler, and every fifth cancelled.  Only [weak]
+     refers to the payloads afterwards; the handles die with this
+     call. *)
+  let[@inline never] fill w weak ~base ~n =
+    for i = 0 to n - 1 do
+      let k = if i mod 7 = 6 then i / 2 else i in
+      let payload = ref i in
+      Weak.set weak i (Some payload);
+      let h = Wheel.push w (base +. (float_of_int k /. 1048576.0)) payload in
+      if i mod 5 = 4 then Wheel.cancel w h
+    done
+  in
+  let[@inline never] pop_ids w m =
+    List.init m (fun _ ->
+        match Wheel.pop w with Some (_, p) -> !p | None -> Alcotest.fail "wheel ran dry")
+  in
+  let reachable weak ids =
+    Gc.full_major ();
+    List.filter (fun i -> Weak.check weak i) ids
+  in
+  let check_gone what weak ids =
+    Alcotest.(check (list int)) (what ^ ": no payload reachable") [] (reachable weak ids)
+  in
+  let cancelled n = List.filter (fun i -> i mod 5 = 4) (List.init n Fun.id) in
+  [ Alcotest.test_case "a drained slot retains no payload" `Quick (fun () ->
+        let n = 600 in
+        let w = Wheel.create () in
+        let weak = Weak.create n in
+        fill w weak ~base:0.5 ~n;
+        let live = Wheel.size w in
+        let first = pop_ids w (live / 2) in
+        check_gone "popped half" weak first;
+        let rest = pop_ids w (live - (live / 2)) in
+        Alcotest.(check bool) "empty" true (Wheel.pop w = None);
+        check_gone "drained" weak (first @ rest @ cancelled n));
+    Alcotest.test_case "a cascaded L1 slot retains no payload" `Quick (fun () ->
+        let n = 400 in
+        let w = Wheel.create () in
+        let weak = Weak.create n in
+        (* Past the first 1 s L0 window: placed in an L1 slot, moved down
+           by the cascade the first pop from it triggers. *)
+        fill w weak ~base:5.25 ~n;
+        let first = pop_ids w 1 in
+        check_gone "cascaded" weak (first @ cancelled n);
+        ignore (pop_ids w (Wheel.size w));
+        Alcotest.(check int) "empty" 0 (Wheel.size w);
+        check_gone "drained" weak (List.init n Fun.id));
+    Alcotest.test_case "create allocates no slot records" `Quick (fun () ->
+        (* The L0 and L1 arrays are too big for the minor heap; the L2
+           array's 257 words, the wheel record, the shared empty slot and
+           the overflow slot are ~290 words.  A record per index would
+           add 1,792 slot records, over 5,000 words. *)
+        let before = Gc.minor_words () in
+        let w = Sys.opaque_identity (Wheel.create ()) in
+        let words = Gc.minor_words () -. before in
+        ignore (Sys.opaque_identity (Wheel.push w 1.0 ()));
+        if words > 512.0 then
+          Alcotest.failf "Wheel.create allocated %.0f minor words" words)
+  ]
 
 (* Satellite of the schedule-exploration work: the same-timestamp
    ordering contract (pops strictly increasing in (time, push seq)) and
@@ -894,6 +1093,119 @@ let trace_tests =
         Alcotest.(check int) "per category" 4 (Trace.count ~category:"x" tr))
   ]
 
+(* [Trace.digest] as it was computed with [Printf], kept verbatim as
+   the reference the Printf-free digest must reproduce.  [Trace] keeps
+   its records newest first, which is the order folded here. *)
+let reference_digest tr =
+  let items = List.rev (Trace.records tr) in
+  (* Fold newest-first so no reversal is forced; the digest is over a
+     canonical rendering (fixed-precision time), so two traces are
+     equal iff their digests are. *)
+  let ctx = Buffer.create 4096 in
+  let partials =
+    List.fold_left
+      (fun acc (r : Trace.record) ->
+        Buffer.clear ctx;
+        Buffer.add_string ctx (Printf.sprintf "%.9f|" r.at);
+        Buffer.add_string ctx r.category;
+        Buffer.add_char ctx '|';
+        Buffer.add_string ctx r.message;
+        Buffer.add_char ctx '\n';
+        Digest.string (Buffer.contents ctx) :: acc)
+      [] items
+  in
+  Digest.to_hex (Digest.string (String.concat "" partials))
+
+let digest_tests =
+  let agrees what t =
+    let expected = Printf.sprintf "%.9f" t in
+    let actual = Trace.fixed9 t in
+    if not (String.equal expected actual) then
+      Alcotest.failf "%s: fixed9 %h gives %S, Printf %S" what t actual expected
+  in
+  let rng = Random.State.make [| 22 |] in
+  [ Alcotest.test_case "fixed9 matches Printf on random times" `Quick (fun () ->
+        for _ = 1 to 200_000 do
+          agrees "random" (Random.State.float rng 1e4)
+        done);
+    Alcotest.test_case "fixed9 matches Printf on exact decimal ties" `Quick (fun () ->
+        (* k / 2^10 s is an exact tie at the ninth decimal for every odd
+           k; k / 2^20 s for many k. *)
+        for k = 0 to (1 lsl 20) - 1 do
+          agrees "k/2^10" (float_of_int k /. 1024.0);
+          agrees "k/2^20" (float_of_int k /. 1048576.0)
+        done);
+    Alcotest.test_case "fixed9 matches Printf on decimal near-ties" `Quick (fun () ->
+        (* The doubles nearest x.xxxxxxxxx5 and their neighbours: the
+           residual, not the rounded product, decides these. *)
+        for _ = 1 to 100_000 do
+          let whole = Random.State.int rng 10_000 in
+          let nanos = Random.State.int rng 1_000_000_000 in
+          let t = float_of_int whole +. ((float_of_int nanos +. 0.5) /. 1e9) in
+          List.iter (agrees "near-tie") [ t; Float.pred t; Float.succ t ]
+        done);
+    Alcotest.test_case "fixed9 at zero, the fallback bounds and large times" `Quick
+      (fun () ->
+        (* In range while t * 1e9 < 2^52, i.e. t < ~4.5e6 s. *)
+        let bound = 0x1p52 /. 1e9 in
+        let rec steps f x n = if n = 0 then [] else let y = f x in y :: steps f y (n - 1) in
+        let near x = (x :: steps Float.pred x 4) @ steps Float.succ x 4 in
+        List.iter (agrees "edge")
+          ([ 0.0; -0.0; 5e-10; 4.999999999e-10; 1.5e-9; 1.0; 0.9999999995; 1e6; 1e7;
+             1e9; 1e15; 1e300; Float.max_float; Float.min_float; 4.9e-324; -1.5;
+             Float.infinity; Float.neg_infinity; Float.nan ]
+           @ near bound @ near (bound /. 2.0) @ near (2.0 *. bound) @ near (4.0 *. bound)
+           @ near 4e6);
+        (* Either side of the bound, and well past it. *)
+        for _ = 1 to 20_000 do
+          agrees "large" (Random.State.float rng 1e8)
+        done)
+    ]
+
+let digest_oracle_tests =
+  let rng = Random.State.make [| 7 |] in
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  let text () =
+    String.concat ""
+      (List.init (Random.State.int rng 6) (fun _ ->
+           pick [| "|"; "\n"; "a"; "pim"; ""; "x|y\n"; "%.9f" |]))
+  in
+  let random_trace n =
+    let sim = Sim.create () in
+    let tr = Trace.create sim in
+    for _ = 1 to n do
+      (* Arbitrary times, exact ties at 2^-10 s, and a few beyond the
+         writer's range, where the digest falls back to Printf. *)
+      let time =
+        match Random.State.int rng 10 with
+        | 0 -> float_of_int (Random.State.int rng 100_000) /. 1024.0
+        | 1 -> 1e7 +. Random.State.float rng 1e9
+        | _ -> Random.State.float rng 1e4
+      in
+      let category = text () and message = text () in
+      ignore (Sim.schedule_at sim time (fun () -> Trace.record tr ~category message))
+    done;
+    Sim.run sim;
+    tr
+  in
+  [ Alcotest.test_case "digest matches the Printf rendering on random traces" `Quick
+      (fun () ->
+        List.iter
+          (fun n ->
+            let tr = random_trace n in
+            Alcotest.(check string) (Printf.sprintf "%d records" n) (reference_digest tr)
+              (Trace.digest tr))
+          [ 0; 1; 2; 17; 500; 5_000 ]);
+    Alcotest.test_case "digest matches the Printf rendering on the Figure-1 runs" `Quick
+      (fun () ->
+        List.iter
+          (fun approach ->
+            let tr = Figure1_golden.canonical_trace approach in
+            Alcotest.(check string) (Mmcast.Approach.name approach) (reference_digest tr)
+              (Trace.digest tr))
+          Mmcast.Approach.all)
+  ]
+
 let odds_and_ends =
   [ Alcotest.test_case "sim step and pending" `Quick (fun () ->
         let sim = Sim.create () in
@@ -946,12 +1258,12 @@ let () =
   Alcotest.run "engine"
     [ ("time", time_tests);
       ("event_queue", event_queue_tests @ event_queue_properties);
-      ("wheel", wheel_tests @ wheel_properties);
+      ("wheel", wheel_tests @ wheel_properties @ wheel_memory_tests);
       ("tie-break", tie_break_tests);
       ("sim", sim_tests);
       ("timer", timer_tests);
       ("rng", rng_tests @ rng_properties);
       ("stats", stats_tests @ stats_extra_tests @ stats_edge_tests);
-      ("trace", trace_tests);
+      ("trace", trace_tests @ digest_tests @ digest_oracle_tests);
       ("odds and ends", odds_and_ends)
     ]
