@@ -1,9 +1,12 @@
 (* Reproduction harness: one section per table/figure of the paper,
    plus ablations for the design decisions called out in DESIGN.md,
    fault recovery, Bechamel microbenchmarks of the substrate and the
-   perf section that bench/check_perf.py gates.  Runs under the
-   invariant monitor (scale matrix, chaos soak, schedule exploration)
-   belong to mmcast_sim's scale, check and explore commands.
+   perf section that bench/check_perf.py gates.  Every section but perf
+   runs its scenarios as descriptors through Scale.Runner, with the
+   invariant monitor attached; perf times the bare engine on a
+   hand-scripted Figure 1.  The scale matrix, chaos soak and schedule
+   exploration belong to mmcast_sim's scale, check and explore
+   commands.
 
    Run everything:        dune exec bench/main.exe
    Run one section:       dune exec bench/main.exe -- fig2 table1 micro
@@ -15,6 +18,8 @@
    perf section's measurement budget for CI smoke runs. *)
 
 open Mmcast
+module Desc = Scale.Desc
+module Paper = Scale.Paper
 
 (* Sweep fan-out width; sections read it when they call the drivers. *)
 let jobs_setting = ref (Parallel.default_jobs ())
@@ -46,47 +51,42 @@ let section title =
   Printf.printf "%s\n" title;
   Printf.printf "============================================================\n"
 
-let pp_fig (r : Experiments.fig_result) =
-  Printf.printf "%s\n\n%s\n" r.Experiments.description r.tree;
+let pp_fig (r : Paper.fig_result) =
+  Printf.printf "%s\n\n%s\n" r.Paper.description r.tree;
   List.iter (fun (k, v) -> Printf.printf "  %-28s %s\n" k v) r.notes
 
 (* ---- figures ---- *)
 
 let fig1 () =
   section "Figure 1: initial multicast distribution tree";
-  pp_fig (Experiments.fig1 ());
+  pp_fig (Paper.fig1 ());
   print_endline "\npaper: the tree connects Sender S (Link 1) to receivers on L1, L2, L4"
 
 let fig2 () =
   section "Figure 2: mobile receiver, local group membership (R3: L4 -> L6)";
-  pp_fig (Experiments.fig2 ());
+  pp_fig (Paper.fig2 ());
   print_endline "\npaper: tree grafts onto Link 6; Router D keeps forwarding onto Link 4";
   print_endline "until the MLD listener interval (260 s) expires -- the leave delay.";
-  let pessimistic =
-    Experiments.fig2
-      ~spec:
-        { Scenario.default_spec with
-          mld = { Mld.Mld_config.default with unsolicited_report_count = 0 } }
-      ()
-  in
   print_endline "\nsame handoff when hosts wait for the next Query (no unsolicited Reports):";
-  List.iter (fun (k, v) -> Printf.printf "  %-28s %s\n" k v) pessimistic.Experiments.notes
+  List.iter
+    (fun (k, v) -> Printf.printf "  %-28s %s\n" k v)
+    (Paper.fig2 ~spec:Paper.rfc_mld ()).Paper.notes
 
 let fig3 () =
   section "Figure 3: mobile receiver via home-agent tunnel (R3: L4 -> L1)";
-  pp_fig (Experiments.fig3 ());
+  pp_fig (Paper.fig3 ());
   print_endline "\npaper: the distribution tree is unchanged; Router D (home agent)";
   print_endline "delivers through the tunnel, so there is no significant join delay."
 
 let fig4 () =
   section "Figure 4: mobile sender via reverse tunnel (S: L1 -> L6)";
-  pp_fig (Experiments.fig4 ());
+  pp_fig (Paper.fig4 ());
   print_endline "\npaper: datagrams are tunnelled to home agent A and distributed over";
   print_endline "the existing tree; no new source-rooted tree is flooded."
 
 let fig5 () =
   section "Figure 5: Multicast Group List Sub-Option wire format";
-  print_string (Experiments.fig5 ())
+  print_string (Paper.fig5 ())
 
 (* ---- table 1 / section 4.3 ---- *)
 
@@ -94,14 +94,10 @@ let table1 () =
   section "Table 1 + section 4.3: the four approaches, quantitatively";
   let jobs = !jobs_setting in
   print_endline "MLD with the paper's recommended unsolicited Reports:";
-  Comparison.pp_table Format.std_formatter (Experiments.table1 ~jobs ());
+  Paper.pp_table Format.std_formatter (Paper.table1 ~jobs ());
   print_endline "";
   print_endline "MLD with RFC-default behaviour (hosts wait for the next Query):";
-  let spec =
-    { Scenario.default_spec with
-      mld = { Mld.Mld_config.default with unsolicited_report_count = 0 } }
-  in
-  Comparison.pp_table Format.std_formatter (Experiments.table1 ~spec ~jobs ());
+  Paper.pp_table Format.std_formatter (Paper.table1 ~spec:Paper.rfc_mld ~jobs ());
   print_endline
     "\npaper's expected shape: approach 1 routes optimally but suffers join delay\n\
      and tree rebuilds; approach 2 has no join delay but doubles loads and\n\
@@ -112,12 +108,12 @@ let convergence () =
   Printf.printf "  %-34s %16s %10s %18s\n" "approach" "L6 data [B]" "L6 pkts"
     "per-receiver rx";
   List.iter
-    (fun (r : Experiments.convergence_row) ->
+    (fun (r : Paper.convergence_row) ->
       Printf.printf "  %-34s %16d %10d %18s\n"
-        (Approach.name r.Experiments.conv_approach)
+        (Approach.name r.Paper.conv_approach)
         r.foreign_link_data_bytes r.foreign_link_packets
         (String.concat "/" (List.map string_of_int r.per_receiver_rx)))
-    (Experiments.tunnel_convergence ~jobs:!jobs_setting ());
+    (Paper.tunnel_convergence ~jobs:!jobs_setting ());
   print_endline
     "\npaper: 'the same multicast datagrams will be sent via unicast to each group\n\
      member on the foreign link' -- tunnel delivery doubles the shared link's\n\
@@ -130,9 +126,9 @@ let pp_sweep rows =
   Printf.printf "  %8s %24s %10s %12s %10s\n" "TQuery" "join mean/min/max [s]" "leave [s]"
     "wasted [B]" "MLD [B/s]";
   List.iter
-    (fun (r : Experiments.sweep_row) ->
+    (fun (r : Paper.sweep_row) ->
       Printf.printf "  %8.0f %10.1f/%5.1f/%6.1f %10.1f %12.0f %10.2f\n"
-        r.Experiments.tquery_s r.join_mean_s r.join_min_s r.join_max_s r.leave_mean_s
+        r.Paper.tquery_s r.join_mean_s r.join_min_s r.join_max_s r.leave_mean_s
         r.wasted_mean_bytes r.mld_bytes_per_s)
     rows
 
@@ -140,9 +136,9 @@ let timer_sweep () =
   section "Section 4.4: MLD Query Interval sweep (mobile receiver handoffs)";
   let jobs = !jobs_setting in
   print_endline "hosts wait for the next Query:";
-  pp_sweep (Experiments.timer_sweep ~trials:8 ~unsolicited:false ~jobs ());
+  pp_sweep (Paper.timer_sweep ~trials:8 ~unsolicited:false ~jobs ());
   print_endline "\nwith unsolicited Reports (paper's recommendation):";
-  pp_sweep (Experiments.timer_sweep ~trials:8 ~unsolicited:true ~jobs ());
+  pp_sweep (Paper.timer_sweep ~trials:8 ~unsolicited:true ~jobs ());
   print_endline
     "\npaper's expected shape: join and leave delays fall roughly linearly with\n\
      TQuery while the Query/Report signalling cost grows as 1/TQuery and stays\n\
@@ -152,27 +148,41 @@ let timer_sweep () =
 
 let sender_overhead () =
   section "Section 4.3.1: mobile sender overheads vs mobility rate (local sending)";
-  Printf.printf "  %6s %8s %14s %10s %16s\n" "moves" "asserts" "flood on L5 [B]" "SG states"
-    "total data [B]";
-  List.iter
-    (fun (r : Experiments.overhead_row) ->
-      Printf.printf "  %6d %8d %14d %10d %16d\n" r.Experiments.moves r.asserts
-        r.flood_bytes_l5 r.sg_states r.total_data_bytes)
-    (Experiments.sender_overhead ~jobs:!jobs_setting ());
+  let print spec =
+    Printf.printf "  %6s %8s %14s %10s %16s\n" "moves" "asserts" "flood on L5 [B]"
+      "SG states" "total data [B]";
+    List.iter
+      (fun (r : Paper.overhead_row) ->
+        Printf.printf "  %6d %8d %14d %10d %16d\n" r.Paper.moves r.asserts
+          r.flood_bytes_l5 r.sg_states r.total_data_bytes)
+      (Paper.sender_overhead ~spec ~jobs:!jobs_setting ())
+  in
+  print Scenario.default_spec;
   print_endline "\nsame sweep with a reverse tunnel (approach 3): movement costs vanish";
-  Printf.printf "  %6s %8s %14s %10s %16s\n" "moves" "asserts" "flood on L5 [B]" "SG states"
-    "total data [B]";
-  List.iter
-    (fun (r : Experiments.overhead_row) ->
-      Printf.printf "  %6d %8d %14d %10d %16d\n" r.Experiments.moves r.asserts
-        r.flood_bytes_l5 r.sg_states r.total_data_bytes)
-    (Experiments.sender_overhead
-       ~spec:{ Scenario.default_spec with approach = Approach.tunnel_to_home_agent }
-       ~jobs:!jobs_setting ())
+  print { Scenario.default_spec with approach = Approach.tunnel_to_home_agent }
 
 (* ---- ablations (DESIGN.md section 4) ---- *)
 
 let group = Scenario.group
+let move ~at host link = Desc.Move { at; host; link }
+
+(* R3's join delay after its handoff, or "-" if it never re-received. *)
+let r3_join sc =
+  Option.fold ~none:"-" ~some:(Printf.sprintf "%.2f")
+    (Metrics.join_delay (Scenario.host sc "R3") ~group)
+
+(* A host's worst inter-arrival gap after [after] (once its handoff
+   settled), tracked from the hook. *)
+let worst_gap scenario host ~after =
+  let last_rx = ref None in
+  let worst = ref 0.0 in
+  Host_stack.set_on_data (Scenario.host scenario host) (fun ~group:_ _ ->
+      let now = Engine.Time.seconds (Engine.Sim.now scenario.Scenario.sim) in
+      (match !last_rx with
+       | Some prev when now > after -> if now -. prev > !worst then worst := now -. prev
+       | Some _ | None -> ());
+      last_rx := Some now);
+  fun () -> !worst
 
 let ablation_prune_delay () =
   section "Ablation: Prune Delay Time TPruneDel (join-override window)";
@@ -182,39 +192,26 @@ let ablation_prune_delay () =
      behind the overriding router see a delivery gap. *)
   Printf.printf "  %12s %8s %8s %10s %18s\n" "TPruneDel[s]" "prunes" "joins"
     "R3 rx" "worst R3 gap [s]";
+  let d =
+    Paper.figure1 ~name:"prune-delay" ~until:340.0 ~duration:350.0 [ move ~at:60.0 "R3" "L6" ]
+  in
   List.iter
     (fun prune_delay ->
       let pim =
         { Pimdm.Pim_config.default with prune_delay; join_override_max = 1.5 }
       in
       let spec = { Scenario.default_spec with pim } in
-      let scenario = Scenario.paper_figure1 spec in
-      let metrics = Metrics.attach scenario.Scenario.net in
-      let r3 = Scenario.host scenario "R3" in
-      Traffic.at scenario 5.0 (fun () -> Scenario.subscribe_receivers scenario group);
-      ignore
-        (Traffic.cbr scenario (Scenario.host scenario "S") ~group ~from_t:30.0 ~until:340.0
-           ~interval:0.5 ~bytes:500);
-      let rx_at_move = ref 0 in
-      Traffic.at scenario 60.0 (fun () ->
-          rx_at_move := Host_stack.received_count r3 ~group;
-          Host_stack.move_to r3 (Scenario.link scenario "L6"));
-      (* Track R3's worst inter-arrival gap after the handoff settles. *)
-      let last_rx = ref None in
-      let worst_gap = ref 0.0 in
-      Host_stack.set_on_data r3 (fun ~group:_ _ ->
-          let now = Engine.Time.seconds (Engine.Sim.now scenario.Scenario.sim) in
-          (match !last_rx with
-           | Some prev when now > 70.0 ->
-             if now -. prev > !worst_gap then worst_gap := now -. prev
-           | Some _ | None -> ());
-          last_rx := Some now);
-      Scenario.run_until scenario 350.0;
-      let counts = Metrics.control_counts metrics in
-      Printf.printf "  %12.2f %8d %8d %10d %18.2f\n" prune_delay counts.Metrics.prunes
-        counts.Metrics.joins
-        (Host_stack.received_count r3 ~group - !rx_at_move)
-        !worst_gap)
+      Paper.run ~spec d spec.Scenario.approach (fun sc m ->
+          let r3 = Scenario.host sc "R3" in
+          let rx_at_move = ref 0 in
+          Traffic.at sc 60.0 (fun () -> rx_at_move := Host_stack.received_count r3 ~group);
+          let gap = worst_gap sc "R3" ~after:70.0 in
+          fun () ->
+            let counts = Metrics.control_counts m in
+            Printf.printf "  %12.2f %8d %8d %10d %18.2f\n" prune_delay counts.Metrics.prunes
+              counts.Metrics.joins
+              (Host_stack.received_count r3 ~group - !rx_at_move)
+              (gap ())))
     [ 0.05; 0.5; 3.0; 10.0 ];
   print_endline
     "\nTPruneDel trades prune reaction speed against the window other routers\n\
@@ -224,30 +221,18 @@ let ablation_prune_delay () =
 let ablation_ha_mode () =
   section "Ablation: home-agent group signalling (4.3.2's two solutions)";
   Printf.printf "  %-28s %10s %10s %10s %8s\n" "mode" "join[s]" "mld[B]" "mipv6[B]" "rx";
+  let d =
+    Paper.figure1 ~name:"ha-mode" ~until:320.0 ~duration:330.0 [ move ~at:60.0 "R3" "L6" ]
+  in
   List.iter
     (fun (name, ha_mode) ->
-      let spec =
-        { Scenario.default_spec with
-          approach = Approach.bidirectional_tunnel;
-          ha_mode }
-      in
-      let scenario = Scenario.paper_figure1 spec in
-      let metrics = Metrics.attach scenario.Scenario.net in
-      let r3 = Scenario.host scenario "R3" in
-      Traffic.at scenario 5.0 (fun () -> Scenario.subscribe_receivers scenario group);
-      ignore
-        (Traffic.cbr scenario (Scenario.host scenario "S") ~group ~from_t:30.0 ~until:320.0
-           ~interval:0.5 ~bytes:500);
-      Traffic.at scenario 60.0 (fun () ->
-          Host_stack.move_to r3 (Scenario.link scenario "L6"));
-      Scenario.run_until scenario 330.0;
-      Printf.printf "  %-28s %10s %10d %10d %8d\n" name
-        (match Metrics.join_delay r3 ~group with
-         | None -> "-"
-         | Some d -> Printf.sprintf "%.2f" d)
-        (Metrics.bytes metrics Metrics.Mld_signalling)
-        (Metrics.bytes metrics Metrics.Mipv6_signalling)
-        (Host_stack.received_count r3 ~group))
+      let spec = { Scenario.default_spec with ha_mode } in
+      Paper.run ~spec d Approach.bidirectional_tunnel (fun sc m () ->
+          let r3 = Scenario.host sc "R3" in
+          Printf.printf "  %-28s %10s %10d %10d %8d\n" name (r3_join sc)
+            (Metrics.bytes m Metrics.Mld_signalling)
+            (Metrics.bytes m Metrics.Mipv6_signalling)
+            (Host_stack.received_count r3 ~group)))
     [ ("extended Binding Update", Router_stack.Ha_bu_groups);
       ("MLD through the tunnel", Router_stack.Ha_pim_tunnel_mld) ];
   print_endline
@@ -258,20 +243,15 @@ let ablation_ha_mode () =
 let ablation_leaf_flood () =
   section "Ablation: flooding the first datagram onto empty leaf links";
   Printf.printf "  %-12s %14s %14s\n" "leaf flood" "L5 data [B]" "L6 data [B]";
+  let d = Paper.figure1 ~name:"leaf-flood" ~until:100.0 ~duration:100.0 [] in
   List.iter
     (fun flood ->
       let pim = { Pimdm.Pim_config.default with flood_to_leaf_links = flood } in
       let spec = { Scenario.default_spec with pim } in
-      let scenario = Scenario.paper_figure1 spec in
-      let metrics = Metrics.attach scenario.Scenario.net in
-      Traffic.at scenario 5.0 (fun () -> Scenario.subscribe_receivers scenario group);
-      ignore
-        (Traffic.cbr scenario (Scenario.host scenario "S") ~group ~from_t:30.0 ~until:100.0
-           ~interval:0.5 ~bytes:500);
-      Scenario.run_until scenario 100.0;
-      Printf.printf "  %-12b %14d %14d\n" flood
-        (Metrics.data_bytes_on metrics (Scenario.link scenario "L5"))
-        (Metrics.data_bytes_on metrics (Scenario.link scenario "L6")))
+      Paper.run ~spec d spec.Scenario.approach (fun sc m () ->
+          Printf.printf "  %-12b %14d %14d\n" flood
+            (Metrics.data_bytes_on m (Scenario.link sc "L5"))
+            (Metrics.data_bytes_on m (Scenario.link sc "L6"))))
     [ true; false ];
   print_endline
     "\ntrue reproduces the paper's 'flooded to all links of the network';\n\
@@ -286,36 +266,31 @@ let ablations () =
 
 let ext_state_refresh () =
   section "Extension: PIM-DM State Refresh (re-flood suppression)";
-  let run ~state_refresh =
-    let pim =
-      { Pimdm.Pim_config.default with
-        state_refresh_interval = (if state_refresh then Some 60.0 else None) }
-    in
-    let spec = { Scenario.default_spec with Scenario.pim } in
-    let s =
-      Scenario.build spec
-        ~links:
-          [ ("L1", "2001:db8:1::/64"); ("L2", "2001:db8:2::/64");
-            ("L3", "2001:db8:3::/64") ]
-        ~routers:[ ("A", [ "L1"; "L2" ], [ "L1" ]); ("B", [ "L2"; "L3" ], []) ]
-        ~hosts:[ ("S", "L1"); ("R1", "L1") ]
-    in
-    let m = Metrics.attach s.Scenario.net in
-    Traffic.at s 5.0 (fun () -> Scenario.subscribe_receivers s group);
-    ignore
-      (Traffic.cbr s (Scenario.host s "S") ~group ~from_t:30.0 ~until:700.0 ~interval:0.5
-         ~bytes:500);
-    Scenario.run_until s 700.0;
-    let c = Metrics.control_counts m in
-    (Metrics.data_bytes_on m (Scenario.link s "L2"),
-     Metrics.bytes m Metrics.Pim_signalling, c.Metrics.state_refreshes, c.Metrics.prunes)
+  (* A two-router chain: B's link L3 has no member, so its branch is
+     pruned and, without State Refresh, re-flooded every 210 s. *)
+  let d =
+    { (Paper.figure1 ~name:"state-refresh" ~until:700.0 ~duration:700.0 []) with
+      Desc.d_links =
+        [ ("L1", "2001:db8:1::/64"); ("L2", "2001:db8:2::/64"); ("L3", "2001:db8:3::/64") ];
+      d_routers = [ ("A", [ "L1"; "L2" ], [ "L1" ]); ("B", [ "L2"; "L3" ], []) ];
+      d_hosts = [ ("S", "L1"); ("R1", "L1") ];
+      d_events = [ Desc.Join { at = 5.0; host = "R1"; group = 0 } ] }
   in
   Printf.printf "  %-14s %16s %12s %10s %8s\n" "state refresh" "pruned-link data" "pim bytes"
     "refreshes" "prunes";
   List.iter
     (fun flag ->
-      let data, pim_bytes, refreshes, prunes = run ~state_refresh:flag in
-      Printf.printf "  %-14b %16d %12d %10d %8d\n" flag data pim_bytes refreshes prunes)
+      let pim =
+        { Pimdm.Pim_config.default with
+          state_refresh_interval = (if flag then Some 60.0 else None) }
+      in
+      let spec = { Scenario.default_spec with Scenario.pim } in
+      Paper.run ~spec d spec.Scenario.approach (fun sc m () ->
+          let c = Metrics.control_counts m in
+          Printf.printf "  %-14b %16d %12d %10d %8d\n" flag
+            (Metrics.data_bytes_on m (Scenario.link sc "L2"))
+            (Metrics.bytes m Metrics.Pim_signalling)
+            c.Metrics.state_refreshes c.Metrics.prunes))
     [ false; true ];
   print_endline
     "\nWithout the extension, a pruned branch re-floods every 210 s (the dense-mode\n\
@@ -325,23 +300,18 @@ let ext_state_refresh () =
 let ext_ra_sweep () =
   section "Extension: router-advertisement movement detection";
   Printf.printf "  %-14s %12s %14s\n" "RA interval" "join [s]" "nd [B/s]";
+  let d =
+    { (Paper.figure1 ~name:"ra-sweep" ~until:100.0 ~duration:100.0
+         [ move ~at:40.0 "R3" "L6" ]) with
+      Desc.d_traffic =
+        { Desc.tr_from = 10.0; tr_until = 100.0; tr_interval = 0.25; tr_bytes = 200 } }
+  in
   List.iter
     (fun interval ->
       let spec = { Scenario.default_spec with ra_interval = Some interval } in
-      let s = Scenario.paper_figure1 spec in
-      let m = Metrics.attach s.Scenario.net in
-      let r3 = Scenario.host s "R3" in
-      Traffic.at s 5.0 (fun () -> Scenario.subscribe_receivers s group);
-      ignore
-        (Traffic.cbr s (Scenario.host s "S") ~group ~from_t:10.0 ~until:100.0
-           ~interval:0.25 ~bytes:200);
-      Traffic.at s 40.0 (fun () -> Host_stack.move_to r3 (Scenario.link s "L6"));
-      Scenario.run_until s 100.0;
-      Printf.printf "  %-14.2f %12s %14.1f\n" interval
-        (match Metrics.join_delay r3 ~group with
-         | Some d -> Printf.sprintf "%.2f" d
-         | None -> "-")
-        (float_of_int (Metrics.bytes m Metrics.Nd_signalling) /. 100.0))
+      Paper.run ~spec d spec.Scenario.approach (fun sc m () ->
+          Printf.printf "  %-14.2f %12s %14.1f\n" interval (r3_join sc)
+            (float_of_int (Metrics.bytes m Metrics.Nd_signalling) /. 100.0)))
     [ 0.2; 0.5; 1.0; 2.0 ];
   print_endline
     "\nThe movement-detection component of the join delay tracks the advertisement\n\
@@ -349,99 +319,104 @@ let ext_ra_sweep () =
 
 let ext_failover () =
   section "Extension: home-agent redundancy (paper's cited further work)";
-  let spec =
-    { Scenario.default_spec with
-      ha_failover = true;
-      approach = Approach.bidirectional_tunnel }
-  in
-  let s =
-    Scenario.build spec
-      ~links:
-        [ ("L1", "2001:db8:1::/64"); ("LB", "2001:db8:b::/64"); ("L2", "2001:db8:2::/64") ]
-      ~routers:
+  let spec = { Scenario.default_spec with ha_failover = true } in
+  (* Two home agents share L1; the active one, HA1, crashes at 60 s and
+     recovers at 120 s while MH, away on L2, receives through it. *)
+  let d =
+    { (Paper.figure1 ~name:"ha-failover" ~until:200.0 ~duration:200.0 []) with
+      Desc.d_links =
+        [ ("L1", "2001:db8:1::/64"); ("LB", "2001:db8:b::/64"); ("L2", "2001:db8:2::/64") ];
+      d_routers =
         [ ("HA1", [ "L1"; "LB" ], [ "L1" ]);
           ("HA2", [ "L1"; "LB" ], [ "L1" ]);
-          ("R", [ "LB"; "L2" ], [ "L2" ]) ]
-      ~hosts:[ ("S", "L2"); ("MH", "L1") ]
+          ("R", [ "LB"; "L2" ], [ "L2" ]) ];
+      d_hosts = [ ("S", "L2"); ("MH", "L1") ];
+      d_traffic =
+        { Desc.tr_from = 20.0; tr_until = 200.0; tr_interval = 0.1; tr_bytes = 400 };
+      d_events =
+        [ Desc.Join { at = 5.0; host = "MH"; group = 0 }; move ~at:30.0 "MH" "L2" ];
+      d_faults = [ Desc.Crash { router = "HA1"; at = 60.0; recover_at = 120.0 } ] }
   in
-  let mh = Scenario.host s "MH" in
-  Traffic.at s 5.0 (fun () -> Host_stack.subscribe mh group);
-  ignore
-    (Traffic.cbr s (Scenario.host s "S") ~group ~from_t:20.0 ~until:200.0 ~interval:0.1
-       ~bytes:400);
-  Traffic.at s 30.0 (fun () -> Host_stack.move_to mh (Scenario.link s "L2"));
-  let last_rx = ref None in
-  let worst_gap = ref 0.0 in
-  Host_stack.set_on_data mh (fun ~group:_ _ ->
-      let now = Engine.Time.seconds (Engine.Sim.now s.Scenario.sim) in
-      (match !last_rx with
-       | Some prev when now > 40.0 ->
-         if now -. prev > !worst_gap then worst_gap := now -. prev
-       | Some _ | None -> ());
-      last_rx := Some now);
-  Traffic.at s 60.0 (fun () -> Router_stack.fail (Scenario.router s "HA1"));
-  Traffic.at s 120.0 (fun () -> Router_stack.recover (Scenario.router s "HA1"));
-  Scenario.run_until s 200.0;
-  let sent = Host_stack.data_sent (Scenario.host s "S") in
-  let got = Host_stack.received_count mh ~group in
-  Printf.printf
-    "  10 Hz stream via bi-directional tunnel; active home agent HA1 crashes at t=60,\n\
-    \  recovers at t=120 (heartbeats every 1 s, takeover after 3.5 missed).\n\n\
-    \  delivered %d / %d datagrams; service outage (worst gap) %.1f s;\n\
-    \  bindings resynchronised on both takeover and fail-back.\n"
-    got sent !worst_gap
+  Paper.run ~spec d Approach.bidirectional_tunnel (fun sc _ ->
+      let gap = worst_gap sc "MH" ~after:40.0 in
+      fun () ->
+        Printf.printf
+          "  10 Hz stream via bi-directional tunnel; active home agent HA1 crashes at \
+           t=60,\n\
+          \  recovers at t=120 (heartbeats every 1 s, takeover after 3.5 missed).\n\n\
+          \  delivered %d / %d datagrams; service outage (worst gap) %.1f s;\n\
+          \  bindings resynchronised on both takeover and fail-back.\n"
+          (Host_stack.received_count (Scenario.host sc "MH") ~group)
+          (Host_stack.data_sent (Scenario.host sc "S"))
+          (gap ()))
 
 let extensions () =
   ext_state_refresh ();
   ext_ra_sweep ();
   ext_failover ()
 
+(* Six receivers random-walking an 8-router random tree (a Scale.Gen
+   preferential-attachment graph with one attachment per router): each
+   leaves its stub after an exponential dwell (mean 80 s) from t=60 to
+   any other link, until t=550. *)
+let churn_desc () =
+  let d =
+    Scale.Gen.scenario ~model:`Pref ~m:1 ~routers:8 ~hosts:7 ~mobiles:0 ~churn:0 ~faults:0
+      ~seed:77 ()
+  in
+  let links = List.map fst d.Desc.d_links in
+  let rng = Engine.Rng.create 5 in
+  let walk (host, home) =
+    let rec hop t here acc =
+      let t = t +. Engine.Rng.exponential rng 80.0 in
+      if t >= 550.0 then List.rev acc
+      else
+        let there =
+          Engine.Rng.pick rng (Array.of_list (List.filter (fun l -> l <> here) links))
+        in
+        hop t there (move ~at:t host there :: acc)
+    in
+    Desc.Join { at = 0.0; host; group = 0 } :: hop 60.0 home []
+  in
+  let receivers = List.tl d.Desc.d_hosts in
+  { d with
+    Desc.d_traffic =
+      { Desc.tr_from = 30.0; tr_until = 600.0; tr_interval = 0.5; tr_bytes = 400 };
+    d_events =
+      List.stable_sort
+        (fun a b -> compare (Desc.event_time a) (Desc.event_time b))
+        (List.concat_map walk receivers);
+    d_duration = 620.0 }
+
 let churn () =
   section "Stress: many roaming receivers (random-walk churn, all four approaches)";
   Printf.printf "  %-34s %9s %9s %7s %10s %12s\n" "approach" "delivered" "offered"
     "moves" "signal [B]" "tunnel [B]";
+  let d = churn_desc () in
+  let receivers = List.tl d.Desc.d_hosts in
+  let moves =
+    List.length
+      (List.filter (function Desc.Move _ -> true | _ -> false) d.Desc.d_events)
+  in
   List.iter
     (fun approach ->
-      let spec = { Scenario.default_spec with Scenario.approach; seed = 77 } in
-      let scenario =
-        Workload.Topo_gen.random_tree ~seed:77 ~spec ~routers:8 ~hosts:7 ()
-      in
-      let metrics = Metrics.attach scenario.Scenario.net in
-      match scenario.Scenario.hosts with
-      | [] -> ()
-      | (_, sender) :: receivers ->
-        List.iter (fun (_, h) -> Host_stack.subscribe h group) receivers;
-        ignore
-          (Traffic.cbr scenario sender ~group ~from_t:30.0 ~until:600.0 ~interval:0.5
-             ~bytes:400);
-        let rng = Engine.Rng.create 5 in
-        let walks =
-          List.map
-            (fun (_, h) ->
-              Workload.Mobility.random_walk scenario h ~rng
-                ~links:(Workload.Mobility.links_of scenario h)
-                ~dwell_mean:80.0 ~from_t:60.0 ~until:550.0)
-            receivers
-        in
-        Scenario.run_until scenario 620.0;
-        let delivered =
-          List.fold_left (fun acc (_, h) -> acc + Host_stack.received_count h ~group) 0
-            receivers
-        in
-        let moves =
-          List.fold_left (fun acc w -> acc + w.Workload.Mobility.walk_moves) 0 walks
-        in
-        Printf.printf "  %-34s %9d %9d %7d %10d %12d\n" (Approach.name approach) delivered
-          (Host_stack.data_sent sender * List.length receivers)
-          moves
-          (Metrics.signalling_bytes metrics)
-          (Metrics.bytes metrics Metrics.Tunnel_overhead))
+      Paper.run d approach (fun sc m () ->
+          let delivered =
+            List.fold_left
+              (fun acc (h, _) ->
+                acc + Host_stack.received_count (Scenario.host sc h) ~group)
+              0 receivers
+          in
+          Printf.printf "  %-34s %9d %9d %7d %10d %12d\n" (Approach.name approach) delivered
+            (Host_stack.data_sent (Scenario.host sc "H0") * List.length receivers)
+            moves (Metrics.signalling_bytes m)
+            (Metrics.bytes m Metrics.Tunnel_overhead)))
     Approach.all;
   print_endline
     "\n6 receivers random-walking an 8-router tree (a handoff roughly every 80 s\n\
-     each) for 10 simulated minutes of a 2 Hz stream.  Tunnel delivery trades\n\
-     encapsulation bytes for fewer handoff losses; local membership with\n\
-     unsolicited Reports stays close behind at a fraction of the cost."
+     each) for 10 simulated minutes of a 2 Hz stream.  Every approach loses only\n\
+     a handful of datagrams to handoffs; tunnel delivery pays encapsulation\n\
+     bytes for it, local membership with unsolicited Reports does not."
 
 (* ---- fault injection: reconvergence after failures ---- *)
 
@@ -449,8 +424,8 @@ let faults () =
   section "Faults: reconvergence after link flap, per approach and loss rate";
   let loss_rates = [ 0.0; 0.05; 0.15 ] in
   let jobs = !jobs_setting in
-  let rows = Workload.Sweep.fault_recovery ~loss_rates ~jobs () in
-  let flaps = Workload.Sweep.flap_recovery ~jobs () in
+  let rows = Paper.fault_recovery ~loss_rates ~jobs () in
+  let flaps = Paper.flap_recovery ~jobs () in
   let opt_s = function
     | Some v -> Printf.sprintf "%.3f" v
     | None -> "-"
@@ -458,37 +433,32 @@ let faults () =
   Printf.printf "  %-34s %6s %12s %12s %6s\n" "approach" "loss" "mean rec [s]"
     "max rec [s]" "unrec";
   List.iter
-    (fun (r : Workload.Sweep.recovery_row) ->
-      Printf.printf "  %-34s %6.2f %12s %12s %3d/%-3d\n"
-        (Approach.name r.Workload.Sweep.rec_approach)
-        r.loss_rate (opt_s r.mean_recovery_s) (opt_s r.max_recovery_s) r.unrecovered
-        r.samples)
+    (fun { Paper.rec_approach; loss_rate; recovery = r } ->
+      Printf.printf "  %-34s %6.2f %12s %12s %3d/%-3d\n" (Approach.name rec_approach) loss_rate
+        (opt_s r.Recovery.mean_recovery_s) (opt_s r.max_recovery_s) r.unrecovered
+        (List.length r.samples))
     rows;
   Printf.printf "\n  L3 flap count sweep (10 s outages, fixed approach):\n";
   Printf.printf "  %6s %12s %12s %6s\n" "flaps" "mean rec [s]" "max rec [s]" "unrec";
   List.iter
-    (fun (f : Workload.Sweep.flap_row) ->
-      Printf.printf "  %6d %12s %12s %6d\n" f.Workload.Sweep.flap_count
-        (opt_s f.flap_mean_recovery_s) (opt_s f.flap_max_recovery_s) f.flap_unrecovered)
+    (fun (count, (r : Recovery.report)) ->
+      Printf.printf "  %6d %12s %12s %6d\n" count (opt_s r.mean_recovery_s)
+        (opt_s r.max_recovery_s) r.unrecovered)
     flaps;
   (* Machine-readable report alongside the table. *)
-  let opt_float = Obs.Json.opt Obs.Json.float in
-  let row_json (r : Workload.Sweep.recovery_row) =
-    Obs.Json.Obj
-      [ ("approach", Obs.Json.String (Approach.name r.Workload.Sweep.rec_approach));
-        ("loss_rate", Obs.Json.float r.loss_rate);
-        ("mean_recovery_s", opt_float r.mean_recovery_s);
-        ("max_recovery_s", opt_float r.max_recovery_s);
-        ("unrecovered", Obs.Json.Int r.unrecovered);
-        ("samples", Obs.Json.Int r.samples) ]
+  let stats (r : Recovery.report) =
+    [ ("mean_recovery_s", Obs.Json.opt Obs.Json.float r.mean_recovery_s);
+      ("max_recovery_s", Obs.Json.opt Obs.Json.float r.max_recovery_s);
+      ("unrecovered", Obs.Json.Int r.unrecovered) ]
   in
-  let flap_json (f : Workload.Sweep.flap_row) =
+  let row_json { Paper.rec_approach; loss_rate; recovery = r } =
     Obs.Json.Obj
-      [ ("flaps", Obs.Json.Int f.Workload.Sweep.flap_count);
-        ("mean_recovery_s", opt_float f.flap_mean_recovery_s);
-        ("max_recovery_s", opt_float f.flap_max_recovery_s);
-        ("unrecovered", Obs.Json.Int f.flap_unrecovered) ]
+      ([ ("approach", Obs.Json.String (Approach.name rec_approach));
+         ("loss_rate", Obs.Json.float loss_rate) ]
+      @ stats r
+      @ [ ("samples", Obs.Json.Int (List.length r.samples)) ])
   in
+  let flap_json (count, r) = Obs.Json.Obj (("flaps", Obs.Json.Int count) :: stats r) in
   let doc =
     Obs.Json.Obj
       [ ("schema", Obs.Json.String "mmcast-fault-recovery/1");
@@ -573,8 +543,10 @@ let micro () =
   let bu_wire = Ipv6.Codec.encode bu_packet in
   (* routing *)
   let routing_topo =
-    let scenario = Scenario.paper_figure1 Scenario.default_spec in
-    Net.Network.topology scenario.Scenario.net
+    Paper.run
+      (Paper.figure1 ~name:"routing" ~until:1.0 ~duration:1.0 [])
+      Approach.local_membership
+      (fun sc _ () -> Net.Network.topology sc.Scenario.net)
   in
   run_micro "substrate"
     [ Test.make ~name:"event queue: 256 push+pop" (Staged.stage queue_churn);
@@ -603,15 +575,10 @@ let micro () =
               done))
     ];
   run_micro "simulation"
-    [ Test.make ~name:"figure-1 scenario: build + 100 s with stream"
-        (Staged.stage (fun () ->
-             let scenario = Scenario.paper_figure1 Scenario.default_spec in
-             Traffic.at scenario 5.0 (fun () ->
-                 Scenario.subscribe_receivers scenario group);
-             ignore
-               (Traffic.cbr scenario (Scenario.host scenario "S") ~group ~from_t:30.0
-                  ~until:100.0 ~interval:0.5 ~bytes:500);
-             Scenario.run_until scenario 100.0))
+    [ Test.make ~name:"figure-1 paper run (monitor on): 100 s with stream"
+        (Staged.stage
+           (let d = Paper.figure1 ~name:"micro" ~until:100.0 ~duration:100.0 [] in
+            fun () -> Paper.run d Approach.local_membership (fun _ _ () -> ())))
     ]
 
 (* ---- perf trajectory (BENCH_perf.json) ---- *)
@@ -666,7 +633,11 @@ let calibrate_ns () =
    ping-ponging between L4 and L6 every 30 s — enough traffic that the
    run is dominated by the transmit/deliver path, with enough mobility
    to keep tunnels and prune state churning.  Returns
-   (events, wall_s, allocated_bytes, minor_collections). *)
+   (events, wall_s, allocated_bytes, minor_collections).  It scripts
+   Figure 1 by hand rather than through Scale.Runner on purpose: the
+   rows price the unmonitored engine against bench/baseline_perf.json,
+   and the monitor's cost would dilute a slowdown of the delivery path
+   that only this gate catches. *)
 let perf_scenario ~wire ~capture ?(lineage = false) ~seconds () =
   let spec =
     { Scenario.default_spec with
@@ -944,8 +915,8 @@ let perf () =
   (* -- macro: Table 1 sweep, sequential vs fanned across domains -- *)
   Printf.printf "\n  Table 1 sweep wall-clock (jobs=1 vs jobs=%d, %d core%s visible):\n"
     jobs cores (if cores = 1 then "" else "s");
-  let rows_seq, t_seq = time_wall (fun () -> Experiments.table1 ~jobs:1 ()) in
-  let rows_par, t_par = time_wall (fun () -> Experiments.table1 ~jobs ()) in
+  let rows_seq, t_seq = time_wall (fun () -> Paper.table1 ~jobs:1 ()) in
+  let rows_par, t_par = time_wall (fun () -> Paper.table1 ~jobs ()) in
   let identical = rows_seq = rows_par in
   let speedup = if t_par > 0.0 then t_seq /. t_par else nan in
   Printf.printf "  %-24s %10.3f s\n" "jobs=1" t_seq;
@@ -1054,15 +1025,14 @@ let sections =
    stream plus R3's L4 -> L6 handoff, every frame byte-exact. *)
 let write_quickstart_capture file =
   section "Capture: quickstart scenario (figure 1, R3 handoff at t=60)";
-  let scenario = Scenario.paper_figure1 Scenario.default_spec in
-  let cap = Obs.Capture.attach scenario.Scenario.net in
-  Traffic.at scenario 5.0 (fun () -> Scenario.subscribe_receivers scenario group);
-  ignore
-    (Traffic.cbr scenario (Scenario.host scenario "S") ~group ~from_t:30.0 ~until:110.0
-       ~interval:0.5 ~bytes:500);
-  Traffic.at scenario 60.0 (fun () ->
-      Host_stack.move_to (Scenario.host scenario "R3") (Scenario.link scenario "L6"));
-  Scenario.run_until scenario 120.0;
+  let d =
+    Paper.figure1 ~name:"quickstart" ~until:110.0 ~duration:120.0 [ move ~at:60.0 "R3" "L6" ]
+  in
+  let cap =
+    Paper.run d Approach.local_membership (fun sc _ ->
+        let cap = Obs.Capture.attach sc.Scenario.net in
+        fun () -> cap)
+  in
   Obs.Json.ensure_dir (Filename.dirname file);
   Obs.Capture.to_file cap file;
   outputs := ("capture", file) :: !outputs;

@@ -94,9 +94,23 @@ let manifest_of_spec ~command spec =
     spec.Scenario.mld.Mld.Mld_config.unsolicited_report_count;
   m
 
-let write_capture cap file =
-  Obs.Capture.to_file cap file;
-  Printf.printf "capture: %d frame(s) -> %s\n" (Obs.Capture.frames cap) file
+(* --telemetry on a paper run: a registry sampled every
+   [sample_interval] until [until], and a lineage collector. *)
+let attach_telemetry scenario metrics ~until =
+  let reg = Obs.Registry.create scenario.Scenario.sim in
+  let tele = Telemetry.attach reg scenario metrics in
+  Obs.Registry.run_sampler reg ~every:sample_interval ~until;
+  let approach = scenario.Scenario.spec.Scenario.approach in
+  let lin = Obs.Lineage.create ~approach:(Approach.name approach) () in
+  Obs.Lineage.attach lin scenario.Scenario.sim;
+  (reg, tele, lin)
+
+(* The lineage, its catapult export and its handover breakdowns, at
+   [path "lineage"], [path "catapult"] and [path "handover"]. *)
+let save_lineage lin ~path =
+  Obs.Lineage.save lin ~path:(path "lineage");
+  Obs.Export.save_catapult lin ~path:(path "catapult");
+  Obs.Json.write_file ~pretty:true ~path:(path "handover") (Obs.Export.handovers_json lin)
 
 let tquery_too_small tquery =
   tquery < Mld.Mld_config.default.Mld.Mld_config.query_response_interval
@@ -121,41 +135,36 @@ let spec_of ~approach ~seed ~no_unsolicited ~tquery =
 
 (* ---- run ---- *)
 
+module Desc = Scale.Desc
+module Paper = Scale.Paper
+
 let parse_moves s =
   if String.equal s "" then []
   else
     String.split_on_char ',' s
-    |> List.mapi (fun i name -> (60.0 +. (60.0 *. float_of_int i), name))
+    |> List.mapi (fun i link ->
+           Desc.Move { at = 60.0 +. (60.0 *. float_of_int i); host = "R3"; link })
 
 let parse_flap s =
   match String.split_on_char ':' s with
   | [ link; down; up ] -> (
     match (float_of_string_opt down, float_of_string_opt up) with
-    | Some down_at, Some up_at -> Ok (link, down_at, up_at)
+    | Some down_at, Some up_at -> Ok (Desc.Flap { link; down_at; up_at })
     | _ -> Error s)
   | _ -> Error s
 
-(* A usage error naming the first of [names] that is no link of
-   Figure 1. *)
-let unknown_link option names =
-  let links = List.map fst Scenario.figure1.Scenario.lay_links in
-  Option.map
-    (fun name ->
-      Printf.sprintf "%s: unknown link %s (Figure 1 has %s)" option name
-        (String.concat ", " links))
-    (List.find_opt (fun name -> not (List.mem name links)) names)
+(* Run a Figure-1 descriptor built from the command line.  One the run
+   cannot carry out as given — an unknown link, a move or a flap after
+   the end, a flap that ends before it starts — is a usage error. *)
+let run_paper ~spec d measure =
+  match Desc.validate d with
+  | Error e -> `Error (false, e)
+  | Ok () ->
+    Paper.run ~spec d spec.Scenario.approach measure;
+    `Ok ()
 
 let run_cmd approach seed no_unsolicited tquery moves duration rate bytes loss flaps
     telemetry capture =
-  let link_error =
-    match unknown_link "moves" (List.map snd (parse_moves moves)) with
-    | Some _ as e -> e
-    | None ->
-      unknown_link "flap"
-        (List.filter_map
-           (fun f -> Result.to_option (Result.map (fun (link, _, _) -> link) (parse_flap f)))
-           flaps)
-  in
   match spec_of ~approach ~seed ~no_unsolicited ~tquery with
   | `Error _ as e -> e
   | `Ok _ when not (positive_finite duration) ->
@@ -177,142 +186,117 @@ let run_cmd approach seed no_unsolicited tquery moves duration rate bytes loss f
     `Error (false, "loss must be within [0,1]")
   | `Ok _ when List.exists (fun f -> Result.is_error (parse_flap f)) flaps ->
     `Error (false, "flap must be LINK:DOWN:UP, e.g. L3:80:100")
-  | `Ok _ when link_error <> None -> `Error (false, Option.get link_error)
   | `Ok spec ->
-    let scenario = Scenario.paper_figure1 spec in
-    let metrics = Metrics.attach scenario.Scenario.net in
-    let lin =
-      Option.map
-        (fun _ ->
-          let l =
-            Obs.Lineage.create ~approach:(Approach.name spec.Scenario.approach) ()
-          in
-          Obs.Lineage.attach l scenario.Scenario.sim;
-          l)
-        telemetry
+    let flaps = List.filter_map (fun f -> Result.to_option (parse_flap f)) flaps in
+    let ambient =
+      if loss > 0.0 then
+        List.map
+          (fun (link, _) -> Desc.Loss { link; rate = loss; from_t = 0.0; until = duration })
+          Scenario.figure1.Scenario.lay_links
+      else []
     in
-    let cap = Option.map (fun _ -> Obs.Capture.attach scenario.Scenario.net) capture in
-    let tele =
-      Option.map
-        (fun dir ->
-          Obs.Json.ensure_dir dir;
-          let reg = Obs.Registry.create scenario.Scenario.sim in
-          let t = Telemetry.attach reg scenario metrics in
-          Obs.Registry.run_sampler reg ~every:sample_interval ~until:duration;
-          (dir, reg, t))
-        telemetry
+    let d =
+      Paper.figure1 ~seed ~name:"run" ~until:(duration -. 10.0) ~duration
+        ~faults:(ambient @ flaps) (parse_moves moves)
     in
-    if loss > 0.0 then
-      List.iter
-        (fun link -> Net.Network.set_loss_rate scenario.Scenario.net link loss)
-        (Net.Topology.links (Net.Network.topology scenario.Scenario.net));
-    let r3 = Scenario.host scenario "R3" in
-    Traffic.at scenario 5.0 (fun () -> Scenario.subscribe_receivers scenario group);
-    ignore
-      (Traffic.cbr scenario (Scenario.host scenario "S") ~group ~from_t:30.0
-         ~until:(duration -. 10.0) ~interval:(1.0 /. rate) ~bytes);
-    Workload.Mobility.script scenario r3 (parse_moves moves);
-    let recovery =
-      match flaps with
-      | [] -> None
-      | specs ->
-        let schedule =
-          List.map
-            (fun f ->
-              match parse_flap f with
-              | Ok (link, down_at, up_at) ->
-                Faults.link_flap ~link:(Scenario.link scenario link) ~down_at ~up_at
-              | Error _ -> assert false)
-            specs
+    let d =
+      { d with
+        Desc.d_traffic =
+          { d.Desc.d_traffic with Desc.tr_interval = 1.0 /. rate; tr_bytes = bytes } }
+    in
+    run_paper ~spec d (fun scenario metrics ->
+        let cap = Option.map (fun _ -> Obs.Capture.attach scenario.Scenario.net) capture in
+        let tele =
+          Option.map
+            (fun dir ->
+              Obs.Json.ensure_dir dir;
+              (dir, attach_telemetry scenario metrics ~until:duration))
+            telemetry
         in
-        let faults = Scenario.install_faults scenario schedule in
-        Some
-          (Recovery.create scenario ~group ~hosts:[ "R1"; "R2"; "R3" ]
-             (Faults.marks_of faults))
-    in
-    Scenario.run_until scenario duration;
-    Printf.printf "%s after %.0f s (%s):\n\n"
-      (Approach.name spec.Scenario.approach)
-      duration
-      (if no_unsolicited then "RFC-default MLD" else "unsolicited Reports");
-    print_endline
-      (Tree.render scenario ~source:(Host_stack.home_address (Scenario.host scenario "S"))
-         ~group);
-    Printf.printf "\nreceivers:\n";
-    List.iter
-      (fun name ->
-        let h = Scenario.host scenario name in
-        Printf.printf "  %-3s rx=%d dup=%d\n" name
-          (Host_stack.received_count h ~group)
-          (Host_stack.duplicate_count h ~group))
-      [ "R1"; "R2"; "R3" ];
-    (match Metrics.join_delay r3 ~group with
-     | Some d -> Printf.printf "\nR3 join delay after last handoff: %.2f s\n" d
-     | None -> ());
-    Printf.printf "\ntraffic:\n";
-    Metrics.pp_summary Format.std_formatter metrics;
-    if loss > 0.0 then
-      Printf.printf "injected loss: %d deliveries suppressed\n"
-        (Net.Network.losses scenario.Scenario.net);
-    (match recovery with
-     | None -> ()
-     | Some r ->
-       Printf.printf "\nrecovery after link repair:\n";
-       Format.printf "%a@." Recovery.pp_report (Recovery.report r));
-    let c = Metrics.control_counts metrics in
-    Printf.printf
-      "control messages: %d hellos, %d joins, %d prunes, %d grafts, %d asserts, %d \
-       queries, %d reports, %d binding updates\n"
-      c.Metrics.hellos c.Metrics.joins c.Metrics.prunes c.Metrics.grafts c.Metrics.asserts
-      c.Metrics.queries c.Metrics.reports c.Metrics.binding_updates;
-    (match (cap, capture) with
-     | Some cap, Some file -> write_capture cap file
-     | _, _ -> ());
-    (match tele with
-     | None -> ()
-     | Some (dir, reg, t) ->
-       (match Metrics.join_delay r3 ~group with
-        | Some d -> Telemetry.record_join_delay t d
-        | None -> ());
-       let path = Filename.concat dir "telemetry.json" in
-       Obs.Json.write_file ~pretty:true ~path
-         (Obs.Registry.to_json
-            ~meta:
-              [ ("command", Obs.Json.String "run");
-                ("approach", Obs.Json.Int approach);
-                ("seed", Obs.Json.Int seed) ]
-            reg);
-       let m = manifest_of_spec ~command:"run" spec in
-       Obs.Manifest.add_float m "duration_s" duration;
-       Obs.Manifest.add_float m "rate_hz" rate;
-       Obs.Manifest.add_string m "moves" moves;
-       Obs.Manifest.add_float m "sample_interval_s" sample_interval;
-       Obs.Manifest.add_output m ~kind:"telemetry" path;
-       Option.iter (fun f -> Obs.Manifest.add_output m ~kind:"capture" f) capture;
-       (match lin with
-        | None -> ()
-        | Some l ->
-          let lineage_path = Filename.concat dir "lineage.json" in
-          Obs.Lineage.save l ~path:lineage_path;
-          let catapult_path = Filename.concat dir "catapult.json" in
-          Obs.Export.save_catapult l ~path:catapult_path;
-          let handover_path = Filename.concat dir "handover.json" in
-          Obs.Json.write_file ~pretty:true ~path:handover_path
-            (Obs.Export.handovers_json l);
-          Obs.Manifest.add_output m ~kind:"lineage" lineage_path;
-          Obs.Manifest.add_output m ~kind:"catapult" catapult_path;
-          Obs.Manifest.add_output m ~kind:"handover" handover_path;
-          Printf.printf "lineage: %d span(s), %d mark(s) -> %s\n"
-            (Obs.Lineage.span_count l) (Obs.Lineage.mark_count l) lineage_path;
-          (match Obs.Export.handover_breakdowns l with
-           | [] -> ()
-           | hbs ->
-             Printf.printf "handover latency breakdown:\n";
-             List.iter (Format.printf "%a" Obs.Export.pp_breakdown) hbs;
-             Format.print_flush ()));
-       Obs.Manifest.write m ~path:(Filename.concat dir "manifest.json");
-       Printf.printf "telemetry: %d sample(s) -> %s\n" (Obs.Registry.samples reg) path);
-    `Ok ()
+        let recovery =
+          if flaps = [] then None
+          else Some (Paper.watch_flaps d ~hosts:[ "R1"; "R2"; "R3" ] scenario)
+        in
+        fun () ->
+          let r3 = Scenario.host scenario "R3" in
+          Printf.printf "%s after %.0f s (%s):\n\n"
+            (Approach.name spec.Scenario.approach)
+            duration
+            (if no_unsolicited then "RFC-default MLD" else "unsolicited Reports");
+          print_endline
+            (Tree.render scenario
+               ~source:(Host_stack.home_address (Scenario.host scenario "S"))
+               ~group);
+          Printf.printf "\nreceivers:\n";
+          List.iter
+            (fun name ->
+              let h = Scenario.host scenario name in
+              Printf.printf "  %-3s rx=%d dup=%d\n" name
+                (Host_stack.received_count h ~group)
+                (Host_stack.duplicate_count h ~group))
+            [ "R1"; "R2"; "R3" ];
+          (match Metrics.join_delay r3 ~group with
+           | Some d -> Printf.printf "\nR3 join delay after last handoff: %.2f s\n" d
+           | None -> ());
+          Printf.printf "\ntraffic:\n";
+          Metrics.pp_summary Format.std_formatter metrics;
+          if loss > 0.0 then
+            Printf.printf "injected loss: %d deliveries suppressed\n"
+              (Net.Network.losses scenario.Scenario.net);
+          (match recovery with
+           | None -> ()
+           | Some r ->
+             Printf.printf "\nrecovery after link repair:\n";
+             Format.printf "%a@." Recovery.pp_report (Recovery.report r));
+          let c = Metrics.control_counts metrics in
+          Printf.printf
+            "control messages: %d hellos, %d joins, %d prunes, %d grafts, %d asserts, %d \
+             queries, %d reports, %d binding updates\n"
+            c.Metrics.hellos c.Metrics.joins c.Metrics.prunes c.Metrics.grafts
+            c.Metrics.asserts c.Metrics.queries c.Metrics.reports
+            c.Metrics.binding_updates;
+          (match (cap, capture) with
+           | Some cap, Some file ->
+             Obs.Capture.to_file cap file;
+             Printf.printf "capture: %d frame(s) -> %s\n" (Obs.Capture.frames cap) file
+           | _, _ -> ());
+          match tele with
+          | None -> ()
+          | Some (dir, (reg, t, lin)) ->
+            (match Metrics.join_delay r3 ~group with
+             | Some d -> Telemetry.record_join_delay t d
+             | None -> ());
+            let path = Filename.concat dir "telemetry.json" in
+            Obs.Json.write_file ~pretty:true ~path
+              (Obs.Registry.to_json
+                 ~meta:
+                   [ ("command", Obs.Json.String "run");
+                     ("approach", Obs.Json.Int approach);
+                     ("seed", Obs.Json.Int seed) ]
+                 reg);
+            let m = manifest_of_spec ~command:"run" spec in
+            Obs.Manifest.add_float m "duration_s" duration;
+            Obs.Manifest.add_float m "rate_hz" rate;
+            Obs.Manifest.add_string m "moves" moves;
+            Obs.Manifest.add_float m "sample_interval_s" sample_interval;
+            Obs.Manifest.add_output m ~kind:"telemetry" path;
+            Option.iter (fun f -> Obs.Manifest.add_output m ~kind:"capture" f) capture;
+            let lineage_path kind = Filename.concat dir (kind ^ ".json") in
+            save_lineage lin ~path:lineage_path;
+            List.iter
+              (fun kind -> Obs.Manifest.add_output m ~kind (lineage_path kind))
+              [ "lineage"; "catapult"; "handover" ];
+            Printf.printf "lineage: %d span(s), %d mark(s) -> %s\n"
+              (Obs.Lineage.span_count lin) (Obs.Lineage.mark_count lin)
+              (lineage_path "lineage");
+            (match Obs.Export.handover_breakdowns lin with
+             | [] -> ()
+             | hbs ->
+               Printf.printf "handover latency breakdown:\n";
+               List.iter (Format.printf "%a" Obs.Export.pp_breakdown) hbs;
+               Format.print_flush ());
+            Obs.Manifest.write m ~path:(Filename.concat dir "manifest.json");
+            Printf.printf "telemetry: %d sample(s) -> %s\n" (Obs.Registry.samples reg) path)
 
 let run_term =
   let moves =
@@ -355,19 +339,16 @@ let run_term =
 let tree_cmd approach seed no_unsolicited tquery at =
   match spec_of ~approach ~seed ~no_unsolicited ~tquery with
   | `Error _ as e -> e
-  | `Ok _ when not (non_negative_finite at) ->
-    `Error (false, "at must be a non-negative number of seconds")
+  | `Ok _ when not (positive_finite at) ->
+    `Error (false, "at must be a positive number of seconds")
   | `Ok spec ->
-    let scenario = Scenario.paper_figure1 spec in
-    Traffic.at scenario 5.0 (fun () -> Scenario.subscribe_receivers scenario group);
-    ignore
-      (Traffic.cbr scenario (Scenario.host scenario "S") ~group ~from_t:30.0 ~until:at
-         ~interval:0.5 ~bytes:500);
-    Scenario.run_until scenario at;
-    print_endline
-      (Tree.render scenario ~source:(Host_stack.home_address (Scenario.host scenario "S"))
-         ~group);
-    `Ok ()
+    run_paper ~spec
+      (Paper.figure1 ~seed ~name:"tree" ~until:at ~duration:at [])
+      (fun scenario _ () ->
+        print_endline
+          (Tree.render scenario
+             ~source:(Host_stack.home_address (Scenario.host scenario "S"))
+             ~group))
 
 let tree_term =
   let at =
@@ -382,94 +363,76 @@ let phase_name = function
   | `Receiver -> "receiver"
   | `Sender -> "sender"
 
-(* One registry per (approach, phase), written as its own document so
-   parallel approach workers never share mutable state. *)
-let compare_observer ~seed dir : Comparison.observer =
- fun ~phase scenario metrics ->
-  let reg = Obs.Registry.create scenario.Scenario.sim in
-  let tele = Telemetry.attach reg scenario metrics in
-  let until =
-    match phase with
-    | `Receiver -> Comparison.receiver_end_time
-    | `Sender -> Comparison.sender_end_time
-  in
-  Obs.Registry.run_sampler reg ~every:sample_interval ~until;
-  let approach = scenario.Scenario.spec.Scenario.approach in
-  let lin = Obs.Lineage.create ~approach:(Approach.name approach) () in
-  Obs.Lineage.attach lin scenario.Scenario.sim;
-  fun () ->
-    (match phase with
-     | `Receiver ->
-       let r3 = Scenario.host scenario "R3" in
-       (match Metrics.join_delay r3 ~group with
-        | Some d -> Telemetry.record_join_delay tele d
-        | None -> ());
-       let l4 = Scenario.link scenario "L4" in
-       let leave =
-         match Metrics.last_data_tx metrics l4 ~group with
-         | None -> 0.0
-         | Some last -> Float.max 0.0 (last -. Comparison.receiver_move_time)
-       in
-       Telemetry.record_leave_delay tele leave
-     | `Sender -> ());
-    let path =
-      Filename.concat dir
-        (Printf.sprintf "telemetry_approach%d_%s.json" (Approach.number approach)
-           (phase_name phase))
-    in
-    Obs.Json.write_file ~pretty:true ~path
-      (Obs.Registry.to_json
-         ~meta:
-           [ ("command", Obs.Json.String "compare");
-             ("approach", Obs.Json.Int (Approach.number approach));
-             ("approach_name", Obs.Json.String (Approach.name approach));
-             ("phase", Obs.Json.String (phase_name phase));
-             ("seed", Obs.Json.Int seed) ]
-         reg);
-    let stem suffix =
-      Filename.concat dir
-        (Printf.sprintf "%s_approach%d_%s.json" suffix (Approach.number approach)
-           (phase_name phase))
-    in
-    Obs.Lineage.save lin ~path:(stem "lineage");
-    Obs.Export.save_catapult lin ~path:(stem "catapult");
-    Obs.Json.write_file ~pretty:true ~path:(stem "handover")
-      (Obs.Export.handovers_json lin)
+let compare_path dir kind approach phase =
+  Filename.concat dir
+    (Printf.sprintf "%s_approach%d_%s.json" kind (Approach.number approach) (phase_name phase))
 
-let row_json (r : Comparison.row) =
+(* Table 1 for one approach with a registry and a lineage per phase,
+   each written as its own document, so parallel approach workers never
+   share mutable state. *)
+let compare_with_telemetry ~seed ~spec dir approach =
+  let attached = ref [] in
+  let inspect phase scenario =
+    let until = (Paper.phase phase).Desc.d_duration in
+    let telemetry =
+      attach_telemetry scenario (Metrics.attach scenario.Scenario.net) ~until
+    in
+    attached := (phase, telemetry) :: !attached
+  in
+  let row = Paper.table1_row ~spec ~inspect approach in
+  List.iter
+    (fun (phase, (reg, tele, lin)) ->
+      if phase = `Receiver then begin
+        Option.iter (Telemetry.record_join_delay tele) row.Paper.join_delay_s;
+        Telemetry.record_leave_delay tele row.Paper.leave_delay_s
+      end;
+      let stem kind = compare_path dir kind approach phase in
+      Obs.Json.write_file ~pretty:true ~path:(stem "telemetry")
+        (Obs.Registry.to_json
+           ~meta:
+             [ ("command", Obs.Json.String "compare");
+               ("approach", Obs.Json.Int (Approach.number approach));
+               ("approach_name", Obs.Json.String (Approach.name approach));
+               ("phase", Obs.Json.String (phase_name phase));
+               ("seed", Obs.Json.Int seed) ]
+           reg);
+      save_lineage lin ~path:stem)
+    (List.rev !attached);
+  row
+
+let row_json (r : Paper.row) =
   Obs.Json.Obj
-    [ ("approach", Obs.Json.Int (Approach.number r.Comparison.approach));
-      ("approach_name", Obs.Json.String (Approach.name r.Comparison.approach));
-      ("join_delay_s", Obs.Json.opt Obs.Json.float r.Comparison.join_delay_s);
-      ("leave_delay_s", Obs.Json.float r.Comparison.leave_delay_s);
-      ("wasted_bytes_old_link", Obs.Json.Int r.Comparison.wasted_bytes_old_link);
-      ("tunnel_overhead_bytes", Obs.Json.Int r.Comparison.tunnel_overhead_bytes);
-      ("signalling_bytes", Obs.Json.Int r.Comparison.signalling_bytes);
-      ("receiver_stretch", Obs.Json.float r.Comparison.receiver_stretch);
-      ("receiver_lost", Obs.Json.Int r.Comparison.receiver_lost);
-      ("duplicates", Obs.Json.Int r.Comparison.duplicates);
-      ("ha_load", Obs.Json.Int r.Comparison.ha_load);
-      ("mh_load", Obs.Json.Int r.Comparison.mh_load);
-      ("routers_load", Obs.Json.Int r.Comparison.routers_load);
-      ("sender_asserts", Obs.Json.Int r.Comparison.sender_asserts);
-      ("sender_flood_bytes", Obs.Json.Int r.Comparison.sender_flood_bytes);
-      ("sender_sg_states", Obs.Json.Int r.Comparison.sender_sg_states);
-      ("sender_stretch", Obs.Json.float r.Comparison.sender_stretch) ]
+    [ ("approach", Obs.Json.Int (Approach.number r.Paper.approach));
+      ("approach_name", Obs.Json.String (Approach.name r.Paper.approach));
+      ("join_delay_s", Obs.Json.opt Obs.Json.float r.Paper.join_delay_s);
+      ("leave_delay_s", Obs.Json.float r.Paper.leave_delay_s);
+      ("wasted_bytes_old_link", Obs.Json.Int r.Paper.wasted_bytes_old_link);
+      ("tunnel_overhead_bytes", Obs.Json.Int r.Paper.tunnel_overhead_bytes);
+      ("signalling_bytes", Obs.Json.Int r.Paper.signalling_bytes);
+      ("receiver_stretch", Obs.Json.float r.Paper.receiver_stretch);
+      ("receiver_lost", Obs.Json.Int r.Paper.receiver_lost);
+      ("duplicates", Obs.Json.Int r.Paper.duplicates);
+      ("ha_load", Obs.Json.Int r.Paper.ha_load);
+      ("mh_load", Obs.Json.Int r.Paper.mh_load);
+      ("routers_load", Obs.Json.Int r.Paper.routers_load);
+      ("sender_asserts", Obs.Json.Int r.Paper.sender_asserts);
+      ("sender_flood_bytes", Obs.Json.Int r.Paper.sender_flood_bytes);
+      ("sender_sg_states", Obs.Json.Int r.Paper.sender_sg_states);
+      ("sender_stretch", Obs.Json.float r.Paper.sender_stretch) ]
 
 let compare_cmd seed no_unsolicited tquery jobs telemetry =
   match spec_of ~approach:1 ~seed ~no_unsolicited ~tquery with
   | `Error _ as e -> e
   | `Ok _ when jobs < 1 -> `Error (false, "jobs must be at least 1")
   | `Ok spec ->
-    let observe =
-      Option.map
-        (fun dir ->
-          Obs.Json.ensure_dir dir;
-          compare_observer ~seed dir)
-        telemetry
+    let rows =
+      match telemetry with
+      | None -> Paper.table1 ~spec ~jobs ()
+      | Some dir ->
+        Obs.Json.ensure_dir dir;
+        Parallel.map ~jobs (compare_with_telemetry ~seed ~spec dir) Approach.all
     in
-    let rows = Comparison.run_all ~spec ?observe ~jobs () in
-    Comparison.pp_table Format.std_formatter rows;
+    Paper.pp_table Format.std_formatter rows;
     (match telemetry with
      | None -> ()
      | Some dir ->
@@ -482,8 +445,8 @@ let compare_cmd seed no_unsolicited tquery jobs telemetry =
        let m = manifest_of_spec ~command:"compare" spec in
        Obs.Manifest.add_int m "jobs" jobs;
        Obs.Manifest.add_float m "sample_interval_s" sample_interval;
-       Obs.Manifest.add_float m "receiver_move_time_s" Comparison.receiver_move_time;
-       Obs.Manifest.add_float m "sender_move_time_s" Comparison.sender_move_time;
+       Obs.Manifest.add_float m "receiver_move_time_s" Paper.receiver_move_time;
+       Obs.Manifest.add_float m "sender_move_time_s" Paper.sender_move_time;
        Obs.Manifest.add_output m ~kind:"table" table_path;
        List.iter
          (fun r ->
@@ -492,11 +455,9 @@ let compare_cmd seed no_unsolicited tquery jobs telemetry =
                List.iter
                  (fun kind ->
                    Obs.Manifest.add_output m ~kind
-                     (Filename.concat dir
-                        (Printf.sprintf "%s_approach%d_%s.json" kind
-                           (Approach.number r.Comparison.approach) phase)))
+                     (compare_path dir kind r.Paper.approach phase))
                  [ "telemetry"; "lineage"; "catapult"; "handover" ])
-             [ "receiver"; "sender" ])
+             [ `Receiver; `Sender ])
          rows;
        Obs.Manifest.write m ~path:(Filename.concat dir "manifest.json");
        Printf.printf "\ntelemetry: %d document(s) -> %s\n"
@@ -512,16 +473,16 @@ let compare_term =
 
 (* ---- sweep ---- *)
 
-let sweep_row_json (r : Experiments.sweep_row) =
+let sweep_row_json (r : Paper.sweep_row) =
   Obs.Json.Obj
-    [ ("tquery_s", Obs.Json.float r.Experiments.tquery_s);
-      ("trials", Obs.Json.Int r.Experiments.trials);
-      ("join_mean_s", Obs.Json.float r.Experiments.join_mean_s);
-      ("join_min_s", Obs.Json.float r.Experiments.join_min_s);
-      ("join_max_s", Obs.Json.float r.Experiments.join_max_s);
-      ("leave_mean_s", Obs.Json.float r.Experiments.leave_mean_s);
-      ("wasted_mean_bytes", Obs.Json.float r.Experiments.wasted_mean_bytes);
-      ("mld_bytes_per_s", Obs.Json.float r.Experiments.mld_bytes_per_s) ]
+    [ ("tquery_s", Obs.Json.float r.Paper.tquery_s);
+      ("trials", Obs.Json.Int r.Paper.trials);
+      ("join_mean_s", Obs.Json.float r.Paper.join_mean_s);
+      ("join_min_s", Obs.Json.float r.Paper.join_min_s);
+      ("join_max_s", Obs.Json.float r.Paper.join_max_s);
+      ("leave_mean_s", Obs.Json.float r.Paper.leave_mean_s);
+      ("wasted_mean_bytes", Obs.Json.float r.Paper.wasted_mean_bytes);
+      ("mld_bytes_per_s", Obs.Json.float r.Paper.mld_bytes_per_s) ]
 
 let sweep_cmd seed trials no_unsolicited values jobs telemetry =
   if values = [] then `Error (false, "no TQuery values")
@@ -530,15 +491,15 @@ let sweep_cmd seed trials no_unsolicited values jobs telemetry =
   else if jobs < 1 then `Error (false, "jobs must be at least 1")
   else begin
     let rows =
-      Experiments.timer_sweep ~base_seed:seed ~trials
+      Paper.timer_sweep ~base_seed:seed ~trials
         ~unsolicited:(not no_unsolicited) ~tquery_values:values ~jobs ()
     in
     Printf.printf "%8s %22s %10s %12s %10s\n" "TQuery" "join mean/min/max [s]" "leave [s]"
       "wasted [B]" "MLD [B/s]";
     List.iter
-      (fun (r : Experiments.sweep_row) ->
+      (fun (r : Paper.sweep_row) ->
         Printf.printf "%8.0f %8.1f/%5.1f/%6.1f %10.1f %12.0f %10.2f\n"
-          r.Experiments.tquery_s r.join_mean_s r.join_min_s r.join_max_s r.leave_mean_s
+          r.Paper.tquery_s r.join_mean_s r.join_min_s r.join_max_s r.leave_mean_s
           r.wasted_mean_bytes r.mld_bytes_per_s)
       rows;
     (match telemetry with
@@ -589,25 +550,22 @@ let sweep_term =
 let trace_cmd approach seed no_unsolicited tquery until category =
   match spec_of ~approach ~seed ~no_unsolicited ~tquery with
   | `Error _ as e -> e
+  | `Ok _ when not (positive_finite until) ->
+    `Error (false, "until must be a positive number of seconds")
   | `Ok spec ->
-    let scenario = Scenario.paper_figure1 spec in
-    Traffic.at scenario 5.0 (fun () -> Scenario.subscribe_receivers scenario group);
-    ignore
-      (Traffic.cbr scenario (Scenario.host scenario "S") ~group ~from_t:30.0 ~until
-         ~interval:0.5 ~bytes:500);
-    Traffic.at scenario 60.0 (fun () ->
-        Host_stack.move_to (Scenario.host scenario "R3") (Scenario.link scenario "L6"));
-    Scenario.run_until scenario until;
-    let trace = Net.Network.trace scenario.Scenario.net in
-    let records =
-      match category with
-      | None -> Engine.Trace.records trace
-      | Some c -> Engine.Trace.by_category trace c
+    (* R3's handoff to L6 at 60 s, if the run gets that far. *)
+    let moves =
+      if until >= 60.0 then [ Desc.Move { at = 60.0; host = "R3"; link = "L6" } ] else []
     in
-    List.iter
-      (fun r -> Format.printf "%a@." Engine.Trace.pp_record r)
-      records;
-    `Ok ()
+    run_paper ~spec
+      (Paper.figure1 ~seed ~name:"trace" ~until ~duration:until moves)
+      (fun scenario _ () ->
+        let trace = Net.Network.trace scenario.Scenario.net in
+        List.iter
+          (fun r -> Format.printf "%a@." Engine.Trace.pp_record r)
+          (match category with
+           | None -> Engine.Trace.records trace
+           | Some c -> Engine.Trace.by_category trace c))
 
 let trace_term =
   let until =

@@ -19,7 +19,11 @@ let run approach ~rooms =
   ignore
     (Traffic.cbr scenario lecturer ~group ~from_t:30.0 ~until:330.0 ~interval:0.25
        ~bytes:800);
-  Workload.Mobility.script scenario lecturer rooms;
+  List.iter
+    (fun (at, room) ->
+      Traffic.at scenario at (fun () ->
+          Host_stack.move_to lecturer (Scenario.link scenario room)))
+    rooms;
   Scenario.run_until scenario 360.0;
   let audience_rx =
     List.map

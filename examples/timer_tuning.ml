@@ -6,8 +6,6 @@
 
    Run with: dune exec examples/timer_tuning.exe *)
 
-open Mmcast
-
 let () =
   print_endline "MLD timer tuning for mobile receivers (paper, section 4.4)\n";
   let show title rows =
@@ -15,7 +13,7 @@ let () =
     Printf.printf "  %8s %22s %10s %12s %10s\n" "TQuery" "join mean/min/max [s]"
       "leave [s]" "wasted [B]" "MLD [B/s]";
     List.iter
-      (fun (r : Experiments.sweep_row) ->
+      (fun (r : Scale.Paper.sweep_row) ->
         Printf.printf "  %8.0f %8.1f/%5.1f/%6.1f %10.1f %12.0f %10.2f\n" r.tquery_s
           r.join_mean_s r.join_min_s r.join_max_s r.leave_mean_s r.wasted_mean_bytes
           r.mld_bytes_per_s)
@@ -23,9 +21,9 @@ let () =
     print_newline ()
   in
   show "Hosts wait for the next Query (no unsolicited Reports):"
-    (Experiments.timer_sweep ~trials:6 ~unsolicited:false ());
+    (Scale.Paper.timer_sweep ~trials:6 ~unsolicited:false ());
   show "With the paper's recommended unsolicited Reports on join:"
-    (Experiments.timer_sweep ~trials:6 ~unsolicited:true ());
+    (Scale.Paper.timer_sweep ~trials:6 ~unsolicited:true ());
   let floor = Mld.Mld_config.default.Mld.Mld_config.query_response_interval in
   Printf.printf
     "Recommendation: lower TQuery toward its floor (TQuery >= TRespDel = %.0f s) and\n\

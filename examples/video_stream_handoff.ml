@@ -39,7 +39,10 @@ let run ~unsolicited approach =
        ~interval:stream_interval ~bytes:stream_bytes);
   (* The commute: L4 -> L6 -> L1 -> L2 -> back home to L4, one hop
      every 45 s. *)
-  Workload.Mobility.script scenario viewer
+  List.iter
+    (fun (at, link) ->
+      Traffic.at scenario at (fun () ->
+          Host_stack.move_to viewer (Scenario.link scenario link)))
     [ (60.0, "L6"); (105.0, "L1"); (150.0, "L2"); (195.0, "L4") ];
   (* Track the worst inter-arrival gap while the stream is hot. *)
   let last_rx = ref None in

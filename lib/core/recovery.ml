@@ -71,8 +71,12 @@ let note_fault t ~label time =
   anchor t ~label ~at:time
 
 let report t =
+  (* A repair the clock has not reached yet has nothing to recover
+     from: it is no sample, recovered or not. *)
+  let now = Engine.Sim.now t.sim in
   let samples =
     t.anchors
+    |> List.filter (fun a -> Engine.Time.compare a.at now <= 0)
     |> List.rev_map (fun a ->
            { fault_label = a.label;
              fault_at = a.at;

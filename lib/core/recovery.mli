@@ -14,7 +14,8 @@
     {!note_fault}.  For every mark, the recovery time at a host is the
     delay until the first datagram for the group that reaches the host
     at or after the mark's time.  A mark with no subsequent reception
-    by the end of the run is reported as unrecovered.
+    by the end of the run is reported as unrecovered; a mark the
+    simulation clock has not reached yet is not reported at all.
 
     By default only {e repair} marks are anchored (link back up, router
     restarted, window closed): measuring from the repair instant gives

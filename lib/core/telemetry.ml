@@ -72,7 +72,5 @@ let attach ?(probe = true) ?profile ?(group = Scenario.group) reg scenario metri
   Obs.Registry.summary reg ~unit_:"s" "leave_delay_s" leave_delays;
   { reg; join_delays; leave_delays }
 
-let registry t = t.reg
-
 let record_join_delay t d = Engine.Stats.Summary.add t.join_delays (Engine.Time.seconds d)
 let record_leave_delay t d = Engine.Stats.Summary.add t.leave_delays (Engine.Time.seconds d)

@@ -39,8 +39,6 @@ val attach :
     is forwarded to it.  [group] defaults to {!Scenario.group}.
     Attaching only reads state — it never perturbs the protocols. *)
 
-val registry : t -> Obs.Registry.t
-
 val record_join_delay : t -> Engine.Time.t -> unit
 (** Exported as the [join_delay_s] summary. *)
 

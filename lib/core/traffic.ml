@@ -1,25 +1,11 @@
-type handle = { mutable stopped : bool }
-
-let make_source scenario host ~group ~from_t ~until ~next_interval ~bytes =
+let cbr scenario host ~group ~from_t ~until ~interval ~bytes =
   let sim = scenario.Scenario.sim in
-  let handle = { stopped = false } in
   let rec tick () =
-    if (not handle.stopped) && Engine.Time.compare (Engine.Sim.now sim) until < 0 then begin
+    if Engine.Time.compare (Engine.Sim.now sim) until < 0 then begin
       Host_stack.send_data host ~group ~bytes;
-      ignore (Engine.Sim.schedule_after ~category:"traffic" sim (next_interval ()) tick)
+      ignore (Engine.Sim.schedule_after ~category:"traffic" sim interval tick)
     end
   in
-  ignore (Engine.Sim.schedule_at ~category:"traffic" sim from_t tick);
-  handle
-
-let cbr scenario host ~group ~from_t ~until ~interval ~bytes =
-  make_source scenario host ~group ~from_t ~until ~next_interval:(fun () -> interval) ~bytes
-
-let poisson scenario host ~group ~rng ~from_t ~until ~mean_interval ~bytes =
-  make_source scenario host ~group ~from_t ~until
-    ~next_interval:(fun () -> Engine.Rng.exponential rng (Engine.Time.seconds mean_interval))
-    ~bytes
-
-let stop handle = handle.stopped <- true
+  ignore (Engine.Sim.schedule_at ~category:"traffic" sim from_t tick)
 
 let at scenario time f = ignore (Engine.Sim.schedule_at ~category:"traffic" scenario.Scenario.sim time f)

@@ -1,7 +1,5 @@
-(** Traffic generation helpers shared by experiments, benches and
+(** Traffic generation helpers shared by the scenario runner, tests and
     examples. *)
-
-type handle
 
 val cbr :
   Scenario.t ->
@@ -11,23 +9,9 @@ val cbr :
   until:Engine.Time.t ->
   interval:Engine.Time.t ->
   bytes:int ->
-  handle
+  unit
 (** Constant-bit-rate multicast source: one [bytes]-byte datagram every
     [interval] from [from_t] (exclusive at [until]). *)
-
-val poisson :
-  Scenario.t ->
-  Host_stack.t ->
-  group:Ipv6.Addr.t ->
-  rng:Engine.Rng.t ->
-  from_t:Engine.Time.t ->
-  until:Engine.Time.t ->
-  mean_interval:Engine.Time.t ->
-  bytes:int ->
-  handle
-(** Poisson arrivals with exponential inter-departure times. *)
-
-val stop : handle -> unit
 
 val at : Scenario.t -> Engine.Time.t -> (unit -> unit) -> unit
 (** Schedule a scenario event (a movement, a subscription change). *)

@@ -56,6 +56,15 @@ let validate t =
   let host_known n = List.mem_assoc n t.d_hosts in
   let router_known n = List.exists (fun (r, _, _) -> String.equal r n) t.d_routers in
   let finite x = Float.is_finite x && x >= 0.0 in
+  (* A forward window whose onset the run reaches: a later one would
+     be silently dropped.  Its repair may fall after the end. *)
+  let window what onset until =
+    if not (finite onset && finite until && until > onset) then
+      err "%s [%g, %g] is not a forward window" what onset until
+    else if onset > t.d_duration then
+      err "%s at %g starts after the run ends at %g" what onset t.d_duration
+    else Ok ()
+  in
   let* () = if t.d_routers = [] then err "%s: no routers" t.d_name else Ok () in
   let* () =
     List.fold_left
@@ -115,19 +124,13 @@ let validate t =
         | Loss { link; rate; from_t; until } ->
           if not (link_known link) then err "loss fault on unknown link %s" link
           else if rate < 0.0 || rate > 1.0 then err "loss rate %g outside [0,1]" rate
-          else if not (finite from_t && finite until && until > from_t) then
-            err "loss window [%g, %g] is not a forward window" from_t until
-          else Ok ()
+          else window "loss window" from_t until
         | Flap { link; down_at; up_at } ->
           if not (link_known link) then err "flap on unknown link %s" link
-          else if not (finite down_at && finite up_at && up_at > down_at) then
-            err "flap [%g, %g] is not a forward window" down_at up_at
-          else Ok ()
+          else window "flap" down_at up_at
         | Crash { router; at; recover_at } ->
           if not (router_known router) then err "crash of unknown router %s" router
-          else if not (finite at && finite recover_at && recover_at > at) then
-            err "crash [%g, %g] is not a forward window" at recover_at
-          else Ok ())
+          else window "crash" at recover_at)
       (Ok ()) t.d_faults
   in
   let* () =
@@ -142,9 +145,8 @@ let validate t =
         in
         if not (link_known link) then err "window on unknown link %s" link
         else if rate < 0.0 || rate > 1.0 then err "window rate %g outside [0,1]" rate
-        else if not (finite from_t && finite until && until > from_t) then
-          err "window [%g, %g] is not a forward window" from_t until
         else
+          let* () = window "window" from_t until in
           match w with
           | Reorder { jitter; _ } when not (finite jitter) ->
             err "reorder jitter %g must be finite and non-negative" jitter

@@ -71,7 +71,8 @@ val event_time : event -> float
 val validate : t -> (unit, string) result
 (** Structural soundness: every referenced link/router/host exists,
     every host's home link is served by a home agent, times are finite
-    and within the run. *)
+    and non-negative, events and the onset of every fault and window
+    fall within the run (a repair may fall after it). *)
 
 val connected : t -> bool
 (** BFS over the descriptor's attachment graph (routers via their

@@ -14,6 +14,101 @@ let backbone i = Printf.sprintf "B%d" i
 let stub_prefix i = Printf.sprintf "2001:db8:100:%x::/64" i
 let backbone_prefix i = Printf.sprintf "2001:db8:200:%x::/64" i
 
+(* ---- router-graph generators ---- *)
+
+let dedup_edges edges =
+  let norm (a, b) = if a < b then (a, b) else (b, a) in
+  List.sort_uniq compare (List.map norm edges)
+
+(* Union-find over router indices; used to patch Waxman graphs up to
+   connectivity deterministically. *)
+let uf_root parent i =
+  let rec go i = if parent.(i) = i then i else go parent.(i) in
+  go i
+
+let uf_union parent a b =
+  let ra = uf_root parent a and rb = uf_root parent b in
+  if ra <> rb then parent.(Stdlib.max ra rb) <- Stdlib.min ra rb
+
+let waxman_edges ?(alpha = 0.4) ?(beta = 0.4) ~seed ~routers () =
+  if routers < 1 then invalid_arg "Gen.waxman_edges: need at least one router";
+  if alpha < 0.0 || alpha > 1.0 then invalid_arg "Gen.waxman_edges: alpha outside [0,1]";
+  if beta <= 0.0 then invalid_arg "Gen.waxman_edges: beta must be positive";
+  let rng = Engine.Rng.create (0x3a11 lxor seed) in
+  (* Router positions in the unit square; drawn in index order with
+     explicit lets so the stream consumption is evaluation-order
+     independent. *)
+  let pos =
+    Array.init routers (fun _ ->
+        let x = Engine.Rng.float rng 1.0 in
+        let y = Engine.Rng.float rng 1.0 in
+        (x, y))
+  in
+  let dist i j =
+    let xi, yi = pos.(i) and xj, yj = pos.(j) in
+    Float.hypot (xi -. xj) (yi -. yj)
+  in
+  let scale = Float.sqrt 2.0 *. beta in
+  let edges = ref [] in
+  for i = 0 to routers - 1 do
+    for j = i + 1 to routers - 1 do
+      let p = alpha *. Float.exp (-.dist i j /. scale) in
+      if Engine.Rng.float rng 1.0 < p then edges := (i, j) :: !edges
+    done
+  done;
+  (* Patch up connectivity: walk routers in index order and tie every
+     node in a fresh component to its nearest already-connected
+     predecessor — the edge a Waxman process would most likely have
+     drawn anyway. *)
+  let parent = Array.init routers (fun i -> i) in
+  List.iter (fun (a, b) -> uf_union parent a b) !edges;
+  for i = 1 to routers - 1 do
+    if uf_root parent i <> uf_root parent 0 then begin
+      let best = ref 0 in
+      for j = 1 to i - 1 do
+        if uf_root parent j = uf_root parent 0 && dist i j < dist i !best then best := j
+      done;
+      edges := (!best, i) :: !edges;
+      uf_union parent !best i
+    end
+  done;
+  dedup_edges !edges
+
+let pref_attach_edges ?(m = 2) ~seed ~routers () =
+  if routers < 1 then invalid_arg "Gen.pref_attach_edges: need at least one router";
+  if m < 1 then invalid_arg "Gen.pref_attach_edges: m must be at least 1";
+  let rng = Engine.Rng.create (0xba11 lxor seed) in
+  let degree = Array.make routers 0 in
+  let edges = ref [] in
+  for i = 1 to routers - 1 do
+    let targets = Stdlib.min m i in
+    let chosen = ref [] in
+    while List.length !chosen < targets do
+      (* Linear preferential attachment with +1 smoothing so isolated
+         early nodes stay reachable as targets. *)
+      let total = ref 0 in
+      for j = 0 to i - 1 do
+        if not (List.mem j !chosen) then total := !total + degree.(j) + 1
+      done;
+      let pick = Engine.Rng.int rng !total in
+      let acc = ref 0 and hit = ref (-1) in
+      for j = 0 to i - 1 do
+        if !hit < 0 && not (List.mem j !chosen) then begin
+          acc := !acc + degree.(j) + 1;
+          if pick < !acc then hit := j
+        end
+      done;
+      chosen := !hit :: !chosen
+    done;
+    List.iter
+      (fun j ->
+        edges := (j, i) :: !edges;
+        degree.(j) <- degree.(j) + 1;
+        degree.(i) <- degree.(i) + 1)
+      (List.rev !chosen)
+  done;
+  dedup_edges !edges
+
 (* Settled tail after the last disruption: the monitor's convergence
    bound for the tightened Runner spec, whichever approach is slowest,
    plus a scheduling margin. *)
@@ -59,8 +154,8 @@ let scenario ?(model = `Waxman) ?hosts ?(groups = 1) ?(mobiles = 2) ?(churn = 6)
   if hosts < groups + 1 then invalid_arg "Gen.scenario: need more hosts than groups";
   let edges =
     match model with
-    | `Waxman -> Workload.Topo_gen.waxman_edges ?alpha ?beta ~seed ~routers ()
-    | `Pref -> Workload.Topo_gen.pref_attach_edges ?m ~seed ~routers ()
+    | `Waxman -> waxman_edges ?alpha ?beta ~seed ~routers ()
+    | `Pref -> pref_attach_edges ?m ~seed ~routers ()
   in
   let name = Printf.sprintf "%s-r%d-s%d" (model_name model) routers seed in
   let d = base ~name ~seed ~edges ~routers in
@@ -183,7 +278,7 @@ let broken ?(routers = 5) ~seed () =
      late join gets data without a Graft.  On a tree, prunes propagate
      to the first hop and only a Graft can restore a branch — which is
      exactly the knob this variant breaks. *)
-  let edges = Workload.Topo_gen.pref_attach_edges ~m:1 ~seed ~routers () in
+  let edges = pref_attach_edges ~m:1 ~seed ~routers () in
   let name = Printf.sprintf "broken-graft-r%d-s%d" routers seed in
   let d = base ~name ~seed ~edges ~routers in
   let rng = Rng.create (0xb40ce lxor seed) in
@@ -301,24 +396,18 @@ let soak ~seed =
     List.map (fun host -> Desc.Join { at = 0.0; host; group = 0 }) [ "R1"; "R2"; "R3" ]
   in
   let faults, windows = List.partition_map Fun.id drawn in
-  let fig = Mmcast.Scenario.figure1 in
   let duration = 240.0 in
-  { Desc.d_name = Printf.sprintf "soak-s%d" seed;
-    d_seed = seed;
-    d_links = fig.Mmcast.Scenario.lay_links;
-    d_routers = fig.Mmcast.Scenario.lay_routers;
-    d_hosts = fig.Mmcast.Scenario.lay_hosts;
-    d_senders = [ ("S", 0) ];
-    d_traffic =
-      { Desc.tr_from = 5.0; tr_until = duration -. 5.0; tr_interval = 0.2; tr_bytes = 256 };
+  let d =
+    Paper.figure1 ~seed ~faults ~from_t:5.0 ~name:(Printf.sprintf "soak-s%d" seed)
+      ~until:(duration -. 5.0) ~duration []
+  in
+  { d with
+    Desc.d_traffic = { d.Desc.d_traffic with Desc.tr_interval = 0.2; tr_bytes = 256 };
     d_events =
       List.stable_sort
         (fun a b -> compare (Desc.event_time a) (Desc.event_time b))
         (joins @ r3_moves @ s_moves);
-    d_faults = faults;
     d_windows = windows;
-    d_duration = duration;
-    d_disable_graft = false;
     (* Every delivery goes through the codec, faults or not: the soak
        is also a wire-exactness proof for the whole protocol
        exchange. *)

@@ -12,6 +12,31 @@ val model_name : model -> string
 
 val model_of_name : string -> model option
 
+(** {1 Router graphs}
+
+    Pure, seed-deterministic, connected edge lists over router indices
+    [0..routers-1]. *)
+
+val waxman_edges :
+  ?alpha:float -> ?beta:float -> seed:int -> routers:int -> unit -> (int * int) list
+(** Waxman random graph: routers at uniform positions in the unit
+    square, an edge between [u] and [v] with probability
+    [alpha * exp (-d(u,v) / (beta * sqrt 2))].  [alpha] (default 0.4)
+    scales overall edge density, [beta] (default 0.4) the reach of long
+    edges.  Any disconnected component is tied to the main component
+    through its nearest predecessor, so the result is always connected.
+    Edges are returned sorted with [fst < snd], no duplicates.
+    @raise Invalid_argument if [routers < 1], [alpha] outside [0,1] or
+    [beta <= 0]. *)
+
+val pref_attach_edges : ?m:int -> seed:int -> routers:int -> unit -> (int * int) list
+(** Barabási–Albert preferential attachment: router [i] joins [min m i]
+    distinct earlier routers chosen proportionally to degree + 1
+    ([m] defaults to 2; [m = 1] gives a random tree).  Connected by
+    construction; hub-heavy degree distributions stress the Assert
+    election and the forwarding fan-out.
+    @raise Invalid_argument if [routers < 1] or [m < 1]. *)
+
 val scenario :
   ?model:model ->
   ?hosts:int ->
@@ -54,7 +79,7 @@ val clean : ?routers:int -> seed:int -> unit -> Desc.t
     tolerate every explored interleaving, not just the canonical one. *)
 
 val soak : seed:int -> Desc.t
-(** The chaos soak on the paper's Figure 1 ({!Mmcast.Scenario.figure1}):
+(** The chaos soak on the paper's Figure 1 ({!Paper.figure1}):
     R1–R3 join at 0 s, S streams 5 datagrams/s for 240 s, wire-exact
     delivery is on ([d_wire_check]), and a seed-drawn schedule of
     {e recoverable} impairments — 3–5 loss, duplicate, reorder or

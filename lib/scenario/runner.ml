@@ -128,12 +128,20 @@ let compile_faults scenario (d : Desc.t) =
           Faults.corrupt_window ~link:(link l) ~rate ~from_t ~until)
       d.Desc.d_windows
 
-let run ?sustain ?sched ?decider ?(lineage = false) ?inspect (d : Desc.t) approach =
+let run ?spec ?sustain ?sched ?decider ?(lineage = false) ?inspect (d : Desc.t) approach =
   (match Desc.validate d with
   | Ok () -> ()
   | Error msg -> invalid_arg (Printf.sprintf "Runner.run: %s: %s" d.Desc.d_name msg));
   let wall0 = Unix.gettimeofday () in
-  let spec = spec_for d approach in
+  let spec =
+    match spec with
+    | None -> spec_for d approach
+    | Some (s : Scenario.spec) ->
+      { s with
+        Scenario.approach;
+        seed = d.Desc.d_seed;
+        pim = { s.Scenario.pim with enable_graft = not d.Desc.d_disable_graft } }
+  in
   let scenario =
     Scenario.build spec ~links:d.Desc.d_links ~routers:d.Desc.d_routers
       ~hosts:d.Desc.d_hosts
@@ -181,10 +189,9 @@ let run ?sustain ?sched ?decider ?(lineage = false) ?inspect (d : Desc.t) approa
   let tr = d.Desc.d_traffic in
   List.iter
     (fun (sender, group) ->
-      ignore
-        (Traffic.cbr scenario (host sender) ~group:(Desc.group_addr group)
-           ~from_t:tr.Desc.tr_from ~until:tr.Desc.tr_until ~interval:tr.Desc.tr_interval
-           ~bytes:tr.Desc.tr_bytes))
+      Traffic.cbr scenario (host sender) ~group:(Desc.group_addr group)
+        ~from_t:tr.Desc.tr_from ~until:tr.Desc.tr_until ~interval:tr.Desc.tr_interval
+        ~bytes:tr.Desc.tr_bytes)
     d.Desc.d_senders;
   Option.iter (fun f -> f scenario) inspect;
   Scenario.run_until scenario d.Desc.d_duration;
@@ -212,5 +219,3 @@ let run ?sustain ?sched ?decider ?(lineage = false) ?inspect (d : Desc.t) approa
     out_digest = Engine.Trace.digest (Net.Network.trace scenario.Scenario.net);
     out_marks = Faults.marks_of faults;
     out_malformed = Net.Network.total_malformed_drops scenario.Scenario.net }
-
-let passed o = o.out_violations = []

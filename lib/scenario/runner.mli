@@ -76,6 +76,7 @@ val groups_of : Desc.t -> int list
 (** Sorted distinct group indices referenced by senders and events. *)
 
 val run :
+  ?spec:Mmcast.Scenario.spec ->
   ?sustain:Engine.Time.t ->
   ?sched:schedule ->
   ?decider:(kind:Engine.Sim.choice_kind -> arity:int -> int) ->
@@ -93,9 +94,16 @@ val run :
     violations carry rendered causal chains; it draws no randomness
     and leaves the outcome digest unchanged.
 
+    [spec] is the protocol configuration, default {!spec_for}; the
+    seed and the graft knob always come from the descriptor and the
+    approach from the positional argument.  The paper's experiments
+    ({!Paper}) pass the untightened defaults here.
+
     [inspect] sees the fully set-up scenario (monitor attached, churn
-    and senders scheduled) just before the run starts; tests use it to
-    schedule read-only probes alongside the monitor's samples.
+    and senders scheduled) just before the run starts.  The paper's
+    experiments and tests use it to attach metrics and schedule
+    read-only probes alongside the monitor's samples; the scenario
+    stays readable after [run] returns.
 
     [sched] pins the interleaving: its choices drive every engine
     choice point and its delay parameters configure per-hop delay
@@ -105,6 +113,3 @@ val run :
     is installed — the default fast path.
     @raise Invalid_argument if {!Desc.validate} rejects the
     descriptor. *)
-
-val passed : outcome -> bool
-(** No violations. *)

@@ -73,8 +73,6 @@ let violation_total rows =
         acc row.r_outcomes)
     0 rows
 
-let pass rows = violation_total rows = 0
-
 let outcome_json (o : Runner.outcome) =
   let events_per_s = if o.Runner.out_wall_s > 0.0 then float_of_int o.Runner.out_events /. o.Runner.out_wall_s else 0.0 in
   Json.Obj

@@ -36,9 +36,6 @@ val run : ?jobs:int -> cell list -> row list
 
 val violation_total : row list -> int
 
-val pass : row list -> bool
-(** Zero violations across the whole matrix. *)
-
 val to_json : row list -> Obs.Json.t
 (** Schema ["mmcast-scale/1"].  A row names its cell by ["model"]
     (["waxman"], ["pref"] or ["soak"]), ["seed"] and, for generated

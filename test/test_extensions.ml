@@ -414,8 +414,11 @@ let soak_tests =
           (Traffic.cbr s (Scenario.host s "SRC") ~group ~from_t:20.0 ~until:580.0
              ~interval:0.25 ~bytes:600);
         (* MH roams between its home link and both foreign links. *)
-        Workload.Mobility.round_robin s mh ~links:[ "L3"; "L2"; "L1" ] ~period:90.0
-          ~from_t:60.0 ~until:500.0;
+        List.iteri
+          (fun k link ->
+            Traffic.at s (60.0 +. (90.0 *. float_of_int k)) (fun () ->
+                Host_stack.move_to mh (Scenario.link s link)))
+          [ "L3"; "L2"; "L1"; "L3"; "L2" ];
         (* The active home agent crashes mid-run and comes back. *)
         Traffic.at s 200.0 (fun () -> Router_stack.fail (Scenario.router s "HA1"));
         Traffic.at s 320.0 (fun () -> Router_stack.recover (Scenario.router s "HA1"));

@@ -255,7 +255,31 @@ let crash_and_metrics_tests =
         let report = Recovery.report recovery in
         Alcotest.(check int) "both hosts unrecovered" 2 report.Recovery.unrecovered;
         Alcotest.(check (option (float 1e-9))) "no mean" None report.Recovery.mean_recovery_s;
-        raises_invalid "past mark" (fun () -> Recovery.note_fault recovery ~label:"x" 10.0))
+        raises_invalid "past mark" (fun () -> Recovery.note_fault recovery ~label:"x" 10.0));
+    Alcotest.test_case "recovery leaves out repairs the clock has not reached" `Quick
+      (fun () ->
+        let scenario = Scenario.paper_figure1 Scenario.default_spec in
+        Traffic.at scenario 5.0 (fun () -> Scenario.subscribe_receivers scenario group);
+        ignore
+          (Traffic.cbr scenario (Scenario.host scenario "S") ~group ~from_t:20.0
+             ~until:200.0 ~interval:0.5 ~bytes:200);
+        let l3 = Scenario.link scenario "L3" in
+        let faults =
+          Scenario.install_faults scenario
+            [ Faults.link_flap ~link:l3 ~down_at:40.0 ~up_at:50.0;
+              Faults.link_flap ~link:l3 ~down_at:150.0 ~up_at:160.0 ]
+        in
+        let recovery =
+          Recovery.create scenario ~group ~hosts:[ "R3" ] (Faults.marks_of faults)
+        in
+        Scenario.run_until scenario 100.0;
+        let report = Recovery.report recovery in
+        Alcotest.(check (list (float 0.0))) "only the repair at 50 s" [ 50.0 ]
+          (List.map (fun s -> s.Recovery.fault_at) report.Recovery.samples);
+        Alcotest.(check int) "nothing unrecovered" 0 report.Recovery.unrecovered;
+        Scenario.run_until scenario 200.0;
+        Alcotest.(check int) "both repairs once the clock passes them" 2
+          (List.length (Recovery.report recovery).Recovery.samples))
   ]
 
 (* ---- determinism ---- *)

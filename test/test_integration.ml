@@ -318,29 +318,29 @@ let test_approach_mix_profiles () =
     { Scenario.default_spec with
       mld = { Mld.Mld_config.default with unsolicited_report_count = 0 } }
   in
-  let r3_ = Comparison.run ~spec Approach.tunnel_to_home_agent in
-  let r4 = Comparison.run ~spec Approach.tunnel_from_home_agent in
+  let r3_ = Scale.Paper.table1_row ~spec Approach.tunnel_to_home_agent in
+  let r4 = Scale.Paper.table1_row ~spec Approach.tunnel_from_home_agent in
   (* Approach 3: receiver behaves like approach 1 (local: optimal but
      slow joins), sender like approach 2 (tunnel: no rebuild). *)
   Alcotest.(check (float 1e-9)) "3: receiver stretch optimal" 1.0
-    r3_.Comparison.receiver_stretch;
+    r3_.Scale.Paper.receiver_stretch;
   Alcotest.(check bool) "3: long join delay" true
-    (match r3_.Comparison.join_delay_s with
+    (match r3_.Scale.Paper.join_delay_s with
      | Some d -> d > 10.0
      | None -> false);
   Alcotest.(check bool) "3: sender keeps one tree" true
-    (r3_.Comparison.sender_sg_states <= 5);
-  Alcotest.(check bool) "3: sender stretch > 1" true (r3_.Comparison.sender_stretch > 1.0);
+    (r3_.Scale.Paper.sender_sg_states <= 5);
+  Alcotest.(check bool) "3: sender stretch > 1" true (r3_.Scale.Paper.sender_stretch > 1.0);
   (* Approach 4: the opposite mix. *)
   Alcotest.(check bool) "4: receiver stretch > 1" true
-    (r4.Comparison.receiver_stretch > 1.0);
+    (r4.Scale.Paper.receiver_stretch > 1.0);
   Alcotest.(check bool) "4: short join delay" true
-    (match r4.Comparison.join_delay_s with
+    (match r4.Scale.Paper.join_delay_s with
      | Some d -> d < 2.0
      | None -> false);
   Alcotest.(check bool) "4: sender rebuilds trees" true
-    (r4.Comparison.sender_sg_states >= 10);
-  Alcotest.(check (float 1e-9)) "4: sender stretch optimal" 1.0 r4.Comparison.sender_stretch
+    (r4.Scale.Paper.sender_sg_states >= 10);
+  Alcotest.(check (float 1e-9)) "4: sender stretch optimal" 1.0 r4.Scale.Paper.sender_stretch
 
 let test_two_groups_independent_trees () =
   (* Two groups with different membership: each (S,G) pair gets its own

@@ -3,6 +3,7 @@
 
 open Ipv6
 open Mmcast
+module Paper = Scale.Paper
 
 let group = Scenario.group
 
@@ -473,74 +474,74 @@ let tree_tests =
 
 let experiment_tests =
   [ Alcotest.test_case "fig1 reproduces the paper's tree" `Quick (fun () ->
-        let r = Experiments.fig1 () in
-        Alcotest.(check (list string)) "links" [ "L1"; "L2"; "L3"; "L4" ] r.Experiments.links;
-        Alcotest.(check (list string)) "no tunnels" [] r.Experiments.tunnels);
+        let r = Paper.fig1 () in
+        Alcotest.(check (list string)) "links" [ "L1"; "L2"; "L3"; "L4" ] r.Paper.links;
+        Alcotest.(check (list string)) "no tunnels" [] r.Paper.tunnels);
     Alcotest.test_case "fig2 moves the branch and measures delays" `Quick (fun () ->
-        let r = Experiments.fig2 () in
-        Alcotest.(check (list string)) "links" [ "L1"; "L2"; "L3"; "L6" ] r.Experiments.links;
+        let r = Paper.fig2 () in
+        Alcotest.(check (list string)) "links" [ "L1"; "L2"; "L3"; "L6" ] r.Paper.links;
         Alcotest.(check bool) "join delay note present" true
-          (List.mem_assoc "join delay" r.Experiments.notes));
+          (List.mem_assoc "join delay" r.Paper.notes));
     Alcotest.test_case "fig3 keeps the tree and adds a tunnel" `Quick (fun () ->
-        let r = Experiments.fig3 () in
-        Alcotest.(check (list string)) "links" [ "L1"; "L2"; "L3"; "L4" ] r.Experiments.links;
-        Alcotest.(check int) "one tunnel" 1 (List.length r.Experiments.tunnels));
+        let r = Paper.fig3 () in
+        Alcotest.(check (list string)) "links" [ "L1"; "L2"; "L3"; "L4" ] r.Paper.links;
+        Alcotest.(check int) "one tunnel" 1 (List.length r.Paper.tunnels));
     Alcotest.test_case "fig4 keeps the home-rooted tree" `Quick (fun () ->
-        let r = Experiments.fig4 () in
-        Alcotest.(check (list string)) "links" [ "L1"; "L2"; "L3"; "L4" ] r.Experiments.links;
+        let r = Paper.fig4 () in
+        Alcotest.(check (list string)) "links" [ "L1"; "L2"; "L3"; "L4" ] r.Paper.links;
         Alcotest.(check bool) "no CoA tree" true
-          (List.assoc "(CoA,G) states created" r.Experiments.notes = "0"));
+          (List.assoc "(CoA,G) states created" r.Paper.notes = "0"));
     Alcotest.test_case "fig5 format constants" `Quick (fun () ->
-        let text = Experiments.fig5 () in
+        let text = Paper.fig5 () in
         Alcotest.(check bool) "mentions 16*N" true
           (contains ~affix:"16*N" text));
     Alcotest.test_case "timer sweep shapes" `Quick (fun () ->
         (* Small trial count for speed; the shape must still hold. *)
-        let rows = Experiments.timer_sweep ~trials:3 ~tquery_values:[ 125.0; 10.0 ] () in
+        let rows = Paper.timer_sweep ~trials:3 ~tquery_values:[ 125.0; 10.0 ] () in
         match rows with
         | [ slow; fast ] ->
           Alcotest.(check bool) "join delay shrinks" true
-            (fast.Experiments.join_mean_s < slow.Experiments.join_mean_s);
+            (fast.Paper.join_mean_s < slow.Paper.join_mean_s);
           Alcotest.(check bool) "leave delay shrinks" true
-            (fast.Experiments.leave_mean_s < slow.Experiments.leave_mean_s);
+            (fast.Paper.leave_mean_s < slow.Paper.leave_mean_s);
           Alcotest.(check bool) "signalling grows" true
-            (fast.Experiments.mld_bytes_per_s > slow.Experiments.mld_bytes_per_s);
+            (fast.Paper.mld_bytes_per_s > slow.Paper.mld_bytes_per_s);
           Alcotest.(check bool) "leave bounded by TMLI" true
-            (slow.Experiments.leave_mean_s <= 260.0)
+            (slow.Paper.leave_mean_s <= 260.0)
         | _ -> Alcotest.fail "expected two rows");
     Alcotest.test_case "sender overhead grows with mobility (local sending)" `Quick
       (fun () ->
-        match Experiments.sender_overhead ~move_counts:[ 0; 4 ] () with
+        match Paper.sender_overhead ~move_counts:[ 0; 4 ] () with
         | [ still; moving ] ->
           Alcotest.(check bool) "more asserts" true
-            (moving.Experiments.asserts > still.Experiments.asserts);
+            (moving.Paper.asserts > still.Paper.asserts);
           Alcotest.(check bool) "more state" true
-            (moving.Experiments.sg_states > still.Experiments.sg_states);
+            (moving.Paper.sg_states > still.Paper.sg_states);
           Alcotest.(check bool) "more flood" true
-            (moving.Experiments.flood_bytes_l5 > still.Experiments.flood_bytes_l5)
+            (moving.Paper.flood_bytes_l5 > still.Paper.flood_bytes_l5)
         | _ -> Alcotest.fail "expected two rows");
     Alcotest.test_case "tunnel convergence: unicast copy per member (4.3.2)" `Quick
       (fun () ->
-        match Experiments.tunnel_convergence () with
+        match Paper.tunnel_convergence () with
         | [ local; tunnel ] ->
           Alcotest.(check bool) "everyone receives under both" true
-            (List.for_all (fun rx -> rx > 300) local.Experiments.per_receiver_rx
-             && List.for_all (fun rx -> rx > 300) tunnel.Experiments.per_receiver_rx);
+            (List.for_all (fun rx -> rx > 300) local.Paper.per_receiver_rx
+             && List.for_all (fun rx -> rx > 300) tunnel.Paper.per_receiver_rx);
           (* Two members: the tunnel approach puts exactly twice the
              packets on the shared foreign link. *)
-          Alcotest.(check int) "2x packets" (2 * local.Experiments.foreign_link_packets)
-            tunnel.Experiments.foreign_link_packets
+          Alcotest.(check int) "2x packets" (2 * local.Paper.foreign_link_packets)
+            tunnel.Paper.foreign_link_packets
         | _ -> Alcotest.fail "expected two rows");
     Alcotest.test_case "reverse tunnel removes sender movement costs" `Quick (fun () ->
         let spec =
           { Scenario.default_spec with approach = Approach.tunnel_to_home_agent }
         in
-        match Experiments.sender_overhead ~spec ~move_counts:[ 0; 4 ] () with
+        match Paper.sender_overhead ~spec ~move_counts:[ 0; 4 ] () with
         | [ still; moving ] ->
-          Alcotest.(check int) "no extra state" still.Experiments.sg_states
-            moving.Experiments.sg_states;
-          Alcotest.(check int) "no extra flood" still.Experiments.flood_bytes_l5
-            moving.Experiments.flood_bytes_l5
+          Alcotest.(check int) "no extra state" still.Paper.sg_states
+            moving.Paper.sg_states;
+          Alcotest.(check int) "no extra flood" still.Paper.flood_bytes_l5
+            moving.Paper.flood_bytes_l5
         | _ -> Alcotest.fail "expected two rows")
   ]
 
@@ -552,27 +553,27 @@ let comparison_tests =
           { Scenario.default_spec with
             mld = { Mld.Mld_config.default with unsolicited_report_count = 0 } }
         in
-        let row n = Comparison.run ~spec (Approach.of_number n) in
+        let row n = Paper.table1_row ~spec (Approach.of_number n) in
         let r1 = row 1 and r2 = row 2 in
         (* Approach 1: optimal routing, long join delay, no tunnel. *)
-        Alcotest.(check (float 1e-9)) "1: stretch 1.0" 1.0 r1.Comparison.receiver_stretch;
-        Alcotest.(check int) "1: no tunnel bytes" 0 r1.Comparison.tunnel_overhead_bytes;
+        Alcotest.(check (float 1e-9)) "1: stretch 1.0" 1.0 r1.Paper.receiver_stretch;
+        Alcotest.(check int) "1: no tunnel bytes" 0 r1.Paper.tunnel_overhead_bytes;
         (* Approach 2: short join delay, tunnel overhead, stretch > 1. *)
-        Alcotest.(check bool) "2: tunnel bytes" true (r2.Comparison.tunnel_overhead_bytes > 0);
-        Alcotest.(check bool) "2: stretch > 1" true (r2.Comparison.receiver_stretch > 1.0);
-        (match (r1.Comparison.join_delay_s, r2.Comparison.join_delay_s) with
+        Alcotest.(check bool) "2: tunnel bytes" true (r2.Paper.tunnel_overhead_bytes > 0);
+        Alcotest.(check bool) "2: stretch > 1" true (r2.Paper.receiver_stretch > 1.0);
+        (match (r1.Paper.join_delay_s, r2.Paper.join_delay_s) with
          | Some j1, Some j2 ->
            Alcotest.(check bool) "join delay: 1 much worse than 2" true (j1 > 10.0 *. j2)
          | _, _ -> Alcotest.fail "missing join delays");
         Alcotest.(check bool) "1: rebuilds trees" true
-          (r1.Comparison.sender_sg_states > r2.Comparison.sender_sg_states);
-        Alcotest.(check bool) "2: HA loaded" true (r2.Comparison.ha_load > r1.Comparison.ha_load);
+          (r1.Paper.sender_sg_states > r2.Paper.sender_sg_states);
+        Alcotest.(check bool) "2: HA loaded" true (r2.Paper.ha_load > r1.Paper.ha_load);
         (* Leave delay is an MLD property: similar for both, within
            TMLI. *)
         Alcotest.(check bool) "leave delay bounded" true
-          (r1.Comparison.leave_delay_s <= 260.0 && r2.Comparison.leave_delay_s <= 260.0);
+          (r1.Paper.leave_delay_s <= 260.0 && r2.Paper.leave_delay_s <= 260.0);
         Alcotest.(check bool) "leave delay significant" true
-          (r1.Comparison.leave_delay_s > 30.0))
+          (r1.Paper.leave_delay_s > 30.0))
   ]
 
 let printer_tests =

@@ -549,8 +549,8 @@ end
    hosts on random stubs. *)
 let oracle_topology ~pref ~seed ~routers ~hosts =
   let edges =
-    if pref then Workload.Topo_gen.pref_attach_edges ~seed ~routers ()
-    else Workload.Topo_gen.waxman_edges ~seed ~routers ()
+    if pref then Scale.Gen.pref_attach_edges ~seed ~routers ()
+    else Scale.Gen.waxman_edges ~seed ~routers ()
   in
   let topo = Topology.create () in
   let rng = Engine.Rng.create seed in

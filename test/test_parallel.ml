@@ -74,22 +74,23 @@ let check_recovery_rows ~what expected actual =
     (what ^ ": row count")
     (List.length expected) (List.length actual);
   List.iter2
-    (fun (e : Workload.Sweep.recovery_row) (a : Workload.Sweep.recovery_row) ->
+    (fun (e : Scale.Paper.recovery_row) (a : Scale.Paper.recovery_row) ->
       let where =
         Printf.sprintf "%s: %s @ loss %.2f" what
-          (Approach.name e.Workload.Sweep.rec_approach)
+          (Approach.name e.Scale.Paper.rec_approach)
           e.loss_rate
       in
       Alcotest.(check bool)
         (where ^ ": approach") true
-        (e.rec_approach = a.Workload.Sweep.rec_approach);
+        (e.rec_approach = a.Scale.Paper.rec_approach);
       Alcotest.(check (float 0.0)) (where ^ ": loss_rate") e.loss_rate a.loss_rate;
+      let e = e.recovery and a = a.recovery in
       Alcotest.(check (option (float 0.0)))
-        (where ^ ": mean_recovery_s") e.mean_recovery_s a.mean_recovery_s;
+        (where ^ ": mean_recovery_s") e.mean_recovery_s a.Recovery.mean_recovery_s;
       Alcotest.(check (option (float 0.0)))
         (where ^ ": max_recovery_s") e.max_recovery_s a.max_recovery_s;
       Alcotest.(check int) (where ^ ": unrecovered") e.unrecovered a.unrecovered;
-      Alcotest.(check int) (where ^ ": samples") e.samples a.samples)
+      Alcotest.(check bool) (where ^ ": samples") true (e.samples = a.samples))
     expected actual
 
 let determinism_tests =
@@ -99,37 +100,26 @@ let determinism_tests =
           [ Approach.local_membership; Approach.bidirectional_tunnel ]
         in
         let sequential =
-          Workload.Sweep.fault_recovery ~loss_rates ~approaches ~jobs:1 ()
+          Scale.Paper.fault_recovery ~loss_rates ~approaches ~jobs:1 ()
         in
         let parallel =
-          Workload.Sweep.fault_recovery ~loss_rates ~approaches ~jobs:test_jobs ()
+          Scale.Paper.fault_recovery ~loss_rates ~approaches ~jobs:test_jobs ()
         in
         check_recovery_rows
           ~what:(Printf.sprintf "jobs=%d vs jobs=1" test_jobs)
           sequential parallel);
     Alcotest.test_case "flap_recovery rows identical at any jobs" `Slow (fun () ->
-        let seq = Workload.Sweep.flap_recovery ~flap_counts:[ 1; 2 ] ~jobs:1 () in
+        let seq = Scale.Paper.flap_recovery ~flap_counts:[ 1; 2 ] ~jobs:1 () in
         let par =
-          Workload.Sweep.flap_recovery ~flap_counts:[ 1; 2 ] ~jobs:test_jobs ()
+          Scale.Paper.flap_recovery ~flap_counts:[ 1; 2 ] ~jobs:test_jobs ()
         in
         Alcotest.(check bool) "field-for-field equal" true (seq = par));
     Alcotest.test_case "run_all rows identical at any jobs" `Slow (fun () ->
-        let seq = Comparison.run_all ~jobs:1 () in
-        let par = Comparison.run_all ~jobs:test_jobs () in
+        let seq = Scale.Paper.table1 ~jobs:1 () in
+        let par = Scale.Paper.table1 ~jobs:test_jobs () in
         Alcotest.(check bool) "field-for-field equal" true (seq = par);
         Alcotest.(check int) "all four approaches" (List.length Approach.all)
-          (List.length par));
-    Alcotest.test_case "repeated aggregates independent of jobs" `Quick (fun () ->
-        let f ~trial =
-          (* Deterministic per-trial value with its own RNG stream, like
-             a real sweep body. *)
-          let rng = Engine.Rng.create (100 + trial) in
-          Engine.Rng.float rng 10.0
-        in
-        let seq = Workload.Sweep.repeated ~jobs:1 ~trials:16 ~f () in
-        let par = Workload.Sweep.repeated ~jobs:test_jobs ~trials:16 ~f () in
-        Alcotest.(check bool) "(mean, min, max) equal" true (seq = par))
-  ]
+          (List.length par)) ]
 
 let () =
   Alcotest.run "parallel"

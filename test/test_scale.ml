@@ -35,10 +35,11 @@ let graph_connected_property =
     ~name:"generator edge lists materialize into connected Net topologies"
     gen_params
     (fun (model, routers, seed) ->
+      let d = Gen.scenario ~model ~routers ~hosts:2 ~seed () in
       let scenario =
-        match model with
-        | `Waxman -> Workload.Topo_gen.random_waxman ~seed ~routers ~hosts:2 ()
-        | `Pref -> Workload.Topo_gen.random_pref ~seed ~routers ~hosts:2 ()
+        Mmcast.Scenario.build
+          (Runner.spec_for d Mmcast.Approach.local_membership)
+          ~links:d.Desc.d_links ~routers:d.Desc.d_routers ~hosts:d.Desc.d_hosts
       in
       Net.Topology.is_connected (Net.Network.topology scenario.Mmcast.Scenario.net))
 
@@ -124,6 +125,34 @@ let desc_tests =
         match Desc.validate d with
         | Error _ -> ()
         | Ok () -> Alcotest.fail "expected rejection");
+    Alcotest.test_case "validate rejects faults and windows starting after the run" `Quick
+      (fun () ->
+        let d = sample () in
+        let link = fst (List.hd d.Desc.d_links) in
+        let router, _, _ = List.hd d.Desc.d_routers in
+        let late = d.Desc.d_duration +. 10.0 in
+        List.iter
+          (fun (what, faults, windows) ->
+            match Desc.validate { d with Desc.d_faults = faults; d_windows = windows } with
+            | Error _ -> ()
+            | Ok () -> Alcotest.failf "%s starting after the run accepted" what)
+          [ ("flap", [ Desc.Flap { link; down_at = late; up_at = late +. 5.0 } ], []);
+            ( "loss",
+              [ Desc.Loss { link; rate = 0.1; from_t = late; until = late +. 5.0 } ],
+              [] );
+            ("crash", [ Desc.Crash { router; at = late; recover_at = late +. 5.0 } ], []);
+            ( "reorder window",
+              [],
+              [ Desc.Reorder
+                  { link; rate = 0.1; jitter = 0.1; from_t = late; until = late +. 5.0 } ] )
+          ];
+        (* A repair after the end is fine: the run just ends faulted. *)
+        let straddling =
+          [ Desc.Flap { link; down_at = d.Desc.d_duration -. 1.0; up_at = late } ]
+        in
+        match Desc.validate { d with Desc.d_faults = straddling } with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "straddling flap rejected: %s" e);
     Alcotest.test_case "disconnection is detected" `Quick (fun () ->
         let d = sample () in
         let backbones = Desc.backbone_links d in
@@ -388,6 +417,77 @@ let repro_tests =
                (Repro.replay loaded <> []));
           Sys.remove path) ]
 
+(* ---- the paper's experiments as descriptors ---- *)
+
+let paper_tests =
+  [ Alcotest.test_case "every paper descriptor validates, round-trips and runs clean"
+      `Slow (fun () ->
+        let runs = Scale.Paper.descriptors () in
+        Alcotest.(check bool) "covers the paper's runs" true (List.length runs > 100);
+        List.iter
+          (fun ((d : Desc.t), (spec : Mmcast.Scenario.spec)) ->
+            let approach = spec.Mmcast.Scenario.approach in
+            let where = Printf.sprintf "%s, approach %d" d.Desc.d_name
+                (Mmcast.Approach.number approach) in
+            (match Desc.validate d with
+             | Ok () -> ()
+             | Error e -> Alcotest.failf "%s: %s" where e);
+            (match Desc.of_json (Desc.to_json d) with
+             | Ok d' ->
+               Alcotest.(check string) (where ^ ": digest") (Desc.digest d) (Desc.digest d')
+             | Error e -> Alcotest.failf "%s: of_json: %s" where e);
+            let o = Runner.run ~spec d approach in
+            List.iter
+              (fun v -> Alcotest.failf "%s: %a" where Check.Monitor.pp_violation v)
+              o.Runner.out_violations)
+          runs);
+    Alcotest.test_case "the spec argument keeps the descriptor's seed and graft knob" `Quick
+      (fun () ->
+        let d =
+          { (Scale.Paper.figure1 ~seed:7 ~name:"spec" ~until:40.0 ~duration:40.0 []) with
+            Desc.d_disable_graft = true }
+        in
+        let seen = ref None in
+        ignore
+          (Runner.run ~spec:Mmcast.Scenario.default_spec
+             ~inspect:(fun sc -> seen := Some sc.Mmcast.Scenario.spec)
+             d Mmcast.Approach.bidirectional_tunnel);
+        let spec = Option.get !seen in
+        Alcotest.(check int) "seed" 7 spec.Mmcast.Scenario.seed;
+        Alcotest.(check bool) "graft off" false
+          spec.Mmcast.Scenario.pim.Pimdm.Pim_config.enable_graft;
+        Alcotest.(check int) "approach" 2
+          (Mmcast.Approach.number spec.Mmcast.Scenario.approach);
+        Alcotest.(check (float 0.0)) "paper MLD timers, not the tightened ones"
+          Mld.Mld_config.default.Mld.Mld_config.query_interval
+          spec.Mmcast.Scenario.mld.Mld.Mld_config.query_interval) ]
+
+let mobility_tests =
+  [ Alcotest.test_case "script schedules each hop" `Quick (fun () ->
+        (* A descriptor's moves are the mobility script: each hop
+           happens at its instant. *)
+        let d =
+          Scale.Paper.figure1 ~name:"script" ~until:30.0 ~duration:30.0
+            [ Desc.Move { at = 10.0; host = "R3"; link = "L6" };
+              Desc.Move { at = 20.0; host = "R3"; link = "L1" } ]
+        in
+        let seen = ref [] in
+        ignore
+          (Runner.run ~spec:Mmcast.Scenario.default_spec
+             ~inspect:(fun sc ->
+               let r3 = Mmcast.Scenario.host sc "R3" in
+               let topo = Net.Network.topology sc.Mmcast.Scenario.net in
+               List.iter
+                 (fun t ->
+                   Mmcast.Traffic.at sc t (fun () ->
+                       seen :=
+                         Net.Topology.link_name topo (Mmcast.Host_stack.current_link r3)
+                         :: !seen))
+                 [ 5.0; 15.0; 25.0 ])
+             d Mmcast.Approach.local_membership);
+        Alcotest.(check (list string)) "home, then L6, then L1" [ "L4"; "L6"; "L1" ]
+          (List.rev !seen)) ]
+
 let () =
   Alcotest.run "scale"
     [ ("generator properties", generator_properties);
@@ -395,4 +495,6 @@ let () =
       ("soak", soak_tests);
       ("suite", suite_tests);
       ("shrink", shrink_tests);
-      ("repro", repro_tests) ]
+      ("repro", repro_tests);
+      ("paper", paper_tests);
+      ("mobility", mobility_tests) ]
