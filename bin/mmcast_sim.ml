@@ -372,12 +372,9 @@ let compare_path dir kind approach phase =
    share mutable state. *)
 let compare_with_telemetry ~seed ~spec dir approach =
   let attached = ref [] in
-  let inspect phase scenario =
+  let inspect phase scenario metrics =
     let until = (Paper.phase phase).Desc.d_duration in
-    let telemetry =
-      attach_telemetry scenario (Metrics.attach scenario.Scenario.net) ~until
-    in
-    attached := (phase, telemetry) :: !attached
+    attached := (phase, attach_telemetry scenario metrics ~until) :: !attached
   in
   let row = Paper.table1_row ~spec ~inspect approach in
   List.iter
@@ -557,15 +554,18 @@ let trace_cmd approach seed no_unsolicited tquery until category =
     let moves =
       if until >= 60.0 then [ Desc.Move { at = 60.0; host = "R3"; link = "L6" } ] else []
     in
-    run_paper ~spec
-      (Paper.figure1 ~seed ~name:"trace" ~until ~duration:until moves)
-      (fun scenario _ () ->
-        let trace = Net.Network.trace scenario.Scenario.net in
-        List.iter
-          (fun r -> Format.printf "%a@." Engine.Trace.pp_record r)
-          (match category with
-           | None -> Engine.Trace.records trace
-           | Some c -> Engine.Trace.by_category trace c))
+    (* The trace keeps no records: print each as it is written. *)
+    let on_trace (r : Engine.Trace.record) =
+      match category with
+      | Some c when not (String.equal c r.Engine.Trace.category) -> ()
+      | _ -> Format.printf "%a@." Engine.Trace.pp_record r
+    in
+    let d = Paper.figure1 ~seed ~name:"trace" ~until ~duration:until moves in
+    match Desc.validate d with
+    | Error e -> `Error (false, e)
+    | Ok () ->
+      ignore (Scale.Runner.run ~spec ~on_trace d spec.Scenario.approach);
+      `Ok ()
 
 let trace_term =
   let until =

@@ -40,10 +40,9 @@ type violation = {
 type config = {
   sample_interval : Engine.Time.t;
   sustain : Engine.Time.t option;
-  trace_excerpt : int;
 }
 
-let default_config = { sample_interval = 0.5; sustain = None; trace_excerpt = 12 }
+let default_config = { sample_interval = 0.5; sustain = None }
 
 let bound_for_spec (spec : Scenario.spec) =
   let mld = spec.Scenario.mld in
@@ -247,7 +246,7 @@ let record t ~at ~inv ~where ~detail =
       v_at = at;
       v_where = where;
       v_detail = detail;
-      v_trace = Engine.Trace.recent (Network.trace (net t)) ~n:t.cfg.trace_excerpt;
+      v_trace = Engine.Trace.recent (Network.trace (net t));
       v_chain = chain_at t ~at ~where }
   in
   t.violations_rev <- v :: t.violations_rev;

@@ -78,7 +78,8 @@ type violation = {
   v_where : string;  (** node or link concerned *)
   v_detail : string;
   v_trace : Engine.Trace.record list;
-      (** trace excerpt at detection, newest first *)
+      (** the trace's {!Engine.Trace.recent} records at detection,
+          newest first *)
   v_chain : string list;
       (** rendered causal chain (root first) of the most recent
           relevant packet drop when lineage collection
@@ -90,7 +91,6 @@ type config = {
   sustain : Engine.Time.t option;
       (** override the computed convergence bound (tests use a short
           one to catch deliberately broken configurations quickly) *)
-  trace_excerpt : int;  (** trace records attached per violation *)
 }
 
 val default_config : config

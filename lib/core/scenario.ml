@@ -32,7 +32,7 @@ type t = {
 
 let group = Addr.of_string "ff0e::1:1"
 
-let build spec ~links ~routers ~hosts =
+let build ?on_trace spec ~links ~routers ~hosts =
   let sim = Engine.Sim.create ~seed:spec.seed () in
   let topo = Topology.create () in
   (* The first link of a name wins, as an association list has it. *)
@@ -65,6 +65,7 @@ let build spec ~links ~routers ~hosts =
       hosts
   in
   let net = Network.create sim topo in
+  Option.iter (Engine.Trace.on_record (Network.trace net)) on_trace;
   let router_stacks =
     List.map
       (fun (name, node, ha_links) ->

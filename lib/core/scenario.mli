@@ -34,6 +34,7 @@ type t = {
 }
 
 val build :
+  ?on_trace:(Engine.Trace.record -> unit) ->
   spec ->
   links:(string * string) list ->
   routers:(string * string list * string list) list ->
@@ -43,6 +44,8 @@ val build :
     [links] are (name, prefix) pairs; [routers] are (name, attached
     links, home-agent links); [hosts] are (name, home link).  Every
     host is provisioned at the home agent of its home link.
+    [on_trace] observes the network's trace ({!Engine.Trace.on_record})
+    from its first record: starting the stacks already writes some.
     @raise Invalid_argument on dangling link names. *)
 
 (** The arguments of {!build}, as one value. *)

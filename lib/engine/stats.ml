@@ -1,13 +1,3 @@
-module Counter = struct
-  type t = { name : string; mutable value : int }
-
-  let create ?(name = "counter") () = { name; value = 0 }
-  let incr ?(by = 1) t = t.value <- t.value + by
-  let value t = t.value
-  let name t = t.name
-  let reset t = t.value <- 0
-end
-
 module Summary = struct
   type t = {
     name : string;
@@ -61,83 +51,4 @@ module Summary = struct
     else
       Format.fprintf ppf "%s: n=%d mean=%.3f std=%.3f min=%.3f max=%.3f"
         t.name t.count (mean t) (stddev t) t.min t.max
-end
-
-module Histogram = struct
-  type t = {
-    name : string;
-    bin_width : float;
-    table : (int, int) Hashtbl.t;
-    mutable count : int;
-  }
-
-  let create ?(name = "histogram") ~bin_width () =
-    if bin_width <= 0.0 then invalid_arg "Histogram.create: bin_width must be positive";
-    { name; bin_width; table = Hashtbl.create 16; count = 0 }
-
-  let add t x =
-    if x < 0.0 then invalid_arg "Histogram.add: negative sample";
-    let bin = int_of_float (x /. t.bin_width) in
-    let current = Option.value ~default:0 (Hashtbl.find_opt t.table bin) in
-    Hashtbl.replace t.table bin (current + 1);
-    t.count <- t.count + 1
-
-  let count t = t.count
-
-  let bins t =
-    Hashtbl.fold (fun bin n acc -> (float_of_int bin *. t.bin_width, n) :: acc) t.table []
-    |> List.sort (fun (a, _) (b, _) -> Float.compare a b)
-
-  let pp ppf t =
-    Format.fprintf ppf "%s (n=%d):@." t.name t.count;
-    List.iter
-      (fun (lo, n) ->
-        Format.fprintf ppf "  [%8.2f..%8.2f) %d@." lo (lo +. t.bin_width) n)
-      (bins t)
-end
-
-module Timeline = struct
-  type t = {
-    name : string;
-    sim : Sim.t;
-    mutable value : float;
-    mutable last_change : Time.t;
-    mutable integral : float;
-    mutable steps : (Time.t * float) list;  (* newest first *)
-  }
-
-  let create ?(name = "timeline") sim ~initial =
-    { name;
-      sim;
-      value = initial;
-      last_change = Sim.now sim;
-      integral = 0.0;
-      steps = [ (Sim.now sim, initial) ] }
-
-  let settle t =
-    let now = Sim.now t.sim in
-    let dt = Time.seconds (Time.sub now t.last_change) in
-    t.integral <- t.integral +. (t.value *. dt);
-    t.last_change <- now
-
-  let set t v =
-    settle t;
-    if v <> t.value then begin
-      t.value <- v;
-      t.steps <- (Sim.now t.sim, v) :: t.steps
-    end
-
-  let add t dv = set t (t.value +. dv)
-
-  let current t = t.value
-
-  let integral t =
-    settle t;
-    t.integral
-
-  let time_average t =
-    let now = Time.seconds (Sim.now t.sim) in
-    if now <= 0.0 then 0.0 else integral t /. now
-
-  let steps t = List.rev t.steps
 end

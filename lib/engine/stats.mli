@@ -1,23 +1,5 @@
-(** Measurement primitives used by the metrics layer.
-
-    {ul
-    {- {!Counter}: monotone event/byte counts.}
-    {- {!Summary}: streaming sample statistics (mean, stddev, min, max,
-       percentiles).}
-    {- {!Histogram}: fixed-width binned distribution.}
-    {- {!Timeline}: a piecewise-constant value of time, integrated to
-       compute time-weighted averages (e.g. "links carrying wasted
-       traffic over time").}} *)
-
-module Counter : sig
-  type t
-
-  val create : ?name:string -> unit -> t
-  val incr : ?by:int -> t -> unit
-  val value : t -> int
-  val name : t -> string
-  val reset : t -> unit
-end
+(** Streaming sample statistics (mean, stddev, min, max, percentiles),
+    the telemetry layer's distribution summaries. *)
 
 module Summary : sig
   type t
@@ -44,42 +26,4 @@ module Summary : sig
   (** In insertion order. *)
 
   val pp : Format.formatter -> t -> unit
-end
-
-module Histogram : sig
-  type t
-
-  val create : ?name:string -> bin_width:float -> unit -> t
-  (** Bins are [[k*w, (k+1)*w)]; negative samples raise. *)
-
-  val add : t -> float -> unit
-  val count : t -> int
-  val bins : t -> (float * int) list
-  (** Non-empty bins as [(lower_bound, count)], sorted. *)
-
-  val pp : Format.formatter -> t -> unit
-end
-
-module Timeline : sig
-  type t
-
-  val create : ?name:string -> Sim.t -> initial:float -> t
-  val set : t -> float -> unit
-  (** Record a step change at the current simulation time. *)
-
-  val add : t -> float -> unit
-  (** [set] relative to the current value. *)
-
-  val current : t -> float
-
-  val integral : t -> float
-  (** Integral of the value from time 0 to now (e.g. bytes = integral of
-      a bits/s timeline / 8). *)
-
-  val time_average : t -> float
-  (** [integral / now]; 0 at time 0. *)
-
-  val steps : t -> (Time.t * float) list
-  (** The change points, oldest first, including the initial value at
-      time 0. *)
 end

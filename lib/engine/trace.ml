@@ -4,132 +4,46 @@ type record = {
   message : string;
 }
 
+let recent_capacity = 12
+
 type t = {
   sim : Sim.t;
-  mutable items : record list;  (* newest first *)
   mutable total : int;
-  per_category : (string, int ref) Hashtbl.t;
-  (* The counter of the category recorded last: runs of one category
-     skip the string hash. *)
-  mutable last_category : string;
-  mutable last_count : int ref;
+  (* The [recent_capacity] newest records; record [i] sits in slot
+     [i mod recent_capacity].  Empty until the first record. *)
+  mutable ring : record array;
+  (* The 16-byte MD5 of each record's rendering, oldest first, in the
+     first [16 * folded] bytes.  A record is folded when the ring drops
+     it, or by [digest], not when it is written: building Figure 1
+     writes 15 records, and hashing them there made the build ~8%
+     slower (perfbench [setup_s] on [fig1-wire]). *)
+  mutable folded : int;
+  mutable partials : Bytes.t;
+  (* The rendering of the record being folded into [partials]. *)
+  mutable line : Bytes.t;
   (* One buffer formatter reused by every [recordf], built on first use:
      a fresh formatter per record cost more than the rest of recording.
      [formatting] is set while it is in use, so a nested [recordf] (from
      a [%a] printer) formats on its own. *)
   mutable out : (Buffer.t * Format.formatter) option;
   mutable formatting : bool;
-  (* Memoized oldest-first view of [items]; invalidated on record/clear
-     so repeated [records]/[by_category] calls don't re-reverse. *)
-  mutable oldest_first : record list option;
-  mutable enabled : bool;
+  mutable observers : (record -> unit) list;  (* registration order *)
 }
 
-(* Physically unique, so no caller's category is taken for it. *)
-let no_category = String.make 1 '\000'
-
-let create ?(enabled = true) sim =
+let create sim =
   { sim;
-    items = [];
     total = 0;
-    per_category = Hashtbl.create 8;
-    last_category = no_category;
-    last_count = ref 0;
+    ring = [||];
+    folded = 0;
+    partials = Bytes.empty;
+    line = Bytes.empty;
     out = None;
     formatting = false;
-    oldest_first = None;
-    enabled }
+    observers = [] }
 
-let set_enabled t flag = t.enabled <- flag
-let enabled t = t.enabled
+let on_record t f = t.observers <- t.observers @ [ f ]
 
-let record t ~category message =
-  if t.enabled then begin
-    t.items <- { at = Sim.now t.sim; category; message } :: t.items;
-    t.total <- t.total + 1;
-    if category != t.last_category then begin
-      let n =
-        match Hashtbl.find_opt t.per_category category with
-        | Some n -> n
-        | None ->
-          let n = ref 0 in
-          Hashtbl.replace t.per_category category n;
-          n
-      in
-      t.last_category <- category;
-      t.last_count <- n
-    end;
-    incr t.last_count;
-    t.oldest_first <- None
-  end
-
-let recordf t ~category fmt =
-  (* Check [enabled] before rendering: [kasprintf] formats eagerly, and
-     hot paths (transmit, faults) call this on every packet, so a
-     disabled trace must not pay the formatting cost. *)
-  if not t.enabled then Format.ikfprintf (fun _ -> ()) Format.str_formatter fmt
-  else if t.formatting then Format.kasprintf (fun message -> record t ~category message) fmt
-  else begin
-    let buf, ppf =
-      match t.out with
-      | Some out -> out
-      | None ->
-        let buf = Buffer.create 128 in
-        let out = (buf, Format.formatter_of_buffer buf) in
-        t.out <- Some out;
-        out
-    in
-    t.formatting <- true;
-    (* Flushing resets the formatter to its initial state, so each
-       message renders exactly as on a fresh formatter. *)
-    Format.kfprintf
-      (fun ppf ->
-        Format.pp_print_flush ppf ();
-        let message = Buffer.contents buf in
-        Buffer.clear buf;
-        t.formatting <- false;
-        record t ~category message)
-      ppf fmt
-  end
-
-let records t =
-  match t.oldest_first with
-  | Some cached -> cached
-  | None ->
-    let ordered = List.rev t.items in
-    t.oldest_first <- Some ordered;
-    ordered
-
-let by_category t category =
-  List.filter (fun r -> String.equal r.category category) (records t)
-
-let recent t ~n =
-  (* [items] is newest first, so the last [n] records are a prefix —
-     no reversal of the whole history needed. *)
-  let rec take k = function
-    | [] -> []
-    | _ when k = 0 -> []
-    | r :: rest -> r :: take (k - 1) rest
-  in
-  take (max 0 n) t.items
-
-let count ?category t =
-  match category with
-  | None -> t.total
-  | Some c -> (
-    match Hashtbl.find_opt t.per_category c with
-    | Some n -> !n
-    | None -> 0)
-
-let clear t =
-  t.items <- [];
-  t.total <- 0;
-  Hashtbl.reset t.per_category;
-  t.last_category <- no_category;
-  t.last_count <- ref 0;
-  t.oldest_first <- None
-
-(* ---- the digest ---- *)
+(* ---- the rendering digested ---- *)
 
 (* [round (t * 1e9)] as C's printf rounds it for "%.9f" — to nearest,
    ties to even — or [-1] where that is not proven exact: a negative
@@ -185,46 +99,94 @@ let fixed9 t =
   let stop = write_fixed9 b 0 t in
   if stop < 0 then Printf.sprintf "%.9f" t else Bytes.sub_string b 0 stop
 
+(* [t.line] with room for [n] bytes. *)
+let line t n =
+  if Bytes.length t.line < n then t.line <- Bytes.create (max 256 (2 * n));
+  t.line
+
+(* Render [r] as "%.9f|category|message\n" and append the 16-byte MD5
+   of the rendering to [t.partials] as partial number [t.folded]. *)
+let fold t r =
+  let clen = String.length r.category and mlen = String.length r.message in
+  let b = line t (fixed9_width + clen + mlen + 3) in
+  let b, pos =
+    match write_fixed9 b 0 r.at with
+    | -1 ->
+      let s = Printf.sprintf "%.9f" r.at in
+      let b = line t (String.length s + clen + mlen + 3) in
+      Bytes.blit_string s 0 b 0 (String.length s);
+      (b, String.length s)
+    | pos -> (b, pos)
+  in
+  Bytes.set b pos '|';
+  Bytes.blit_string r.category 0 b (pos + 1) clen;
+  let pos = pos + 1 + clen in
+  Bytes.set b pos '|';
+  Bytes.blit_string r.message 0 b (pos + 1) mlen;
+  let pos = pos + 1 + mlen in
+  Bytes.set b pos '\n';
+  let used = 16 * t.folded in
+  if Bytes.length t.partials < used + 16 then begin
+    let grown = Bytes.create (max 1024 (2 * Bytes.length t.partials)) in
+    Bytes.blit t.partials 0 grown 0 used;
+    t.partials <- grown
+  end;
+  Bytes.blit_string (Digest.subbytes b 0 (pos + 1)) 0 t.partials used 16;
+  t.folded <- t.folded + 1
+
+(* Fold every record before number [n]; those not yet folded are all
+   still in the ring. *)
+let fold_upto t n =
+  while t.folded < n do
+    fold t t.ring.(t.folded mod recent_capacity)
+  done
+
+(* ---- recording ---- *)
+
+let record t ~category message =
+  let r = { at = Sim.now t.sim; category; message } in
+  if t.total = 0 then t.ring <- Array.make recent_capacity r;
+  fold_upto t (t.total + 1 - recent_capacity);
+  t.ring.(t.total mod recent_capacity) <- r;
+  t.total <- t.total + 1;
+  List.iter (fun f -> f r) t.observers
+
+let recordf t ~category fmt =
+  if t.formatting then Format.kasprintf (fun message -> record t ~category message) fmt
+  else begin
+    let buf, ppf =
+      match t.out with
+      | Some out -> out
+      | None ->
+        let buf = Buffer.create 128 in
+        let out = (buf, Format.formatter_of_buffer buf) in
+        t.out <- Some out;
+        out
+    in
+    t.formatting <- true;
+    (* Flushing resets the formatter to its initial state, so each
+       message renders exactly as on a fresh formatter. *)
+    Format.kfprintf
+      (fun ppf ->
+        Format.pp_print_flush ppf ();
+        let message = Buffer.contents buf in
+        Buffer.clear buf;
+        t.formatting <- false;
+        record t ~category message)
+      ppf fmt
+  end
+
+(* ---- reading ---- *)
+
+let recent t =
+  let n = min t.total recent_capacity in
+  List.init n (fun k -> t.ring.((t.total - 1 - k) mod recent_capacity))
+
+let count t = t.total
+
 let digest t =
-  (* Each record renders as "%.9f|category|message\n" into one reused
-     buffer and digests to 16 bytes; the result is the digest of those
-     partials, oldest first.  Walking newest first fills the partials
-     from the back, so no reversal is forced. *)
-  let partials = Bytes.create (16 * t.total) in
-  let buf = ref (Bytes.create 256) in
-  let room n =
-    if Bytes.length !buf < n then buf := Bytes.create (2 * n);
-    !buf
-  in
-  let rec go i = function
-    | [] -> ()
-    | r :: older ->
-      let clen = String.length r.category and mlen = String.length r.message in
-      let b = room (fixed9_width + clen + mlen + 3) in
-      let b, pos =
-        match write_fixed9 b 0 r.at with
-        | -1 ->
-          let s = Printf.sprintf "%.9f" r.at in
-          let b = room (String.length s + clen + mlen + 3) in
-          Bytes.blit_string s 0 b 0 (String.length s);
-          (b, String.length s)
-        | pos -> (b, pos)
-      in
-      Bytes.set b pos '|';
-      Bytes.blit_string r.category 0 b (pos + 1) clen;
-      let pos = pos + 1 + clen in
-      Bytes.set b pos '|';
-      Bytes.blit_string r.message 0 b (pos + 1) mlen;
-      let pos = pos + 1 + mlen in
-      Bytes.set b pos '\n';
-      Bytes.blit_string (Digest.subbytes b 0 (pos + 1)) 0 partials (16 * i) 16;
-      go (i - 1) older
-  in
-  go (t.total - 1) t.items;
-  Digest.to_hex (Digest.bytes partials)
+  fold_upto t t.total;
+  Digest.to_hex (Digest.subbytes t.partials 0 (16 * t.total))
 
 let pp_record ppf r =
   Format.fprintf ppf "[%a] %-6s %s" Time.pp r.at r.category r.message
-
-let pp ppf t =
-  List.iter (fun r -> Format.fprintf ppf "%a@." pp_record r) (records t)

@@ -1,14 +1,22 @@
-(** In-memory event trace.
+(** The network's event trace, as a stream.
 
-    Protocol modules record human-readable events here; tests assert on
-    them and the benchmark harness prints them.  Recording can be
-    disabled wholesale for long benchmark runs.
+    Protocol modules record human-readable events here.  The trace does
+    not keep them: the {!recent_capacity} newest sit in a fixed ring for
+    {!recent} (the invariant monitor's violation excerpt), each record
+    is folded into the run's {!digest} when the ring drops it, and
+    {!on_record} observers see every record as it is written (the
+    [mmcast_sim trace] command prints them, tests collect them).  Memory
+    is one 16-byte digest partial per record, not the record itself.
 
-    Internally records are kept {e newest first} (constant-time
-    prepend); {!records} presents them oldest first through a memoized
-    reversal, and {!count} is answered from incrementally maintained
-    total and per-category counters, so neither walks the full history
-    on every call. *)
+    Cost: a folded record is rendered as ["%.9f|category|message\n"]
+    into one reused buffer, its time by {!fixed9}'s writer rather than
+    [Printf], and digested to a 16-byte partial, ~0.15 us; {!digest}
+    folds the ring's records and hashes the partials once more.  The
+    100-router scale cell's 29,855 records cost ~0.01 s in all, the cost
+    that [digest] paid after the run when the trace kept every record;
+    its [digest] now takes ~0.001 s.  The ring and buffers are
+    allocated at the first record, so a trace nobody writes costs one
+    small block. *)
 
 type record = {
   at : Time.t;
@@ -18,50 +26,37 @@ type record = {
 
 type t
 
-val create : ?enabled:bool -> Sim.t -> t
-
-val set_enabled : t -> bool -> unit
-
-val enabled : t -> bool
+val create : Sim.t -> t
 
 val record : t -> category:string -> string -> unit
+(** Stamp the message with the current simulated time, put it in the
+    ring, then call each {!on_record} observer. *)
 
 val recordf : t -> category:string -> ('a, Format.formatter, unit, unit) format4 -> 'a
-(** Like {!record} with a format string.  When the trace is disabled
-    nothing is rendered: the format arguments are consumed without
-    being formatted (so even [%t]/[%a] closures are never called). *)
+(** Like {!record} with a format string.  A [%a]/[%t] printer may
+    itself record: its record is written first. *)
 
-val records : t -> record list
-(** All records, oldest first.  The reversal of the internal
-    newest-first list is memoized until the next {!record}, so calling
-    this repeatedly between recordings is cheap. *)
+val on_record : t -> (record -> unit) -> unit
+(** Called synchronously on every later record, after it is counted,
+    in registration order. *)
 
-val by_category : t -> string -> record list
-(** Oldest first, filtered from the memoized {!records} view. *)
+val recent_capacity : int
+(** 12: the size of the {!recent} ring. *)
 
-val recent : t -> n:int -> record list
-(** The most recent [n] records (fewer if the trace is shorter),
-    {e newest first}, in O(n): the invariant monitor snapshots violation
-    context this way without forcing the full memoized reversal. *)
+val recent : t -> record list
+(** The last {!recent_capacity} records (fewer if the trace is
+    shorter), {e newest first}. *)
 
-val count : ?category:string -> t -> int
-(** O(1): served from incrementally maintained counters, never by
-    filtering the record list. *)
+val count : t -> int
+(** Records written so far. *)
 
 val digest : t -> string
-(** Hex digest over every record (time at fixed precision, category,
-    message), oldest first.  Two traces digest equal iff they hold the
-    same records at the same times — the golden-trace regression tests
-    pin these per approach so a refactor that silently changes protocol
-    behaviour fails loudly.
-
-    Cost: O(n) without forcing the memoized reversal.  Each record is
-    rendered into one reused buffer, its time by {!fixed9}'s writer
-    rather than [Printf], and costs one MD5 of the rendering and one
-    16-byte partial; the partials are hashed once more at the end.  The
-    100-router scale cell's 29,855 records digest in ~0.013 s (0.041 s
-    through [Printf.sprintf] and [Buffer.contents] per record, measured
-    by perfbench [--trace 1] on a 2-vCPU Xeon container). *)
+(** Hex MD5 over the 16-byte MD5 partials of every record's rendering
+    (time at fixed precision, category, message), oldest first.  Two
+    traces digest equal iff they hold the same records at the same
+    times — the golden-trace regression tests pin these per approach so
+    a refactor that silently changes protocol behaviour fails loudly.
+    O(number of records); recording may continue afterwards. *)
 
 val fixed9 : Time.t -> string
 (** [fixed9 t] is [Printf.sprintf "%.9f" t], the time field of the
@@ -71,9 +66,4 @@ val fixed9 : Time.t -> string
     binary value; elsewhere (negative, non-finite or larger times) it
     falls back to [Printf]. *)
 
-val clear : t -> unit
-
 val pp_record : Format.formatter -> record -> unit
-
-val pp : Format.formatter -> t -> unit
-(** Dump the whole trace, one record per line. *)

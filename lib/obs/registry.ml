@@ -6,16 +6,13 @@ type series = {
   mutable s_points : (float * float) list;  (* newest first *)
 }
 
-type snapshot =
-  | Snap_summary of string option * Engine.Stats.Summary.t
-  | Snap_histogram of Engine.Stats.Histogram.t
-
 type t = {
   sim : Engine.Sim.t;
   mutable all_series : series list;  (* newest first *)
   by_name : (string, series) Hashtbl.t;
   mutable samplers : (unit -> unit) list;  (* newest first *)
-  mutable snapshots : (string * snapshot) list;  (* newest first *)
+  (* Summaries by name, with their unit: newest first. *)
+  mutable snapshots : (string * (string option * Engine.Stats.Summary.t)) list;
   mutable ticks : int;
 }
 
@@ -59,24 +56,14 @@ let gauge t ?unit_ name read =
 
 let int_gauge t ?unit_ name read = gauge t ?unit_ name (fun () -> float_of_int (read ()))
 
-let counter t ?unit_ name c =
-  int_gauge t ?unit_ name (fun () -> Engine.Stats.Counter.value c)
-
-let timeline t ?unit_ name tl =
-  gauge t ?unit_ name (fun () -> Engine.Stats.Timeline.current tl)
-
-let fresh_snapshot t name snap =
+let summary t ?unit_ name s =
   if List.mem_assoc name t.snapshots then
     invalid_arg
       (Printf.sprintf
          "Obs.Registry: a distribution named %S is already registered; pick a \
           distinct name"
          name);
-  t.snapshots <- (name, snap) :: t.snapshots
-
-let summary t ?unit_ name s = fresh_snapshot t name (Snap_summary (unit_, s))
-
-let histogram t name h = fresh_snapshot t name (Snap_histogram h)
+  t.snapshots <- (name, (unit_, s)) :: t.snapshots
 
 let names t =
   List.rev_map (fun s -> s.s_name) t.all_series
@@ -138,27 +125,11 @@ let summary_json unit_ s =
   in
   Json.Obj (base @ unit_field @ stats)
 
-let histogram_json h =
-  let module Histogram = Engine.Stats.Histogram in
-  Json.Obj
-    [ ("kind", Json.String "histogram");
-      ("count", Json.Int (Histogram.count h));
-      ( "bins",
-        Json.List
-          (List.map
-             (fun (lo, n) -> Json.List [ Json.float lo; Json.Int n ])
-             (Histogram.bins h)) ) ]
-
 let to_json ?(meta = []) t =
   let snapshots =
     List.rev_map
-      (fun (name, snap) ->
-        let body =
-          match snap with
-          | Snap_summary (unit_, s) -> summary_json unit_ s
-          | Snap_histogram h -> histogram_json h
-        in
-        match body with
+      (fun (name, (unit_, s)) ->
+        match summary_json unit_ s with
         | Json.Obj fields -> Json.Obj (("name", Json.String name) :: fields)
         | other -> other)
       t.snapshots

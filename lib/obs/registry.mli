@@ -1,12 +1,11 @@
 (** Metrics registry: named probes snapshotted into a versioned JSON
     time-series document.
 
-    Two probe shapes exist.  {e Sampled} probes (gauges, adopted
-    {!Engine.Stats.Counter}/{!Engine.Stats.Timeline} values, custom
+    Two probe shapes exist.  {e Sampled} probes (gauges, custom
     samplers) are read on every {!sample} tick and accumulate
     [(sim-time, value)] points.  {e Snapshot} probes (adopted
-    {!Engine.Stats.Summary}/{!Engine.Stats.Histogram}) are rendered
-    once, at {!to_json} time, into distribution summaries.
+    {!Engine.Stats.Summary} values) are rendered once, at {!to_json}
+    time, into distribution summaries.
 
     Sampling only reads simulation state; attaching a registry and a
     periodic sampler never perturbs protocol behaviour. *)
@@ -25,7 +24,7 @@ val schema : string
 val series : t -> ?unit_:string -> string -> series
 (** Get or create a series by name, for pushing points directly.
     Getting an existing series again returns the same one.  The probe
-    registrars below ({!gauge}, {!counter}, ...) instead {b reject} a
+    registrars below ({!gauge}, {!summary}, ...) instead {b reject} a
     name that is already taken — two probes feeding one series would
     silently interleave their points.
     @raise Invalid_argument from the registrars on a duplicate name. *)
@@ -38,11 +37,6 @@ val gauge : t -> ?unit_:string -> string -> (unit -> float) -> unit
 
 val int_gauge : t -> ?unit_:string -> string -> (unit -> int) -> unit
 
-val counter : t -> ?unit_:string -> string -> Engine.Stats.Counter.t -> unit
-
-val timeline : t -> ?unit_:string -> string -> Engine.Stats.Timeline.t -> unit
-(** Samples the timeline's current value. *)
-
 val add_sampler : t -> (unit -> unit) -> unit
 (** Custom hook run on every {!sample} tick, for probes that fan out
     into dynamically named series (e.g. the engine profiler, whose
@@ -53,8 +47,6 @@ val add_sampler : t -> (unit -> unit) -> unit
 val summary : t -> ?unit_:string -> string -> Engine.Stats.Summary.t -> unit
 (** Exported as count/mean/stddev/min/max and the p50/p90/p99
     nearest-rank percentiles. *)
-
-val histogram : t -> string -> Engine.Stats.Histogram.t -> unit
 
 (** {2 Sampling} *)
 
@@ -79,5 +71,5 @@ val names : t -> string list
 
 val to_json : ?meta:(string * Json.t) list -> t -> Json.t
 (** The full document: [schema], [meta] fields, every series with its
-    points, every summary/histogram snapshot.  Series appear in
+    points, every summary snapshot.  Series appear in
     registration order, points oldest first. *)

@@ -33,8 +33,9 @@ let run ?(spec = Scenario.default_spec) ?inspect d approach measure =
   let read = ref None in
   ignore
     (Runner.run ~spec d approach ~inspect:(fun scenario ->
-         read := Some (measure scenario (Metrics.attach scenario.Scenario.net));
-         Option.iter (fun f -> f scenario) inspect));
+         let metrics = Metrics.attach scenario.Scenario.net in
+         read := Some (measure scenario metrics);
+         Option.iter (fun f -> f scenario metrics) inspect));
   Option.get !read ()
 
 let move ~at host link = Desc.Move { at; host; link }

@@ -27,7 +27,7 @@ val figure1 :
 
 val run :
   ?spec:Mmcast.Scenario.spec ->
-  ?inspect:(Mmcast.Scenario.t -> unit) ->
+  ?inspect:(Mmcast.Scenario.t -> Mmcast.Metrics.t -> unit) ->
   Desc.t ->
   Mmcast.Approach.t ->
   (Mmcast.Scenario.t -> Mmcast.Metrics.t -> unit -> 'a) ->
@@ -37,7 +37,7 @@ val run :
     [inspect] hook, [measure] gets the scenario and a fresh
     {!Mmcast.Metrics.t}; it may schedule read-only probes, and the
     thunk it returns reads the measures after the run.  [inspect] runs
-    after it. *)
+    after it, on the same scenario and {!Mmcast.Metrics.t}. *)
 
 val rfc_mld : Mmcast.Scenario.spec
 (** The paper's defaults with RFC-default MLD hosts: no unsolicited
@@ -117,11 +117,11 @@ val sender_move_time : float
 
 val table1_row :
   ?spec:Mmcast.Scenario.spec ->
-  ?inspect:(phase -> Mmcast.Scenario.t -> unit) ->
+  ?inspect:(phase -> Mmcast.Scenario.t -> Mmcast.Metrics.t -> unit) ->
   Mmcast.Approach.t ->
   row
-(** Both phases for one approach; [inspect] is each phase's Runner
-    hook, e.g. to attach telemetry. *)
+(** Both phases for one approach; [inspect] is each phase's {!run}
+    hook, e.g. to attach telemetry to the phase's metrics. *)
 
 val table1 : ?spec:Mmcast.Scenario.spec -> ?jobs:int -> unit -> row list
 (** All four approaches, paper order, over [jobs] (default 1) domains;

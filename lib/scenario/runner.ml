@@ -128,7 +128,8 @@ let compile_faults scenario (d : Desc.t) =
           Faults.corrupt_window ~link:(link l) ~rate ~from_t ~until)
       d.Desc.d_windows
 
-let run ?spec ?sustain ?sched ?decider ?(lineage = false) ?inspect (d : Desc.t) approach =
+let run ?spec ?sustain ?sched ?decider ?(lineage = false) ?on_trace ?inspect (d : Desc.t)
+    approach =
   (match Desc.validate d with
   | Ok () -> ()
   | Error msg -> invalid_arg (Printf.sprintf "Runner.run: %s: %s" d.Desc.d_name msg));
@@ -143,7 +144,7 @@ let run ?spec ?sustain ?sched ?decider ?(lineage = false) ?inspect (d : Desc.t) 
         pim = { s.Scenario.pim with enable_graft = not d.Desc.d_disable_graft } }
   in
   let scenario =
-    Scenario.build spec ~links:d.Desc.d_links ~routers:d.Desc.d_routers
+    Scenario.build ?on_trace spec ~links:d.Desc.d_links ~routers:d.Desc.d_routers
       ~hosts:d.Desc.d_hosts
   in
   if d.Desc.d_wire_check then Net.Network.set_wire_check scenario.Scenario.net true;

@@ -81,6 +81,7 @@ val run :
   ?sched:schedule ->
   ?decider:(kind:Engine.Sim.choice_kind -> arity:int -> int) ->
   ?lineage:bool ->
+  ?on_trace:(Engine.Trace.record -> unit) ->
   ?inspect:(Mmcast.Scenario.t -> unit) ->
   Desc.t ->
   Mmcast.Approach.t ->
@@ -98,6 +99,9 @@ val run :
     seed and the graft knob always come from the descriptor and the
     approach from the positional argument.  The paper's experiments
     ({!Paper}) pass the untightened defaults here.
+
+    [on_trace] sees every record of the network's trace, from the
+    first one {!Mmcast.Scenario.build} writes.
 
     [inspect] sees the fully set-up scenario (monitor attached, churn
     and senders scheduled) just before the run starts.  The paper's

@@ -1,13 +1,17 @@
 (* The canonical Figure-1 run of each approach whose trace digest
    [test_golden] pins; [test_engine] also holds [Engine.Trace.digest]
-   to its reference rendering on these traces. *)
+   to its reference rendering of the records [on_trace] sees. *)
 
 open Mmcast
 
-let canonical_trace ?(wire_check = false) ?(capture = false) ?(lineage = false)
+let canonical_trace ?(wire_check = false) ?(capture = false) ?(lineage = false) ?on_trace
     approach =
   let spec = { Scenario.default_spec with Scenario.approach } in
-  let scenario = Scenario.paper_figure1 spec in
+  let l = Scenario.figure1 in
+  let scenario =
+    Scenario.build ?on_trace spec ~links:l.Scenario.lay_links ~routers:l.Scenario.lay_routers
+      ~hosts:l.Scenario.lay_hosts
+  in
   let sim = scenario.Scenario.sim in
   if wire_check then Net.Network.set_wire_check scenario.Scenario.net true;
   let collector =

@@ -12,10 +12,17 @@ let contains ~sub s =
   let rec go i = i + n <= m && (String.equal (String.sub s i n) sub || go (i + 1)) in
   n = 0 || go 0
 
-(* Records in [category] whose message mentions [sub]. *)
-let mentions scenario ~category sub =
-  Engine.Trace.by_category (Net.Network.trace scenario.Scenario.net) category
-  |> List.filter (fun (r : Engine.Trace.record) -> contains ~sub r.Engine.Trace.message)
+(* Collect the trace records [scenario] writes from now on; the
+   result lists those in [category] whose message mentions [sub]. *)
+let collect scenario =
+  let seen = ref [] in
+  Engine.Trace.on_record (Net.Network.trace scenario.Scenario.net) (fun r ->
+      seen := r :: !seen);
+  fun ~category sub ->
+    List.rev !seen
+    |> List.filter (fun (r : Engine.Trace.record) ->
+           String.equal r.Engine.Trace.category category
+           && contains ~sub r.Engine.Trace.message)
 
 let raises_invalid what f =
   match f () with
@@ -102,6 +109,7 @@ let recovery_path_tests =
            delivery is killed until t=68.  The 3 s Graft retry timer
            must carry it through. *)
         let scenario = Scenario.paper_figure1 Scenario.default_spec in
+        let mentions = collect scenario in
         let l3 = Scenario.link scenario "L3" in
         Traffic.at scenario 5.0 (fun () ->
             Host_stack.subscribe (Scenario.host scenario "R1") group);
@@ -114,9 +122,9 @@ let recovery_path_tests =
           (Scenario.install_faults scenario
              [ Faults.loss_window ~link:l3 ~rate:1.0 ~from_t:59.0 ~until:68.0 ]);
         Scenario.run_until scenario 110.0;
-        let retransmits = mentions scenario ~category:"pim" "graft retransmitted" in
+        let retransmits = mentions ~category:"pim" "graft retransmitted" in
         Alcotest.(check bool) "graft retransmitted" true (List.length retransmits >= 1);
-        let acks = mentions scenario ~category:"pim" "graft acknowledged" in
+        let acks = mentions ~category:"pim" "graft acknowledged" in
         Alcotest.(check bool) "graft eventually acknowledged" true
           (List.exists (fun (r : Engine.Trace.record) -> r.Engine.Trace.at > 68.0) acks);
         Alcotest.(check bool) "R3 receives data after the window" true
@@ -127,6 +135,7 @@ let recovery_path_tests =
            robustness-variable resend at t=15 establishes state before
            the stream starts. *)
         let scenario = Scenario.paper_figure1 Scenario.default_spec in
+        let mentions = collect scenario in
         let l2 = Scenario.link scenario "L2" in
         Traffic.at scenario 5.0 (fun () ->
             Host_stack.subscribe (Scenario.host scenario "R2") group);
@@ -137,7 +146,7 @@ let recovery_path_tests =
           (Scenario.install_faults scenario
              [ Faults.loss_window ~link:l2 ~rate:1.0 ~from_t:4.9 ~until:6.0 ]);
         Scenario.run_until scenario 60.0;
-        let reports = mentions scenario ~category:"mld" "sent report for" in
+        let reports = mentions ~category:"mld" "sent report for" in
         let expected =
           Scenario.default_spec.Scenario.mld.Mld.Mld_config.unsolicited_report_count
         in
@@ -155,6 +164,7 @@ let recovery_path_tests =
           { Scenario.default_spec with Scenario.approach = Approach.bidirectional_tunnel }
         in
         let scenario = Scenario.paper_figure1 spec in
+        let mentions = collect scenario in
         let l3 = Scenario.link scenario "L3" in
         Traffic.at scenario 5.0 (fun () ->
             Host_stack.subscribe (Scenario.host scenario "R3") group);
@@ -171,7 +181,7 @@ let recovery_path_tests =
              [ Faults.loss_window ~link:l3 ~rate:1.0 ~from_t:49.0 ~until:58.0 ]);
         Scenario.run_until scenario 120.0;
         let sends =
-          mentions scenario ~category:"mipv6" "binding update #"
+          mentions ~category:"mipv6" "binding update #"
           |> List.filter (fun (r : Engine.Trace.record) ->
                  contains ~sub:"R3" r.Engine.Trace.message && r.Engine.Trace.at > 49.0)
         in
@@ -185,7 +195,7 @@ let recovery_path_tests =
              (last -. last2 > 1.5 *. (t1 -. t0))
          | _ -> Alcotest.fail "not enough binding updates to compare gaps");
         let acks =
-          mentions scenario ~category:"mipv6" "acknowledged"
+          mentions ~category:"mipv6" "acknowledged"
           |> List.filter (fun (r : Engine.Trace.record) ->
                  contains ~sub:"R3" r.Engine.Trace.message)
         in
@@ -201,6 +211,7 @@ let crash_and_metrics_tests =
   [ Alcotest.test_case "scheduled crash loses state; restart reconverges" `Quick
       (fun () ->
         let scenario = Scenario.paper_figure1 Scenario.default_spec in
+        let mentions = collect scenario in
         let d = Scenario.router scenario "D" in
         Traffic.at scenario 5.0 (fun () -> Scenario.subscribe_receivers scenario group);
         ignore
@@ -224,9 +235,9 @@ let crash_and_metrics_tests =
         Alcotest.(check bool) "failed during crash" true !failed_during;
         Alcotest.(check bool) "alive after restart" false !failed_after;
         Alcotest.(check int) "crash and restart traced" 1
-          (List.length (mentions scenario ~category:"fault" "crash D"));
+          (List.length (mentions ~category:"fault" "crash D"));
         Alcotest.(check int) "restart traced" 1
-          (List.length (mentions scenario ~category:"fault" "restart D"));
+          (List.length (mentions ~category:"fault" "restart D"));
         Alcotest.(check bool) "R3 receives again after restart" true
           (Host_stack.received_count (Scenario.host scenario "R3") ~group
            > !rx_at_restart);
@@ -308,9 +319,9 @@ let determinism_tests =
                    ~until:100.0;
                  Faults.link_flap ~link:l3 ~down_at:80.0 ~up_at:95.0 ]);
           Scenario.run_until scenario 150.0;
-          let records = Engine.Trace.records (Net.Network.trace scenario.Scenario.net) in
+          let trace = Net.Network.trace scenario.Scenario.net in
           let rx name = Host_stack.received_count (Scenario.host scenario name) ~group in
-          ( records,
+          ( (Engine.Trace.count trace, Engine.Trace.digest trace),
             List.map rx [ "R1"; "R2"; "R3" ],
             Net.Network.losses scenario.Scenario.net,
             Net.Network.duplicates_injected scenario.Scenario.net,
@@ -319,8 +330,8 @@ let determinism_tests =
         in
         let r1, rx1, losses1, dups1, reord1, sig1 = run () in
         let r2, rx2, losses2, dups2, reord2, sig2 = run () in
-        Alcotest.(check int) "same trace length" (List.length r1) (List.length r2);
-        Alcotest.(check bool) "identical trace records" true (r1 = r2);
+        Alcotest.(check int) "same trace length" (fst r1) (fst r2);
+        Alcotest.(check string) "identical trace digests" (snd r1) (snd r2);
         Alcotest.(check (list int)) "identical deliveries" rx1 rx2;
         Alcotest.(check int) "identical losses" losses1 losses2;
         Alcotest.(check int) "identical duplicates" dups1 dups2;

@@ -172,7 +172,7 @@ let make_mn ?(config = Mipv6.Mipv6_config.default) () =
   let sent = ref [] in
   let env =
     { Mipv6.Mobile_node.sim;
-      trace = Engine.Trace.create ~enabled:false sim;
+      trace = Engine.Trace.create sim;
       config;
       send = (fun p -> sent := p :: !sent);
       label = "mn" }

@@ -17,7 +17,7 @@ let make_harness ?(config = Mld.Mld_config.default) ?(address = "fe80::1") () =
   let sent = ref [] in
   let env =
     { Mld.Mld_env.sim;
-      trace = Engine.Trace.create ~enabled:false sim;
+      trace = Engine.Trace.create sim;
       rng = Engine.Rng.create 7;
       config;
       local_address = (fun () -> Addr.of_string address);
@@ -331,7 +331,7 @@ let host_tests =
 
 let wire_link ~hosts:host_count =
   let sim = Engine.Sim.create () in
-  let trace = Engine.Trace.create ~enabled:false sim in
+  let trace = Engine.Trace.create sim in
   let delay = 0.001 in
   let inboxes : (Packet.t -> unit) list ref = ref [] in
   let make_env ~address label =

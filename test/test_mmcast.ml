@@ -350,6 +350,9 @@ let router_stack_tests =
 let hop_limit_tests =
   [ Alcotest.test_case "unicast hop limit is enforced" `Quick (fun () ->
         let s, _ = stream_scenario () in
+        let records = ref [] in
+        Engine.Trace.on_record (Net.Network.trace s.Scenario.net) (fun r ->
+            records := r :: !records);
         Scenario.run_until s 10.0;
         (* Inject a unicast packet with hop limit 2 from S (L1) toward
            R3's home address (L4): the path needs 3 router hops, so it
@@ -388,7 +391,6 @@ let hop_limit_tests =
            unicast data payload, which the stack ignores silently —
            what matters is that the first one was dropped in transit,
            which the router trace records. *)
-        let trace = Net.Network.trace s.Scenario.net in
         Alcotest.(check bool) "hop limit drop traced" true
           (List.exists
              (fun r ->
@@ -398,7 +400,7 @@ let hop_limit_tests =
                  i + n <= String.length m && (String.sub m i n = "hop limit" || go (i + 1))
                in
                go 0)
-             (Engine.Trace.records trace)))
+             (List.rev !records)))
   ]
 
 let metrics_tests =

@@ -342,10 +342,10 @@ let registry_tests =
   [ Alcotest.test_case "periodic sampling of gauges and counters" `Quick (fun () ->
         let sim = Engine.Sim.create () in
         let reg = Obs.Registry.create sim in
-        let c = Engine.Stats.Counter.create ~name:"c" () in
-        Obs.Registry.counter reg "events.c" c;
+        let c = ref 0 in
+        Obs.Registry.int_gauge reg "events.c" (fun () -> !c);
         Obs.Registry.int_gauge reg "pending" (fun () -> Engine.Sim.pending sim);
-        ignore (Engine.Sim.schedule_at sim 2.5 (fun () -> Engine.Stats.Counter.incr c));
+        ignore (Engine.Sim.schedule_at sim 2.5 (fun () -> incr c));
         Obs.Registry.run_sampler reg ~every:1.0 ~until:5.0;
         Engine.Sim.run sim;
         Alcotest.(check int) "five ticks" 5 (Obs.Registry.samples reg);
@@ -388,21 +388,23 @@ let registry_tests =
              Alcotest.(check (float 1e-9)) "t=3" 1.0 (value p3)
            | _ -> Alcotest.fail "wrong point count")
         | _ -> Alcotest.fail "no series list");
-    Alcotest.test_case "summary and histogram snapshots" `Quick (fun () ->
+    Alcotest.test_case "summary snapshots" `Quick (fun () ->
         let sim = Engine.Sim.create () in
         let reg = Obs.Registry.create sim in
         let s = Engine.Stats.Summary.create () in
         List.iter (Engine.Stats.Summary.add s) [ 1.0; 2.0; 3.0 ];
         Obs.Registry.summary reg ~unit_:"s" "lat" s;
-        let h = Engine.Stats.Histogram.create ~bin_width:1.0 () in
-        Engine.Stats.Histogram.add h 0.5;
-        Obs.Registry.histogram reg "sizes" h;
+        Obs.Registry.summary reg "empty" (Engine.Stats.Summary.create ());
         match Obs.Json.member "distributions" (Obs.Registry.to_json reg) with
-        | Some (Obs.Json.List [ lat; sizes ]) ->
+        | Some (Obs.Json.List [ lat; empty ]) ->
           Alcotest.(check (option (float 1e-9))) "p50" (Some 2.0)
             (Option.bind (Obs.Json.member "p50" lat) Obs.Json.to_float_opt);
-          Alcotest.(check (option (float 1e-9))) "histogram count" (Some 1.0)
-            (Option.bind (Obs.Json.member "count" sizes) Obs.Json.to_float_opt)
+          Alcotest.(check bool) "unit" true
+            (Obs.Json.member "unit" lat = Some (Obs.Json.String "s"));
+          Alcotest.(check (option (float 1e-9))) "empty count" (Some 0.0)
+            (Option.bind (Obs.Json.member "count" empty) Obs.Json.to_float_opt);
+          Alcotest.(check bool) "no statistics when empty" true
+            (Obs.Json.member "mean" empty = None)
         | _ -> Alcotest.fail "expected two distributions");
     Alcotest.test_case "duplicate probe names rejected" `Quick (fun () ->
         let reg = Obs.Registry.create (Engine.Sim.create ()) in
@@ -421,10 +423,8 @@ let registry_tests =
            in
            Alcotest.(check bool) "message names the duplicate" true
              (has_sub "\"queue\"" msg && has_sub "already registered" msg));
-        (match
-           Obs.Registry.counter reg "queue" (Engine.Stats.Counter.create ~name:"c" ())
-         with
-         | () -> Alcotest.fail "counter reused a gauge's name"
+        (match Obs.Registry.int_gauge reg "queue" (fun () -> 1) with
+         | () -> Alcotest.fail "int gauge reused a gauge's name"
          | exception Invalid_argument _ -> ());
         let s = Engine.Stats.Summary.create () in
         Obs.Registry.summary reg "lat" s;

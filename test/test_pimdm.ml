@@ -30,7 +30,7 @@ let make ?(config = Pimdm.Pim_config.default) ?(ifaces = [ 0; 1; 2 ]) () =
   let members = Hashtbl.create 4 in
   let env =
     { Pimdm.Pim_env.sim;
-      trace = Engine.Trace.create ~enabled:false sim;
+      trace = Engine.Trace.create sim;
       rng = Engine.Rng.create 11;
       config;
       label = "R";
@@ -586,7 +586,7 @@ let make_first_hop () =
   let members = Hashtbl.create 4 in
   let env =
     { Pimdm.Pim_env.sim;
-      trace = Engine.Trace.create ~enabled:false sim;
+      trace = Engine.Trace.create sim;
       rng = Engine.Rng.create 11;
       config = refresh_config;
       label = "FH";
