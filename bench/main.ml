@@ -755,12 +755,9 @@ let perf () =
       let h = Engine.Wheel.push q (float_of_int (i land 63)) i in
       if i land 3 = 0 then Engine.Wheel.cancel q h
     done;
-    let rec drain () =
-      match Engine.Wheel.pop q with
-      | Some _ -> drain ()
-      | None -> ()
-    in
-    drain ()
+    while not (Engine.Wheel.is_empty q) do
+      ignore (Engine.Wheel.take q)
+    done
   in
   (* -- micro 2: packets through Network.transmit on a pristine
         multi-access link (1 sender, 3 listeners, no faults),

@@ -153,14 +153,18 @@ let parse_flap s =
     | _ -> Error s)
   | _ -> Error s
 
+(* A paper run whose monitor reports a violation is a failed verdict. *)
+let paper_verdict command f =
+  try f () with Paper.Violation msg -> fail_run command msg
+
 (* Run a Figure-1 descriptor built from the command line.  One the run
    cannot carry out as given — an unknown link, a move or a flap after
    the end, a flap that ends before it starts — is a usage error. *)
-let run_paper ~spec d measure =
+let run_paper ~command ~spec d measure =
   match Desc.validate d with
   | Error e -> `Error (false, e)
   | Ok () ->
-    Paper.run ~spec d spec.Scenario.approach measure;
+    paper_verdict command (fun () -> Paper.run ~spec d spec.Scenario.approach measure);
     `Ok ()
 
 let run_cmd approach seed no_unsolicited tquery moves duration rate bytes loss flaps
@@ -204,7 +208,7 @@ let run_cmd approach seed no_unsolicited tquery moves duration rate bytes loss f
         Desc.d_traffic =
           { d.Desc.d_traffic with Desc.tr_interval = 1.0 /. rate; tr_bytes = bytes } }
     in
-    run_paper ~spec d (fun scenario metrics ->
+    run_paper ~command:"run" ~spec d (fun scenario metrics ->
         let cap = Option.map (fun _ -> Obs.Capture.attach scenario.Scenario.net) capture in
         let tele =
           Option.map
@@ -342,7 +346,7 @@ let tree_cmd approach seed no_unsolicited tquery at =
   | `Ok _ when not (positive_finite at) ->
     `Error (false, "at must be a positive number of seconds")
   | `Ok spec ->
-    run_paper ~spec
+    run_paper ~command:"tree" ~spec
       (Paper.figure1 ~seed ~name:"tree" ~until:at ~duration:at [])
       (fun scenario _ () ->
         print_endline
@@ -423,11 +427,12 @@ let compare_cmd seed no_unsolicited tquery jobs telemetry =
   | `Ok _ when jobs < 1 -> `Error (false, "jobs must be at least 1")
   | `Ok spec ->
     let rows =
-      match telemetry with
-      | None -> Paper.table1 ~spec ~jobs ()
-      | Some dir ->
-        Obs.Json.ensure_dir dir;
-        Parallel.map ~jobs (compare_with_telemetry ~seed ~spec dir) Approach.all
+      paper_verdict "compare" (fun () ->
+          match telemetry with
+          | None -> Paper.table1 ~spec ~jobs ()
+          | Some dir ->
+            Obs.Json.ensure_dir dir;
+            Parallel.map ~jobs (compare_with_telemetry ~seed ~spec dir) Approach.all)
     in
     Paper.pp_table Format.std_formatter rows;
     (match telemetry with
@@ -488,8 +493,9 @@ let sweep_cmd seed trials no_unsolicited values jobs telemetry =
   else if jobs < 1 then `Error (false, "jobs must be at least 1")
   else begin
     let rows =
-      Paper.timer_sweep ~base_seed:seed ~trials
-        ~unsolicited:(not no_unsolicited) ~tquery_values:values ~jobs ()
+      paper_verdict "sweep" (fun () ->
+          Paper.timer_sweep ~base_seed:seed ~trials
+            ~unsolicited:(not no_unsolicited) ~tquery_values:values ~jobs ())
     in
     Printf.printf "%8s %22s %10s %12s %10s\n" "TQuery" "join mean/min/max [s]" "leave [s]"
       "wasted [B]" "MLD [B/s]";
@@ -564,7 +570,8 @@ let trace_cmd approach seed no_unsolicited tquery until category =
     match Desc.validate d with
     | Error e -> `Error (false, e)
     | Ok () ->
-      ignore (Scale.Runner.run ~spec ~on_trace d spec.Scenario.approach);
+      paper_verdict "trace" (fun () ->
+          Paper.check_verdict d (Scale.Runner.run ~spec ~on_trace d spec.Scenario.approach));
       `Ok ()
 
 let trace_term =

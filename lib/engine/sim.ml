@@ -20,8 +20,11 @@ type t = {
   mutable executed : int;
   mutable profiler : profiler option;
   mutable decider : decider option;
+  mutable choose : int -> int;  (* [decider] on an Order choice, clamped *)
   mutable lineage : Span.t option;
 }
+
+let canonical (_ : int) = 0
 
 let create ?(seed = 42) () =
   { clock = Time.zero;
@@ -30,9 +33,20 @@ let create ?(seed = 42) () =
     executed = 0;
     profiler = None;
     decider = None;
+    choose = canonical;
     lineage = None }
 
-let set_decider t d = t.decider <- d
+let clamp ~arity c = if c <= 0 then 0 else if c >= arity then arity - 1 else c
+
+(* The Order chooser is built here, once, so the dispatch loop hands
+   [Wheel.pop_choice] a closure it does not allocate. *)
+let set_decider t d =
+  t.decider <- d;
+  t.choose <-
+    (match d with
+     | None -> canonical
+     | Some d -> fun arity -> clamp ~arity (d ~kind:Order ~arity))
+
 let decider_active t = t.decider <> None
 
 (* Lineage collection follows the profiling discipline: [lineage]
@@ -47,9 +61,7 @@ let decide t ~kind ~arity =
   else
     match t.decider with
     | None -> 0
-    | Some d ->
-      let c = d ~kind ~arity in
-      if c <= 0 then 0 else if c >= arity then arity - 1 else c
+    | Some d -> clamp ~arity (d ~kind ~arity)
 
 let now t = t.clock
 let rng t = t.root_rng
@@ -109,55 +121,51 @@ let postpone ?(category = "other") t handle time f =
 
 let pending t = Wheel.size t.queue
 
-let fire t time f =
+(* Run the earliest event; the queue is not empty.  With no decider
+   the front is taken as is.  With one, same-timestamp ties are a
+   choice point: the decider is consulted only when the tie is real
+   (arity > 1), so decision sequences stay compact.  Neither path
+   allocates. *)
+let dispatch t =
+  let q = t.queue in
+  let time = Wheel.front_time q in
+  let f =
+    match t.decider with
+    | None -> Wheel.take q
+    | Some _ -> Wheel.pop_choice q t.choose
+  in
   t.clock <- time;
   t.executed <- t.executed + 1;
-  f ();
-  true
+  f ()
 
 let step t =
-  match t.decider with
-  | None -> (
-    (* Default path: untouched, so golden traces are unaffected by the
-       existence of the choice hook. *)
-    match Wheel.pop t.queue with
-    | None -> false
-    | Some (time, f) -> fire t time f)
-  | Some _ -> (
-    (* Explored path: same-timestamp ties are a choice point.  The
-       decider is consulted only when the tie is real (arity > 1), so
-       decision sequences stay compact. *)
-    let n = Wheel.front_count t.queue in
-    if n = 0 then false
-    else
-      let k = decide t ~kind:Order ~arity:n in
-      match Wheel.pop_kth t.queue k with
-      | None -> false
-      | Some (time, f) -> fire t time f)
+  if Wheel.is_empty t.queue then false
+  else begin
+    dispatch t;
+    true
+  end
 
 let run ?until ?max_events t =
-  let budget_exhausted () =
-    match max_events with
-    | None -> false
-    | Some n -> t.executed >= n
-  in
-  let rec loop () =
-    if budget_exhausted () then ()
-    else
-      match Wheel.peek_time t.queue with
-      | None -> ()
-      | Some next -> (
-        match until with
-        | Some limit when Time.compare next limit > 0 -> t.clock <- limit
-        | Some _ | None ->
-          ignore (step t);
-          loop ())
-  in
-  loop ();
-  (* An [until] bound advances the clock even when the queue drains early. *)
+  let budget = match max_events with None -> max_int | Some n -> n in
+  let q = t.queue in
   match until with
-  | Some limit when Time.compare t.clock limit < 0 && not (budget_exhausted ()) ->
-    t.clock <- limit
-  | Some _ | None -> ()
+  | None ->
+    while t.executed < budget && not (Wheel.is_empty q) do
+      dispatch t
+    done
+  | Some limit ->
+    (* An [until] before [now] runs nothing and leaves the clock where
+       it is; otherwise the clock ends at [until], even when the queue
+       drains early, unless the budget ran out first. *)
+    if Float.compare limit t.clock >= 0 then begin
+      while
+        t.executed < budget
+        && (not (Wheel.is_empty q))
+        && Float.compare (Wheel.front_time q) limit <= 0
+      do
+        dispatch t
+      done;
+      if t.executed < budget then t.clock <- limit
+    end
 
 let events_executed t = t.executed

@@ -53,14 +53,21 @@ val step : t -> bool
     sequence breaks the tie — see {!Wheel.pop} and {!Event_queue.pop}).
     When a decider is installed (see {!set_decider}) and several live
     events share the earliest timestamp, the decider picks which fires
-    first instead; with no decider the default order is exact and the
-    fast pop path is untouched. *)
+    first instead ({!Wheel.pop_choice}); with no decider the front is
+    taken as is ({!Wheel.take}), with no tie walk. *)
 
 val run : ?until:Time.t -> ?max_events:int -> t -> unit
 (** Drain the event queue.  With [until], stops once the next event
-    would fire strictly after [until] and advances the clock to [until].
-    With [max_events], stops after that many events (a runaway guard for
-    tests). *)
+    would fire strictly after [until] and advances the clock to [until];
+    an [until] before {!now} runs nothing and leaves the clock where it
+    is, since the clock never moves backwards.  With [max_events], stops
+    once {!events_executed} reaches it (a runaway guard for tests), and
+    then leaves the clock at the last event run.
+
+    Both paths of {!step} share one dispatch loop, which allocates
+    nothing per event: it reads the front time and takes the payload
+    without an option, and a decider's Order chooser is built once, by
+    {!set_decider}. *)
 
 val events_executed : t -> int
 

@@ -56,7 +56,14 @@
    shared empty slot, which nothing ever mutates, and a slot record
    replaces it at the first placement into that index.  A Figure-1 run
    places into 322 of the 1,792 indices, a 5-router exploration
-   schedule into about 100, so most records would never be used. *)
+   schedule into about 100, so most records would never be used.
+
+   L0 keeps an occupancy bitmap, one bit per slot, with the invariant
+   "a non-empty slot has its bit set".  Placement sets the bit; only
+   the L0 scan clears it, when it finds the slot empty after pruning.
+   A bit may therefore be stale (set on an empty slot) but never
+   missing, so the scan jumps from set bit to set bit instead of
+   testing each of the window's 1,024 slots. *)
 
 (* An entry is also its own handle.  [time]/[q]/[seq] are the key it
    is physically placed under; [due]/[key] are the key it will pop at.
@@ -126,21 +133,40 @@ type 'a t = {
   mutable hint0 : int;
   mutable hint1 : int;
   mutable hint2 : int;
+  (* L0 occupancy: bit [i land 31] of [occ.(i lsr 5)] is set whenever
+     L0 slot [i] is non-empty (see the header). *)
+  occ : int array;
   mutable seq : int;
   mutable live : int;
   (* Memoized front of the queue: the live entry the next pop will
      return, and which level holds it (3 = overflow).  Set by a scan or
-     by a push that beats the cached entry; cleared by pop.  Cancelling
-     or postponing the cached entry leaves it stale — it is valid only
-     while [settled]. *)
-  mutable front : 'a entry option;
+     by a push that beats the cached entry; reset to [none] by a pop.
+     Cancelling or postponing the cached entry leaves it stale — it is
+     valid only while [settled], which [none] never is. *)
+  mutable front : 'a entry;
   mutable front_level : int;
+  none : 'a entry;
+  (* [pop_choice]'s scratch: the front ties in seq order and where each
+     sits, as [tie_loc] encodes it.  Cells past the ties of the call in
+     progress hold [hole ()]. *)
+  mutable ties : 'a entry array;
+  mutable locs : int array;
 }
+
+(* The filler of vacated cells.  An immediate, so a cell holding it
+   keeps nothing reachable; sound because no cell outside a slot's live
+   ranges is ever read, and an entry array is never a float array. *)
+let hole () : 'a entry = Obj.magic 0
 
 let fresh_slot () = { run = [||]; rhead = 0; rlen = 0; heap = [||]; hlen = 0 }
 
+let mask0 = (1 lsl bits0) - 1
+
 let create () =
   let empty = fresh_slot () in
+  (* Never settled ([key <> seq]), so a front cache holding it is
+     always refreshed; its payload is never read. *)
+  let none = { time = 0.0; q = 0; seq = 0; payload = Obj.magic 0; due = 0.0; key = fired } in
   { l0 = Array.make (1 lsl bits0) empty;
     l1 = Array.make (1 lsl bits1) empty;
     l2 = Array.make (1 lsl bits2) empty;
@@ -155,10 +181,14 @@ let create () =
     hint0 = 0;
     hint1 = 0;
     hint2 = 0;
+    occ = Array.make (1 lsl (bits0 - 5)) 0;
     seq = 0;
     live = 0;
-    front = None;
-    front_level = 0 }
+    front = none;
+    front_level = 0;
+    none;
+    ties = [||];
+    locs = [||] }
 
 let quantum time =
   let f = Time.seconds time *. 1024.0 in
@@ -166,17 +196,14 @@ let quantum time =
      and land in the overflow heap, where ordering uses the raw time. *)
   if f >= 4.0e18 then max_int else if f > 0.0 then int_of_float f else 0
 
+(* [Time.compare], which is [Float.compare], called directly so that it
+   compiles inline. *)
 let entry_before a b =
-  match Time.compare a.time b.time with
+  match Float.compare a.time b.time with
   | 0 -> a.seq < b.seq
   | c -> c < 0
 
 (* ---- slots ---- *)
-
-(* The filler of vacated cells.  An immediate, so a cell holding it
-   keeps nothing reachable; sound because no cell outside a slot's live
-   ranges is ever read, and an entry array is never a float array. *)
-let hole () : 'a entry = Obj.magic 0
 
 let slot_is_empty s = s.rlen = 0
 
@@ -313,7 +340,7 @@ let slot_pop s =
   end
 
 (* Remove the entry at location [i]: a run index when [i >= 0], heap
-   index [lnot i] otherwise (the locations [iter_front_ties] reports).
+   index [lnot i] otherwise (a tie location halved, see [tie_loc]).
    A run entry is removed by shifting the run's head over it. *)
 let slot_remove s i =
   if i >= 0 then begin
@@ -338,7 +365,9 @@ let slot_for t level i =
 let place t e =
   let q = e.q in
   if q lsr bits0 = t.b0 then begin
-    slot_push (slot_for t t.l0 (q land ((1 lsl bits0) - 1))) e;
+    let i = q land mask0 in
+    slot_push (slot_for t t.l0 i) e;
+    t.occ.(i lsr 5) <- t.occ.(i lsr 5) lor (1 lsl (i land 31));
     t.c0 <- t.c0 + 1;
     if q < t.hint0 then t.hint0 <- q;
     0
@@ -370,16 +399,14 @@ let push t time payload =
   t.seq <- t.seq + 1;
   t.live <- t.live + 1;
   let level = place t e in
-  (* Keep the front cache exact when the new entry beats it.  A [None]
+  (* Keep the front cache exact when the new entry beats it.  An unset
      or stale cache stays as-is: claiming [e] is the minimum without a
      scan would be wrong. *)
-  (match t.front with
-   | Some f when settled f ->
-     if entry_before e f then begin
-       t.front <- Some e;
-       t.front_level <- level
-     end
-   | Some _ | None -> ());
+  let f = t.front in
+  if settled f && entry_before e f then begin
+    t.front <- e;
+    t.front_level <- level
+  end;
   e
 
 let cancel t e =
@@ -392,7 +419,7 @@ let is_cancelled _t e = e.key = cancelled
 
 let postpone t e time payload =
   if not (pending e) then invalid_arg "Wheel.postpone: event is not pending";
-  if Time.compare time e.due > 0 then begin
+  if Float.compare time e.due > 0 then begin
     e.due <- time;
     e.key <- t.seq;
     t.seq <- t.seq + 1;
@@ -479,7 +506,7 @@ let rec prune t s ~level =
 (* The first absolute index in [i, stop) whose slot in [slots] (of
    [mask + 1] slots) still holds an entry once pruned, or [stop].  Most
    slots a scan passes are empty, so those are skipped before the
-   call to [prune]. *)
+   call to [prune].  L1 and L2 scan this way; L0 uses its bitmap. *)
 let rec scan t slots mask ~level i stop =
   if i >= stop then stop
   else begin
@@ -491,19 +518,51 @@ let rec scan t slots mask ~level i stop =
     end
   end
 
+(* The index of the lowest set bit of a non-zero 32-bit [x]: isolate
+   it, and a de Bruijn multiply puts a distinct 5-bit pattern in the
+   top bits of the product's low 32. *)
+let debruijn =
+  "\000\001\028\002\029\014\024\003\030\022\020\015\025\017\004\008\031\027\013\023\021\019\016\007\026\012\018\006\011\005\010\009"
+
+let ctz32 x = Char.code debruijn.[(((x land (-x)) * 0x077CB531) land 0xFFFFFFFF) lsr 27]
+
+(* [scan] over L0's bitmap: [bits] is what is left to visit of word [w]
+   (slots [32 w] to [32 w + 31] of the window starting at quantum
+   [base]).  Pruning may re-place a postponed entry into a later slot
+   of the same word, so the word is re-read after each empty slot. *)
+let rec scan0 t base stop w bits =
+  if bits <> 0 then begin
+    let b = ctz32 bits in
+    let j = (w lsl 5) lor b in
+    let s = t.l0.(j) in
+    prune t s ~level:0;
+    if not (slot_is_empty s) then base + j
+    else begin
+      let word = t.occ.(w) land lnot (1 lsl b) in
+      t.occ.(w) <- word;
+      scan0 t base stop w (word land (-2 lsl b))
+    end
+  end
+  else if w + 1 < Array.length t.occ then scan0 t base stop (w + 1) t.occ.(w + 1)
+  else stop
+
 (* The slot holding the earliest live wheel entry, with its level in
    [t.front_level], or [t.empty].  Levels cover disjoint, increasing
    quantum ranges, so the first level with a live entry holds the wheel
    minimum.  Each level's cursor moves to what its scan found, or to
    the end of its window when the level holds nothing. *)
 let wheel_min t =
-  let stop0 = (t.b0 + 1) lsl bits0 in
+  let base = t.b0 lsl bits0 in
+  let stop0 = base + (1 lsl bits0) in
   t.hint0 <-
     (if t.c0 = 0 then stop0
-     else scan t t.l0 ((1 lsl bits0) - 1) ~level:0 (max t.hint0 (t.b0 lsl bits0)) stop0);
+     else begin
+       let j = max t.hint0 base - base in
+       scan0 t base stop0 (j lsr 5) (t.occ.(j lsr 5) land (-1 lsl (j land 31)))
+     end);
   if t.hint0 < stop0 then begin
     t.front_level <- 0;
-    t.l0.(t.hint0 land ((1 lsl bits0) - 1))
+    t.l0.(t.hint0 land mask0)
   end
   else begin
     let stop1 = (t.b1 + 1) lsl bits1 in
@@ -532,56 +591,58 @@ let wheel_min t =
    hold quanta that meanwhile fell inside the windows.  A valid cache
    (set by the previous scan or by a push that beat it, and still
    settled) is reused as-is, which makes the peek-then-pop cycle cost
-   one scan and no allocation beyond the cached option.  The overflow
-   is pruned first: a postponed minimum it re-places may land in the
-   wheel, which the scan then sees; what the scan re-places into the
-   overflow is settled, so the minimum read afterwards needs no prune. *)
+   one scan and no allocation.  The overflow is pruned first: a
+   postponed minimum it re-places may land in the wheel, which the scan
+   then sees; what the scan re-places into the overflow is settled, so
+   the minimum read afterwards needs no prune. *)
 let refresh_front t =
-  match t.front with
-  | Some e when settled e -> ()
-  | Some _ | None ->
+  if not (settled t.front) then begin
     prune t t.overflow ~level:3;
     let w = wheel_min t in
     let o = t.overflow in
-    if slot_is_empty o then
-      t.front <- (if slot_is_empty w then None else Some (slot_min w))
+    if slot_is_empty o then t.front <- (if slot_is_empty w then t.none else slot_min w)
     else if slot_is_empty w || entry_before (slot_min o) (slot_min w) then begin
-      t.front <- Some (slot_min o);
+      t.front <- slot_min o;
       t.front_level <- 3
     end
-    else t.front <- Some (slot_min w)
+    else t.front <- slot_min w
+  end
 
-let peek_time t =
+(* The front entry; [fn] names the caller in the empty wheel's error. *)
+let front t fn =
   refresh_front t;
-  match t.front with
-  | None -> None
-  | Some e -> Some e.time
+  let e = t.front in
+  if not (settled e) then invalid_arg (fn ^ ": empty wheel");
+  e
 
-let pop t =
-  refresh_front t;
-  match t.front with
-  | None -> None
-  | Some e ->
-    (match t.front_level with
-     | 0 ->
-       ignore (slot_pop t.l0.(e.q land ((1 lsl bits0) - 1)));
-       t.c0 <- t.c0 - 1
-     | 1 | 2 ->
-       (* Bring the entry's quantum into the L0 window (cascades move
-          it down), then take it off the front of its L0 slot. *)
-       advance_to t e.q;
-       let s = t.l0.(e.q land ((1 lsl bits0) - 1)) in
-       prune t s ~level:0;
-       ignore (slot_pop s);
-       t.c0 <- t.c0 - 1
-     | _ ->
-       ignore (slot_pop t.overflow);
-       (* Advance anyway so subsequent pushes place near the new now. *)
-       advance_to t e.q);
-    e.key <- fired;
-    t.live <- t.live - 1;
-    t.front <- None;
-    Some (e.time, e.payload)
+let front_time t = (front t "Wheel.front_time").time
+
+(* Mark the popped [e] fired and drop the front cache, which held it. *)
+let fire t e =
+  e.key <- fired;
+  t.live <- t.live - 1;
+  t.front <- t.none;
+  e.payload
+
+let take t =
+  let e = front t "Wheel.take" in
+  (match t.front_level with
+   | 0 ->
+     ignore (slot_pop t.l0.(e.q land mask0));
+     t.c0 <- t.c0 - 1
+   | 1 | 2 ->
+     (* Bring the entry's quantum into the L0 window (cascades move
+        it down), then take it off the front of its L0 slot. *)
+     advance_to t e.q;
+     let s = t.l0.(e.q land mask0) in
+     prune t s ~level:0;
+     ignore (slot_pop s);
+     t.c0 <- t.c0 - 1
+   | _ ->
+     ignore (slot_pop t.overflow);
+     (* Advance anyway so subsequent pushes place near the new now. *)
+     advance_to t e.q);
+  fire t e
 
 let size t = t.live
 
@@ -589,96 +650,82 @@ let is_empty t = t.live = 0
 
 (* ---- choice points over the front ---- *)
 
-(* The slot where current placement logic would put quantum [q] (and
-   the level it sits at), or [None] when [q] lies beyond the wheel and
-   only the overflow heap can hold it.  Every live entry with quantum
-   [q] is either in this slot or in the overflow: placement is a pure
-   function of (q, windows), windows only advance at pops of the global
+(* Insert [x], found at [loc], into the first [n] cells of the tie
+   buffers, which are in seq order and stay so; returns [n + 1].  Run
+   entries arrive in seq order and append; only heap and overflow
+   entries can shift anything. *)
+let add_tie t n (x : _ entry) loc =
+  if n = Array.length t.ties then begin
+    let cap = max 4 (2 * n) in
+    let ties = Array.make cap (hole ()) and locs = Array.make cap 0 in
+    Array.blit t.ties 0 ties 0 n;
+    Array.blit t.locs 0 locs 0 n;
+    t.ties <- ties;
+    t.locs <- locs
+  end;
+  let i = ref n in
+  while !i > 0 && t.ties.(!i - 1).seq > x.seq do
+    t.ties.(!i) <- t.ties.(!i - 1);
+    t.locs.(!i) <- t.locs.(!i - 1);
+    decr i
+  done;
+  t.ties.(!i) <- x;
+  t.locs.(!i) <- loc;
+  n + 1
+
+(* A tie's location: its index in [slot_remove]'s convention (a run
+   index, or [lnot] a heap index), doubled, plus 1 in the overflow. *)
+let tie_loc i ~ovf = (i lsl 1) lor ovf
+
+let is_tie x ft = settled x && Float.compare x.time ft = 0
+
+(* Add the ties at time [ft] in the heap subtree of [s] rooted at [i]:
+   entries no later than [ft] form a subtree at the top of the heap. *)
+let rec add_heap_ties t s ~ovf ft i n =
+  if i < s.hlen && Float.compare s.heap.(i).time ft <= 0 then begin
+    let x = s.heap.(i) in
+    let n = if is_tie x ft then add_tie t n x (tie_loc (lnot i) ~ovf) else n in
+    let n = add_heap_ties t s ~ovf ft ((2 * i) + 1) n in
+    add_heap_ties t s ~ovf ft ((2 * i) + 2) n
+  end
+  else n
+
+(* Add the ties at time [ft] in slot [s]: entries no later than [ft]
+   are a prefix of the run.  A postponed entry still placed at [ft] is
+   skipped: its new deadline is strictly later, so it is no tie. *)
+let add_slot_ties t s ~ovf ft n =
+  let n = ref n and i = ref s.rhead in
+  while !i < s.rlen && Float.compare s.run.(!i).time ft <= 0 do
+    let x = s.run.(!i) in
+    if is_tie x ft then n := add_tie t !n x (tie_loc !i ~ovf);
+    incr i
+  done;
+  add_heap_ties t s ~ovf ft 0 !n
+
+(* The front's quantum is first brought into the L0 window, as [take]
+   does for it: every live entry at the front's time then sits in that
+   quantum's L0 slot or in the overflow.  Placement is a pure function
+   of (quantum, windows), windows only advance at pops of the global
    minimum, and [advance_to] cascades exactly the slots a new window
-   uncovers — so live entries never linger at a stale level above the
-   one this function reports (the header argument: skipped slots hold
-   only cancelled entries; postponed ones are re-placed before a scan
-   moves past them). *)
-let slot_of_quantum t q =
-  if q lsr bits0 = t.b0 then Some (t.l0.(q land ((1 lsl bits0) - 1)), 0)
-  else if q lsr (bits0 + bits1) = t.b1 then
-    Some (t.l1.((q lsr bits0) land ((1 lsl bits1) - 1)), 1)
-  else if q lsr (bits0 + bits1 + bits2) = t.b2 then
-    Some (t.l2.((q lsr (bits0 + bits1)) land ((1 lsl bits2) - 1)), 2)
-  else None
-
-(* Apply [f entry slot level location] to every live entry whose
-   timestamp equals the front entry's, [location] as [slot_remove] takes
-   it.  Candidates live in the front quantum's placement slot and
-   (rarely) the overflow: equal times share a quantum, so nothing else
-   can hold one.  Within a slot, the entries no later than the front
-   are a prefix of the run and a subtree at the top of the heap, so the
-   walk stops at the first later entry of each.  A postponed entry
-   still placed at the front's time is skipped: its new deadline is
-   strictly later, so it is no tie. *)
-let iter_front_ties t front f =
-  let visit x s level i =
-    if settled x && Time.compare x.time front.time = 0 then f x s level i
-  in
-  let walk s level =
-    let i = ref s.rhead in
-    while !i < s.rlen && Time.compare s.run.(!i).time front.time <= 0 do
-      visit s.run.(!i) s level !i;
-      incr i
-    done;
-    let rec down i =
-      if i < s.hlen && Time.compare s.heap.(i).time front.time <= 0 then begin
-        visit s.heap.(i) s level (lnot i);
-        down ((2 * i) + 1);
-        down ((2 * i) + 2)
-      end
-    in
-    down 0
-  in
-  (match slot_of_quantum t front.q with
-   | Some (s, level) -> walk s level
-   | None -> ());
-  walk t.overflow 3
-
-let front_count t =
-  refresh_front t;
-  match t.front with
-  | None -> 0
-  | Some e ->
-    let n = ref 0 in
-    iter_front_ties t e (fun _ _ _ _ -> incr n);
-    !n
-
-let pop_kth t k =
-  refresh_front t;
-  match t.front with
-  | None -> None
-  | Some e ->
-    if k = 0 then pop t
-    else begin
-      let cands = ref [] in
-      iter_front_ties t e (fun x s level i -> cands := (x, s, level, i) :: !cands);
-      let arr = Array.of_list !cands in
-      Array.sort
-        (fun ((a : _ entry), _, _, _) ((b : _ entry), _, _, _) ->
-          compare a.seq b.seq)
-        arr;
-      if k < 0 || k >= Array.length arr then
-        invalid_arg
-          (Printf.sprintf "Wheel.pop_kth: index %d out of %d front ties" k
-             (Array.length arr));
-      let x, s, level, i = arr.(k) in
-      slot_remove s i;
-      (match level with
-       | 0 -> t.c0 <- t.c0 - 1
-       | 1 -> t.c1 <- t.c1 - 1
-       | 2 -> t.c2 <- t.c2 - 1
-       | _ -> ());
-      x.key <- fired;
-      t.live <- t.live - 1;
-      t.front <- None;
-      (* Advance after removal, matching [pop]'s floor semantics: the
-         popped quantum becomes the wheel floor. *)
-      advance_to t x.q;
-      Some (x.time, x.payload)
-    end
+   uncovers — so no live entry lingers at a level above its placement
+   (the header argument: skipped slots hold only cancelled entries;
+   postponed ones are re-placed before a scan moves past them). *)
+let pop_choice t choose =
+  let e = front t "Wheel.pop_choice" in
+  advance_to t e.q;
+  let s = t.l0.(e.q land mask0) in
+  let n = add_slot_ties t s ~ovf:0 e.time 0 in
+  let n = add_slot_ties t t.overflow ~ovf:1 e.time n in
+  let k = if n = 1 then 0 else choose n in
+  if k < 0 || k >= n then begin
+    Array.fill t.ties 0 n (hole ());
+    invalid_arg (Printf.sprintf "Wheel.pop_choice: choice %d out of %d front ties" k n)
+  end;
+  let x = t.ties.(k) and loc = t.locs.(k) in
+  Array.fill t.ties 0 n (hole ());
+  if loc land 1 = 0 then begin
+    slot_remove s (loc asr 1);
+    t.c0 <- t.c0 - 1
+  end
+  else slot_remove t.overflow (loc asr 1);
+  fire t x

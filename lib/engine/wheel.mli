@@ -15,6 +15,12 @@
     bit-identical to the heap implementation's, while a flood's
     in-order deliveries cost no sifting.
 
+    The 1 s level keeps an occupancy bitmap, one bit per slot, under the
+    invariant {e a non-empty slot has its bit set}: placement sets the
+    bit and only the scan for the front clears it, on finding the slot
+    empty.  The scan therefore jumps between set bits instead of testing
+    every slot of a sparse window.
+
     Slot records are allocated at the first placement into their index;
     until then every index shares one empty slot that is never written,
     so {!create} allocates three arrays and no per-slot record.  A slot
@@ -56,8 +62,9 @@ val postpone : 'a t -> 'a handle -> Time.t -> 'a -> 'a handle
     allocated, and no second entry waits in the wheel for the old
     deadline.  The stale placement is corrected lazily, when the entry
     reaches the head of its slot — always before any event it could
-    now precede pops, because its old deadline is the earlier one.  Pops, {!front_count} and {!pop_kth} therefore
-    see exactly what cancel + push would show them.
+    now precede pops, because its old deadline is the earlier one.
+    {!take} and {!pop_choice} therefore see exactly what cancel + push
+    would show them.
 
     An earlier or equal [time] falls back to cancel + push and returns
     the new handle.
@@ -65,34 +72,38 @@ val postpone : 'a t -> 'a handle -> Time.t -> 'a -> 'a handle
     the fallback) if [time] precedes the time of the most recently
     popped event. *)
 
-val peek_time : 'a t -> Time.t option
-(** Timestamp of the earliest live event, if any. *)
+val front_time : 'a t -> Time.t
+(** Timestamp of the earliest live event.
+    @raise Invalid_argument if the wheel is empty. *)
 
-val pop : 'a t -> (Time.t * 'a) option
-(** Remove and return the earliest live event.
+val take : 'a t -> 'a
+(** Remove the earliest live event and return its payload; its time is
+    what {!front_time} answered just before.  Neither call allocates.
 
     {b Same-timestamp ordering contract} (shared with {!Event_queue},
     pinned by golden trace digests): every push is stamped with a
-    global, monotonically increasing sequence number, and pops come
+    global, monotonically increasing sequence number, and takes come
     out in strictly increasing [(time, seq)] — events with equal
     timestamps are delivered in push order, regardless of which slot,
-    level, or overflow heap physically holds them.  [pop] is
-    equivalent to [pop_kth t 0]. *)
+    level, or overflow heap physically holds them.
+    @raise Invalid_argument if the wheel is empty. *)
 
-val front_count : 'a t -> int
-(** Number of live events sharing the earliest timestamp — the arity
-    of the schedule choice the next pop represents.  [0] iff the wheel
-    is empty; [1] means the next pop is forced. *)
+val pop_choice : 'a t -> (int -> int) -> 'a
+(** [pop_choice t choose] removes one of the [n] live events sharing
+    the earliest timestamp and returns its payload — the
+    controlled-nondeterminism hook: a schedule explorer may deliver
+    same-timestamp ties in any order, and every such order is legal for
+    the protocols under test (see PROTOCOLS.md).
 
-val pop_kth : 'a t -> int -> (Time.t * 'a) option
-(** [pop_kth t k] removes and returns the [k]-th event (0-based, in
-    global push order) among the live events sharing the earliest
-    timestamp — the controlled-nondeterminism hook: a schedule
-    explorer may deliver same-timestamp ties in any order, and every
-    such order is legal for the protocols under test (see
-    PROTOCOLS.md).  [pop_kth t 0] behaves exactly like {!pop}.
-    Handles of unchosen ties stay live and cancellable.
-    @raise Invalid_argument if [k < 0] or [k >= front_count t]. *)
+    When [n > 1] it takes the [choose n]-th tie, counting from 0 in
+    global push order, so [0] is what {!take} would return; a lone front
+    ([n = 1]) is taken without calling [choose].  The ties are gathered
+    into buffers the wheel reuses, already in push order, so a call
+    allocates nothing once those buffers have grown to the largest [n]
+    seen, and they keep no reference to a popped entry.  Handles of
+    unchosen ties stay live and cancellable.
+    @raise Invalid_argument if the wheel is empty or [choose n] is
+    outside [\[0, n)]. *)
 
 val size : 'a t -> int
 (** Number of live (non-cancelled) events. *)

@@ -29,16 +29,26 @@ type outcome = {
    replays: [Runner.decider_of_choices] over it reproduces the run
    bit-for-bit. *)
 let record base =
-  let deviations = ref [] in
-  let count = ref 0 in
+  (* Deviation [i] chose [choices.(i)] at decision [positions.(i)]. *)
+  let positions = ref (Array.make 16 0) and choices = ref (Array.make 16 0) in
+  let deviations = ref 0 and count = ref 0 in
   let decide ~kind ~arity =
     let c = base ~kind ~arity in
     let c = if c <= 0 then 0 else if c >= arity then arity - 1 else c in
-    if c <> 0 then deviations := (!count, c) :: !deviations;
+    if c <> 0 then begin
+      let n = !deviations in
+      if n = Array.length !positions then begin
+        positions := Array.append !positions !positions;
+        choices := Array.append !choices !choices
+      end;
+      !positions.(n) <- !count;
+      !choices.(n) <- c;
+      deviations := n + 1
+    end;
     incr count;
     c
   in
-  (decide, fun () -> (List.rev !deviations, !count))
+  (decide, fun () -> (List.init !deviations (fun i -> (!positions.(i), !choices.(i))), !count))
 
 let explore ?(budget = 500) ?(sustain = 10.0) ?(delay_slots = 3)
     ?(delay_max = 0.05) ?(seed = 42) ?(stop_on_violation = true) ?on_progress

@@ -60,10 +60,17 @@ let next t ~seed ~run_index =
       Array.init (max 0 (depth - 1)) (fun _ -> Rng.int rng 2048)
     in
     Array.sort compare changes;
-    let pos = ref 0 in
+    (* [changes.(next)] is the first change point not yet passed;
+       equal points reshuffle once. *)
+    let pos = ref 0 and next = ref 0 in
     Some
       (fun ~kind:_ ~arity ->
-        if Array.exists (fun c -> c = !pos) changes then Rng.shuffle rng prio;
+        if !next < Array.length changes && changes.(!next) = !pos then begin
+          Rng.shuffle rng prio;
+          while !next < Array.length changes && changes.(!next) = !pos do
+            incr next
+          done
+        end;
         incr pos;
         let best = ref 0 in
         for i = 1 to arity - 1 do

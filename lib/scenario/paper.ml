@@ -29,13 +29,31 @@ let figure1 ?(seed = Scenario.default_spec.Scenario.seed) ?(from_t = 30.0) ?(fau
     d_disable_graft = false;
     d_wire_check = false }
 
+exception Violation of string
+
+let check_verdict d (o : Runner.outcome) =
+  match o.Runner.out_violations with
+  | [] -> ()
+  | v :: rest ->
+    raise
+      (Violation
+         (Printf.sprintf "%s, approach %d: %s at %.3f s on %s: %s%s" d.Desc.d_name
+            (Approach.number o.Runner.out_approach)
+            (Check.Monitor.invariant_name v.Check.Monitor.v_invariant)
+            v.Check.Monitor.v_at v.Check.Monitor.v_where v.Check.Monitor.v_detail
+            (match rest with
+             | [] -> ""
+             | _ -> Printf.sprintf " (%d more violation(s))" (List.length rest))))
+
 let run ?(spec = Scenario.default_spec) ?inspect d approach measure =
   let read = ref None in
-  ignore
-    (Runner.run ~spec d approach ~inspect:(fun scenario ->
-         let metrics = Metrics.attach scenario.Scenario.net in
-         read := Some (measure scenario metrics);
-         Option.iter (fun f -> f scenario metrics) inspect));
+  let o =
+    Runner.run ~spec d approach ~inspect:(fun scenario ->
+        let metrics = Metrics.attach scenario.Scenario.net in
+        read := Some (measure scenario metrics);
+        Option.iter (fun f -> f scenario metrics) inspect)
+  in
+  check_verdict d o;
   Option.get !read ()
 
 let move ~at host link = Desc.Move { at; host; link }

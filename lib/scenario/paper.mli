@@ -37,7 +37,17 @@ val run :
     [inspect] hook, [measure] gets the scenario and a fresh
     {!Mmcast.Metrics.t}; it may schedule read-only probes, and the
     thunk it returns reads the measures after the run.  [inspect] runs
-    after it, on the same scenario and {!Mmcast.Metrics.t}. *)
+    after it, on the same scenario and {!Mmcast.Metrics.t}.
+    @raise Violation if the monitor reports an invariant violation
+    ({!check_verdict}); the measures are then not read. *)
+
+exception Violation of string
+(** A paper run failed its verdict.  The message names the run, its
+    approach and its first violation, on one line. *)
+
+val check_verdict : Desc.t -> Runner.outcome -> unit
+(** @raise Violation if [outcome], a run of the descriptor, reports
+    an invariant violation. *)
 
 val rfc_mld : Mmcast.Scenario.spec
 (** The paper's defaults with RFC-default MLD hosts: no unsolicited

@@ -148,10 +148,136 @@ let event_queue_properties =
   List.map QCheck_alcotest.to_alcotest
     [ sorted_pop_matches_sort; cancel_any_subset; interleavings_match_model ]
 
+(* The wheel's pop and peek in [Event_queue]'s option shape, for the
+   wheel-vs-heap comparisons. *)
+let wheel_peek w = if Wheel.is_empty w then None else Some (Wheel.front_time w)
+
+let wheel_pop w =
+  if Wheel.is_empty w then None
+  else
+    let time = Wheel.front_time w in
+    Some (time, Wheel.take w)
+
+(* [Wheel.pop_choice] asked for tie [k], with the arity it offered: 0
+   on an empty wheel, 1 when it took a lone front without asking. *)
+let wheel_pop_choice w k =
+  if Wheel.is_empty w then (0, None)
+  else begin
+    let time = Wheel.front_time w in
+    let arity = ref 1 in
+    let x =
+      Wheel.pop_choice w (fun n ->
+          arity := n;
+          min k (n - 1))
+    in
+    (!arity, Some (time, x))
+  end
+
+(* A wheel and its heap oracle fed the same operations, with the live
+   ids in a dense pool for uniform random picks.  [ok] turns false at
+   the first disagreement. *)
+module Twin = struct
+  type t = {
+    w : int Wheel.t;
+    q : int Event_queue.t;
+    mutable ok : bool;
+    mutable now : float;  (* time of the last pop *)
+    mutable next_id : int;
+    mutable ids : int array;  (* the live ids are [ids.(0) .. ids.(n - 1)] *)
+    mutable n : int;
+    pos : (int, int) Hashtbl.t;  (* index of a live id in [ids] *)
+    info : (int, float * int Wheel.handle * Event_queue.handle) Hashtbl.t;
+  }
+
+  let create () =
+    { w = Wheel.create ();
+      q = Event_queue.create ();
+      ok = true;
+      now = 0.0;
+      next_id = 0;
+      ids = Array.make 1024 0;
+      n = 0;
+      pos = Hashtbl.create 1024;
+      info = Hashtbl.create 1024 }
+
+  let add m id v =
+    if m.n = Array.length m.ids then m.ids <- Array.append m.ids m.ids;
+    m.ids.(m.n) <- id;
+    Hashtbl.replace m.pos id m.n;
+    m.n <- m.n + 1;
+    Hashtbl.replace m.info id v
+
+  let remove m id =
+    let i = Hashtbl.find m.pos id in
+    m.n <- m.n - 1;
+    let last = m.ids.(m.n) in
+    m.ids.(i) <- last;
+    Hashtbl.replace m.pos last i;
+    Hashtbl.remove m.pos id;
+    Hashtbl.remove m.info id
+
+  let push m time =
+    let id = m.next_id in
+    m.next_id <- id + 1;
+    add m id (time, Wheel.push m.w time id, Event_queue.push m.q time id)
+
+  let popped m = function
+    | None, None -> ()
+    | Some (wt, wid), Some (qt, qid) when wt = qt && wid = qid ->
+      m.now <- wt;
+      remove m wid
+    | _ -> m.ok <- false
+
+  let pop m =
+    if wheel_peek m.w <> Event_queue.peek_time m.q then m.ok <- false;
+    popped m (wheel_pop m.w, Event_queue.pop m.q)
+
+  (* [choose n] picks one of the heap's [n] front ties; the wheel must
+     offer the same [n]. *)
+  let pop_choice m choose =
+    let n = Event_queue.front_count m.q in
+    let k = if n > 0 then choose n else 0 in
+    let wn, wr = wheel_pop_choice m.w k in
+    if wn <> n then m.ok <- false;
+    popped m (wr, Event_queue.pop_kth m.q k)
+
+  (* [int n] draws the victim's index among the [n] live ids. *)
+  let cancel m int =
+    if m.n > 0 then begin
+      let id = m.ids.(int m.n) in
+      let _, wh, qh = Hashtbl.find m.info id in
+      Wheel.cancel m.w wh;
+      Event_queue.cancel m.q qh;
+      remove m id
+    end
+
+  (* Re-schedule a random live id at [later due]; the heap's oracle is
+     cancel + push. *)
+  let postpone m int later =
+    if m.n > 0 then begin
+      let id = m.ids.(int m.n) in
+      let due, wh, qh = Hashtbl.find m.info id in
+      let time = later due in
+      let wh' = Wheel.postpone m.w wh time id in
+      if time > due && wh' != wh then m.ok <- false;
+      Event_queue.cancel m.q qh;
+      Hashtbl.replace m.info id (time, wh', Event_queue.push m.q time id)
+    end
+
+  (* Compare the sizes, then drain both; the verdict. *)
+  let finish m =
+    if Wheel.size m.w <> m.n || Event_queue.size m.q <> m.n then m.ok <- false;
+    while m.n > 0 && m.ok do
+      pop m
+    done;
+    popped m (wheel_pop m.w, Event_queue.pop m.q);
+    m.ok
+end
+
 let wheel_tests =
   let drain w =
     let rec loop acc =
-      match Wheel.pop w with None -> List.rev acc | Some e -> loop (e :: acc)
+      match wheel_pop w with None -> List.rev acc | Some e -> loop (e :: acc)
     in
     loop []
   in
@@ -202,7 +328,7 @@ let wheel_tests =
     Alcotest.test_case "push before the pop floor raises" `Quick (fun () ->
         let w = Wheel.create () in
         ignore (Wheel.push w 10.0 ());
-        ignore (Wheel.pop w);
+        ignore (Wheel.take w);
         Alcotest.check_raises "past deadline"
           (Invalid_argument "Wheel.push: time precedes the last popped event")
           (fun () -> ignore (Wheel.push w 5.0 ())));
@@ -217,7 +343,7 @@ let wheel_properties =
        L1/L2 cascades, and the overflow heap.  The heap has no
        postpone: its oracle is the cancel + push that [Wheel.postpone]
        must be indistinguishable from, in pops and in the front ties
-       [front_count]/[pop_kth] expose. *)
+       [pop_choice] offers ([Event_queue.front_count]/[pop_kth]). *)
     QCheck.Test.make ~name:"wheel and heap fire identical sequences" ~count:300
       QCheck.(list (triple (int_range 0 7) (int_range 0 2_000_000) (int_range 0 15)))
       (fun ops ->
@@ -274,17 +400,18 @@ let wheel_properties =
                 live :=
                   (id, time, wh', qh') :: List.filter (fun e -> e != victim) entries)
             | 6 -> (
-              let wn = Wheel.front_count w in
-              if wn <> Event_queue.front_count q then ok := false;
-              if wn > 0 then
-                let k = pick mod wn in
-                match (Wheel.pop_kth w k, Event_queue.pop_kth q k) with
-                | Some (wt, wid), Some (qt, qid) when wt = qt && wid = qid ->
-                  popped (wt, wid)
-                | _ -> ok := false)
+              let qn = Event_queue.front_count q in
+              let k = if qn > 0 then pick mod qn else 0 in
+              let wn, wr = wheel_pop_choice w k in
+              if wn <> qn then ok := false;
+              match (wr, Event_queue.pop_kth q k) with
+              | None, None -> ()
+              | Some (wt, wid), Some (qt, qid) when wt = qt && wid = qid ->
+                popped (wt, wid)
+              | _ -> ok := false)
             | _ -> (
-              if Wheel.peek_time w <> Event_queue.peek_time q then ok := false;
-              match (Wheel.pop w, Event_queue.pop q) with
+              if wheel_peek w <> Event_queue.peek_time q then ok := false;
+              match (wheel_pop w, Event_queue.pop q) with
               | None, None -> ()
               | Some (wt, wid), Some (qt, qid) when wt = qt && wid = qid ->
                 popped (wt, wid)
@@ -292,7 +419,7 @@ let wheel_properties =
           ops;
         (* Drain whatever is left and compare the tails too. *)
         let rec drain () =
-          match (Wheel.pop w, Event_queue.pop q) with
+          match (wheel_pop w, Event_queue.pop q) with
           | None, None -> ()
           | Some (wt, wid), Some (qt, qid) when wt = qt && wid = qid -> drain ()
           | _ -> ok := false
@@ -316,89 +443,22 @@ let wheel_properties =
       (fun seed ->
         let rng = Random.State.make [| seed |] in
         let int n = Random.State.int rng n in
-        let w = Wheel.create () in
-        let q = Event_queue.create () in
-        let ok = ref true in
-        let now = ref 0.0 in
-        let next_id = ref 0 in
-        (* Live ids in a dense pool for random picks; [info] maps an id
-           to its deadline and both handles. *)
-        let pool = ref (Array.make 1024 0) and npool = ref 0 in
-        let pos = Hashtbl.create 1024 and info = Hashtbl.create 1024 in
-        let add id v =
-          if !npool = Array.length !pool then begin
-            let bigger = Array.make (2 * !npool) 0 in
-            Array.blit !pool 0 bigger 0 !npool;
-            pool := bigger
-          end;
-          !pool.(!npool) <- id;
-          Hashtbl.replace pos id !npool;
-          incr npool;
-          Hashtbl.replace info id v
-        in
-        let remove id =
-          let i = Hashtbl.find pos id in
-          decr npool;
-          let last = !pool.(!npool) in
-          !pool.(i) <- last;
-          Hashtbl.replace pos last i;
-          Hashtbl.remove pos id;
-          Hashtbl.remove info id
-        in
-        let push time =
-          let id = !next_id in
-          incr next_id;
-          add id (time, Wheel.push w time id, Event_queue.push q time id)
-        in
-        let popped = function
-          | None, None -> ()
-          | Some (wt, wid), Some (qt, qid) when wt = qt && wid = qid ->
-            now := wt;
-            remove wid
-          | _ -> ok := false
-        in
-        let pop () =
-          if Wheel.peek_time w <> Event_queue.peek_time q then ok := false;
-          popped (Wheel.pop w, Event_queue.pop q)
-        in
-        let pop_tie () =
-          let n = Wheel.front_count w in
-          if n <> Event_queue.front_count q then ok := false
-          else if n > 0 then begin
-            let k = int n in
-            popped (Wheel.pop_kth w k, Event_queue.pop_kth q k)
-          end
-        in
-        let cancel () =
-          if !npool > 0 then begin
-            let id = !pool.(int !npool) in
-            let _, wh, qh = Hashtbl.find info id in
-            Wheel.cancel w wh;
-            Event_queue.cancel q qh;
-            remove id
-          end
-        in
+        let m = Twin.create () in
+        let push = Twin.push m and pop () = Twin.pop m in
+        let pop_tie () = Twin.pop_choice m (fun n -> int n) in
+        let cancel () = Twin.cancel m int in
+        (* Mostly later (the in-place move), sometimes back to the floor
+           (the cancel + push fallback). *)
         let postpone () =
-          if !npool > 0 then begin
-            let id = !pool.(int !npool) in
-            let due, wh, qh = Hashtbl.find info id in
-            (* Mostly later (the in-place move), sometimes back to the
-               floor (the cancel + push fallback). *)
-            let time =
+          Twin.postpone m int (fun due ->
               if int 4 > 0 then due +. (float_of_int (1 + int 2048) /. 1048576.0)
-              else !now +. (float_of_int (int 64) /. 1048576.0)
-            in
-            let wh' = Wheel.postpone w wh time id in
-            if time > due && wh' != wh then ok := false;
-            Event_queue.cancel q qh;
-            Hashtbl.replace info id (time, wh', Event_queue.push q time id)
-          end
+              else m.Twin.now +. (float_of_int (int 64) /. 1048576.0))
         in
         (* Offsets are in 2^-20 s, 1,024 to a quantum, so every time is
            exact and equal offsets are exact ties. *)
         let last_quantum = ref (-1) and offset = ref 0 in
         let burst () =
-          let here = int_of_float (!now *. 1024.0) in
+          let here = int_of_float (m.Twin.now *. 1024.0) in
           let quantum =
             if !last_quantum >= here && int 2 = 0 then !last_quantum
             else here + [| 0; 1; 3; 700; 1500 |].(int 5)
@@ -406,7 +466,7 @@ let wheel_properties =
           if quantum <> !last_quantum then offset := int 64;
           last_quantum := quantum;
           let base = float_of_int quantum /. 1024.0 in
-          let at k = Float.max !now (base +. (float_of_int k /. 1048576.0)) in
+          let at k = Float.max m.Twin.now (base +. (float_of_int k /. 1048576.0)) in
           for _ = 1 to 100 + int 901 do
             match int 100 with
             | r when r < 7 -> push (at (int (!offset + 1)))  (* a straggler *)
@@ -427,14 +487,61 @@ let wheel_properties =
             | _ -> burst ()
           done
         done;
-        if Wheel.size w <> !npool || Event_queue.size q <> !npool then ok := false;
-        while !npool > 0 && !ok do
-          pop ()
-        done;
-        popped (Wheel.pop w, Event_queue.pop q);
-        !ok)
+        Twin.finish m)
   in
-  List.map QCheck_alcotest.to_alcotest [ wheel_matches_heap; wheel_matches_heap_on_floods ]
+  let choice_matches_heap =
+    (* [pop_choice] under a random chooser against the heap's
+       [front_count]/[pop_kth], on two stream shapes at once: floods of
+       pushes into one quantum, and sparse events seconds apart, whose
+       pops move the L0 window on past slots they drained, leaving
+       stale occupancy bits for the scan to clear.  Times come from six
+       anchors, exact multiples of 2^-20 s that pushes and postpones
+       re-use, so ties are the norm and land in a slot's run (in
+       order), in its heap (behind a later tail) and in the overflow
+       (past the ~36 h window, joined by wheel entries at the same time
+       once a pop brings the windows near). *)
+    QCheck.Test.make ~name:"pop_choice matches pop_kth on floods and sparse streams"
+      ~count:40 QCheck.(int_bound 0x3FFFFFFF)
+      (fun seed ->
+        let rng = Random.State.make [| seed |] in
+        let int n = Random.State.int rng n in
+        let m = Twin.create () in
+        let tick k = float_of_int k /. 1048576.0 in
+        let anchors = Array.make 6 0.0 in
+        let reanchor () =
+          let from = if int 3 = 0 then anchors.(int 6) else m.Twin.now in
+          let gap = [| 0.0; 0.0005; 0.4; 3.0; 7.0; 700.0; 140000.0 |].(int 7) in
+          let t = Float.max m.Twin.now (from +. (gap *. (1.0 +. Random.State.float rng 1.0))) in
+          anchors.(int 6) <- Float.round (t *. 1048576.0) /. 1048576.0
+        in
+        let anchor () = Float.max m.Twin.now anchors.(int 6) in
+        let burst () =
+          let a = anchor () and offset = ref 0 in
+          for _ = 1 to 50 + int 250 do
+            if int 4 = 0 then offset := !offset + 1 + int 2;
+            Twin.push m (a +. tick !offset)
+          done
+        in
+        Array.iteri (fun _ _ -> reanchor ()) anchors;
+        for _ = 1 to 2000 do
+          match int 100 with
+          | r when r < 35 -> Twin.push m (anchor () +. tick (if int 3 = 0 then int 4 else 0))
+          | r when r < 38 -> burst ()
+          | r when r < 45 -> reanchor ()
+          | r when r < 70 -> Twin.pop_choice m (fun n -> int n)
+          | r when r < 82 -> Twin.pop m
+          | r when r < 91 -> Twin.cancel m int
+          | _ ->
+            Twin.postpone m int (fun due ->
+                let a = anchors.(int 6) in
+                if a > due then a
+                else if int 4 = 0 then m.Twin.now
+                else due +. tick (1 + int 3000))
+        done;
+        Twin.finish m)
+  in
+  List.map QCheck_alcotest.to_alcotest
+    [ wheel_matches_heap; wheel_matches_heap_on_floods; choice_matches_heap ]
 
 (* Fired and cancelled payloads must be garbage once the wheel is done
    with them: slots clear every cell they vacate and drop a drained
@@ -456,7 +563,7 @@ let wheel_memory_tests =
   in
   let[@inline never] pop_ids w m =
     List.init m (fun _ ->
-        match Wheel.pop w with Some (_, p) -> !p | None -> Alcotest.fail "wheel ran dry")
+        match wheel_pop w with Some (_, p) -> !p | None -> Alcotest.fail "wheel ran dry")
   in
   let reachable weak ids =
     Gc.full_major ();
@@ -475,7 +582,7 @@ let wheel_memory_tests =
         let first = pop_ids w (live / 2) in
         check_gone "popped half" weak first;
         let rest = pop_ids w (live - (live / 2)) in
-        Alcotest.(check bool) "empty" true (Wheel.pop w = None);
+        Alcotest.(check bool) "empty" true (Wheel.is_empty w);
         check_gone "drained" weak (first @ rest @ cancelled n));
     Alcotest.test_case "a cascaded L1 slot retains no payload" `Quick (fun () ->
         let n = 400 in
@@ -489,6 +596,31 @@ let wheel_memory_tests =
         ignore (pop_ids w (Wheel.size w));
         Alcotest.(check int) "empty" 0 (Wheel.size w);
         check_gone "drained" weak (List.init n Fun.id));
+    Alcotest.test_case "the tie buffers retain no popped entry" `Quick (fun () ->
+        (* Eight times with eight ties each, some behind a later tail
+           (in the slot's heap); every pop picks the last tie, so the
+           buffers fill to eight each time. *)
+        let n = 64 in
+        let w = Wheel.create () in
+        let weak = Weak.create n in
+        let[@inline never] fill () =
+          for i = 0 to n - 1 do
+            let payload = ref i in
+            Weak.set weak i (Some payload);
+            let slot = if i mod 3 = 2 then (i + 8) mod 8 else i mod 8 in
+            ignore (Wheel.push w (1.0 +. (float_of_int slot /. 1048576.0)) payload)
+          done
+        in
+        let[@inline never] pop_last m =
+          List.init m (fun _ -> !(Wheel.pop_choice w (fun arity -> arity - 1)))
+        in
+        fill ();
+        let first = pop_last 20 in
+        check_gone "mid-drain" weak first;
+        let rest = pop_last (n - 20) in
+        Alcotest.(check int) "empty" 0 (Wheel.size w);
+        check_gone "drained" weak (first @ rest);
+        ignore (Sys.opaque_identity w));
     Alcotest.test_case "create allocates no slot records" `Quick (fun () ->
         (* The L0 and L1 arrays are too big for the minor heap; the L2
            array's 257 words, the wheel record, the shared empty slot and
@@ -502,11 +634,11 @@ let wheel_memory_tests =
           Alcotest.failf "Wheel.create allocated %.0f minor words" words)
   ]
 
-(* Satellite of the schedule-exploration work: the same-timestamp
-   ordering contract (pops strictly increasing in (time, push seq)) and
-   its sanctioned deviation [pop_kth] must agree between the two
-   implementations under arbitrary interleavings of pushes, cancels and
-   tie-indexed pops. *)
+(* The same-timestamp ordering contract (pops strictly increasing in
+   (time, push seq)) and its sanctioned deviation — the wheel's
+   [pop_choice], the heap's [front_count]/[pop_kth] — must agree between
+   the two implementations under arbitrary interleavings of pushes,
+   cancels and tie-indexed pops. *)
 let tie_break_tests =
   let unit_tests =
     [ Alcotest.test_case "front_count counts only live front ties" `Quick
@@ -519,7 +651,7 @@ let tie_break_tests =
           ignore (Event_queue.push q 9.0 99);
           Wheel.cancel w (List.nth wh 2);
           Event_queue.cancel q (List.nth qh 2);
-          Alcotest.(check int) "wheel" 4 (Wheel.front_count w);
+          Alcotest.(check int) "wheel" 4 (fst (wheel_pop_choice w 0));
           Alcotest.(check int) "heap" 4 (Event_queue.front_count q));
       Alcotest.test_case "pop_kth picks the k-th tie by push order" `Quick
         (fun () ->
@@ -530,15 +662,15 @@ let tie_break_tests =
           Wheel.cancel w (List.nth wh 2);
           Event_queue.cancel q (List.nth qh 2);
           (* Live ties by push order: 0, 1, 3, 4 — the 2nd is id 3. *)
-          Alcotest.(check (option (pair (float 1e-9) int)))
-            "wheel kth" (Some (7.25, 3)) (Wheel.pop_kth w 2);
+          Alcotest.(check (pair int (option (pair (float 1e-9) int))))
+            "wheel kth" (4, Some (7.25, 3)) (wheel_pop_choice w 2);
           Alcotest.(check (option (pair (float 1e-9) int)))
             "heap kth" (Some (7.25, 3)) (Event_queue.pop_kth q 2);
           (* Remaining ties 0, 1, 4 keep popping in push order. *)
           Alcotest.(check (list (pair (float 1e-9) int)))
             "wheel rest"
             [ (7.25, 0); (7.25, 1); (7.25, 4) ]
-            (List.filter_map (fun _ -> Wheel.pop w) [ (); (); () ]);
+            (List.filter_map (fun _ -> wheel_pop w) [ (); (); () ]);
           Alcotest.(check (list (pair (float 1e-9) int)))
             "heap rest"
             [ (7.25, 0); (7.25, 1); (7.25, 4) ]
@@ -547,22 +679,28 @@ let tie_break_tests =
         (fun () ->
           let w = Wheel.create () in
           let q = Event_queue.create () in
-          Alcotest.(check (option (pair (float 1e-9) int)))
-            "empty wheel" None (Wheel.pop_kth w 0);
+          Alcotest.check_raises "empty wheel"
+            (Invalid_argument "Wheel.pop_choice: empty wheel") (fun () ->
+              ignore (Wheel.pop_choice w (fun _ -> 0)));
           Alcotest.(check (option (pair (float 1e-9) int)))
             "empty heap" None (Event_queue.pop_kth q 0);
           ignore (Wheel.push w 3.0 1);
           ignore (Wheel.push w 3.0 2);
           ignore (Event_queue.push q 3.0 1);
           ignore (Event_queue.push q 3.0 2);
-          Alcotest.(check (option (pair (float 1e-9) int)))
-            "wheel k=0 = pop" (Some (3.0, 1)) (Wheel.pop_kth w 0);
+          Alcotest.(check (pair int (option (pair (float 1e-9) int))))
+            "wheel k=0 = pop" (2, Some (3.0, 1)) (wheel_pop_choice w 0);
           Alcotest.(check (option (pair (float 1e-9) int)))
             "heap k=0 = pop" (Some (3.0, 1)) (Event_queue.pop_kth q 0);
+          ignore (Wheel.push w 3.0 3);
           (try
-             ignore (Wheel.pop_kth w 5);
+             ignore (Wheel.pop_choice w (fun _ -> 5));
              Alcotest.fail "wheel accepted out-of-range k"
            with Invalid_argument _ -> ());
+          (* A lone front is taken without asking. *)
+          ignore (Wheel.take w);
+          Alcotest.(check int) "lone front" 3
+            (Wheel.pop_choice w (fun _ -> Alcotest.fail "chooser called on a lone front"));
           try
             ignore (Event_queue.pop_kth q 5);
             Alcotest.fail "heap accepted out-of-range k"
@@ -577,15 +715,14 @@ let tie_break_tests =
           ignore (Wheel.postpone w (List.nth wh 1) 9.0 1);
           Event_queue.cancel q (List.nth qh 1);
           ignore (Event_queue.push q 9.0 1);
-          Alcotest.(check int) "wheel" 2 (Wheel.front_count w);
           Alcotest.(check int) "heap" 2 (Event_queue.front_count q);
-          Alcotest.(check (option (pair (float 1e-9) int)))
-            "wheel kth" (Some (7.25, 2)) (Wheel.pop_kth w 1);
+          Alcotest.(check (pair int (option (pair (float 1e-9) int))))
+            "wheel kth" (2, Some (7.25, 2)) (wheel_pop_choice w 1);
           Alcotest.(check (option (pair (float 1e-9) int)))
             "heap kth" (Some (7.25, 2)) (Event_queue.pop_kth q 1);
           Alcotest.(check (list (pair (float 1e-9) int)))
             "wheel rest" [ (7.25, 0); (9.0, 1) ]
-            (List.filter_map (fun _ -> Wheel.pop w) [ (); (); () ]);
+            (List.filter_map (fun _ -> wheel_pop w) [ (); (); () ]);
           Alcotest.(check (list (pair (float 1e-9) int)))
             "heap rest" [ (7.25, 0); (9.0, 1) ]
             (List.filter_map (fun _ -> Event_queue.pop q) [ (); (); () ]))
@@ -628,21 +765,21 @@ let tie_break_tests =
                 Event_queue.cancel q qh;
                 live := List.filter (fun e -> e != victim) entries)
             | _ -> (
-              let wn = Wheel.front_count w in
               let qn = Event_queue.front_count q in
+              let k = if qn > 0 then pick mod qn else 0 in
+              let wn, wr = wheel_pop_choice w k in
               if wn <> qn then ok := false;
-              if wn > 0 then
-                let k = pick mod wn in
-                match (Wheel.pop_kth w k, Event_queue.pop_kth q k) with
-                | Some (wt, wid), Some (qt, qid) when wt = qt && wid = qid ->
-                  now := wt;
-                  live := List.filter (fun (i, _, _) -> i <> wid) !live
-                | _ -> ok := false))
+              match (wr, Event_queue.pop_kth q k) with
+              | None, None -> ()
+              | Some (wt, wid), Some (qt, qid) when wt = qt && wid = qid ->
+                now := wt;
+                live := List.filter (fun (i, _, _) -> i <> wid) !live
+              | _ -> ok := false))
           ops;
         if Wheel.size w <> List.length !live then ok := false;
         (* Drain canonically and compare the tails. *)
         let rec drain () =
-          match (Wheel.pop w, Event_queue.pop q) with
+          match (wheel_pop w, Event_queue.pop q) with
           | None, None -> ()
           | Some (wt, wid), Some (qt, qid) when wt = qt && wid = qid -> drain ()
           | _ -> ok := false
@@ -686,6 +823,51 @@ let sim_tests =
         Alcotest.(check (float 1e-9)) "clock at bound" 50.0 (Sim.now sim);
         Sim.run sim;
         Alcotest.(check int) "second fires later" 2 !count);
+    Alcotest.test_case "run ~until before now leaves the clock alone" `Quick (fun () ->
+        let sim = Sim.create () in
+        let fired = ref [] in
+        List.iter
+          (fun at -> ignore (Sim.schedule_at sim at (fun () -> fired := at :: !fired)))
+          [ 5.0; 10.0 ];
+        Sim.run ~until:6.0 sim;
+        Sim.run ~until:2.0 sim;
+        Alcotest.(check (float 0.0)) "now" 6.0 (Sim.now sim);
+        Alcotest.(check (list (float 0.0))) "fired" [ 5.0 ] !fired;
+        Alcotest.check_raises "3 s is in the past"
+          (Invalid_argument "Sim.schedule_at: 3 is in the past (now 6)") (fun () ->
+            ignore (Sim.schedule_at sim 3.0 ignore));
+        Sim.run sim;
+        Alcotest.(check (list (float 0.0))) "then 10 s" [ 10.0; 5.0 ] !fired);
+    Alcotest.test_case "dispatch allocates nothing per event" `Quick (fun () ->
+        (* 100k events in groups of four ties, all inside the first 1 s
+           window: placement (push, and the cascade a later window
+           needs) grows slot arrays, and is not what is measured here.
+           The dispatch loop is: it reads the front time and takes the
+           payload without an option, and a decider's chooser is built
+           once, when it is installed. *)
+        let n = 100_000 in
+        let minor_words decider =
+          let sim = Sim.create () in
+          let count = ref 0 in
+          let f () = incr count in
+          for i = 0 to n - 1 do
+            ignore (Sim.schedule_at sim (float_of_int (i / 4) /. float_of_int n) f)
+          done;
+          Sim.set_decider sim decider;
+          let before = Gc.minor_words () in
+          Sim.run sim;
+          let words = Gc.minor_words () -. before in
+          Alcotest.(check int) "every event ran" n !count;
+          words
+        in
+        (* Totals over all 100k events: the reading itself may cost a
+           boxed float, and the tie buffers grow once, to four. *)
+        let plain = minor_words None in
+        if plain > 16.0 then
+          Alcotest.failf "%.0f minor words for %d events without a decider" plain n;
+        let chosen = minor_words (Some (fun ~kind:_ ~arity -> arity - 1)) in
+        if chosen > 256.0 then
+          Alcotest.failf "%.0f minor words for %d events with a constant decider" chosen n);
     Alcotest.test_case "run ~until with empty queue advances clock" `Quick (fun () ->
         let sim = Sim.create () in
         Sim.run ~until:30.0 sim;

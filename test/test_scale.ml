@@ -441,6 +441,27 @@ let paper_tests =
               (fun v -> Alcotest.failf "%s: %a" where Check.Monitor.pp_violation v)
               o.Runner.out_violations)
           runs);
+    Alcotest.test_case "a paper run that violates an invariant fails, naming it" `Quick
+      (fun () ->
+        (* R3 leaves at 40 s, so L3 and L4 are pruned, and re-joins at
+           60 s: only a Graft brings the stream back before the prune
+           expires, and the graft-disabled twin has none. *)
+        let d ~graft =
+          { (Scale.Paper.figure1 ~name:"broken-graft" ~until:350.0 ~duration:360.0
+               [ Desc.Leave { at = 40.0; host = "R3"; group = 0 };
+                 Desc.Join { at = 60.0; host = "R3"; group = 0 } ])
+            with
+            Desc.d_disable_graft = not graft }
+        in
+        let run d = Scale.Paper.run d Mmcast.Approach.local_membership (fun _ _ () -> ()) in
+        run (d ~graft:true);
+        match run (d ~graft:false) with
+        | () -> Alcotest.fail "the graft-disabled run passed its verdict"
+        | exception Scale.Paper.Violation msg ->
+          let prefix = "broken-graft, approach 1: black-hole at " in
+          Alcotest.(check string) "names the run and the violation" prefix
+            (String.sub msg 0 (min (String.length msg) (String.length prefix)));
+          Alcotest.(check bool) "one line" false (String.contains msg '\n'));
     Alcotest.test_case "the spec argument keeps the descriptor's seed and graft knob" `Quick
       (fun () ->
         let d =
