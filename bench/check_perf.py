@@ -13,9 +13,7 @@ growth beyond 150% of baseline.
 The structural and wire_exact rows run with lineage tracing OFF, and
 the checked-in baseline predates the lineage instrumentation, so this
 comparison is also the gate that the tracing-disabled checks on the
-hot paths cost nothing beyond measurement noise.  A `traced` row in
-the current report (tracing ON) is never gated against the baseline;
-its overhead relative to `structural` is printed for information.
+hot paths cost nothing beyond measurement noise.
 
 Usage: check_perf.py CURRENT.json BASELINE.json
 """
@@ -30,7 +28,7 @@ MAX_ALLOC_GROWTH = 1.50  # fail above 150% of baseline alloc/sim-s
 def load(path):
     with open(path) as f:
         doc = json.load(f)
-    if doc.get("schema") != "mmcast-bench-perf/3":
+    if doc.get("schema") != "mmcast-bench-perf/4":
         sys.exit(f"{path}: unexpected schema {doc.get('schema')!r}")
     calib = doc["calibration"]["ns"]
     rows = {}
@@ -64,21 +62,13 @@ def main():
             f" {alloc:.2f}x baseline alloc/sim-s"
         )
         failed = failed or tput_bad or alloc_bad
-    # Informational: what turning tracing on costs, within this run
-    # (same machine, same build — no normalization needed).
-    if "traced" in current and "structural" in current:
-        ratio = (
-            current["traced"]["normalized_throughput"]
-            / current["structural"]["normalized_throughput"]
-        )
-        print(f"info traced: {ratio:.2f}x structural throughput (tracing on, not gated)")
     if failed:
         print(
             "perf regression beyond thresholds"
             f" (throughput < {MAX_THROUGHPUT_REGRESSION:.0%}"
             f" or alloc > {MAX_ALLOC_GROWTH:.0%} of bench/baseline_perf.json);"
             " if the change is intentional, regenerate the baseline with"
-            " `dune exec bench/main.exe -- perf --quick` and check it in."
+            " `dune exec bench/main.exe` and check it in."
         )
         return 1
     return 0

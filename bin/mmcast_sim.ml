@@ -4,7 +4,8 @@
    mmcast_sim tree --approach 1 --at 100
    mmcast_sim compare [--no-unsolicited]
    mmcast_sim sweep --trials 8 --tquery 125,60,30,10
-   mmcast_sim trace --approach 1 --until 80 --category pim *)
+   mmcast_sim trace --approach 1 --until 80 --category pim
+   mmcast_sim paper fig2 table1 --jobs 4 *)
 
 open Cmdliner
 open Mmcast
@@ -497,14 +498,7 @@ let sweep_cmd seed trials no_unsolicited values jobs telemetry =
           Paper.timer_sweep ~base_seed:seed ~trials
             ~unsolicited:(not no_unsolicited) ~tquery_values:values ~jobs ())
     in
-    Printf.printf "%8s %22s %10s %12s %10s\n" "TQuery" "join mean/min/max [s]" "leave [s]"
-      "wasted [B]" "MLD [B/s]";
-    List.iter
-      (fun (r : Paper.sweep_row) ->
-        Printf.printf "%8.0f %8.1f/%5.1f/%6.1f %10.1f %12.0f %10.2f\n"
-          r.Paper.tquery_s r.join_mean_s r.join_min_s r.join_max_s r.leave_mean_s
-          r.wasted_mean_bytes r.mld_bytes_per_s)
-      rows;
+    Sections.pp_sweep rows;
     (match telemetry with
      | None -> ()
      | Some dir ->
@@ -1062,7 +1056,10 @@ let explore_cmd strategy budget seed approach routers clean desc_file sustain
           with
           | exception Sys_error msg -> Error msg
           | contents ->
-            Result.bind (Obs.Json.of_string contents) Scale.Desc.of_json)
+            let ( let* ) = Result.bind in
+            let* d = Result.bind (Obs.Json.of_string contents) Scale.Desc.of_json in
+            let* () = Scale.Desc.validate d in
+            Ok d)
         | None ->
           if clean then Ok (Scale.Gen.clean ~routers ~seed ())
           else Ok (Scale.Gen.broken ~routers ~seed ())
@@ -1212,6 +1209,51 @@ let explore_term =
       (const explore_cmd $ strategy $ budget $ seed_arg $ approach_arg $ routers
       $ clean $ desc_file $ sustain $ delay_slots $ delay_max $ telemetry_arg))
 
+(* ---- paper ---- *)
+
+let paper_cmd names jobs telemetry =
+  if jobs < 1 then `Error (false, "jobs must be at least 1")
+  else begin
+    let names = if names = [] then List.map fst Sections.all else names in
+    let manifest () =
+      let m = Obs.Manifest.create ~tool:"mmcast_sim" () in
+      Obs.Manifest.add_int m "jobs" jobs;
+      m
+    in
+    (* Reports land in the telemetry directory, or the working one. *)
+    let dir = Option.value telemetry ~default:"." in
+    let outputs = ref [] in
+    let report ~kind name fields =
+      Obs.Json.ensure_dir dir;
+      let path = Filename.concat dir name in
+      Obs.Json.write_file ~pretty:true ~path
+        (Obs.Json.Obj (fields @ [ ("manifest", Obs.Manifest.to_json (manifest ())) ]));
+      outputs := (kind, path) :: !outputs;
+      path
+    in
+    paper_verdict "paper" (fun () ->
+        List.iter (fun name -> List.assoc name Sections.all { Sections.jobs; report }) names);
+    Option.iter
+      (fun dir ->
+        let m = manifest () in
+        Obs.Manifest.add_string m "sections" (String.concat " " names);
+        List.iter (fun (kind, path) -> Obs.Manifest.add_output m ~kind path) (List.rev !outputs);
+        Obs.Manifest.write m ~path:(Filename.concat dir "manifest.json"))
+      telemetry;
+    `Ok ()
+  end
+
+let paper_term =
+  let names =
+    let doc =
+      Printf.sprintf "Sections to print, in order (default: all): %s."
+        (String.concat ", " (List.map fst Sections.all))
+    in
+    let section = Arg.enum (List.map (fun (name, _) -> (name, name)) Sections.all) in
+    Arg.(value & pos_all section [] & info [] ~docv:"SECTION" ~doc)
+  in
+  Term.(ret (const paper_cmd $ names $ jobs_arg $ telemetry_arg))
+
 (* ---- assembly ---- *)
 
 let cmds =
@@ -1224,6 +1266,12 @@ let cmds =
       (Cmd.info "compare" ~exits ~doc:"Quantitative Table 1: all four approaches")
       compare_term;
     Cmd.v (Cmd.info "sweep" ~exits ~doc:"Section 4.4 MLD timer sweep") sweep_term;
+    Cmd.v
+      (Cmd.info "paper" ~exits
+         ~doc:
+           "Reproduce the paper's figures, Table 1 and sections 4.3-4.4, plus the \
+            ablations, extensions, churn and fault-recovery sections")
+      paper_term;
     Cmd.v (Cmd.info "trace" ~exits ~doc:"Dump the protocol event trace") trace_term;
     Cmd.v
       (Cmd.info "check" ~exits

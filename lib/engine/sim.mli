@@ -50,7 +50,7 @@ val step : t -> bool
 
     {b Same-timestamp ordering contract}: callbacks scheduled for the
     same instant fire in scheduling order (the queue's global push
-    sequence breaks the tie — see {!Wheel.pop} and {!Event_queue.pop}).
+    sequence breaks the tie — see {!Wheel.take}).
     When a decider is installed (see {!set_decider}) and several live
     events share the earliest timestamp, the decider picks which fires
     first instead ({!Wheel.pop_choice}); with no decider the front is

@@ -1,5 +1,6 @@
-(** Hierarchical timer wheel: a drop-in replacement for {!Event_queue}
-    with identical observable semantics — pops come out in strictly
+(** Hierarchical timer wheel: a drop-in replacement for a binary heap
+    of timestamped events (the tests keep one as its oracle), with
+    identical observable semantics — pops come out in strictly
     increasing (time, push order), handles cancel exactly the event
     whose [push] returned them — but with O(1) placement and
     cancellation and near-O(1) extraction for the clustered,
@@ -28,7 +29,7 @@
     drains: a fired payload is never reachable from the wheel, and a
     cancelled one only until a scan or cascade drops its entry.
 
-    Unlike {!Event_queue}, deadlines must not precede the time of the
+    Unlike the heap, deadlines must not precede the time of the
     most recently popped event (the wheel's floor).  The simulator
     guarantees this — it never schedules in the past. *)
 
@@ -80,7 +81,7 @@ val take : 'a t -> 'a
 (** Remove the earliest live event and return its payload; its time is
     what {!front_time} answered just before.  Neither call allocates.
 
-    {b Same-timestamp ordering contract} (shared with {!Event_queue},
+    {b Same-timestamp ordering contract} (shared with the heap oracle,
     pinned by golden trace digests): every push is stamped with a
     global, monotonically increasing sequence number, and takes come
     out in strictly increasing [(time, seq)] — events with equal

@@ -42,6 +42,9 @@ let schema = "mmcast-scenario/1"
 
 let group_addr i = Ipv6.Addr.of_string (Printf.sprintf "ff0e::1:%x" (i + 1))
 
+(* The largest index whose address's last group, [i + 1], fits 16 bits. *)
+let max_group = 0xfffe
+
 let event_time = function
   | Join { at; _ } | Leave { at; _ } | Move { at; _ } -> at
 
@@ -65,7 +68,41 @@ let validate t =
       err "%s at %g starts after the run ends at %g" what onset t.d_duration
     else Ok ()
   in
+  let group_ok what g =
+    if g >= 0 && g <= max_group then Ok ()
+    else err "%s: group index %d outside [0, %d]" what g max_group
+  in
   let* () = if t.d_routers = [] then err "%s: no routers" t.d_name else Ok () in
+  (* Every prefix parses as a /64 or shorter, and no two links share one. *)
+  let prefixes = Hashtbl.create (List.length t.d_links) in
+  let* () =
+    List.fold_left
+      (fun acc (name, prefix) ->
+        let* () = acc in
+        match Ipv6.Prefix.of_string prefix with
+        | exception Invalid_argument _ -> err "link %s: malformed prefix %S" name prefix
+        | p when Ipv6.Prefix.length p > 64 ->
+          err "link %s: prefix %s is longer than /64" name prefix
+        | p ->
+          match Hashtbl.find_opt prefixes p with
+          | Some other ->
+            err "links %s and %s share prefix %s" other name (Ipv6.Prefix.to_string p)
+          | None ->
+            Hashtbl.replace prefixes p name;
+            Ok ())
+      (Ok ()) t.d_links
+  in
+  let* () =
+    let { tr_from; tr_until; tr_interval; tr_bytes } = t.d_traffic in
+    if not (finite tr_from && finite tr_until) then
+      err "traffic window [%g, %g] must be finite and non-negative" tr_from tr_until
+    else if not (Float.is_finite tr_interval && tr_interval > 0.0) then
+      err "traffic interval %g must be positive and finite" tr_interval
+    else if tr_bytes < Ipv6.Codec.data_min_bytes || tr_bytes > Ipv6.Codec.data_max_bytes then
+      err "traffic datagram size %d outside [%d, %d]" tr_bytes Ipv6.Codec.data_min_bytes
+        Ipv6.Codec.data_max_bytes
+    else Ok ()
+  in
   let* () =
     List.fold_left
       (fun acc (r, attached, ha) ->
@@ -93,8 +130,7 @@ let validate t =
       (fun acc (s, g) ->
         let* () = acc in
         if not (host_known s) then err "sender %s is not a host" s
-        else if g < 0 then err "sender %s: negative group index" s
-        else Ok ())
+        else group_ok ("sender " ^ s) g)
       (Ok ()) t.d_senders
   in
   let* () =
@@ -108,8 +144,7 @@ let validate t =
           match ev with
           | Join { host; group; _ } | Leave { host; group; _ } ->
             if not (host_known host) then err "event references unknown host %s" host
-            else if group < 0 then err "event on %s: negative group index" host
-            else Ok ()
+            else group_ok ("event on " ^ host) group
           | Move { host; link; _ } ->
             if not (host_known host) then err "move references unknown host %s" host
             else if not (link_known link) then err "move to unknown link %s" link

@@ -69,10 +69,15 @@ val group_addr : int -> Ipv6.Addr.t
 val event_time : event -> float
 
 val validate : t -> (unit, string) result
-(** Structural soundness: every referenced link/router/host exists,
-    every host's home link is served by a home agent, times are finite
-    and non-negative, events and the onset of every fault and window
-    fall within the run (a repair may fall after it). *)
+(** Structural soundness, checked before {!Runner.run} builds
+    anything: every referenced link/router/host exists, every
+    link prefix parses as a /64 or shorter and no two links share one,
+    every host's home link is served by a home agent, group indices
+    are within what {!group_addr} encodes, times are finite and
+    non-negative, the traffic interval is positive and the datagram
+    size within [Ipv6.Codec.data_min_bytes..data_max_bytes], and events
+    and the onset of every fault and window fall within the run (a
+    repair may fall after it). *)
 
 val connected : t -> bool
 (** BFS over the descriptor's attachment graph (routers via their

@@ -114,12 +114,18 @@ let determinism_tests =
           Scale.Paper.flap_recovery ~flap_counts:[ 1; 2 ] ~jobs:test_jobs ()
         in
         Alcotest.(check bool) "field-for-field equal" true (seq = par));
+    (* Table 1 under both MLD configurations, as `mmcast_sim paper
+       table1` prints it. *)
     Alcotest.test_case "run_all rows identical at any jobs" `Slow (fun () ->
-        let seq = Scale.Paper.table1 ~jobs:1 () in
-        let par = Scale.Paper.table1 ~jobs:test_jobs () in
-        Alcotest.(check bool) "field-for-field equal" true (seq = par);
-        Alcotest.(check int) "all four approaches" (List.length Approach.all)
-          (List.length par)) ]
+        List.iter
+          (fun (what, spec) ->
+            let seq = Scale.Paper.table1 ~spec ~jobs:1 () in
+            let par = Scale.Paper.table1 ~spec ~jobs:test_jobs () in
+            Alcotest.(check bool) (what ^ ": field-for-field equal") true (seq = par);
+            Alcotest.(check int) (what ^ ": all four approaches")
+              (List.length Approach.all) (List.length par))
+          [ ("unsolicited Reports", Scenario.default_spec);
+            ("RFC-default MLD", Scale.Paper.rfc_mld) ]) ]
 
 let () =
   Alcotest.run "parallel"

@@ -94,6 +94,11 @@ let generator_properties =
 
 let sample () = Gen.scenario ~routers:8 ~seed:3 ()
 
+let rejects what d =
+  match Desc.validate d with
+  | Error _ -> ()
+  | Ok () -> Alcotest.failf "%s accepted" what
+
 let desc_tests =
   [ Alcotest.test_case "validate rejects unknown host in event" `Quick (fun () ->
         let d = sample () in
@@ -125,6 +130,66 @@ let desc_tests =
         match Desc.validate d with
         | Error _ -> ()
         | Ok () -> Alcotest.fail "expected rejection");
+    Alcotest.test_case "validate rejects a malformed link prefix" `Quick (fun () ->
+        let d = sample () in
+        List.iter
+          (fun bad ->
+            let links =
+              match d.Desc.d_links with
+              | (name, _) :: rest -> (name, bad) :: rest
+              | [] -> []
+            in
+            rejects ("prefix " ^ bad) { d with Desc.d_links = links })
+          [ "2001:db8:100:0::/64x"; "2001:db8:100:0::"; "2001:db8:zz::/64"; "2001:db8::/96" ]);
+    Alcotest.test_case "validate rejects one prefix on two links" `Quick (fun () ->
+        let d = sample () in
+        let links =
+          match d.Desc.d_links with
+          | (a, p) :: (b, _) :: rest -> (a, p) :: (b, p) :: rest
+          | l -> l
+        in
+        rejects "shared prefix" { d with Desc.d_links = links });
+    Alcotest.test_case "validate bounds group indices by group_addr's range" `Quick
+      (fun () ->
+        let d = sample () in
+        let host = fst (List.hd d.Desc.d_hosts) in
+        let join group = { d with Desc.d_events = [ Desc.Join { at = 1.0; host; group } ] } in
+        Alcotest.(check bool) "0xfffe validates" true (Desc.validate (join 0xfffe) = Ok ());
+        Alcotest.(check string) "and encodes" "ff0e::1:ffff"
+          (Ipv6.Addr.to_string (Desc.group_addr 0xfffe));
+        rejects "join group 0xffff" (join 0xffff);
+        rejects "sender group 0x10000" { d with Desc.d_senders = [ (host, 0x10000) ] });
+    Alcotest.test_case "validate rejects traffic times that are negative or not finite"
+      `Quick (fun () ->
+        let d = sample () in
+        let tr = d.Desc.d_traffic in
+        List.iter
+          (fun (what, traffic) -> rejects what { d with Desc.d_traffic = traffic })
+          [ ("from -5", { tr with Desc.tr_from = -5.0 });
+            ("from nan", { tr with Desc.tr_from = Float.nan });
+            ("until infinity", { tr with Desc.tr_until = Float.infinity });
+            ("until -1", { tr with Desc.tr_until = -1.0 }) ]);
+    (* Checked through validate only: at a zero interval the traffic
+       source would reschedule at the same instant without end. *)
+    Alcotest.test_case "validate rejects a traffic interval that is not positive" `Quick
+      (fun () ->
+        let d = sample () in
+        let tr = d.Desc.d_traffic in
+        List.iter
+          (fun i -> rejects (Printf.sprintf "interval %g" i)
+                      { d with Desc.d_traffic = { tr with Desc.tr_interval = i } })
+          [ 0.0; -1.0; Float.nan; Float.infinity ]);
+    Alcotest.test_case "validate rejects datagram sizes the codec cannot carry" `Quick
+      (fun () ->
+        let d = sample () in
+        let tr = d.Desc.d_traffic in
+        let sized b = { d with Desc.d_traffic = { tr with Desc.tr_bytes = b } } in
+        rejects "bytes -1" (sized (-1));
+        rejects "bytes below minimum" (sized (Ipv6.Codec.data_min_bytes - 1));
+        rejects "bytes above maximum" (sized (Ipv6.Codec.data_max_bytes + 1));
+        Alcotest.(check bool) "both bounds validate" true
+          (Desc.validate (sized Ipv6.Codec.data_min_bytes) = Ok ()
+          && Desc.validate (sized Ipv6.Codec.data_max_bytes) = Ok ()));
     Alcotest.test_case "validate rejects faults and windows starting after the run" `Quick
       (fun () ->
         let d = sample () in
