@@ -36,25 +36,40 @@
     corruption.  Detected violations carry the event time, the node or
     link concerned, and a replayable excerpt of the protocol trace.
 
-    {b Cost.}  A sample follows protocol state, not topology size.
-    Each link's routers are listed once at [attach] (routers never
-    change links; only hosts move), and the MLD querier check walks
-    those arrays.  A router is re-snapshotted only when its
-    {!Pimdm.Pim_router.generation} moved since the previous sample;
-    the forwarders table, its contested (link, S, G) keys and the
-    per-entry facts of the prune-graft check are rebuilt only when
-    some router's generation moved, and otherwise each sample only
-    re-reads the stream clocks against them.  The cached snapshots are
-    one per router.  Link conditions are scanned only while
-    {!Net.Network.impaired_links} is non-zero.  Each check keeps its
-    liveness clocks under its own typed key, so dropping the conditions
-    that stopped holding walks only that check's pending set.  The
-    per-packet observer hashes nothing: it indexes arrays by the
-    transmission's channel ({!Net.Ids.Channel_id}) and link id, for
-    the streams' liveness times, the per-link limits and names, and
-    the loop counter ({!Tx_window}), which keeps the {!Tx_window.size}
-    most recent datagrams of each (channel, link) that carried data.
-    It formats a string only when it records a violation. *)
+    {b Cost.}  A sample follows changes to protocol state, not the
+    sample clock or topology size, and a quiet one — nothing moved,
+    no condition holds — allocates nothing.  It compares what it reads
+    against what the previous sample read, with integer and physical
+    compares, and re-derives a check's conditions only where something
+    moved:
+
+    - {b MLD querier.}  Each link's routers are listed once at
+      [attach] (routers never change links; only hosts move).  A link's
+      querier conditions are re-derived only when one of its routers
+      failed, recovered or moved its {!Mld.Mld_router.generation}.
+    - {b PIM.}  A router is re-snapshotted only when its
+      {!Pimdm.Pim_router.generation} moved.  The forwarders table, its
+      contested (link, S, G) keys and the prune-graft candidates
+      (Grafting entries, Pruned entries with an oif no other router
+      covers, Joined entries nobody feeds) are rebuilt only when some
+      router's generation moved.  Otherwise a sample tests the stream
+      clocks on the contested keys and candidates alone.
+    - {b Hosts.}  Each host's attach time and subscription set are kept
+      by host index and compared physically first; black-hole progress
+      is one array slot per subscribed group, read with one lookup of
+      the host's receive counters.
+    - {b Liveness clocks.}  Each check keeps its clocks under its own
+      typed key; a check with no condition holding and no clock running
+      does no table work at all.
+
+    Link conditions are scanned only while
+    {!Net.Network.impaired_links} is non-zero.  The per-packet observer
+    hashes nothing: it indexes arrays by the transmission's channel
+    ({!Net.Ids.Channel_id}) and link id, for the streams' liveness
+    times, the per-link limits and names, and the loop counter
+    ({!Tx_window}), which keeps the {!Tx_window.size} most recent
+    datagrams of each (channel, link) that carried data.  It formats a
+    string only when it records a violation. *)
 
 open Mmcast
 
@@ -114,7 +129,8 @@ val attach : ?config:config -> ?faults:Faults.t -> Scenario.t -> t
 
 val detach : t -> unit
 (** Stop sampling and observing, and release the tables that served
-    only that (snapshots, liveness clocks, and the loop counter's
+    only that (snapshots, querier stamps, host state, address
+    ownership, liveness clocks, and the loop counter's
     {!Tx_window.size} datagrams per (channel, link)); recorded
     violations and the sample count stay readable. *)
 

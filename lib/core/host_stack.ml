@@ -151,7 +151,7 @@ let current_source_address t =
 
 let at_home t = t.detected = Home
 
-let subscriptions t = Addr.Set.elements t.subscriptions
+let subscriptions t = t.subscriptions
 
 (* ---- sending ---- *)
 
@@ -604,6 +604,11 @@ let add_data_observer t f = t.data_observers <- t.data_observers @ [ f ]
 
 let received_count t ~group = (rx_stats t group).count
 let duplicate_count t ~group = (rx_stats t group).dups
+
+let arrivals t ~group =
+  match Addr_tbl.find t.rx group with
+  | s -> s.count + s.dups
+  | exception Not_found -> 0
 let last_attach_time t = t.attached_at
 
 let first_rx_after_attach t ~group = (rx_stats t group).first_after_attach

@@ -79,7 +79,10 @@ val subscribe : t -> Addr.t -> unit
 (** Application-level group membership; survives movements. *)
 
 val unsubscribe : t -> Addr.t -> unit
-val subscriptions : t -> Addr.t list
+
+val subscriptions : t -> Addr.Set.t
+(** The groups subscribed to, as the set the host keeps: an unchanged
+    subscription reads back as the same set. *)
 
 val send_data : t -> group:Addr.t -> bytes:int -> unit
 (** Send one multicast datagram (stream id is derived from the node
@@ -104,6 +107,10 @@ val received_count : t -> group:Addr.t -> int
 val duplicate_count : t -> group:Addr.t -> int
 (** Datagrams that arrived more than once (e.g. both locally and
     through a tunnel). *)
+
+val arrivals : t -> group:Addr.t -> int
+(** [received_count + duplicate_count] from one lookup, allocating
+    nothing. *)
 
 val last_attach_time : t -> Engine.Time.t
 val first_rx_after_attach : t -> group:Addr.t -> Engine.Time.t option

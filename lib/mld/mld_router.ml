@@ -19,7 +19,11 @@ type t = {
   mutable role : role;
   mutable running : bool;
   mutable startup_queries_left : int;
+  mutable generation : int;
 }
+
+(* Every change of [role] or [running] moves the generation. *)
+let touch t = t.generation <- t.generation + 1
 
 let trace t fmt =
   Engine.Trace.recordf t.env.Mld_env.trace ~category:"mld" ("%s: " ^^ fmt) t.env.Mld_env.label
@@ -59,13 +63,15 @@ let create env callbacks =
             ~on_expire:(fun () -> on_query_timer (Lazy.force t));
         role = Querier;
         running = false;
-        startup_queries_left = 0 }
+        startup_queries_left = 0;
+        generation = 0 }
   in
   Lazy.force t
 
 let start t =
   t.running <- true;
   t.role <- Querier;
+  touch t;
   t.startup_queries_left <- max 0 ((config t).Mld_config.startup_query_count - 1);
   send_general_query t;
   schedule_next_query t
@@ -98,6 +104,7 @@ let stop t =
    | Non_querier { other_querier } -> Engine.Timer.stop other_querier
    | Querier -> ());
   t.role <- Querier;
+  touch t;
   let entries = Hashtbl.fold (fun g m acc -> (g, m) :: acc) t.members [] in
   List.iter (fun (_, m) -> Engine.Timer.stop m.expiry) entries;
   Hashtbl.reset t.members
@@ -134,11 +141,13 @@ let become_non_querier t ~observed_querier:_ =
            if t.running then begin
              trace t "other querier timed out; resuming querier role";
              t.role <- Querier;
+             touch t;
              send_general_query t;
              schedule_next_query t
            end)
      in
      t.role <- Non_querier { other_querier };
+     touch t;
      Engine.Timer.stop t.query_timer;
      Engine.Timer.start other_querier (Mld_config.other_querier_present_interval (config t));
      trace t "deferring to lower-address querier")
@@ -194,6 +203,7 @@ let is_querier t =
   | Non_querier _ -> false
 
 let is_running t = t.running
+let generation t = t.generation
 
 let listener_deadline t group =
   match Hashtbl.find_opt t.members group with

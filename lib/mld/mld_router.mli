@@ -39,6 +39,13 @@ val is_querier : t -> bool
 val is_running : t -> bool
 (** Between {!start} and {!stop}. *)
 
+val generation : t -> int
+(** A counter that moves on every change to {!is_querier} or
+    {!is_running}: {!start}, {!stop}, deferring to a lower-address
+    querier and the Other-Querier-Present takeover.  While it stands
+    still, both read as they did (the invariant monitor re-derives a
+    link's querier set only when one of its routers' counters moved). *)
+
 val listener_deadline : t -> Addr.t -> Engine.Time.t option
 (** When the group's membership would expire absent further Reports
     (used by tests to check the leave-delay bound). *)

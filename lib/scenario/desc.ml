@@ -73,6 +73,24 @@ let validate t =
     else err "%s: group index %d outside [0, %d]" what g max_group
   in
   let* () = if t.d_routers = [] then err "%s: no routers" t.d_name else Ok () in
+  (* Events, faults and senders name their link or node, and a
+     scenario resolves a name to the first of its kind: a second link,
+     router or host of that name would be built but never driven. *)
+  let unique what names =
+    let seen = Hashtbl.create 16 in
+    List.fold_left
+      (fun acc n ->
+        let* () = acc in
+        if Hashtbl.mem seen n then err "two %ss are named %s" what n
+        else begin
+          Hashtbl.replace seen n ();
+          Ok ()
+        end)
+      (Ok ()) names
+  in
+  let* () = unique "link" (List.map fst t.d_links) in
+  let* () = unique "router" (List.map (fun (r, _, _) -> r) t.d_routers) in
+  let* () = unique "host" (List.map fst t.d_hosts) in
   (* Every prefix parses as a /64 or shorter, and no two links share one. *)
   let prefixes = Hashtbl.create (List.length t.d_links) in
   let* () =

@@ -48,7 +48,7 @@ let check_verdict d (o : Runner.outcome) =
 let run ?(spec = Scenario.default_spec) ?inspect d approach measure =
   let read = ref None in
   let o =
-    Runner.run ~spec d approach ~inspect:(fun scenario ->
+    Runner.run ~spec d approach ~inspect:(fun scenario _ ->
         let metrics = Metrics.attach scenario.Scenario.net in
         read := Some (measure scenario metrics);
         Option.iter (fun f -> f scenario metrics) inspect)

@@ -194,7 +194,7 @@ let run ?spec ?sustain ?sched ?decider ?(lineage = false) ?on_trace ?inspect (d 
         ~from_t:tr.Desc.tr_from ~until:tr.Desc.tr_until ~interval:tr.Desc.tr_interval
         ~bytes:tr.Desc.tr_bytes)
     d.Desc.d_senders;
-  Option.iter (fun f -> f scenario) inspect;
+  Option.iter (fun f -> f scenario faults) inspect;
   Scenario.run_until scenario d.Desc.d_duration;
   Monitor.detach monitor;
   let groups = List.map Desc.group_addr (groups_of d) in

@@ -82,7 +82,7 @@ val run :
   ?decider:(kind:Engine.Sim.choice_kind -> arity:int -> int) ->
   ?lineage:bool ->
   ?on_trace:(Engine.Trace.record -> unit) ->
-  ?inspect:(Mmcast.Scenario.t -> unit) ->
+  ?inspect:(Mmcast.Scenario.t -> Faults.t -> unit) ->
   Desc.t ->
   Mmcast.Approach.t ->
   outcome
@@ -104,7 +104,8 @@ val run :
     first one {!Mmcast.Scenario.build} writes.
 
     [inspect] sees the fully set-up scenario (monitor attached, churn
-    and senders scheduled) just before the run starts.  The paper's
+    and senders scheduled) and its installed fault schedule just before
+    the run starts.  The paper's
     experiments and tests use it to attach metrics and schedule
     read-only probes alongside the monitor's samples; the scenario
     stays readable after [run] returns.

@@ -261,7 +261,7 @@ let generation_oracle_test =
     (fun () ->
       let module P = Pimdm.Pim_router in
       let probes = ref 0 and unmoved = ref 0 in
-      let inspect (sc : Scenario.t) =
+      let inspect (sc : Scenario.t) _ =
         let topo = Net.Network.topology sc.Scenario.net in
         let last = Hashtbl.create 64 in
         let check () =
@@ -617,11 +617,184 @@ let window_tests =
         | vs -> Alcotest.failf "expected one forwarding-loop violation, got %d" (List.length vs))
   ]
 
+(* ---- the sampled checks against the oracle ----
+
+   [Monitor_oracle] is the monitor before its samples were gated on MLD
+   and PIM generations, host arrays and candidate lists.  Both watch
+   the same generated runs — faults, impairment windows, crashes,
+   handoffs, churn and the graft-disabled variant, under short and
+   default convergence bounds — and must report the same violations
+   in the same order, and take the same number of samples. *)
+
+type oracle_run = { o_kind : int; o_seed : int; o_approach : int; o_sustain : float option }
+
+let oracle_desc r =
+  match r.o_kind with
+  | 0 ->
+    Scale.Gen.scenario
+      ~model:(if r.o_seed mod 2 = 0 then `Waxman else `Pref)
+      ~routers:(6 + (r.o_seed mod 20))
+      ~mobiles:(r.o_seed mod 3) ~churn:(r.o_seed mod 4) ~faults:(1 + (r.o_seed mod 3))
+      ~seed:r.o_seed ()
+  | 1 -> Scale.Gen.soak ~seed:r.o_seed
+  | 2 -> Scale.Gen.broken ~seed:r.o_seed ()
+  | _ -> Scale.Gen.clean ~seed:r.o_seed ()
+
+let oracle_sustains = [| None; Some 0.5; Some 1.0; Some 10.0 |]
+
+let gen_oracle_run =
+  QCheck.Gen.(
+    map
+      (fun (k, seed, a, s) ->
+        { o_kind = k; o_seed = seed; o_approach = a; o_sustain = oracle_sustains.(s) })
+      (quad (int_bound 3) (int_range 1 500) (int_range 1 4) (int_bound 3)))
+
+let print_oracle_run r =
+  Printf.sprintf "%s approach %d sustain %s"
+    (oracle_desc r).Scale.Desc.d_name r.o_approach
+    (match r.o_sustain with None -> "default" | Some s -> Printf.sprintf "%g" s)
+
+(* The querier check re-derives a link only when an MLD generation
+   moved, so at every sample instant a router interface whose
+   generation stands still must read as running and querier as it did
+   at the previous instant. *)
+let probe_mld_generations (sc : Scenario.t) =
+  let last = Hashtbl.create 32 in
+  let check () =
+    List.iter
+      (fun (name, r) ->
+        List.iter
+          (fun l ->
+            match Router_stack.mld_on r l with
+            | None -> ()
+            | Some m ->
+              let module M = Mld.Mld_router in
+              let key = (name, Net.Ids.Link_id.to_int l) in
+              let now = (M.generation m, M.is_running m, M.is_querier m) in
+              (match Hashtbl.find_opt last key with
+               | Some (m', (gen', _, _ as before)) when m' == m && gen' = M.generation m ->
+                 if before <> now then
+                   Alcotest.failf "%s on link %d at %.1f s: role or running changed under MLD \
+                                   generation %d"
+                     name (snd key) (Engine.Sim.now sc.Scenario.sim) gen'
+               | Some _ | None -> ());
+              Hashtbl.replace last key (m, now))
+          (Net.Topology.links_of_node (Net.Network.topology sc.Scenario.net)
+             (Router_stack.node_id r)))
+      sc.Scenario.routers
+  in
+  let interval = Check.Monitor.default_config.Check.Monitor.sample_interval in
+  let rec loop () =
+    check ();
+    ignore (Engine.Sim.schedule_after sc.Scenario.sim interval loop)
+  in
+  ignore (Engine.Sim.schedule_after sc.Scenario.sim interval loop)
+
+(* Each run's verdicts from both monitors, as (invariant, at, where,
+   detail) lists, and both sample counts. *)
+let against_oracle r =
+  let oracle = ref None in
+  let inspect sc faults =
+    let config =
+      { Monitor_oracle.default_config with Monitor_oracle.sustain = r.o_sustain }
+    in
+    oracle := Some (Monitor_oracle.attach ~config ~faults sc);
+    probe_mld_generations sc
+  in
+  let o =
+    Scale.Runner.run ?sustain:r.o_sustain ~inspect (oracle_desc r) (Approach.of_number r.o_approach)
+  in
+  let m = Option.get !oracle in
+  let ours =
+    List.map
+      (fun v ->
+        Check.Monitor.
+          (invariant_name v.v_invariant, v.v_at, v.v_where, v.v_detail))
+      o.Scale.Runner.out_violations
+  and theirs =
+    List.map
+      (fun v ->
+        Monitor_oracle.(invariant_name v.v_invariant, v.v_at, v.v_where, v.v_detail))
+      (Monitor_oracle.violations m)
+  in
+  (ours, o.Scale.Runner.out_samples, theirs, Monitor_oracle.samples m)
+
+let render_verdict (inv, at, where, detail) = Printf.sprintf "[%.3f] %s %s: %s" at inv where detail
+
+let oracle_tests =
+  let seen = Hashtbl.create 8 in
+  let agree =
+    QCheck.Test.make ~count:100 ~name:"the gated samples report what the oracle reports"
+      (QCheck.make ~print:print_oracle_run gen_oracle_run)
+      (fun r ->
+        let ours, samples, theirs, oracle_samples = against_oracle r in
+        List.iter (fun (inv, _, _, _) -> Hashtbl.replace seen inv ()) theirs;
+        if ours <> theirs || samples <> oracle_samples then
+          QCheck.Test.fail_reportf "samples %d vs the oracle's %d@.ours:@.%s@.oracle:@.%s" samples
+            oracle_samples
+            (String.concat "\n" (List.map render_verdict ours))
+            (String.concat "\n" (List.map render_verdict theirs))
+        else true)
+  in
+  [ QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 27 |]) agree;
+    (* Guards the property against vacuity: the generated runs must have
+       made the oracle report violations of every sampled invariant. *)
+    Alcotest.test_case "the generated runs reach every sampled check" `Quick (fun () ->
+        List.iter
+          (fun inv ->
+            if not (Hashtbl.mem seen inv) then
+              Alcotest.failf "no generated run raised %s" inv)
+          [ "mld-querier"; "assert-winner"; "prune-graft"; "black-hole" ]) ]
+
+(* ---- cost of a quiet sample ---- *)
+
+(* From 50 s to 55 s the clean twin is settled: the flap ended at 46 s,
+   no handoff or subscription change follows, and the stream still
+   flows, so every sample is quiet.  With the engine's profiling clock
+   set to [Gc.minor_words], the "monitor" category sums the words each
+   sample allocated, and a "probe" event that only reschedules itself
+   at the same period measures what the engine and the profiler's
+   wrapper add to any such event. *)
+let sample_words () =
+  let desc = Scale.Gen.clean ~seed:42 () in
+  let profile = ref [] in
+  let inspect (sc : Scenario.t) _ =
+    let sim = sc.Scenario.sim in
+    ignore (Engine.Sim.schedule_at sim 55.25 (fun () -> profile := Engine.Sim.profile sim));
+    (* Samples scheduled from 50 s on are wrapped by the profiler. *)
+    let interval = Check.Monitor.default_config.Check.Monitor.sample_interval in
+    let rec probe () = ignore (Engine.Sim.schedule_after ~category:"probe" sim interval probe) in
+    ignore
+      (Engine.Sim.schedule_at sim 49.75 (fun () ->
+           Engine.Sim.enable_profiling ~clock:Gc.minor_words sim;
+           probe ()))
+  in
+  let o = Scale.Runner.run ~inspect desc (Approach.of_number 3) in
+  Alcotest.(check int) "the clean twin stays clean" 0
+    (List.length o.Scale.Runner.out_violations);
+  let per_event category =
+    match List.assoc_opt category !profile with
+    | None -> Alcotest.failf "no %s event ran in the settled stretch" category
+    | Some p -> p.Engine.Sim.cat_seconds /. float_of_int p.Engine.Sim.cat_events
+  in
+  per_event "monitor" -. per_event "probe"
+
+let cost_tests =
+  [ Alcotest.test_case "a quiet sample allocates a bounded handful of words" `Quick
+      (fun () ->
+        let words = sample_words () in
+        Printf.printf "minor words per settled sample: %.1f\n%!" words;
+        if words > 16.0 then
+          Alcotest.failf "%.1f minor words per settled sample (bound 16)" words)
+  ]
+
 let () =
   Alcotest.run "check"
     [ ("hop_limit", hop_limit_tests);
       ("monitor", monitor_tests);
       ("verdicts", verdict_tests @ [ waxman_r100_test; generation_oracle_test ]);
       ("wire", wire_tests);
-      ("window", window_tests)
+      ("window", window_tests);
+      ("oracle", oracle_tests);
+      ("cost", cost_tests)
     ]

@@ -215,6 +215,39 @@ let router_tests =
         (* OQP = 255 s with defaults. *)
         Engine.Sim.run ~until:256.0 h.sim;
         Alcotest.(check bool) "querier again" true (Mld.Mld_router.is_querier r));
+    Alcotest.test_case "generation moves with role and running, and only then" `Quick
+      (fun () ->
+        let h = make_harness ~address:"fe80::5" () in
+        let r = Mld.Mld_router.create h.env noop_callbacks in
+        let gen = ref (Mld.Mld_router.generation r) in
+        let moved what expected =
+          let g = Mld.Mld_router.generation r in
+          Alcotest.(check bool) what expected (g <> !gen);
+          gen := g
+        in
+        let query from =
+          Mld.Mld_router.handle r ~src:(Addr.of_string from)
+            (Mld_message.Query { group = None; max_response_delay_ms = 10000 })
+        in
+        Mld.Mld_router.start r;
+        moved "start" true;
+        report ~from:"fe80::9" h r;
+        moved "a Report" false;
+        query "fe80::7";
+        moved "a Query from a higher address" false;
+        query "fe80::2";
+        Alcotest.(check bool) "deferred" false (Mld.Mld_router.is_querier r);
+        moved "losing the election" true;
+        query "fe80::2";
+        moved "a Query that only refreshes the Other-Querier-Present timer" false;
+        (* OQP = 255 s with defaults. *)
+        Engine.Sim.run ~until:300.0 h.sim;
+        Alcotest.(check bool) "querier again" true (Mld.Mld_router.is_querier r);
+        moved "the Other-Querier-Present takeover" true;
+        Mld.Mld_router.stop r;
+        moved "stop" true;
+        Mld.Mld_router.start r;
+        moved "start after stop" true);
     Alcotest.test_case "groups listing is sorted" `Quick (fun () ->
         let h = make_harness () in
         let r = Mld.Mld_router.create h.env noop_callbacks in

@@ -141,6 +141,21 @@ let desc_tests =
             in
             rejects ("prefix " ^ bad) { d with Desc.d_links = links })
           [ "2001:db8:100:0::/64x"; "2001:db8:100:0::"; "2001:db8:zz::/64"; "2001:db8::/96" ]);
+    (* Each second entry would be built but never driven: a scenario
+       resolves a name to the first of its kind. *)
+    Alcotest.test_case "validate rejects two links of one name" `Quick (fun () ->
+        let d = sample () in
+        (* The second has a prefix of its own: only the name is shared. *)
+        let extra = (fst (List.hd d.Desc.d_links), "2001:db8:fff::/64") in
+        rejects "a link name used twice" { d with Desc.d_links = d.Desc.d_links @ [ extra ] });
+    Alcotest.test_case "validate rejects two routers of one name" `Quick (fun () ->
+        let d = sample () in
+        rejects "a router listed twice"
+          { d with Desc.d_routers = List.hd d.Desc.d_routers :: d.Desc.d_routers });
+    Alcotest.test_case "validate rejects two hosts of one name" `Quick (fun () ->
+        let d = sample () in
+        rejects "a host listed twice"
+          { d with Desc.d_hosts = List.hd d.Desc.d_hosts :: d.Desc.d_hosts });
     Alcotest.test_case "validate rejects one prefix on two links" `Quick (fun () ->
         let d = sample () in
         let links =
@@ -536,7 +551,7 @@ let paper_tests =
         let seen = ref None in
         ignore
           (Runner.run ~spec:Mmcast.Scenario.default_spec
-             ~inspect:(fun sc -> seen := Some sc.Mmcast.Scenario.spec)
+             ~inspect:(fun sc _ -> seen := Some sc.Mmcast.Scenario.spec)
              d Mmcast.Approach.bidirectional_tunnel);
         let spec = Option.get !seen in
         Alcotest.(check int) "seed" 7 spec.Mmcast.Scenario.seed;
@@ -560,7 +575,7 @@ let mobility_tests =
         let seen = ref [] in
         ignore
           (Runner.run ~spec:Mmcast.Scenario.default_spec
-             ~inspect:(fun sc ->
+             ~inspect:(fun sc _ ->
                let r3 = Mmcast.Scenario.host sc "R3" in
                let topo = Net.Network.topology sc.Mmcast.Scenario.net in
                List.iter
