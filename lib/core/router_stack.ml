@@ -732,14 +732,7 @@ let make_pim_env t =
       (fun ~source ->
         match Routing.rpf (Network.routing t.net) ~at:t.node ~source with
         | None -> None
-        | Some (link, upstream_node) ->
-          let metric =
-            match Topology.link_of_address (topo t) source with
-            | None -> 0
-            | Some src_link ->
-              Option.value ~default:0
-                (Routing.distance_to_link (Network.routing t.net) ~from:t.node src_link)
-          in
+        | Some (link, upstream_node, metric) ->
           Some
             { Pimdm.Pim_env.rpf_iface = Link_id.to_int link;
               upstream = Option.map (Topology.link_local (topo t)) upstream_node;

@@ -6,128 +6,143 @@ type decision =
   | Forward of { out_link : Link_id.t; next_hop : Node_id.t }
   | Unreachable
 
-(* The attachment graph as int arrays, built once per topology version:
-   [links_of.(node)] and [routers_on.(link)], both ascending, so the BFS
-   visits neighbours in the same order as the sorted sets they come
-   from. *)
-type adjacency = {
-  n_links : int;
-  links_of : int array array;
-  routers_on : int array array;
-}
+(* A table is one int array indexed by link id.  Each entry packs three
+   21-bit fields, each stored plus one so that 0 reads as -1: the hop
+   distance (bits 0-20), the previous link (21-41) and the router
+   joining the two (42-62).  An entry of 0 is an unreachable link; the
+   via fields of a directly attached link read -1. *)
+let field_bits = 21
+let field_mask = (1 lsl field_bits) - 1
+let max_id = field_mask - 1
 
-(* Per-source BFS result, indexed by link id: hop distance, and the
-   previous link and the router joining the two; -1 for none (an
-   unreachable link, or the via fields of a directly attached one). *)
-type table = {
-  dist : int array;
-  via_link : int array;
-  via_router : int array;
-}
+let pack ~dist ~via_link ~via_router =
+  (dist + 1) lor ((via_link + 1) lsl field_bits) lor ((via_router + 1) lsl (2 * field_bits))
 
+let dist_field e = (e land field_mask) - 1
+let via_link_field e = ((e lsr field_bits) land field_mask) - 1
+let via_router_field e = (e lsr (2 * field_bits)) - 1
+let attached_entry = pack ~dist:0 ~via_link:(-1) ~via_router:(-1)
+
+(* Everything below [version] is derived from the topology at that
+   version.  [links_of.(node)] and [routers_on.(link)] are the
+   attachment graph, both ascending, so the search visits neighbours in
+   the same order as the sorted sets they come from; [tables.(node)] is
+   the node's table, [||] until built.  [queue] and [expanded] are the
+   search's scratch space, reused by every build: a link is queued at
+   most once per search, and a router is expanded in the search
+   numbered [expanded.(router)]. *)
 type t = {
   topology : Topology.t;
-  mutable cache_version : int;
-  mutable adjacency : adjacency option;
-  cache : (int, table) Hashtbl.t;
+  mutable version : int;
+  mutable links_of : int array array;
+  mutable routers_on : int array array;
+  mutable tables : int array array;
+  mutable queue : int array;
+  mutable expanded : int array;
+  mutable search : int;
 }
 
 let create topology =
   { topology;
-    cache_version = Topology.version topology;
-    adjacency = None;
-    cache = Hashtbl.create 32 }
+    version = -1;
+    links_of = [||];
+    routers_on = [||];
+    tables = [||];
+    queue = [||];
+    expanded = [||];
+    search = 0 }
 
-let build_adjacency topo =
+(* [a] if it has room for [n] cells, else a fresh array of [n]. *)
+let at_least a n x = if Array.length a >= n then a else Array.make n x
+
+let rebuild t =
+  let topo = t.topology in
   let ids to_int l = Array.of_list (List.map to_int l) in
   let nodes = Topology.nodes topo and links = Topology.links topo in
-  let size to_int = List.fold_left (fun m x -> max m (to_int x + 1)) 0 in
-  let links_of = Array.make (size Node_id.to_int nodes) [||] in
-  List.iter
-    (fun n ->
-      links_of.(Node_id.to_int n) <- ids Link_id.to_int (Topology.links_of_node topo n))
-    nodes;
-  let n_links = size Link_id.to_int links in
-  let routers_on = Array.make n_links [||] in
-  List.iter
-    (fun l ->
-      routers_on.(Link_id.to_int l) <- ids Node_id.to_int (Topology.routers_on_link topo l))
-    links;
-  { n_links; links_of; routers_on }
+  let n_nodes = List.length nodes and n_links = List.length links in
+  if n_nodes - 1 > max_id || n_links - 1 > max_id then
+    invalid_arg "Routing: more than 2^21-1 nodes or links";
+  t.links_of <-
+    Array.of_list (List.map (fun n -> ids Link_id.to_int (Topology.links_of_node topo n)) nodes);
+  t.routers_on <-
+    Array.of_list (List.map (fun l -> ids Node_id.to_int (Topology.routers_on_link topo l)) links);
+  t.tables <- at_least t.tables n_nodes [||];
+  Array.fill t.tables 0 (Array.length t.tables) [||];
+  t.queue <- at_least t.queue n_links 0;
+  t.expanded <- at_least t.expanded n_nodes 0;
+  t.version <- Topology.version topo
 
-let compute_table topo adj ~from =
-  let n = adj.n_links in
-  let dist = Array.make n (-1) in
-  let via_link = Array.make n (-1) in
-  let via_router = Array.make n (-1) in
-  (* Every link is discovered at most once, so an array is the queue. *)
-  let queue = Array.make n 0 in
-  let tail = ref 0 in
-  let discover link d prev router =
-    if dist.(link) < 0 then begin
-      dist.(link) <- d;
-      via_link.(link) <- prev;
-      via_router.(link) <- router;
-      queue.(!tail) <- link;
-      incr tail
-    end
-  in
+(* Breadth-first over links from the links [from] is attached to; only
+   routers forward between links.  A router's first expansion, from the
+   nearest link it is on, discovers every one of its links, so a later
+   one would discover nothing: each router is expanded once, and the
+   table (equal-cost tie-breaks included) is the one expanding it from
+   every link would give.  For the same reason [from] needs no
+   exclusion when it is a router: its links are the roots, found
+   before it is expanded. *)
+let compute_table t ~from =
+  let links_of = t.links_of and routers_on = t.routers_on in
+  let queue = t.queue and expanded = t.expanded in
+  let table = Array.make (Array.length routers_on) 0 in
+  t.search <- t.search + 1;
+  let search = t.search in
   let f = Node_id.to_int from in
   let roots =
-    if f >= 0 && f < Array.length adj.links_of then adj.links_of.(f)
+    if f >= 0 && f < Array.length links_of then links_of.(f)
     else (* raises the topology's unknown-node error *)
-      Array.of_list (List.map Link_id.to_int (Topology.links_of_node topo from))
+      Array.of_list (List.map Link_id.to_int (Topology.links_of_node t.topology from))
   in
-  Array.iter (fun l -> discover l 0 (-1) (-1)) roots;
+  for i = 0 to Array.length roots - 1 do
+    table.(roots.(i)) <- attached_entry;
+    queue.(i) <- roots.(i)
+  done;
+  let tail = ref (Array.length roots) in
   let head = ref 0 in
   while !head < !tail do
     let current = queue.(!head) in
     incr head;
-    let d = dist.(current) + 1 in
-    (* Only routers forward between links, and the deciding node itself
-       is not a transit hop. *)
-    Array.iter
-      (fun router ->
-        if router <> f then
-          Array.iter
-            (fun next -> if next <> current then discover next d current router)
-            adj.links_of.(router))
-      adj.routers_on.(current)
+    let d = dist_field table.(current) + 1 in
+    let routers = routers_on.(current) in
+    for i = 0 to Array.length routers - 1 do
+      let router = routers.(i) in
+      if expanded.(router) <> search then begin
+        expanded.(router) <- search;
+        let entry = pack ~dist:d ~via_link:current ~via_router:router in
+        let links = links_of.(router) in
+        for j = 0 to Array.length links - 1 do
+          let next = links.(j) in
+          if table.(next) = 0 then begin
+            table.(next) <- entry;
+            queue.(!tail) <- next;
+            incr tail
+          end
+        done
+      end
+    done
   done;
-  { dist; via_link; via_router }
+  table
 
 let table t ~from =
-  let version = Topology.version t.topology in
-  if version <> t.cache_version then begin
-    Hashtbl.reset t.cache;
-    t.adjacency <- None;
-    t.cache_version <- version
-  end;
+  if Topology.version t.topology <> t.version then rebuild t;
   let key = Node_id.to_int from in
-  match Hashtbl.find_opt t.cache key with
-  | Some table -> table
-  | None ->
-    let adj =
-      match t.adjacency with
-      | Some adj -> adj
-      | None ->
-        let adj = build_adjacency t.topology in
-        t.adjacency <- Some adj;
-        adj
-    in
-    let computed = compute_table t.topology adj ~from in
-    Hashtbl.add t.cache key computed;
+  if key >= 0 && key < Array.length t.tables && Array.length t.tables.(key) > 0 then
+    t.tables.(key)
+  else begin
+    let computed = compute_table t ~from in
+    t.tables.(key) <- computed;
     computed
+  end
 
 let dist_of tbl link =
   let l = Link_id.to_int link in
-  if l >= 0 && l < Array.length tbl.dist then tbl.dist.(l) else -1
+  if l >= 0 && l < Array.length tbl then dist_field tbl.(l) else -1
 
-(* The first link traversed on the way to [l] (distance >= 1): the one
-   whose predecessor is a directly attached link. *)
-let rec first_traversed tbl l =
-  let prev = tbl.via_link.(l) in
-  if tbl.dist.(prev) = 0 then l else first_traversed tbl prev
+(* The entry of the first link traversed on the way to [l] (distance
+   >= 1): the one whose predecessor is a directly attached link. *)
+let rec first_hop tbl l =
+  let e = tbl.(l) in
+  let prev = via_link_field e in
+  if dist_field tbl.(prev) = 0 then e else first_hop tbl prev
 
 let distance_to_link t ~from link =
   match dist_of (table t ~from) link with
@@ -143,7 +158,8 @@ let path_to_link t ~from link =
     (* Walk back to the attached link the path leaves through. *)
     let rec back l acc =
       let acc = Link_id.of_int l :: acc in
-      if tbl.dist.(l) = 0 then acc else back tbl.via_link.(l) acc
+      let e = tbl.(l) in
+      if dist_field e = 0 then acc else back (via_link_field e) acc
     in
     Some (back (Link_id.to_int link) [])
 
@@ -156,13 +172,23 @@ let decide t ~at ~dst =
       let tbl = table t ~from:at in
       if dist_of tbl dst_link <= 0 then Unreachable
       else
-        let first = first_traversed tbl (Link_id.to_int dst_link) in
+        let e = first_hop tbl (Link_id.to_int dst_link) in
         Forward
-          { out_link = Link_id.of_int tbl.via_link.(first);
-            next_hop = Node_id.of_int tbl.via_router.(first) }
+          { out_link = Link_id.of_int (via_link_field e);
+            next_hop = Node_id.of_int (via_router_field e) }
 
 let rpf t ~at ~source =
-  match decide t ~at ~dst:source with
-  | Deliver_on_link l -> Some (l, None)
-  | Forward { out_link; next_hop } -> Some (out_link, Some next_hop)
-  | Unreachable -> None
+  match Topology.link_of_address t.topology source with
+  | None -> None
+  | Some src_link ->
+    if Topology.is_attached t.topology at src_link then Some (src_link, None, 0)
+    else
+      let tbl = table t ~from:at in
+      let d = dist_of tbl src_link in
+      if d <= 0 then None
+      else
+        let e = first_hop tbl (Link_id.to_int src_link) in
+        Some
+          ( Link_id.of_int (via_link_field e),
+            Some (Node_id.of_int (via_router_field e)),
+            d )

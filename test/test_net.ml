@@ -197,14 +197,17 @@ let routing_tests =
         let r = Routing.create f.topo in
         let source = Topology.address_on f.topo f.s f.l1 in
         (match Routing.rpf r ~at:f.a ~source with
-         | Some (l, None) -> Alcotest.(check bool) "direct on L1" true (Link_id.equal l f.l1)
-         | Some (_, Some _) | None -> Alcotest.fail "A should reach S directly");
+         | Some (l, None, metric) ->
+           Alcotest.(check bool) "direct on L1" true (Link_id.equal l f.l1);
+           Alcotest.(check int) "attached: metric 0" 0 metric
+         | Some (_, Some _, _) | None -> Alcotest.fail "A should reach S directly");
         (match Routing.rpf r ~at:f.d ~source with
-         | Some (l, Some up) ->
+         | Some (l, Some up, metric) ->
            Alcotest.(check bool) "via L3" true (Link_id.equal l f.l3);
            Alcotest.(check bool) "via B or C" true
-             (Node_id.equal up f.b || Node_id.equal up f.c)
-         | Some (_, None) | None -> Alcotest.fail "D should go via L3");
+             (Node_id.equal up f.b || Node_id.equal up f.c);
+           Alcotest.(check int) "L1 two links away" 2 metric
+         | Some (_, None, _) | None -> Alcotest.fail "D should go via L3");
         match Routing.rpf r ~at:f.d ~source:(Addr.of_string "2001:dead::1") with
         | None -> ()
         | Some _ -> Alcotest.fail "unroutable source");
@@ -535,10 +538,17 @@ module Oracle = struct
           in
           Routing.Forward { out_link; next_hop = first_router })
 
+  (* With the hop metric [Router_stack] derived beside it: the source
+     link's distance, 0 for an unknown one. *)
   let rpf topo tbl ~at ~source =
+    let metric =
+      match link_of_address topo source with
+      | None -> 0
+      | Some l -> Option.value ~default:0 (distance_to_link tbl l)
+    in
     match decide topo tbl ~at ~dst:source with
-    | Routing.Deliver_on_link l -> Some (l, None)
-    | Routing.Forward { out_link; next_hop } -> Some (out_link, Some next_hop)
+    | Routing.Deliver_on_link l -> Some (l, None, metric)
+    | Routing.Forward { out_link; next_hop } -> Some (out_link, Some next_hop, metric)
     | Routing.Unreachable -> None
 end
 
@@ -600,7 +610,10 @@ let churn_host topo rng stubs hnodes =
     List.iter (Topology.detach topo h) (Topology.links_of_node topo h);
     Topology.attach topo h target
 
-let agrees_with_oracle topo r =
+(* [decide_at] picks the nodes whose forwarding decisions are checked
+   too: the oracle's linear prefix lookup makes them the dominant cost
+   on large graphs. *)
+let agrees_with_oracle ?(decide_at = fun _ -> true) topo r =
   let links = Topology.links topo in
   let addrs =
     Addr.of_string "2001:dead::1"
@@ -614,34 +627,80 @@ let agrees_with_oracle topo r =
           Routing.distance_to_link r ~from:node l = Oracle.distance_to_link tbl l
           && Routing.path_to_link r ~from:node l = Oracle.path_to_link tbl l)
         links
-      && List.for_all
-           (fun a ->
-             Routing.decide r ~at:node ~dst:a = Oracle.decide topo tbl ~at:node ~dst:a
-             && Routing.rpf r ~at:node ~source:a = Oracle.rpf topo tbl ~at:node ~source:a)
-           addrs)
+      && ((not (decide_at node))
+          || List.for_all
+               (fun a ->
+                 Routing.decide r ~at:node ~dst:a = Oracle.decide topo tbl ~at:node ~dst:a
+                 && Routing.rpf r ~at:node ~source:a = Oracle.rpf topo tbl ~at:node ~source:a)
+               addrs))
     (Topology.nodes topo)
+
+(* One routing instance against the oracle on a generated graph, then
+   after each of [moves] host moves. *)
+let agrees_under_churn ?decide_at ~pref ~seed ~routers ~moves () =
+  let topo, rng, stubs, hnodes = oracle_topology ~pref ~seed ~routers ~hosts:6 in
+  let r = Routing.create topo in
+  let rec steps k =
+    k = 0
+    || begin
+      churn_host topo rng stubs hnodes;
+      agrees_with_oracle ?decide_at topo r && steps (k - 1)
+    end
+  in
+  agrees_with_oracle ?decide_at topo r && steps moves
 
 let routing_oracle_property =
   QCheck.Test.make ~count:30
     ~name:"array routing tables answer as the map-based BFS under host churn"
     QCheck.(make Gen.(triple bool gen_topo_seed (int_range 2 24)))
-    (fun (pref, seed, routers) ->
-      let topo, rng, stubs, hnodes = oracle_topology ~pref ~seed ~routers ~hosts:6 in
+    (fun (pref, seed, routers) -> agrees_under_churn ~pref ~seed ~routers ~moves:4 ())
+
+(* At the scale cell's size and density ([Gen.scenario]'s Waxman
+   defaults), where routers on many links are reached from several of
+   them in one search but expanded once.  Every node's distances and
+   paths are checked, and every eighth node's decisions. *)
+let routing_oracle_large_property =
+  QCheck.Test.make ~count:2
+    ~name:"array routing tables answer as the map-based BFS on 60-100-router Waxman graphs"
+    QCheck.(make Gen.(pair gen_topo_seed (int_range 60 100)))
+    (fun (seed, routers) ->
+      agrees_under_churn ~pref:false ~seed ~routers ~moves:1
+        ~decide_at:(fun n -> Node_id.to_int n mod 8 = 0)
+        ())
+
+(* A table is built into one fresh array; the search's queue and marks
+   are kept from one build to the next.  The first query after a
+   topology bump also rebuilds the graph arrays, so the build measured
+   is the next one. *)
+let warm_rebuild_test =
+  Alcotest.test_case "a table build after a topology bump allocates one table" `Quick
+    (fun () ->
+      let topo, _, stubs, hnodes = oracle_topology ~pref:false ~seed:42 ~routers:100 ~hosts:6 in
       let r = Routing.create topo in
-      let rec steps k =
-        k = 0
-        || begin
-          churn_host topo rng stubs hnodes;
-          agrees_with_oracle topo r && steps (k - 1)
-        end
-      in
-      agrees_with_oracle topo r && steps 4)
+      let routers = List.filter (fun n -> Topology.node_kind topo n = Topology.Router)
+          (Topology.nodes topo) in
+      let target = List.hd (Topology.links topo) in
+      let route from = ignore (Sys.opaque_identity (Routing.distance_to_link r ~from target)) in
+      List.iter route routers;
+      let h = hnodes.(0) in
+      List.iter (Topology.detach topo h) (Topology.links_of_node topo h);
+      Topology.attach topo h stubs.(1);
+      route (List.nth routers 0);
+      let before = Gc.allocated_bytes () in
+      route (List.nth routers 1);
+      let words = int_of_float ((Gc.allocated_bytes () -. before) /. float (Sys.word_size / 8)) in
+      let table_words = 1 + List.length (Topology.links topo) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d words for a %d-word table" words table_words)
+        true (words <= table_words + 16))
 
 let () =
   Alcotest.run "net"
     [ ("topology", topology_tests);
       ("routing",
        routing_tests @ routing_properties
-       @ [ QCheck_alcotest.to_alcotest routing_oracle_property ]);
+       @ List.map QCheck_alcotest.to_alcotest
+           [ routing_oracle_property; routing_oracle_large_property ]
+       @ [ warm_rebuild_test ]);
       ("network", network_tests)
     ]
