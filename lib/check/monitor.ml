@@ -266,8 +266,7 @@ let chain_at t ~at ~where =
   | Some c ->
     let pick =
       match
-        Engine.Span.last_matching c ~before:at ~dropped:true (fun sp ->
-            sp.Engine.Span.sp_node = where)
+        Engine.Span.last_matching c ~before:at ~dropped:true ~node:where (fun _ -> true)
       with
       | Some _ as sp -> sp
       | None -> Engine.Span.last_matching c ~before:at ~dropped:true (fun _ -> true)

@@ -202,7 +202,7 @@ let send_data t ~group ~bytes =
            engine does with the packet hangs off it. *)
         let at = Engine.Sim.now (sim t) in
         let id =
-          Engine.Span.open_span c ~at ~name:("inject " ^ Packet.label packet)
+          Engine.Span.open_span c ~at ~name:(Network.span_name c Engine.Span.Inject packet)
             ~node:t.label ()
         in
         Engine.Span.within c id send;
@@ -218,11 +218,12 @@ let send_data t ~group ~bytes =
       | Some c ->
         let at = Engine.Sim.now (sim t) in
         let id =
-          Engine.Span.open_span c ~at ~name:("inject " ^ Packet.label inner)
+          Engine.Span.open_span c ~at ~name:(Network.span_name c Engine.Span.Inject inner)
             ~node:t.label ()
         in
         let enc =
-          Engine.Span.open_span c ~at ~name:"encap" ~node:t.label ~parent:id
+          Engine.Span.open_span c ~at ~name:(Engine.Span.intern c "encap") ~node:t.label
+            ~parent:id
             ~attrs:[ ("inner", Packet.label inner); ("care-of", Addr.to_string coa) ]
             ()
         in
@@ -349,7 +350,7 @@ let deliver_app t ~chan ~group packet =
          let at = Engine.Sim.now (sim t) in
          let attrs = Network.group_attrs t.net group in
          ignore
-           (Engine.Span.event c ~at ~name:("deliver " ^ Packet.label packet)
+           (Engine.Span.event c ~at ~name:(Network.span_name c Engine.Span.Deliver packet)
               ~node:t.label ~attrs ());
          if first then Engine.Span.mark c ~at ~name:"first-delivery" ~node:t.label ~attrs ());
       List.iter (fun observe -> observe ~group packet) t.data_observers;
@@ -377,7 +378,7 @@ let handle_encapsulated t inner =
   | Some c ->
     let at = Engine.Sim.now (sim t) in
     let id =
-      Engine.Span.open_span c ~at ~name:"decap" ~node:t.label
+      Engine.Span.open_span c ~at ~name:(Engine.Span.intern c "decap") ~node:t.label
         ~attrs:[ ("inner", Packet.label inner) ] ()
     in
     Engine.Span.within c id (fun () -> handle_encapsulated_inner t inner);

@@ -178,7 +178,7 @@ and intercept_to_mobile t entry packet =
   | Some c ->
     let at = Engine.Sim.now (sim t) in
     let id =
-      Engine.Span.open_span c ~at ~name:"encap" ~node:t.label
+      Engine.Span.open_span c ~at ~name:(Engine.Span.intern c "encap") ~node:t.label
         ~attrs:(encap_attrs entry packet) ()
     in
     Engine.Span.within c id (fun () -> forward_unicast t outer);
@@ -218,7 +218,7 @@ let send_through_tunnel t tunnel packet =
     | Some c ->
       let at = Engine.Sim.now (sim t) in
       let id =
-        Engine.Span.open_span c ~at ~name:"encap" ~node:t.label
+        Engine.Span.open_span c ~at ~name:(Engine.Span.intern c "encap") ~node:t.label
           ~attrs:(encap_attrs entry packet) ()
       in
       Engine.Span.within c id (fun () -> forward_unicast t outer);
@@ -614,7 +614,7 @@ let local_process t packet =
     | Some c ->
       let at = Engine.Sim.now (sim t) in
       let id =
-        Engine.Span.open_span c ~at ~name:"decap" ~node:t.label
+        Engine.Span.open_span c ~at ~name:(Engine.Span.intern c "decap") ~node:t.label
           ~attrs:[ ("inner", Packet.label inner) ] ()
       in
       Engine.Span.within c id (fun () -> dispatch_decapsulated t inner);

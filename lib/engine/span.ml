@@ -54,8 +54,27 @@ let drop_index = function
   | No_route -> 8
   | Not_joined -> 9
 
-(* Names of drop spans, built once rather than per drop. *)
+(* Names of drop spans: every collector interns them first, so drop
+   reason [d] has name [-1 - d]. *)
 let drop_span_names = Array.map (fun r -> "drop:" ^ drop_reason_name r) drop_reasons
+
+type verb = Tx | Rx | Inject | Deliver
+
+let verb_index = function Tx -> 0 | Rx -> 1 | Inject -> 2 | Deliver -> 3
+let verb_prefixes = [| "tx "; "rx "; "inject "; "deliver " |]
+let verb_prefix v = verb_prefixes.(verb_index v)
+
+(* A name [n >= 0] is a packet's: its verb in the low two bits, the
+   packet's label code above them.  A name [n < 0] is entry [-1 - n]
+   of the collector's intern table. *)
+type name = int
+
+let max_code = max_int lsr 2
+
+let packet_name verb code =
+  if code < 0 || code > max_code then
+    invalid_arg (Printf.sprintf "Span.packet_name: label code %d out of range" code);
+  (code lsl 2) lor verb_index verb
 
 type span = {
   sp_id : int;
@@ -89,7 +108,7 @@ type chunk = {
   parent : int array;
   cause : int array;
   drop : int array;
-  name : string array;
+  name : int array;
   node : string array;
   start : Float.Array.t;
   stop : Float.Array.t;
@@ -106,7 +125,7 @@ let new_chunk () =
     parent = Array.make chunk_size 0;
     cause = Array.make chunk_size 0;
     drop = Array.make chunk_size 0;
-    name = Array.make chunk_size "";
+    name = Array.make chunk_size 0;
     node = Array.make chunk_size "";
     start = Float.Array.make chunk_size 0.0;
     stop = Float.Array.make chunk_size 0.0;
@@ -120,16 +139,50 @@ type t = {
   mutable next_trace : int;
   mutable cur_trace : int;  (* ambient causal context, -1 = none *)
   mutable cur_span : int;
+  label_of_code : int -> string;  (* renders a packet name's label code *)
+  interned : (string, int) Hashtbl.t;  (* free-form name -> its name *)
+  mutable names : string array;  (* entry k is the string of name [-1 - k] *)
+  mutable n_names : int;
 }
 
-let create () =
-  { chunks = [||];
-    n_spans = 0;
-    marks_rev = [];
-    n_marks = 0;
-    next_trace = 0;
-    cur_trace = -1;
-    cur_span = -1 }
+let intern t s =
+  match Hashtbl.find_opt t.interned s with
+  | Some n -> n
+  | None ->
+    let k = t.n_names in
+    if k = Array.length t.names then begin
+      let grown = Array.make (2 * k) "" in
+      Array.blit t.names 0 grown 0 k;
+      t.names <- grown
+    end;
+    t.names.(k) <- s;
+    t.n_names <- k + 1;
+    Hashtbl.add t.interned s (-1 - k);
+    -1 - k
+
+let create ~label_of_code () =
+  let t =
+    { chunks = [||];
+      n_spans = 0;
+      marks_rev = [];
+      n_marks = 0;
+      next_trace = 0;
+      cur_trace = -1;
+      cur_span = -1;
+      label_of_code;
+      interned = Hashtbl.create 32;
+      names = Array.make 32 "";
+      n_names = 0 }
+  in
+  Array.iter (fun s -> ignore (intern t s)) drop_span_names;
+  t
+
+let name_string t n =
+  if n >= 0 then verb_prefixes.(n land 3) ^ t.label_of_code (n lsr 2) else t.names.(-1 - n)
+
+let has_verb t v n =
+  if n >= 0 then n land 3 = v
+  else String.starts_with ~prefix:verb_prefixes.(v) t.names.(-1 - n)
 
 let span_count t = t.n_spans
 let mark_count t = t.n_marks
@@ -146,7 +199,7 @@ let view t id =
   { sp_id = id;
     sp_trace = c.trace.(i);
     sp_parent = c.parent.(i);
-    sp_name = c.name.(i);
+    sp_name = name_string t c.name.(i);
     sp_node = c.node.(i);
     sp_start = Float.Array.get c.start i;
     sp_end = Float.Array.get c.stop i;
@@ -233,7 +286,8 @@ let restore t s =
   ignore
     (push t ~trace:s.sp_trace ~parent:s.sp_parent ~cause:s.sp_cause
        ~drop:(match s.sp_drop with None -> -1 | Some r -> drop_index r)
-       ~name:s.sp_name ~node:s.sp_node ~start:s.sp_start ~stop:s.sp_end ~attrs:s.sp_attrs);
+       ~name:(intern t s.sp_name) ~node:s.sp_node ~start:s.sp_start ~stop:s.sp_end
+       ~attrs:s.sp_attrs);
   if s.sp_trace >= t.next_trace then t.next_trace <- s.sp_trace + 1
 
 let restore_mark t mark =
@@ -263,7 +317,7 @@ let event = open_span
 
 let drop t ~at ~node ~reason ?detail ?(parent = -1) () =
   let d = drop_index reason in
-  record t ~at ~name:drop_span_names.(d) ~node ~parent ~cause:(-1) ~drop:d
+  record t ~at ~name:(-1 - d) ~node ~parent ~cause:(-1) ~drop:d
     ~attrs:(match detail with Some v -> [ ("detail", v) ] | None -> [])
 
 let mark t ~at ~name ~node ?(attrs = []) () =
@@ -273,7 +327,8 @@ let mark t ~at ~name ~node ?(attrs = []) () =
 
 (* ---- queries ---- *)
 
-let last_matching t ?before ?(dropped = false) pred =
+let last_matching t ?before ?(dropped = false) ?node ?verb pred =
+  let verb = match verb with None -> -1 | Some v -> verb_index v in
   let rec scan id =
     if id < 0 then None
     else
@@ -283,6 +338,8 @@ let last_matching t ?before ?(dropped = false) pred =
          | None -> true
          | Some b -> Time.compare (Float.Array.get c.start i) b <= 0)
         && ((not dropped) || c.drop.(i) >= 0)
+        && (match node with None -> true | Some n -> String.equal c.node.(i) n)
+        && (verb < 0 || has_verb t verb c.name.(i))
       then
         let s = view t id in
         if pred s then Some s else scan (id - 1)

@@ -9,23 +9,26 @@
     {!drop_reason} terminates the branches that die.
 
     {b Storage.}  Spans live in a chunked columnar store: fixed chunks
-    of 4,096 spans, one column per field (ints for trace, parent, cause
-    and drop reason, strings for name and node, unboxed floats for the
+    of 4,096 spans, one column per field (ints for trace, parent, cause,
+    drop reason and name, strings for node, unboxed floats for the
     start and end times, and the attribute lists).  A span's id is its
     position.  A full store gains a chunk and never copies a recorded
     span; the first chunk is allocated by the first span, so an unused
-    collector costs a few words.  The {!span} record is a read-only
-    {e view} built on demand by {!get}, {!iter}, {!spans} and
-    {!last_matching}; recording never builds one.
+    collector costs its intern table (127 words).  The
+    {!span} record is a read-only {e view} built on demand by {!get},
+    {!iter}, {!spans} and {!last_matching}; recording never builds one,
+    and a span's name string is rendered only in a view.
 
     {b Cost.}  Recording a span writes nine column slots: nine retained
-    words on a 64-bit host.  What it allocates besides is the caller's:
-    an interned name or attribute list costs nothing, so the
-    instrumented hot paths pass shared ones ([Net.Network] interns its
-    ["tx …"]/["rx …"] names per frame and its [("link", …)] and
-    [("group", …)] lists per link and group) and run nested work with
-    {!within}, which costs one closure.  On perfbench's [fig1-lineage]
-    workload lineage allocates about 32 words per span in all.
+    words on a 64-bit host, and no more for a packet's name, which is
+    an int ({!packet_name}).  What it allocates besides is the caller's:
+    a name or shared attribute list costs nothing, so the instrumented
+    hot paths pass packet names and shared lists ([Net.Network] builds
+    its [("link", …)] and [("group", …)] lists once per link and group)
+    and run nested work with {!within}, which costs one closure.  On
+    perfbench's [fig1-lineage] workload lineage allocates about 19
+    words per span in all, the nine retained ones included (it was 32
+    when names were strings).
 
     Collection is owned by {!Sim.set_lineage} and is {b off by
     default}: no collector installed means the instrumented hot paths
@@ -78,7 +81,36 @@ type mark = {
 
 type t
 
-val create : unit -> t
+val create : label_of_code:(int -> string) -> unit -> t
+(** An empty collector.  [label_of_code] renders the label code of a
+    {!packet_name} (the network layers pass
+    [Ipv6.Packet.label_of_code]); it is called only when a view is
+    built. *)
+
+(** {2 Span names}
+
+    A span's name is an int.  A packet's span names its packet by the
+    packet's label code and one of four verbs; any other name is
+    interned in the collector's own table.  The string is rendered only
+    when a view is built. *)
+
+type name
+
+type verb = Tx | Rx | Inject | Deliver
+(** The word a packet's span name begins with: ["tx "], ["rx "],
+    ["inject "] or ["deliver "]. *)
+
+val verb_prefix : verb -> string
+(** ["tx "], ["rx "], ["inject "], ["deliver "]. *)
+
+val packet_name : verb -> int -> name
+(** [packet_name v code] renders as [verb_prefix v ^ label_of_code code];
+    it allocates nothing.
+    @raise Invalid_argument for a negative code or one past 2{^60}−1. *)
+
+val intern : t -> string -> name
+(** The collector's name for a free-form string: one table lookup, and
+    one entry the first time the string is seen. *)
 
 val span_count : t -> int
 val mark_count : t -> int
@@ -120,7 +152,7 @@ val within : t -> int -> (unit -> 'a) -> 'a
 val open_span :
   t ->
   at:Time.t ->
-  name:string ->
+  name:name ->
   node:string ->
   ?parent:int ->
   ?cause:int ->
@@ -138,7 +170,7 @@ val close_span : t -> at:Time.t -> int -> unit
 val event :
   t ->
   at:Time.t ->
-  name:string ->
+  name:name ->
   node:string ->
   ?parent:int ->
   ?cause:int ->
@@ -156,10 +188,10 @@ val drop :
 val mark : t -> at:Time.t -> name:string -> node:string -> ?attrs:(string * string) list -> unit -> unit
 
 val restore : t -> span -> unit
-(** Re-add a span loaded from disk.  Ids must arrive in ascending
-    0-based order, each parent must be [-1] or an earlier span, and a
-    cause must be [-1] or non-negative (that it names a span is for
-    the loader to check once every span is in).
+(** Re-add a span loaded from disk, interning its name.  Ids must
+    arrive in ascending 0-based order, each parent must be [-1] or an
+    earlier span, and a cause must be [-1] or non-negative (that it
+    names a span is for the loader to check once every span is in).
     @raise Invalid_argument otherwise. *)
 
 val restore_mark : t -> mark -> unit
@@ -167,10 +199,18 @@ val restore_mark : t -> mark -> unit
 (** {2 Queries} *)
 
 val last_matching :
-  t -> ?before:Time.t -> ?dropped:bool -> (span -> bool) -> span option
+  t ->
+  ?before:Time.t ->
+  ?dropped:bool ->
+  ?node:string ->
+  ?verb:verb ->
+  (span -> bool) ->
+  span option
 (** Most recently opened span satisfying the predicate, starting at or
-    before [?before] and, with [~dropped:true], carrying a drop reason.
-    [?before] and [?dropped] are tested on the columns, so only
+    before [?before], with [~dropped:true] carrying a drop reason, on
+    [?node] if given, and with [?verb] named for that verb (a packet
+    name with the verb, or an interned name beginning with
+    {!verb_prefix}).  These filters are tested on the columns, so only
     candidate spans are viewed and handed to the predicate. *)
 
 val drop_counts : t -> (drop_reason * int) list

@@ -184,31 +184,79 @@ let rec pp ppf t =
    | Encapsulated inner -> Format.fprintf ppf " tunnel[%a]" pp inner
    | Empty -> ())
 
-(* Compact single-token label for lineage span names: cheap to build
-   (concatenation, no formatter), stable across runs, and short enough
-   for trace-event viewers.  Called only when lineage collection is
-   enabled. *)
-let rec label t =
+(* The label of every payload but a tunnel, by kind: [Data] is kind 0
+   and adds its stream and sequence number to the name. *)
+let kind_names =
+  [| "data"; "mld-query"; "mld-report"; "mld-done"; "pim-hello"; "pim-join-prune";
+     "pim-graft"; "pim-graft-ack"; "pim-assert"; "pim"; "nd"; "bu"; "back"; "ctl" |]
+
+let kind t =
   match t.payload with
-  | Data { stream_id; seq; _ } ->
-    "data s" ^ string_of_int stream_id ^ "#" ^ string_of_int seq
-  | Mld (Mld_message.Query _) -> "mld-query"
-  | Mld (Mld_message.Report _) -> "mld-report"
-  | Mld (Mld_message.Done _) -> "mld-done"
-  | Pim (Pim_message.Hello _) -> "pim-hello"
-  | Pim (Pim_message.Join_prune _) -> "pim-join-prune"
-  | Pim (Pim_message.Graft _) -> "pim-graft"
-  | Pim (Pim_message.Graft_ack _) -> "pim-graft-ack"
-  | Pim (Pim_message.Assert _) -> "pim-assert"
-  | Pim _ -> "pim"
-  | Nd _ -> "nd"
-  | Encapsulated inner -> "tunnel[" ^ label inner ^ "]"
+  | Data _ | Encapsulated _ -> 0
+  | Mld (Mld_message.Query _) -> 1
+  | Mld (Mld_message.Report _) -> 2
+  | Mld (Mld_message.Done _) -> 3
+  | Pim (Pim_message.Hello _) -> 4
+  | Pim (Pim_message.Join_prune _) -> 5
+  | Pim (Pim_message.Graft _) -> 6
+  | Pim (Pim_message.Graft_ack _) -> 7
+  | Pim (Pim_message.Assert _) -> 8
+  | Pim _ -> 9
+  | Nd _ -> 10
   | Empty ->
     if List.exists (function Binding_update _ -> true | _ -> false) t.dest_options
-    then "bu"
+    then 11
     else if
       List.exists
         (function Binding_acknowledgement _ -> true | _ -> false)
         t.dest_options
-    then "back"
-    else "ctl"
+    then 12
+    else 13
+
+let data_label stream_id seq = "data s" ^ string_of_int stream_id ^ "#" ^ string_of_int seq
+
+(* Compact single-token label for lineage span names: cheap to build
+   (concatenation, no formatter), stable across runs, and short enough
+   for trace-event viewers.  Called only when a lineage view is
+   rendered or a packet has no label code. *)
+let rec label t =
+  match t.payload with
+  | Data { stream_id; seq; _ } -> data_label stream_id seq
+  | Encapsulated inner -> "tunnel[" ^ label inner ^ "]"
+  | Mld _ | Pim _ | Nd _ | Empty -> kind_names.(kind t)
+
+(* A label code packs, from the low bits up: the sequence number
+   (32 bits), the stream id (16), the kind (4) and the tunnel depth
+   (3); 55 bits in all. *)
+let seq_bits = 32
+let stream_bits = 16
+let kind_bits = 4
+let max_seq = (1 lsl seq_bits) - 1
+let max_stream = (1 lsl stream_bits) - 1
+let max_depth = 7
+let kind_shift = seq_bits + stream_bits
+let depth_shift = kind_shift + kind_bits
+
+let rec label_code_at depth t =
+  match t.payload with
+  | Encapsulated inner -> label_code_at (depth + 1) inner
+  | Data { stream_id; seq; _ } ->
+    if depth > max_depth || stream_id < 0 || stream_id > max_stream || seq < 0 || seq > max_seq
+    then -1
+    else (depth lsl depth_shift) lor (stream_id lsl seq_bits) lor seq
+  | Mld _ | Pim _ | Nd _ | Empty ->
+    if depth > max_depth then -1 else (depth lsl depth_shift) lor (kind t lsl kind_shift)
+
+let label_code t = label_code_at 0 t
+
+let label_of_code code =
+  let depth = code asr depth_shift
+  and k = (code lsr kind_shift) land ((1 lsl kind_bits) - 1)
+  and stream = (code lsr seq_bits) land max_stream
+  and seq = code land max_seq in
+  if
+    code < 0 || depth > max_depth || k >= Array.length kind_names
+    || (k > 0 && (stream > 0 || seq > 0))
+  then invalid_arg (Printf.sprintf "Packet.label_of_code: %d is not a label code" code);
+  let rec tunnel d inner = if d = 0 then inner else "tunnel[" ^ tunnel (d - 1) inner ^ "]" in
+  tunnel depth (if k = 0 then data_label stream seq else kind_names.(k))

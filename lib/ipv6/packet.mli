@@ -101,3 +101,13 @@ val pp : Format.formatter -> t -> unit
 val label : t -> string
 (** Compact single-token description (["data s0#17"], ["pim-graft"],
     ["tunnel[data s0#17]"]) used to name lineage spans. *)
+
+val label_code : t -> int
+(** [label] packed into a non-negative int, without allocating: the
+    payload kind, the tunnel depth (at most 7) and, for data, the
+    stream id (0 to 65,535) and sequence number (0 to 2{^32}−1).  [-1]
+    for a packet outside those bounds, whose label has no code. *)
+
+val label_of_code : int -> string
+(** [label_of_code (label_code p) = label p] wherever the code is not
+    [-1].  @raise Invalid_argument for an int that is not a label code. *)

@@ -85,7 +85,8 @@ let lmld_event t name group =
   | None -> ()
   | Some c ->
     ignore
-      (Engine.Span.event c ~at:(Engine.Sim.now t.env.Mld_env.sim) ~name
+      (Engine.Span.event c ~at:(Engine.Sim.now t.env.Mld_env.sim)
+         ~name:(Engine.Span.intern c name)
          ~node:t.env.Mld_env.label
          ~attrs:[ ("group", Addr.to_string group) ]
          ())

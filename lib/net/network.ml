@@ -127,24 +127,12 @@ type t = {
   mutable span_names : span_names option;  (* built on first use *)
 }
 
-(* Names and attributes that lineage spans share, so a network that
-   records no lineage allocates none of them: each link's
-   [("link", name)] list, each group's [("group", address)] list, and
-   the names of the frame cells last transmitted and last delivered (a
-   fan-out transmits, and its receivers take delivery of, one cell
-   several times in a row). *)
+(* Attributes that lineage spans share, so a network that records no
+   lineage allocates none of them: each link's [("link", name)] list
+   and each group's [("group", address)] list. *)
 and span_names = {
   mutable link_attrs : (string * string) list array;
   mutable group_attrs : (Addr.t * (string * string) list) list;
-  mutable last_tx : frame_names option;
-  mutable last_rx : frame_names option;
-}
-
-(* The ["tx …"] and ["rx …"] span names of one frame cell. *)
-and frame_names = {
-  named : Codec.Frame.t;
-  tx_name : string;
-  rx_name : string;
 }
 
 let new_cell () = { c_packets = 0; c_bytes = 0; c_data_bytes = 0 }
@@ -377,7 +365,7 @@ let span_names t =
   match t.span_names with
   | Some n -> n
   | None ->
-    let n = { link_attrs = [||]; group_attrs = []; last_tx = None; last_rx = None } in
+    let n = { link_attrs = [||]; group_attrs = [] } in
     t.span_names <- Some n;
     n
 
@@ -411,32 +399,10 @@ let group_attrs t group =
     attrs
   | attrs -> attrs
 
-(* The span names of [cell], from either slot or built once. *)
-let frame_names n cell =
-  match (n.last_tx, n.last_rx) with
-  | Some f, _ when f.named == cell -> f
-  | _, Some f when f.named == cell -> f
-  | _ ->
-    let label = Packet.label (Codec.Frame.packet cell) in
-    { named = cell; tx_name = "tx " ^ label; rx_name = "rx " ^ label }
-
-let tx_name t cell =
-  let n = span_names t in
-  match n.last_tx with
-  | Some f when f.named == cell -> f.tx_name
-  | _ ->
-    let f = frame_names n cell in
-    n.last_tx <- Some f;
-    f.tx_name
-
-let rx_name t cell =
-  let n = span_names t in
-  match n.last_rx with
-  | Some f when f.named == cell -> f.rx_name
-  | _ ->
-    let f = frame_names n cell in
-    n.last_rx <- Some f;
-    f.rx_name
+let span_name c verb packet =
+  let code = Packet.label_code packet in
+  if code >= 0 then Engine.Span.packet_name verb code
+  else Engine.Span.intern c (Engine.Span.verb_prefix verb ^ Packet.label packet)
 
 (* Lineage drop record at a delivery-stage decision point, parented to
    the transmission span when one exists.  A plain function (not a
@@ -549,7 +515,7 @@ let deliver t ~link ~from ~to_node ~txsp ~chan cell =
         | Some c ->
           let at = Engine.Sim.now t.sim in
           let rx =
-            Engine.Span.open_span c ~at ~name:(rx_name t cell)
+            Engine.Span.open_span c ~at ~name:(span_name c Engine.Span.Rx (Codec.Frame.packet cell))
               ~node:(Topology.node_name t.topology to_node)
               ~parent:txsp ~attrs:(link_attrs t link) ()
           in
@@ -622,7 +588,7 @@ let transmit t ~from ~link dest packet =
         | Some c ->
           let at = Engine.Sim.now t.sim in
           let id =
-            Engine.Span.open_span c ~at ~name:(tx_name t cell)
+            Engine.Span.open_span c ~at ~name:(span_name c Engine.Span.Tx packet)
               ~node:(Topology.node_name t.topology from)
               ~attrs:(link_attrs t link) ()
           in

@@ -74,6 +74,12 @@ val group_attrs : t -> Addr.t -> (string * string) list
     group, built once per network and group so that every span naming
     the group can share it.  Call it only while lineage is on. *)
 
+val span_name : Engine.Span.t -> Engine.Span.verb -> Packet.t -> Engine.Span.name
+(** The lineage name of a packet's span, ["tx "]/["rx "]/["inject "]/
+    ["deliver "] followed by {!Packet.label}: the packet's label code,
+    with no allocation, or the interned string for a packet outside the
+    code's bounds. *)
+
 (** {2 Fault injection}
 
     Per-link impairments, driven declaratively by the [Faults] library

@@ -5,7 +5,8 @@ type t = {
   mutable approach : string;
 }
 
-let create ?(approach = "") () = { collector = Engine.Span.create (); approach }
+let create ?(approach = "") () =
+  { collector = Engine.Span.create ~label_of_code:Ipv6.Packet.label_of_code (); approach }
 
 let collector t = t.collector
 let approach t = t.approach
@@ -18,24 +19,18 @@ let mark_count t = Engine.Span.mark_count t.collector
 
 (* ---- happens-before queries ---- *)
 
-let node_matches node sp = node = "" || sp.Engine.Span.sp_node = node
-
-let why_dropped t ?(node = "") ?before () =
-  match
-    Engine.Span.last_matching t.collector ?before ~dropped:true (node_matches node)
-  with
+(* Every filter is a column test, so only the span returned is
+   viewed. *)
+let last_chain t ~node ?before ?dropped ?verb () =
+  let node = if node = "" then None else Some node in
+  match Engine.Span.last_matching t.collector ?before ?dropped ?node ?verb (fun _ -> true) with
   | None -> None
   | Some sp -> Some (Engine.Span.causal_chain t.collector sp.Engine.Span.sp_id)
+
+let why_dropped t ?(node = "") ?before () = last_chain t ~node ?before ~dropped:true ()
 
 let delivery_chain t ?(node = "") ?before () =
-  match
-    Engine.Span.last_matching t.collector ?before (fun sp ->
-        node_matches node sp
-        && String.length sp.Engine.Span.sp_name >= 7
-        && String.sub sp.Engine.Span.sp_name 0 7 = "deliver")
-  with
-  | None -> None
-  | Some sp -> Some (Engine.Span.causal_chain t.collector sp.Engine.Span.sp_id)
+  last_chain t ~node ?before ~verb:Engine.Span.Deliver ()
 
 let drop_counts t =
   List.map

@@ -104,7 +104,8 @@ let levent t name ?cause entry =
   match lineage t with
   | None -> -1
   | Some c ->
-    Engine.Span.event c ~at:(now t) ~name ~node:t.env.Pim_env.label ?cause
+    Engine.Span.event c ~at:(now t) ~name:(Engine.Span.intern c name)
+      ~node:t.env.Pim_env.label ?cause
       ~attrs:[ ("group", Addr.to_string entry.group) ]
       ()
 

@@ -150,7 +150,9 @@ let run ?spec ?sustain ?sched ?decider ?(lineage = false) ?on_trace ?inspect (d 
   if d.Desc.d_wire_check then Net.Network.set_wire_check scenario.Scenario.net true;
   (* The collector draws no randomness and writes no trace records, so
      turning it on cannot change the outcome — only enrich it. *)
-  if lineage then Engine.Sim.set_lineage scenario.Scenario.sim (Some (Engine.Span.create ()));
+  if lineage then
+    Engine.Sim.set_lineage scenario.Scenario.sim
+      (Some (Engine.Span.create ~label_of_code:Ipv6.Packet.label_of_code ()));
   (* The decider must be in place before fault installation (crash
      placement consults it) and before any event runs. *)
   let sch = Option.value sched ~default:canonical_schedule in

@@ -16,7 +16,7 @@ let canonical_trace ?(wire_check = false) ?(capture = false) ?(lineage = false) 
   if wire_check then Net.Network.set_wire_check scenario.Scenario.net true;
   let collector =
     if lineage then begin
-      let c = Engine.Span.create () in
+      let c = Engine.Span.create ~label_of_code:Ipv6.Packet.label_of_code () in
       Engine.Sim.set_lineage sim (Some c);
       Some c
     end

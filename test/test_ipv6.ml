@@ -687,6 +687,134 @@ let fuzz_properties =
   List.map QCheck_alcotest.to_alcotest
     [ decode_never_crashes; decode_mutated_never_crashes; truncations_never_crash ]
 
+(* Lineage label codes.  [label_oracle] is [Packet.label] as it was
+   before the label became a table of kinds, kept verbatim. *)
+let rec label_oracle (t : Packet.t) =
+  match t.payload with
+  | Data { stream_id; seq; _ } ->
+    "data s" ^ string_of_int stream_id ^ "#" ^ string_of_int seq
+  | Mld (Mld_message.Query _) -> "mld-query"
+  | Mld (Mld_message.Report _) -> "mld-report"
+  | Mld (Mld_message.Done _) -> "mld-done"
+  | Pim (Pim_message.Hello _) -> "pim-hello"
+  | Pim (Pim_message.Join_prune _) -> "pim-join-prune"
+  | Pim (Pim_message.Graft _) -> "pim-graft"
+  | Pim (Pim_message.Graft_ack _) -> "pim-graft-ack"
+  | Pim (Pim_message.Assert _) -> "pim-assert"
+  | Pim _ -> "pim"
+  | Nd _ -> "nd"
+  | Encapsulated inner -> "tunnel[" ^ label_oracle inner ^ "]"
+  | Empty ->
+    if List.exists (function Packet.Binding_update _ -> true | _ -> false) t.dest_options
+    then "bu"
+    else if
+      List.exists
+        (function Packet.Binding_acknowledgement _ -> true | _ -> false)
+        t.dest_options
+    then "back"
+    else "ctl"
+
+let max_stream = 0xffff
+let max_seq = 0xffff_ffff
+
+(* Stream ids and sequence numbers at, inside and past the code's
+   field bounds, negatives included. *)
+let gen_label_int bound =
+  QCheck.Gen.(
+    oneof
+      [ int_bound 100;
+        int_range (bound - 2) (bound + 2);
+        return 99_999_999_999;
+        map (fun n -> -n) (int_range 1 3) ])
+
+(* Every payload kind, under 0 to 9 tunnel headers (a code holds 7). *)
+let gen_labelled_packet =
+  let open QCheck.Gen in
+  gen_addr >>= fun src ->
+  gen_addr >>= fun dst ->
+  gen_dest_options src >>= fun dest_options ->
+  oneof
+    [ map3
+        (fun stream_id seq bytes -> Packet.Data { stream_id; seq; bytes })
+        (gen_label_int max_stream) (gen_label_int max_seq) (int_range 8 1200);
+      map (fun m -> Packet.Mld m) gen_mld_message;
+      map (fun m -> Packet.Pim m) gen_pim_message;
+      map (fun m -> Packet.Nd m) gen_nd_message;
+      return Packet.Empty ]
+  >>= fun payload ->
+  int_bound 9 >>= fun depth ->
+  let rec wrap n p = if n = 0 then p else wrap (n - 1) (Packet.encapsulate ~src ~dst p) in
+  return (wrap depth (Packet.make ~dest_options ~src ~dst payload))
+
+let arb_labelled_packet = QCheck.make ~print:label_oracle gen_labelled_packet
+
+let codable (p : Packet.t) =
+  let rec innermost (p : Packet.t) =
+    match p.payload with Encapsulated inner -> innermost inner | _ -> p
+  in
+  Packet.tunnel_depth p <= 7
+  &&
+  match (innermost p).payload with
+  | Data { stream_id; seq; _ } ->
+    stream_id >= 0 && stream_id <= max_stream && seq >= 0 && seq <= max_seq
+  | Mld _ | Pim _ | Nd _ | Encapsulated _ | Empty -> true
+
+let label_code_properties =
+  [ QCheck.Test.make ~name:"label matches its oracle" ~count:1000 arb_labelled_packet
+      (fun p -> Packet.label p = label_oracle p);
+    QCheck.Test.make ~name:"label_of_code inverts label_code inside the bounds"
+      ~count:2000 arb_labelled_packet (fun p ->
+        let code = Packet.label_code p in
+        if codable p then code >= 0 && Packet.label_of_code code = Packet.label p
+        else code = -1);
+    QCheck.Test.make ~name:"a span name renders the packet's label, code or not"
+      ~count:1000
+      (QCheck.pair arb_labelled_packet
+         (QCheck.make QCheck.Gen.(oneofl Engine.Span.[ Tx; Rx; Inject; Deliver ])))
+      (fun (p, verb) ->
+        let c = Engine.Span.create ~label_of_code:Packet.label_of_code () in
+        let id =
+          Engine.Span.event c ~at:0.0 ~name:(Net.Network.span_name c verb p) ~node:"N" ()
+        in
+        (Engine.Span.get c id).Engine.Span.sp_name
+        = Engine.Span.verb_prefix verb ^ label_oracle p) ]
+  |> List.map QCheck_alcotest.to_alcotest
+
+let label_code_tests =
+  [ Alcotest.test_case "label_code allocates nothing" `Quick (fun () ->
+        let inner =
+          Packet.make ~src:Addr.unspecified ~dst:Addr.unspecified
+            (Packet.Data { stream_id = 3; seq = 17; bytes = 500 })
+        in
+        let p = Packet.encapsulate ~src:Addr.unspecified ~dst:Addr.unspecified inner in
+        let before = Gc.minor_words () in
+        let code = Packet.label_code p in
+        let words = Gc.minor_words () -. before in
+        Alcotest.(check (float 0.0)) "minor words" 0.0 words;
+        Alcotest.(check string) "renders" "tunnel[data s3#17]" (Packet.label_of_code code));
+    Alcotest.test_case "label_of_code rejects what no packet codes to" `Quick (fun () ->
+        let data =
+          Packet.label_code
+            (Packet.make ~src:Addr.unspecified ~dst:Addr.unspecified
+               (Packet.Data { stream_id = 1; seq = 1; bytes = 8 }))
+        in
+        let pim =
+          Packet.label_code
+            (Packet.make ~src:Addr.unspecified ~dst:Addr.unspecified
+               (Packet.Pim (Pim_message.Hello { holdtime_s = 1 })))
+        in
+        List.iter
+          (fun (what, code) ->
+            match Packet.label_of_code code with
+            | s -> Alcotest.failf "%s rendered as %S" what s
+            | exception Invalid_argument _ -> ())
+          [ ("-1", -1);
+            ("kind 14", 14 lsl 48);
+            ("a stream on a pim-hello", pim lor (1 lsl 32));
+            ("a seq on a pim-hello", pim lor 1);
+            ("depth 8", data lor (8 lsl 52)) ])
+  ]
+
 let hexdump_tests =
   [ Alcotest.test_case "dump shape" `Quick (fun () ->
         let buf = Bytes.init 20 Char.chr in
@@ -712,5 +840,6 @@ let () =
       ("prefix", prefix_tests @ prefix_properties);
       ("packet", packet_tests);
       ("codec", codec_tests @ codec_properties @ frame_properties @ fuzz_properties);
+      ("label", label_code_tests @ label_code_properties);
       ("hexdump", hexdump_tests)
     ]

@@ -90,6 +90,66 @@ let query_tests =
           (Obs.Lineage.drop_counts lin))
   ]
 
+(* A collector whose label decoder counts its calls: a query renders
+   one packet name per span it views. *)
+let counting_collector () =
+  let decoded = ref 0 in
+  let c =
+    Engine.Span.create
+      ~label_of_code:(fun code ->
+        incr decoded;
+        Ipv6.Packet.label_of_code code)
+      ()
+  in
+  (c, decoded)
+
+let data_packet seq =
+  Ipv6.Packet.make ~src:Ipv6.Addr.unspecified ~dst:group
+    (Ipv6.Packet.Data { stream_id = 1; seq; bytes = 500 })
+
+let render_tests =
+  [ Alcotest.test_case "a verb or node query views only the span it returns" `Quick
+      (fun () ->
+        let c, decoded = counting_collector () in
+        let name verb seq = Net.Network.span_name c verb (data_packet seq) in
+        ignore
+          (Engine.Span.event c ~at:0.0 ~name:(name Engine.Span.Deliver 0) ~node:"R3" ());
+        for seq = 1 to 1000 do
+          let at = float_of_int seq in
+          ignore (Engine.Span.event c ~at ~name:(name Engine.Span.Tx seq) ~node:"A" ());
+          ignore (Engine.Span.event c ~at ~name:(name Engine.Span.Rx seq) ~node:"R3" ())
+        done;
+        (match Engine.Span.last_matching c ~verb:Engine.Span.Deliver (fun _ -> true) with
+         | Some sp ->
+           Alcotest.(check string) "the delivery" "deliver data s1#0" sp.Engine.Span.sp_name
+         | None -> Alcotest.fail "no delivery found");
+        Alcotest.(check int) "names rendered" 1 !decoded;
+        decoded := 0;
+        (match Engine.Span.last_matching c ~node:"A" ~verb:Engine.Span.Rx (fun _ -> true) with
+         | Some sp -> Alcotest.failf "found %s" sp.Engine.Span.sp_name
+         | None -> ());
+        Alcotest.(check int) "names rendered by a miss" 0 !decoded);
+    Alcotest.test_case "delivery_chain allocates for its chain, not the store" `Quick
+      (fun () ->
+        let lin = traced_run Approach.bidirectional_tunnel in
+        let words f =
+          let before = Gc.minor_words () in
+          let r = f () in
+          (r, Gc.minor_words () -. before)
+        in
+        let chain, hit = words (fun () -> Obs.Lineage.delivery_chain lin ~node:"R3" ()) in
+        let n = match chain with Some l -> List.length l | None -> 0 in
+        Alcotest.(check bool) "a chain" true (n > 0);
+        (* Router A delivers nothing, so the query scans every span. *)
+        let none, miss = words (fun () -> Obs.Lineage.delivery_chain lin ~node:"A" ()) in
+        Alcotest.(check bool) "no chain on a router" true (none = None);
+        (* Measured: 898 words for a 14-span chain, 23 for the miss; a
+           view of each of the 3,799 spans would cost over 40,000. *)
+        if hit > 100.0 *. float_of_int n then
+          Alcotest.failf "%.0f minor words for a %d-span chain" hit n;
+        if miss > 100.0 then Alcotest.failf "%.0f minor words for a miss" miss)
+  ]
+
 let roundtrip_tests =
   [ Alcotest.test_case "mmcast-lineage/1 survives save and load" `Quick (fun () ->
         let lin = traced_run Approach.tunnel_to_home_agent in
@@ -169,7 +229,7 @@ let pin_tests =
    spans; the Figure-1 runs stay inside one). *)
 let store_tests =
   [ Alcotest.test_case "views read back what was recorded across chunks" `Quick (fun () ->
-        let c = Engine.Span.create () in
+        let c = Engine.Span.create ~label_of_code:Ipv6.Packet.label_of_code () in
         let n = 10_000 in
         for i = 0 to n - 1 do
           let at = float_of_int i in
@@ -179,7 +239,7 @@ let store_tests =
                  ~detail:(string_of_int i) ~parent:(i - 1) ())
           else begin
             let id =
-              Engine.Span.open_span c ~at ~name:(Printf.sprintf "s%d" i) ~node:"N"
+              Engine.Span.open_span c ~at ~name:(Engine.Span.intern c (Printf.sprintf "s%d" i)) ~node:"N"
                 ~parent:(i / 2) ~cause:(i - 3) ~attrs:[ ("i", string_of_int i) ] ()
             in
             Engine.Span.close_span c ~at:(at +. 0.5) id
@@ -218,14 +278,16 @@ let store_tests =
         | Some sp -> Alcotest.(check int) "last plain span at or before 8192" 8192 sp.Engine.Span.sp_id
         | None -> Alcotest.fail "no span found");
     Alcotest.test_case "within restores the ambient context, also on a raise" `Quick (fun () ->
-        let c = Engine.Span.create () in
-        let root = Engine.Span.open_span c ~at:0.0 ~name:"root" ~node:"A" () in
+        let c = Engine.Span.create ~label_of_code:Ipv6.Packet.label_of_code () in
+        let root =
+          Engine.Span.open_span c ~at:0.0 ~name:(Engine.Span.intern c "root") ~node:"A" ()
+        in
         Engine.Span.clear_context c;
         let child = ref (-1) in
         Engine.Span.within c root (fun () ->
             Alcotest.(check (pair int int)) "inside"
               (Engine.Span.trace_of c root, root) (Engine.Span.context c);
-            child := Engine.Span.event c ~at:1.0 ~name:"child" ~node:"A" ());
+            child := Engine.Span.event c ~at:1.0 ~name:(Engine.Span.intern c "child") ~node:"A" ());
         Alcotest.(check int) "child parented to the ambient span" root
           (Engine.Span.get c !child).Engine.Span.sp_parent;
         Alcotest.(check (pair int int)) "restored" (-1, -1) (Engine.Span.context c);
@@ -308,6 +370,95 @@ let loader_tests =
              (Lazy.force recorded_doc)))
   ]
 
+(* Replace field [name] of span [k] where it stands, so a loaded and
+   re-saved document can be compared byte for byte. *)
+let rename_span k name doc =
+  with_spans doc
+    (List.mapi (fun i sp ->
+         match sp with
+         | Obs.Json.Obj fields when i = k ->
+           Obs.Json.Obj
+             (List.map
+                (fun (f, v) -> if f = "name" then (f, Obs.Json.String name) else (f, v))
+                fields)
+         | sp -> sp))
+
+let resaved doc =
+  match Obs.Lineage.of_json doc with
+  | Ok back -> Obs.Json.to_string (Obs.Lineage.to_json back)
+  | Error e -> Alcotest.failf "document rejected: %s" e
+
+(* Names no label code holds: past the stream, sequence and tunnel
+   bounds, or no packet's at all. *)
+let uncoded_names =
+  [ "rx data s1#99999999999";
+    "tx data s70000#1";
+    "deliver data s-1#4";
+    "inject tunnel[tunnel[tunnel[tunnel[tunnel[tunnel[tunnel[tunnel[data s0#1]]]]]]]]";
+    "tx ";
+    "a free-form name";
+    "drop:hop-limit";
+    "" ]
+
+let one_span_doc ~name ~node =
+  Obs.Json.Obj
+    [ ("schema", Obs.Json.String Obs.Lineage.schema);
+      ( "spans",
+        Obs.Json.List
+          [ Obs.Json.Obj
+              [ ("id", Obs.Json.Int 0); ("trace", Obs.Json.Int 0); ("parent", Obs.Json.Int (-1));
+                ("name", Obs.Json.String name); ("node", Obs.Json.String node);
+                ("start_s", Obs.Json.float 1.0); ("end_s", Obs.Json.float 1.0) ] ] );
+      ("marks", Obs.Json.List []) ]
+
+(* A random value for a random field of a random span. *)
+let gen_mutation =
+  let open QCheck.Gen in
+  let value =
+    oneof
+      [ return Obs.Json.Null;
+        map
+          (fun i -> Obs.Json.Int i)
+          (oneof [ int_range (-3) 5000; return max_int; return min_int ]);
+        map (fun f -> Obs.Json.Float f) (oneofl [ 0.5; -1.0; nan; infinity; 1e300 ]);
+        map (fun s -> Obs.Json.String s) (oneofl (uncoded_names @ [ "loss-fault"; "x" ]));
+        return (Obs.Json.List []);
+        return (Obs.Json.Obj [ ("k", Obs.Json.Null) ]) ]
+  in
+  triple (int_bound 3798)
+    (oneofl
+       [ "id"; "trace"; "parent"; "name"; "node"; "start_s"; "end_s"; "drop"; "cause"; "attrs" ])
+    value
+
+let loader_property_tests =
+  [ Alcotest.test_case "uncoded names load and re-save byte-identically" `Quick (fun () ->
+        let doc =
+          List.fold_left
+            (fun (k, doc) name -> (k + 97, rename_span k name doc))
+            (100, Lazy.force recorded_doc) uncoded_names
+          |> snd
+        in
+        Alcotest.(check string) "re-saved" (Obs.Json.to_string doc) (resaved doc));
+    Alcotest.test_case "a delivery named past the code bounds answers delivery_chain" `Quick
+      (fun () ->
+        let name = "deliver data s1#99999999999" in
+        match Obs.Lineage.of_json (one_span_doc ~name ~node:"R3") with
+        | Error e -> Alcotest.failf "rejected: %s" e
+        | Ok lin -> (
+          match Obs.Lineage.delivery_chain lin ~node:"R3" () with
+          | Some [ sp ] -> Alcotest.(check string) "name" name sp.Engine.Span.sp_name
+          | Some _ | None -> Alcotest.fail "no one-span delivery chain"));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"of_json answers Ok or Error on a mutated span, never raises"
+         ~count:200
+         (QCheck.make
+            ~print:(fun (k, f, v) -> Printf.sprintf "span %d %s = %s" k f (Obs.Json.to_string v))
+            gen_mutation)
+         (fun (k, field, value) ->
+           match Obs.Lineage.of_json (set_span_field k field value (Lazy.force recorded_doc)) with
+           | Ok _ | Error _ -> true))
+  ]
+
 let member = Obs.Json.member
 
 let catapult_tests =
@@ -361,11 +512,11 @@ let catapult_tests =
         let lin = Obs.Lineage.create ~approach:"synthetic" () in
         let c = Obs.Lineage.collector lin in
         let prune =
-          Engine.Span.event c ~at:1.0 ~name:"pim-prune-sent" ~node:"B" ()
+          Engine.Span.event c ~at:1.0 ~name:(Engine.Span.intern c "pim-prune-sent") ~node:"B" ()
         in
         Engine.Span.clear_context c;
         ignore
-          (Engine.Span.event c ~at:1.5 ~name:"pim-graft-sent" ~node:"C"
+          (Engine.Span.event c ~at:1.5 ~name:(Engine.Span.intern c "pim-graft-sent") ~node:"C"
              ~cause:prune ());
         match member "traceEvents" (Obs.Export.catapult_json lin) with
         | Some (Obs.Json.List events) ->
@@ -426,6 +577,44 @@ let handover_tests =
         | _ -> Alcotest.fail "no handover records in the document")
   ]
 
+let determinism_tests =
+  [ Alcotest.test_case "traced runs through Parallel.map ~jobs:2 match the sequential runs"
+      `Quick (fun () ->
+        let approaches =
+          Approach.
+            [ local_membership; bidirectional_tunnel; tunnel_to_home_agent;
+              tunnel_from_home_agent ]
+        in
+        let doc approach =
+          Digest.to_hex
+            (Digest.string (Obs.Json.to_string (Obs.Lineage.to_json (traced_run approach))))
+        in
+        Alcotest.(check (list string)) "document md5s" (List.map doc approaches)
+          (Parallel.map ~jobs:2 doc approaches));
+    Alcotest.test_case "collectors interning in opposite orders render one document" `Quick
+      (fun () ->
+        let record first =
+          let lin = Obs.Lineage.create ~approach:"synthetic" () in
+          let c = Obs.Lineage.collector lin in
+          List.iter (fun s -> ignore (Engine.Span.intern c s)) first;
+          let name = Engine.Span.intern c in
+          let root = Engine.Span.event c ~at:0.0 ~name:(name "encap") ~node:"D" () in
+          ignore
+            (Engine.Span.event c ~at:1.0 ~name:(name "pim-graft-sent") ~node:"C" ~parent:root ());
+          ignore
+            (Engine.Span.event c ~at:2.0
+               ~name:(Net.Network.span_name c Engine.Span.Rx (data_packet 3))
+               ~node:"R3" ~parent:root ());
+          ignore
+            (Engine.Span.event c ~at:2.5 ~name:(name "rx data s1#99999999999") ~node:"R3" ());
+          ignore
+            (Engine.Span.drop c ~at:3.0 ~node:"R3" ~reason:Engine.Span.Hop_limit ~parent:root ());
+          Obs.Json.to_string (Obs.Lineage.to_json lin)
+        in
+        let names = [ "encap"; "pim-graft-sent"; "decap"; "rx data s1#99999999999" ] in
+        Alcotest.(check string) "document" (record names) (record (List.rev names)))
+  ]
+
 let purity_tests =
   [ Alcotest.test_case "collection does not perturb deliveries" `Quick (fun () ->
         let run traced =
@@ -452,11 +641,12 @@ let purity_tests =
 
 let () =
   Alcotest.run "lineage"
-    [ ("queries", query_tests);
+    [ ("queries", query_tests @ render_tests);
       ("round trip", roundtrip_tests);
       ("byte pins", pin_tests);
       ("store", store_tests);
-      ("loader", loader_tests);
+      ("loader", loader_tests @ loader_property_tests);
+      ("same bytes", determinism_tests);
       ("catapult", catapult_tests);
       ("handover", handover_tests);
       ("purity", purity_tests)
