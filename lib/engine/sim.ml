@@ -157,11 +157,11 @@ let run ?until ?max_events t =
     (* An [until] before [now] runs nothing and leaves the clock where
        it is; otherwise the clock ends at [until], even when the queue
        drains early, unless the budget ran out first. *)
-    if Float.compare limit t.clock >= 0 then begin
+    if Time.compare limit t.clock >= 0 then begin
       while
         t.executed < budget
         && (not (Wheel.is_empty q))
-        && Float.compare (Wheel.front_time q) limit <= 0
+        && Time.compare (Wheel.front_time q) limit <= 0
       do
         dispatch t
       done;

@@ -8,8 +8,8 @@ let milliseconds t = t *. 1000.0
 let add = ( +. )
 let sub = ( -. )
 let compare = Float.compare
-let ( <. ) a b = a < b
-let ( <=. ) a b = a <= b
+let ( <. ) (a : t) b = a < b
+let ( <=. ) (a : t) b = a <= b
 let is_finite t = Float.is_finite t
 let max = Float.max
 let min = Float.min

@@ -32,14 +32,17 @@ let stop t =
     Sim.cancel t.sim handle;
     t.armed <- None
 
+(* The deadline is stored before it is scheduled, and the wheel entry
+   is handed [t.expiry]: the float box is then shared by the timer and
+   its entry.  A [let]-bound sum, once [Time.add] is inlined, would be
+   boxed afresh at each of its two uses. *)
 let start t duration =
-  let expiry = Time.add (Sim.now t.sim) duration in
-  (match t.armed with
-   | None -> t.armed <- Some (Sim.schedule_at ~category:t.category t.sim expiry t.fire)
-   | Some handle ->
-     let moved = Sim.postpone ~category:t.category t.sim handle expiry t.fire in
-     if moved != handle then t.armed <- Some moved);
-  t.expiry <- expiry
+  t.expiry <- Time.add (Sim.now t.sim) duration;
+  match t.armed with
+  | None -> t.armed <- Some (Sim.schedule_at ~category:t.category t.sim t.expiry t.fire)
+  | Some handle ->
+    let moved = Sim.postpone ~category:t.category t.sim handle t.expiry t.fire in
+    if moved != handle then t.armed <- Some moved
 
 let is_armed t = t.armed <> None
 

@@ -196,10 +196,8 @@ let quantum time =
      and land in the overflow heap, where ordering uses the raw time. *)
   if f >= 4.0e18 then max_int else if f > 0.0 then int_of_float f else 0
 
-(* [Time.compare], which is [Float.compare], called directly so that it
-   compiles inline. *)
 let entry_before a b =
-  match Float.compare a.time b.time with
+  match Time.compare a.time b.time with
   | 0 -> a.seq < b.seq
   | c -> c < 0
 
@@ -419,7 +417,7 @@ let is_cancelled _t e = e.key = cancelled
 
 let postpone t e time payload =
   if not (pending e) then invalid_arg "Wheel.postpone: event is not pending";
-  if Float.compare time e.due > 0 then begin
+  if Time.compare time e.due > 0 then begin
     e.due <- time;
     e.key <- t.seq;
     t.seq <- t.seq + 1;
@@ -677,12 +675,12 @@ let add_tie t n (x : _ entry) loc =
    index, or [lnot] a heap index), doubled, plus 1 in the overflow. *)
 let tie_loc i ~ovf = (i lsl 1) lor ovf
 
-let is_tie x ft = settled x && Float.compare x.time ft = 0
+let is_tie x ft = settled x && Time.compare x.time ft = 0
 
 (* Add the ties at time [ft] in the heap subtree of [s] rooted at [i]:
    entries no later than [ft] form a subtree at the top of the heap. *)
 let rec add_heap_ties t s ~ovf ft i n =
-  if i < s.hlen && Float.compare s.heap.(i).time ft <= 0 then begin
+  if i < s.hlen && Time.compare s.heap.(i).time ft <= 0 then begin
     let x = s.heap.(i) in
     let n = if is_tie x ft then add_tie t n x (tie_loc (lnot i) ~ovf) else n in
     let n = add_heap_ties t s ~ovf ft ((2 * i) + 1) n in
@@ -695,7 +693,7 @@ let rec add_heap_ties t s ~ovf ft i n =
    skipped: its new deadline is strictly later, so it is no tie. *)
 let add_slot_ties t s ~ovf ft n =
   let n = ref n and i = ref s.rhead in
-  while !i < s.rlen && Float.compare s.run.(!i).time ft <= 0 do
+  while !i < s.rlen && Time.compare s.run.(!i).time ft <= 0 do
     let x = s.run.(!i) in
     if is_tie x ft then n := add_tie t !n x (tie_loc !i ~ovf);
     incr i

@@ -11,7 +11,23 @@ let time_tests =
     Alcotest.test_case "pretty printing" `Quick (fun () ->
         Alcotest.(check string) "ms" "350.0ms" (Time.to_string 0.35);
         Alcotest.(check string) "s" "12.500s" (Time.to_string 12.5);
-        Alcotest.(check string) "min" "4m20.0s" (Time.to_string 260.0))
+        Alcotest.(check string) "min" "4m20.0s" (Time.to_string 260.0));
+    Alcotest.test_case "add inlines into its caller: no box per call" `Quick (fun () ->
+        (* The workspace builds without dune's [-opaque] (dune-workspace),
+           so [Time.add] inlines here and the sum stays an unboxed local.
+           Under [-opaque] every call is a real call: boxed argument,
+           boxed result, 4 words. *)
+        let n = 100_000 in
+        let acc = ref 0.0 in
+        let before = Gc.minor_words () in
+        for _ = 1 to n do
+          acc := Time.add !acc 0.5
+        done;
+        let words = Gc.minor_words () -. before in
+        Alcotest.(check (float 0.0)) "sum" (0.5 *. float_of_int n) !acc;
+        if words > 0.0 then
+          Alcotest.failf "%.0f minor words for %d Time.add calls (%.2f a call)" words n
+            (words /. float_of_int n))
   ]
 
 let event_queue_tests =
@@ -989,7 +1005,23 @@ let timer_tests =
         Timer.start timer 2.0;
         Sim.run sim;
         Alcotest.(check int) "three firings" 3 !count;
-        Alcotest.(check (float 1e-9)) "ends at 6" 6.0 (Sim.now sim))
+        Alcotest.(check (float 1e-9)) "ends at 6" 6.0 (Sim.now sim));
+    Alcotest.test_case "a restart allocates one box, shared with the wheel" `Quick (fun () ->
+        (* Each restart moves the deadline later, so the wheel entry is
+           moved in place and the timer's own expiry box is all that is
+           new.  The durations are boxed up front, in tuples. *)
+        let sim = Sim.create () in
+        let t = Timer.create sim ~name:"t" ~on_expire:ignore in
+        let n = 100_000 in
+        let durations = Array.init n (fun i -> (float_of_int (i + 1), ())) in
+        Timer.start t 0.5;
+        let before = Gc.minor_words () in
+        Array.iter (fun (d, ()) -> Timer.start t d) durations;
+        let words = Gc.minor_words () -. before in
+        Alcotest.(check (option (float 0.0))) "expiry" (Some (float_of_int n)) (Timer.expiry t);
+        if words > (2.0 *. float_of_int n) +. 64.0 then
+          Alcotest.failf "%.0f minor words for %d restarts (%.2f a restart)" words n
+            (words /. float_of_int n))
   ]
 
 let rng_tests =
