@@ -133,8 +133,7 @@ let current_link t = t.current_link
 let sim t = Network.sim t.net
 let topo t = Network.topology t.net
 
-let trace t fmt =
-  Engine.Trace.recordf (Network.trace t.net) ~category:"node" ("%s: " ^^ fmt) t.label
+let trace t event = Engine.Trace.record (Network.trace t.net) ~category:"node" event
 
 let lineage t = Engine.Sim.lineage (sim t)
 
@@ -172,13 +171,15 @@ let send_unicast t packet =
     match Network.resolve t.net ~link:t.current_link packet.Packet.dst with
     | Some target ->
       Network.transmit t.net ~from:t.node ~link:t.current_link (Network.To_node target) packet
-    | None -> trace t "no on-link neighbour for %s" (Addr.to_string packet.Packet.dst)
+    | None -> trace t (Node_event.No_on_link_neighbour { label = t.label; dst = packet.Packet.dst })
   end
   else
     match gateway t with
     | Some router ->
       Network.transmit t.net ~from:t.node ~link:t.current_link (Network.To_node router) packet
-    | None -> trace t "no router on %s" (Topology.link_name (topo t) t.current_link)
+    | None -> trace t
+        (Node_event.No_router
+           { label = t.label; link = Topology.link_name (topo t) t.current_link })
 
 let send_data t ~group ~bytes =
   if t.running then begin
@@ -283,8 +284,9 @@ let handle_nd t ~link (msg : Ipv6.Nd_message.t) =
       && Link_id.equal link t.current_link
       && Prefix.equal prefix (Topology.link_prefix (topo t) t.current_link)
     then begin
-      trace t "movement detected via router advertisement on %s"
-        (Topology.link_name (topo t) link);
+      trace t
+        (Node_event.Movement_detected
+           { label = t.label; link = Topology.link_name (topo t) link });
       !finalize_hook t
     end
   | Ipv6.Nd_message.Home_agent_heartbeat _ -> ()
@@ -523,7 +525,8 @@ let finalize_attach t =
      | None -> ());
     t.mld_local <- Some (make_local_mld t);
     establish_receive_paths t;
-    trace t "back home on %s" (Topology.link_name (topo t) t.current_link)
+    trace t
+      (Node_event.Back_home { label = t.label; link = Topology.link_name (topo t) t.current_link })
   end
   else begin
     let coa = Topology.address_on (topo t) t.node t.current_link in
@@ -551,8 +554,9 @@ let finalize_attach t =
      | Approach.Receive_local -> t.mld_local <- Some (make_local_mld t)
      | Approach.Receive_tunnel -> ());
     establish_receive_paths t;
-    trace t "care-of address %s on %s" (Addr.to_string coa)
-      (Topology.link_name (topo t) t.current_link)
+    trace t
+      (Node_event.Care_of_address
+         { label = t.label; care_of = coa; link = Topology.link_name (topo t) t.current_link })
   end
 
 let () = finalize_hook := fun t -> if t.running then finalize_attach t
@@ -582,8 +586,11 @@ let move_to t link =
     lmark t "handoff"
       [ ("from", Topology.link_name (topo t) old_link);
         ("to", Topology.link_name (topo t) link) ];
-    trace t "handoff %s -> %s" (Topology.link_name (topo t) old_link)
-      (Topology.link_name (topo t) link);
+    trace t
+      (Node_event.Handoff
+         { label = t.label;
+           from_link = Topology.link_name (topo t) old_link;
+           to_link = Topology.link_name (topo t) link });
     t.awaiting_detection <- true;
     match t.cfg.detection with
     | Fixed_delay ->

@@ -114,8 +114,7 @@ let address_on t link = Topology.address_on (topo t) t.node link
 
 let link_local t = Topology.link_local (topo t) t.node
 
-let trace t fmt =
-  Engine.Trace.recordf (Network.trace t.net) ~category:"node" ("%s: " ^^ fmt) t.label
+let trace t event = Engine.Trace.record (Network.trace t.net) ~category:"node" event
 
 let lineage t = Engine.Sim.lineage (sim t)
 
@@ -151,12 +150,12 @@ let rec forward_unicast t packet =
     | Some target -> transmit t ~link (Network.To_node target) packet
     | None ->
       ldrop t Engine.Span.No_route (Addr.to_string packet.Packet.dst);
-      trace t "no neighbour for %s, dropped" (Addr.to_string packet.Packet.dst))
+      trace t (Node_event.No_neighbour { label = t.label; dst = packet.Packet.dst }))
   | Routing.Forward { out_link; next_hop } ->
     transmit t ~link:out_link (Network.To_node next_hop) packet
   | Routing.Unreachable ->
     ldrop t Engine.Span.No_route (Addr.to_string packet.Packet.dst);
-    trace t "unreachable %s, dropped" (Addr.to_string packet.Packet.dst)
+    trace t (Node_event.Unreachable { label = t.label; dst = packet.Packet.dst })
 
 and intercept_to_mobile t entry packet =
   (* Home-agent interception: tunnel the packet to the care-of
@@ -303,7 +302,7 @@ let provision_mobile_host t ~home =
     (match t.pim with
      | Some p -> Pimdm.Pim_router.interface_added p ~iface:viface
      | None -> ());
-    trace t "provisioned mobile host %s on tunnel iface %d" (Addr.to_string home) viface
+    trace t (Node_event.Mobile_host_provisioned { label = t.label; home; iface = viface })
   end
 
 (* Whether this router currently provides home-agent service for a
@@ -336,9 +335,12 @@ let on_binding_added t entry =
   let home = entry.Mipv6.Binding_cache.home in
   provision_mobile_host t ~home;
   let tunnel = Hashtbl.find t.tunnels_by_home home in
-  trace t "binding %s -> %s (%d groups)" (Addr.to_string home)
-    (Addr.to_string entry.Mipv6.Binding_cache.care_of)
-    (List.length entry.Mipv6.Binding_cache.groups);
+  trace t
+    (Node_event.Binding_added
+       { label = t.label;
+         home;
+         care_of = entry.Mipv6.Binding_cache.care_of;
+         groups = List.length entry.Mipv6.Binding_cache.groups });
   lmark t "tunnel-up"
     [ ("home", Addr.to_string home);
       ("care-of", Addr.to_string entry.Mipv6.Binding_cache.care_of) ];
@@ -361,7 +363,7 @@ let on_binding_removed t entry =
   | None -> ()
   | Some tunnel ->
     clear_binding_side_effects t tunnel home;
-    trace t "binding for %s removed" (Addr.to_string home)
+    trace t (Node_event.Binding_removed { label = t.label; home })
 
 (* A binding is about to lapse without a refresh: probe the mobile
    node with a Binding Request (draft section 6.3); its answer is a
@@ -379,7 +381,9 @@ let on_binding_expiring t (entry : Mipv6.Binding_cache.entry) =
         ~dest_options:[ Packet.Binding_request; Packet.Home_address home ]
         Packet.Empty
     in
-    trace t "binding request sent to %s" (Addr.to_string entry.Mipv6.Binding_cache.care_of);
+    trace t
+      (Node_event.Binding_request_sent
+         { label = t.label; care_of = entry.Mipv6.Binding_cache.care_of });
     forward_unicast t request
   | Some _ | None -> ()
 
@@ -438,7 +442,9 @@ let activate_home_agent t st =
         | Some tunnel -> apply_binding_side_effects t tunnel entry
         | None -> ())
       (bindings_on t st.hl_link);
-    trace t "active home agent for %s" (Topology.link_name (topo t) st.hl_link)
+    trace t
+      (Node_event.Home_agent_active
+         { label = t.label; link = Topology.link_name (topo t) st.hl_link })
   end
 
 let deactivate_home_agent t st =
@@ -453,7 +459,9 @@ let deactivate_home_agent t st =
         | Some tunnel -> clear_binding_side_effects t tunnel entry.Mipv6.Binding_cache.home
         | None -> ())
       (bindings_on t st.hl_link);
-    trace t "standby home agent for %s" (Topology.link_name (topo t) st.hl_link)
+    trace t
+      (Node_event.Home_agent_standby
+         { label = t.label; link = Topology.link_name (topo t) st.hl_link })
   end
 
 let evaluate_ha_election t st =
@@ -487,12 +495,12 @@ let handle_heartbeat t ~link ~src ~priority =
              ~name:(Printf.sprintf "%s.hapeer.%s" t.label (Addr.to_string src))
              ~on_expire:(fun () ->
                Hashtbl.remove st.hl_peers src;
-               trace t "home-agent peer %s timed out" (Addr.to_string src);
+               trace t (Node_event.Home_agent_peer_timed_out { label = t.label; peer = src });
                if t.running then evaluate_ha_election t st)
          in
          Hashtbl.replace st.hl_peers src { peer_priority = priority; peer_expiry = expiry };
          Engine.Timer.start expiry holdtime;
-         trace t "home-agent peer %s (priority %d)" (Addr.to_string src) priority;
+         trace t (Node_event.Home_agent_peer { label = t.label; peer = src; priority });
          (* A newly seen peer may have just (re)started: replicate our
             bindings so its cache converges. *)
          sync_bindings_to_peer t link src);
@@ -515,7 +523,7 @@ let serves_home_address t home =
 let process_binding_update t packet (bu : Packet.binding_update) =
   t.load.Load.control_messages <- t.load.Load.control_messages + 1;
   match Packet.find_home_address packet with
-  | None -> trace t "binding update without home address option, ignored"
+  | None -> trace t (Node_event.Update_without_home_address t.label)
   | Some home ->
     if serves_home_address t home then begin
       let home_link =
@@ -563,7 +571,7 @@ let process_binding_update t packet (bu : Packet.binding_update) =
           | _, _ -> ()
       end
     end
-    else trace t "binding update for unserved home %s, ignored" (Addr.to_string home)
+    else trace t (Node_event.Update_for_unserved_home { label = t.label; home })
 
 (* ---- receive paths ---- *)
 
@@ -592,8 +600,7 @@ let reinject_from_reverse_tunnel t inner =
        Pimdm.Pim_router.handle_data p ~iface:(Link_id.to_int home_link) ~chan inner
      | None -> ())
   | Some _ | None ->
-    trace t "reverse-tunnelled packet from %s not for a local home link"
-      (Addr.to_string inner.Packet.src)
+    trace t (Node_event.Reverse_tunnel_not_home { label = t.label; src = inner.Packet.src })
 
 let dispatch_decapsulated t inner =
   match inner.Packet.payload with
@@ -630,7 +637,7 @@ let handle_unicast t packet =
       if packet.Packet.hop_limit <= 1 then begin
         t.load.Load.hop_limit_expired <- t.load.Load.hop_limit_expired + 1;
         ldrop t Engine.Span.Hop_limit (Addr.to_string packet.Packet.dst);
-        trace t "hop limit exceeded for %s" (Addr.to_string packet.Packet.dst)
+        trace t (Node_event.Hop_limit_exceeded { label = t.label; dst = packet.Packet.dst })
       end
       else forward_unicast t { packet with Packet.hop_limit = packet.Packet.hop_limit - 1 }
 
@@ -923,7 +930,7 @@ let fail t =
       (fun _ tunnel -> tunnel.bu_groups <- Addr.Set.empty)
       t.tunnels_by_home;
     Hashtbl.iter (fun _ st -> st.hl_active <- false) t.ha_states;
-    trace t "crashed"
+    trace t (Node_event.Crashed t.label)
   end
 
 let recover t =
@@ -934,5 +941,5 @@ let recover t =
     iter_mld t Mld.Mld_router.start;
     start_heartbeats t;
     start_router_advertisements t;
-    trace t "recovered"
+    trace t (Node_event.Recovered t.label)
   end

@@ -25,7 +25,7 @@ type t = {
   mutable backoff : Engine.Time.t;
 }
 
-let trace t fmt = Engine.Trace.recordf t.env.trace ~category:"mipv6" ("%s: " ^^ fmt) t.env.label
+let trace t event = Engine.Trace.record t.env.trace ~category:"mipv6" event
 
 let home_address t = t.home_address
 let home_agent t = t.home_agent
@@ -70,8 +70,9 @@ let send_registration t ~care_of =
   let packet = build_binding_update t ~care_of ~lifetime_s in
   t.sent <- t.sent + 1;
   t.env.send packet;
-  trace t "binding update #%d (coa %s, %d groups)" t.sequence (Addr.to_string care_of)
-    (List.length t.groups);
+  trace t
+    (Mipv6_event.Binding_update_sent
+       { label = t.env.label; sequence = t.sequence; care_of; groups = List.length t.groups });
   if t.env.config.Mipv6_config.request_ack then begin
     Engine.Timer.start t.retransmit t.backoff
   end
@@ -143,7 +144,7 @@ let attach_home t =
      let packet = build_binding_update t ~care_of:t.home_address ~lifetime_s:0 in
      t.sent <- t.sent + 1;
      t.env.send packet;
-     trace t "deregistration sent"
+     trace t (Mipv6_event.Deregistration_sent t.env.label)
    | At_home -> ());
   t.location <- At_home;
   Engine.Timer.stop t.refresh;
@@ -159,10 +160,12 @@ let handle_ack t (ack : Packet.binding_ack) =
       foreign.acked <- true;
       t.backoff <- t.env.config.Mipv6_config.ack_initial_timeout;
       Engine.Timer.stop t.retransmit;
-      trace t "binding #%d acknowledged" t.sequence
+      trace t (Mipv6_event.Binding_acknowledged { label = t.env.label; sequence = t.sequence })
     end
     else if ack.Packet.status <> 0 then
-      trace t "binding #%d rejected with status %d" ack.Packet.ack_sequence ack.Packet.status
+      trace t
+        (Mipv6_event.Binding_rejected
+           { label = t.env.label; sequence = ack.Packet.ack_sequence; status = ack.Packet.status })
 
 let stop t =
   Engine.Timer.stop t.refresh;

@@ -12,14 +12,14 @@ type t = {
   mutable running : bool;
 }
 
-let trace t fmt =
-  Engine.Trace.recordf t.env.Mld_env.trace ~category:"mld" ("%s: " ^^ fmt) t.env.Mld_env.label
+let trace t event = Engine.Trace.record t.env.Mld_env.trace ~category:"mld" event
+let label t = t.env.Mld_env.label
 
 let create env = { env; groups = Hashtbl.create 4; running = true }
 
 let send_report t group =
   t.env.Mld_env.send (Mld_env.make_report t.env ~group);
-  trace t "sent report for %s" (Addr.to_string group);
+  trace t (Mld_event.Report_sent { label = label t; group });
   match Hashtbl.find_opt t.groups group with
   | Some st -> st.last_reporter <- true
   | None -> ()
@@ -33,7 +33,7 @@ let join t group =
     in
     let st = { response; last_reporter = false; pending_unsolicited = [] } in
     Hashtbl.replace t.groups group st;
-    trace t "joined %s" (Addr.to_string group);
+    trace t (Mld_event.Joined { label = label t; group });
     (* Unsolicited Reports shorten the join delay from O(TQuery) to a
        propagation time; with a count of 0 the host waits for the next
        General Query (paper, section 4.3.1). *)
@@ -63,10 +63,10 @@ let leave t group =
        Done (RFC 2710 section 4); others left silently. *)
     if st.last_reporter && t.running then begin
       t.env.Mld_env.send (Mld_env.make_done t.env ~group);
-      trace t "sent done for %s" (Addr.to_string group)
+      trace t (Mld_event.Done_sent { label = label t; group })
     end;
     forget t group st;
-    trace t "left %s" (Addr.to_string group)
+    trace t (Mld_event.Left { label = label t; group })
 
 let schedule_response t group st ~max_delay =
   let delay = Engine.Rng.float t.env.Mld_env.rng (Engine.Time.seconds max_delay) in
@@ -77,7 +77,7 @@ let schedule_response t group st ~max_delay =
   in
   if replace then begin
     Engine.Timer.start st.response delay;
-    trace t "response for %s scheduled in %a" (Addr.to_string group) Engine.Time.pp delay
+    trace t (Mld_event.Response_scheduled { label = label t; group; delay })
   end
 
 let handle_query t msg_group ~max_delay =
@@ -96,7 +96,7 @@ let handle_foreign_report t group =
   | Some st ->
     if Engine.Timer.is_armed st.response then begin
       Engine.Timer.stop st.response;
-      trace t "suppressed report for %s" (Addr.to_string group)
+      trace t (Mld_event.Report_suppressed { label = label t; group })
     end;
     st.last_reporter <- false
 

@@ -25,15 +25,15 @@ type t = {
 (* Every change of [role] or [running] moves the generation. *)
 let touch t = t.generation <- t.generation + 1
 
-let trace t fmt =
-  Engine.Trace.recordf t.env.Mld_env.trace ~category:"mld" ("%s: " ^^ fmt) t.env.Mld_env.label
+let trace t event = Engine.Trace.record t.env.Mld_env.trace ~category:"mld" event
+let label t = t.env.Mld_env.label
 
 let config t = t.env.Mld_env.config
 
 let send_general_query t =
   let max_response_delay = (config t).Mld_config.query_response_interval in
   t.env.Mld_env.send (Mld_env.make_query t.env ~group:None ~max_response_delay);
-  trace t "sent general query"
+  trace t (Mld_event.General_query_sent (label t))
 
 let rec schedule_next_query t =
   let interval =
@@ -94,7 +94,7 @@ let lmld_event t name group =
 let remove_membership t group m =
   Engine.Timer.stop m.expiry;
   Hashtbl.remove t.members group;
-  trace t "no more listeners for %s" (Addr.to_string group);
+  trace t (Mld_event.No_listeners { label = label t; group });
   lmld_event t "mld-listener-removed" group;
   t.callbacks.listener_removed group
 
@@ -125,7 +125,7 @@ let refresh_membership t group =
     in
     Hashtbl.replace t.members group { expiry };
     Engine.Timer.start expiry lifetime;
-    trace t "new listener for %s" (Addr.to_string group);
+    trace t (Mld_event.New_listener { label = label t; group });
     lmld_event t "mld-listener-added" group;
     t.callbacks.listener_added group
 
@@ -140,7 +140,7 @@ let become_non_querier t ~observed_querier:_ =
        Engine.Timer.create ~category:"mld" t.env.Mld_env.sim ~name:(t.env.Mld_env.label ^ ".oqp")
          ~on_expire:(fun () ->
            if t.running then begin
-             trace t "other querier timed out; resuming querier role";
+             trace t (Mld_event.Querier_resumed (label t));
              t.role <- Querier;
              touch t;
              send_general_query t;
@@ -151,7 +151,7 @@ let become_non_querier t ~observed_querier:_ =
      touch t;
      Engine.Timer.stop t.query_timer;
      Engine.Timer.start other_querier (Mld_config.other_querier_present_interval (config t));
-     trace t "deferring to lower-address querier")
+     trace t (Mld_event.Querier_deferred (label t)))
 
 let handle_query t ~src =
   (* Querier election: lower source address wins (RFC 2710 section 6). *)
@@ -168,7 +168,7 @@ let send_specific_queries t group =
       if n < count && t.running && Hashtbl.mem t.members group then begin
         t.env.Mld_env.send
           (Mld_env.make_query t.env ~group:(Some group) ~max_response_delay:llqi);
-        trace t "sent group-specific query for %s" (Addr.to_string group);
+        trace t (Mld_event.Group_query_sent { label = label t; group });
         ignore
           (Engine.Sim.schedule_after ~category:"mld" t.env.Mld_env.sim llqi (fun () -> send_nth (n + 1)))
       end

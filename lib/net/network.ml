@@ -351,9 +351,8 @@ let link_is_up t link =
 let set_link_up t link up =
   if link_is_up t link <> up then begin
     update_condition t link (fun c -> c.up <- up);
-    Engine.Trace.recordf t.trace ~category:"fault" "link %s %s"
-      (Topology.link_name t.topology link)
-      (if up then "up" else "down")
+    Engine.Trace.record t.trace ~category:"fault"
+      (Net_event.Link_set { link = Topology.link_name t.topology link; up })
   end
 
 let losses t = t.lost
@@ -428,10 +427,11 @@ let drop_malformed t ~link ~to_node reason =
       (Engine.Span.drop c ~at:(Engine.Sim.now t.sim)
          ~node:(Topology.node_name t.topology to_node)
          ~reason:Engine.Span.Malformed ~detail:reason ()));
-  Engine.Trace.recordf t.trace ~category:"link" "%s dropped malformed frame on %s: %s"
-    (Topology.node_name t.topology to_node)
-    (Topology.link_name t.topology link)
-    reason
+  Engine.Trace.record t.trace ~category:"link"
+    (Net_event.Malformed_frame
+       { node = Topology.node_name t.topology to_node;
+         link = Topology.link_name t.topology link;
+         reason })
 
 (* Hand a received packet to its node, noting it and its channel for
    the node's forwarding transmits. *)
@@ -530,9 +530,9 @@ let transmit t ~from ~link dest packet =
   if not (Topology.is_attached t.topology from link) then begin
     t.dropped <- t.dropped + 1;
     record_drop t ~to_node:from ~txsp:(-1) Engine.Span.Not_attached;
-    Engine.Trace.recordf t.trace ~category:"link" "drop: %s not attached to %s"
-      (Topology.node_name t.topology from)
-      (Topology.link_name t.topology link)
+    Engine.Trace.record t.trace ~category:"link"
+      (Net_event.Not_attached
+         { node = Topology.node_name t.topology from; link = Topology.link_name t.topology link })
   end
   else begin
     let cond = if faultless t then None else Hashtbl.find_opt t.conditions link in
@@ -542,8 +542,8 @@ let transmit t ~from ~link dest packet =
          report carrier loss, which no protocol here listens to. *)
       t.blocked <- t.blocked + 1;
       record_drop t ~to_node:from ~txsp:(-1) Engine.Span.Link_down;
-      Engine.Trace.recordf t.trace ~category:"fault" "blocked: %s is down"
-        (Topology.link_name t.topology link)
+      Engine.Trace.record t.trace ~category:"fault"
+        (Net_event.Blocked (Topology.link_name t.topology link))
     | _ ->
       let size = Packet.size packet in
       count t link packet ~size;

@@ -23,5 +23,4 @@ type t = {
   flood_eligible : iface -> bool;
 }
 
-let trace t fmt =
-  Engine.Trace.recordf t.trace ~category:"pim" ("%s: " ^^ fmt) t.label
+let trace t event = Engine.Trace.record t.trace ~category:"pim" event

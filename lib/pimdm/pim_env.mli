@@ -43,4 +43,4 @@ type t = {
           subscribed. *)
 }
 
-val trace : t -> ('a, Format.formatter, unit, unit) format4 -> 'a
+val trace : t -> Engine.Trace.event -> unit

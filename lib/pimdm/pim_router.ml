@@ -91,7 +91,8 @@ type t = {
 (* Every mutation a {!snapshot} could observe moves the generation. *)
 let touch t = t.generation <- t.generation + 1
 
-let trace t fmt = Pim_env.trace t.env fmt
+let trace t event = Pim_env.trace t.env event
+let env_label t = t.env.Pim_env.label
 let config t = t.env.Pim_env.config
 let now t = Engine.Sim.now t.env.Pim_env.sim
 
@@ -152,7 +153,7 @@ let refresh_neighbor t iface addr ~holdtime =
     incr (neighbor_cell t iface);
     touch t;
     Engine.Timer.start timer holdtime;
-    trace t "neighbor %s on iface %d" (Addr.to_string addr) iface
+    trace t (Pim_event.Neighbor { label = env_label t; addr; iface })
 
 (* ---- hello ---- *)
 
@@ -203,7 +204,8 @@ let delete_entry t entry =
   Sg_tbl.remove t.entries (entry_key entry.source entry.group);
   uncache t entry;
   touch t;
-  trace t "(%s,%s) state expired" (Addr.to_string entry.source) (Addr.to_string entry.group)
+  trace t
+    (Pim_event.State_expired { label = env_label t; source = entry.source; group = entry.group })
 
 let make_oif t iface label =
   let rec o =
@@ -247,8 +249,9 @@ let originate_state_refresh t entry ~interval =
                interval_s = int_of_float (Engine.Time.seconds interval);
                prune_indicator = o.prune = Pruned }))
     entry.oifs;
-  trace t "(%s,%s) state refresh originated" (Addr.to_string entry.source)
-    (Addr.to_string entry.group)
+  trace t
+    (Pim_event.State_refresh_originated
+       { label = env_label t; source = entry.source; group = entry.group })
 
 (* Rebuild the lookup arrays from [oifs]. *)
 let index_oifs entry =
@@ -315,8 +318,7 @@ let create_entry t ~source ~group (rpf : Pim_env.rpf_result) =
                     | Some c when e.graft_span >= 0 ->
                       Engine.Span.within c e.graft_span send
                     | Some _ | None -> send ());
-                   trace t "(%s,%s) graft retransmitted" (Addr.to_string source)
-                     (Addr.to_string group)
+                   trace t (Pim_event.Graft_retransmitted { label = env_label t; source; group })
                  | None -> ());
                 Engine.Timer.start (Lazy.force entry).graft_timer
                   (config t).Pim_config.graft_retry
@@ -355,11 +357,9 @@ let create_entry t ~source ~group (rpf : Pim_env.rpf_result) =
      entry.refresh_timer <- Some (Lazy.force timer);
      Engine.Timer.start (Lazy.force timer) interval
    | (Some _ | None), _ -> ());
-  trace t "(%s,%s) state created, iif %d upstream %s" (Addr.to_string source)
-    (Addr.to_string group) entry.iif
-    (match entry.upstream with
-     | Some a -> Addr.to_string a
-     | None -> "direct");
+  trace t
+    (Pim_event.State_created
+       { label = env_label t; source; group; iif = entry.iif; upstream = entry.upstream });
   entry
 
 let find_entry t ~source ~group = Sg_tbl.find_opt t.entries (entry_key source group)
@@ -465,8 +465,9 @@ let send_prune_upstream t entry =
       entry.upstream_state <- Pruned_up;
       touch t;
       entry.prune_cause <- levent t "pim-prune-sent" entry;
-      trace t "(%s,%s) pruned upstream via iface %d" (Addr.to_string entry.source)
-        (Addr.to_string entry.group) entry.iif
+      trace t
+        (Pim_event.Pruned_upstream
+           { label = env_label t; source = entry.source; group = entry.group; iface = entry.iif })
     end
 
 let send_graft_upstream t entry =
@@ -492,8 +493,8 @@ let send_graft_upstream t entry =
       t.env.Pim_env.send_message entry.iif
         (Pim_message.Graft { upstream_neighbor = up; joins = [ sg entry ] });
       Engine.Timer.start entry.graft_timer (config t).Pim_config.graft_retry;
-      trace t "(%s,%s) graft sent upstream" (Addr.to_string entry.source)
-        (Addr.to_string entry.group)
+      trace t
+        (Pim_event.Graft_sent { label = env_label t; source = entry.source; group = entry.group })
     end
 
 let schedule_join_override t entry =
@@ -518,8 +519,9 @@ let schedule_join_override t entry =
               t.env.Pim_env.send_message entry.iif
                 (Pim_message.Join_prune
                    { upstream_neighbor = up; holdtime_s; joins = [ sg entry ]; prunes = [] });
-              trace t "(%s,%s) join override sent" (Addr.to_string entry.source)
-                (Addr.to_string entry.group)
+              trace t
+                (Pim_event.Join_override_sent
+                   { label = env_label t; source = entry.source; group = entry.group })
             | None -> ())
     in
     entry.join_override <- Some handle
@@ -569,8 +571,9 @@ let send_assert t entry iface =
   t.env.Pim_env.send_message iface
     (Pim_message.Assert
        { group = entry.group; source = entry.source; metric_preference = pref; metric });
-  trace t "(%s,%s) assert sent on iface %d" (Addr.to_string entry.source)
-    (Addr.to_string entry.group) iface
+  trace t
+    (Pim_event.Assert_sent
+       { label = env_label t; source = entry.source; group = entry.group; iface })
 
 let handle_data t ~iface ~chan packet =
   if t.running then begin
@@ -584,7 +587,7 @@ let handle_data t ~iface ~chan packet =
            (Engine.Span.drop c ~at:(now t) ~node:t.env.Pim_env.label
               ~reason:Engine.Span.Rpf_fail
               ~detail:(Addr.to_string source) ()));
-      trace t "data from unroutable source %s dropped" (Addr.to_string source)
+      trace t (Pim_event.Unroutable_source { label = env_label t; source })
     | Some entry ->
       if iface = entry.iif then begin
         Engine.Timer.start entry.expiry (config t).Pim_config.data_timeout;
@@ -616,8 +619,9 @@ let handle_prune t ~iface ~upstream_neighbor entry =
         touch t;
         Engine.Timer.start o.prune_timer (config t).Pim_config.prune_delay;
         ignore (levent t "pim-prune-pending" entry);
-        trace t "(%s,%s) prune pending on iface %d (TPruneDel window)"
-          (Addr.to_string entry.source) (Addr.to_string entry.group) iface
+        trace t
+          (Pim_event.Prune_pending
+             { label = env_label t; source = entry.source; group = entry.group; iface })
       | Pruned ->
         (* A repeated Prune (e.g. answering a State Refresh) renews the
            prune state instead of letting the holdtime re-flood. *)
@@ -645,8 +649,9 @@ let handle_join t ~iface ~upstream_neighbor entry =
         touch t;
         Engine.Timer.stop o.prune_timer;
         ignore (levent t "pim-join" entry);
-        trace t "(%s,%s) join cancels prune on iface %d" (Addr.to_string entry.source)
-          (Addr.to_string entry.group) iface
+        trace t
+          (Pim_event.Join_cancels_prune
+             { label = env_label t; source = entry.source; group = entry.group; iface })
       end
   end
   else if
@@ -675,8 +680,7 @@ let handle_graft t ~iface ~src ~upstream_neighbor joins =
               o.leaf_flooded <- false;
               touch t;
               ignore (levent t "pim-grafted-iface" entry);
-              trace t "(%s,%s) grafted iface %d" (Addr.to_string source)
-                (Addr.to_string group) iface;
+              trace t (Pim_event.Grafted { label = env_label t; source; group; iface });
               (* Cascade: if we had pruned ourselves off, rejoin. *)
               if entry.upstream_state = Pruned_up then send_graft_upstream t entry;
               Some { Pim_message.source; group }))
@@ -706,7 +710,7 @@ let handle_graft_ack t ~iface ~upstream_neighbor joins =
                ~node:t.env.Pim_env.label
                ~attrs:[ ("group", Addr.to_string group) ]
                ());
-          trace t "(%s,%s) graft acknowledged" (Addr.to_string source) (Addr.to_string group)
+          trace t (Pim_event.Graft_acknowledged { label = env_label t; source; group })
         | Some _ | None -> ())
       joins
 
@@ -747,8 +751,8 @@ let handle_assert t ~iface ~src ~group ~source ~metric_preference ~metric =
           entry.last_prune_sent <- None;
           if entry.upstream_state = Pruned_up then entry.upstream_state <- Joined
         end;
-        trace t "(%s,%s) assert winner %s is new upstream" (Addr.to_string source)
-          (Addr.to_string group) (Addr.to_string src)
+        trace t
+          (Pim_event.Assert_winner_upstream { label = env_label t; source; group; winner = src })
       end
     end
     else begin
@@ -762,8 +766,8 @@ let handle_assert t ~iface ~src ~group ~source ~metric_preference ~metric =
             o.assert_lost <- Some theirs;
             touch t;
             Engine.Timer.start o.assert_timer (config t).Pim_config.assert_time;
-            trace t "(%s,%s) lost assert on iface %d to %s" (Addr.to_string source)
-              (Addr.to_string group) iface (Addr.to_string src)
+            trace t
+              (Pim_event.Lost_assert { label = env_label t; source; group; iface; winner = src })
           end
           else
             (* We win: answer so the loser stands down. *)

@@ -110,6 +110,25 @@ let validate t =
             Ok ())
       (Ok ()) t.d_links
   in
+  (* No prefix contains another link's: an address on the longer one
+     would resolve to either link.  Prefixes nest or are disjoint, so
+     in address order (shorter first on a tie) a prefix that contains
+     any other contains the one right after it. *)
+  let* () =
+    let sorted =
+      List.sort (fun (a, _) (b, _) -> Ipv6.Prefix.compare a b)
+        (Hashtbl.fold (fun p name acc -> (p, name) :: acc) prefixes [])
+    in
+    let rec check = function
+      | (outer, o) :: ((inner, i) :: _ as rest) ->
+        if Ipv6.Prefix.contains outer (Ipv6.Prefix.address inner) then
+          err "link %s: prefix %s contains link %s's prefix %s" o (Ipv6.Prefix.to_string outer) i
+            (Ipv6.Prefix.to_string inner)
+        else check rest
+      | [ _ ] | [] -> Ok ()
+    in
+    check sorted
+  in
   let* () =
     let { tr_from; tr_until; tr_interval; tr_bytes } = t.d_traffic in
     if not (finite tr_from && finite tr_until) then

@@ -71,7 +71,8 @@ val event_time : event -> float
 val validate : t -> (unit, string) result
 (** Structural soundness, checked before {!Runner.run} builds
     anything: every referenced link/router/host exists, every
-    link prefix parses as a /64 or shorter and no two links share one,
+    link prefix parses as a /64 or shorter and none contains another
+    link's (nor equals it),
     every host's home link is served by a home agent, group indices
     are within what {!group_addr} encodes, times are finite and
     non-negative, the traffic interval is positive and the datagram

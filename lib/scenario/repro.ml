@@ -25,7 +25,7 @@ let render_trace records =
   List.rev_map
     (fun r ->
       Printf.sprintf "%.3f [%s] %s" r.Engine.Trace.at r.Engine.Trace.category
-        r.Engine.Trace.message)
+        (Engine.Trace.message r))
     records
 
 let capture ~desc ~approach ~invariant ~sustain ~sched =

@@ -372,9 +372,191 @@ let family_roundtrips =
   ]
   |> List.map QCheck_alcotest.to_alcotest
 
+(* ---- loaders: descriptors, repro bundles, JSON and pcapng ---- *)
+
+module Json = Obs.Json
+module Desc = Scale.Desc
+
+(* The graft-disabled 5-router descriptor checked in beside the CLI. *)
+let descriptor_text () = In_channel.with_open_bin "../bin/broken-graft-r5-s42.json" In_channel.input_all
+
+(* Byte-level: a byte replaced by one likely to matter in JSON or in a
+   prefix, inserted, deleted, or the text cut short. *)
+let mutate_bytes rand s =
+  let n = String.length s in
+  let i = Random.State.int rand (max 1 n) in
+  let alphabet = "0123456789:/.,-e\"{}[]x " in
+  let c = alphabet.[Random.State.int rand (String.length alphabet)] in
+  match Random.State.int rand 4 with
+  | 0 -> String.mapi (fun j d -> if j = i then c else d) s
+  | 1 -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
+  | 2 -> String.sub s 0 i ^ String.sub s (min n (i + 1)) (n - min n (i + 1))
+  | _ -> String.sub s 0 i
+
+(* Field-level: a link prefix re-lengthened (the overlap case), a number
+   scaled, negated or zeroed, a string swapped for another field's, a
+   field dropped, a list entry duplicated or dropped. *)
+let rec mutate_json rand (j : Json.t) : Json.t =
+  let pick l = List.nth l (Random.State.int rand (List.length l)) in
+  match j with
+  | Json.Obj fields when fields <> [] && Random.State.int rand 3 > 0 ->
+    let k = Random.State.int rand (List.length fields) in
+    Json.Obj
+      (List.concat
+         (List.mapi
+            (fun i (key, v) ->
+              if i <> k then [ (key, v) ]
+              else
+                match (key, v) with
+                | "prefix", Json.String p -> (
+                  match String.index_opt p '/' with
+                  | Some slash ->
+                    let len = pick [ 0; 3; 14; 32; 38; 39; 48; 63; 64; 65; 128; Random.State.int rand 129 ] in
+                    [ (key, Json.String (String.sub p 0 slash ^ "/" ^ string_of_int len)) ]
+                  | None -> [ (key, v) ])
+                | _, _ when Random.State.int rand 8 = 0 -> []
+                | _ -> [ (key, mutate_json rand v) ])
+            fields))
+  | Json.List items when items <> [] ->
+    let k = Random.State.int rand (List.length items) in
+    Json.List
+      (List.concat
+         (List.mapi
+            (fun i v ->
+              if i <> k then [ v ]
+              else
+                match Random.State.int rand 6 with
+                | 0 -> []
+                | 1 -> [ v; v ]
+                | _ -> [ mutate_json rand v ])
+            items))
+  | Json.Int n -> Json.Int (pick [ 0; -n; 2 * n; n + 1; max_int ])
+  | Json.Float x -> Json.Float (pick [ 0.0; -.x; 2.0 *. x; x +. 1e6; Float.nan; Float.infinity ])
+  | Json.String _ -> Json.String (pick [ ""; "S1"; "B3"; "H0"; "ff1e::1"; "2001:db8:100:1::/64" ])
+  | Json.Bool b -> Json.Bool (not b)
+  | other -> other
+
+(* Every mutant that loads and validates runs under all four
+   approaches without raising; returns how many did. *)
+let runs_all_approaches what d =
+  List.iter
+    (fun approach ->
+      match Scale.Runner.run d approach with
+      | _ -> ()
+      | exception e ->
+        Alcotest.failf "%s: %s validates but approach %d raises %s" what (Desc.to_json d |> Json.to_string)
+          (Mmcast.Approach.number approach) (Printexc.to_string e))
+    Mmcast.Approach.all
+
+let descriptor_mutation_tests =
+  [ Alcotest.test_case "a descriptor mutant that validates runs all four approaches" `Slow
+      (fun () ->
+        let rand = Random.State.make [| 42 |] in
+        let text = descriptor_text () in
+        let base =
+          match Json.of_string text with Ok j -> j | Error e -> Alcotest.fail e
+        in
+        let ran = ref 0 in
+        let try_mutant what load =
+          match load () with
+          | exception e -> Alcotest.failf "%s: the loader raised %s" what (Printexc.to_string e)
+          | Error _ -> ()
+          | Ok d -> (
+            match Desc.validate d with
+            | exception e -> Alcotest.failf "%s: validate raised %s" what (Printexc.to_string e)
+            | Error _ -> ()
+            | Ok () ->
+              incr ran;
+              runs_all_approaches what d)
+        in
+        for i = 1 to 150 do
+          let rounds = 1 + Random.State.int rand 3 in
+          let rec go s k = if k = 0 then s else go (mutate_bytes rand s) (k - 1) in
+          let s = go text rounds in
+          try_mutant (Printf.sprintf "byte mutant %d" i) (fun () ->
+              Result.bind (Json.of_string s) Desc.of_json)
+        done;
+        for i = 1 to 150 do
+          let j = mutate_json rand base in
+          try_mutant (Printf.sprintf "field mutant %d" i) (fun () -> Desc.of_json j)
+        done;
+        (* The generator must reach runs, not only rejections. *)
+        if !ran < 20 then Alcotest.failf "only %d mutants validated" !ran)
+  ]
+
+let never_raises what f =
+  match f () with
+  | _ -> true
+  | exception e -> QCheck.Test.fail_reportf "%s raised %s" what (Printexc.to_string e)
+
+let loader_properties =
+  let capture =
+    let w = Obs.Pcapng.Writer.create () in
+    let l1 = Obs.Pcapng.Writer.add_interface w ~name:"L1" () in
+    let l2 = Obs.Pcapng.Writer.add_interface w ~name:"L2" () in
+    List.iteri
+      (fun i p ->
+        Obs.Pcapng.Writer.add_packet w ~iface:(if i land 1 = 0 then l1 else l2)
+          ~ts:(float_of_int i *. 0.25) (Codec.encode p))
+      (data_packet :: mld_packets @ pim_packets);
+    Bytes.to_string (Obs.Pcapng.Writer.contents w)
+  in
+  let repro_text =
+    let r =
+      { Scale.Repro.rp_desc = Scale.Gen.broken ~seed:42 ();
+        rp_approach = Mmcast.Approach.local_membership;
+        rp_invariant = Check.Monitor.Prune_graft;
+        rp_sustain = 10.0;
+        rp_sched = Scale.Runner.canonical_schedule;
+        rp_detail = "detail";
+        rp_trace = [ "1.000 [pim] A: x" ];
+        rp_chain = [] }
+    in
+    Json.to_string (Scale.Repro.to_json r)
+  in
+  let mutants base =
+    QCheck.make ~print:(Printf.sprintf "%S")
+      QCheck.Gen.(
+        int_range 1 4 >>= fun rounds ->
+        int >>= fun seed ->
+        let rand = Random.State.make [| seed |] in
+        let rec go s k = if k = 0 then s else go (mutate_bytes rand s) (k - 1) in
+        return (go base rounds))
+  in
+  let json_mutants base =
+    QCheck.make ~print:(fun j -> Json.to_string j)
+      QCheck.Gen.(
+        int >>= fun seed ->
+        let rand = Random.State.make [| seed |] in
+        return (mutate_json rand (mutate_json rand base)))
+  in
+  let parsed text = match Json.of_string text with Ok j -> j | Error e -> failwith e in
+  let rand = Random.State.make [| 43 |] in
+  List.map (QCheck_alcotest.to_alcotest ~rand)
+    [ QCheck.Test.make ~name:"Pcapng.read and read_lenient never raise" ~count:3000
+        (mutants capture) (fun s ->
+          let b = Bytes.of_string s in
+          never_raises "read" (fun () -> Obs.Pcapng.read b)
+          && never_raises "read_lenient" (fun () -> Obs.Pcapng.read_lenient b));
+      QCheck.Test.make ~name:"Json.of_string never raises" ~count:3000
+        (mutants (descriptor_text ())) (fun s -> never_raises "of_string" (fun () -> Json.of_string s));
+      QCheck.Test.make ~name:"Desc.of_json never raises" ~count:2000
+        (json_mutants (parsed (descriptor_text ()))) (fun j ->
+          never_raises "of_json" (fun () -> Desc.of_json j));
+      QCheck.Test.make ~name:"Repro.of_json never raises" ~count:2000
+        (json_mutants (parsed repro_text)) (fun j ->
+          never_raises "of_json" (fun () -> Scale.Repro.of_json j)) ]
+  @ [ Alcotest.test_case "Json.of_string on 100k-deep nesting answers, never raises" `Quick
+        (fun () ->
+          List.iter
+            (fun s -> ignore (never_raises "deep" (fun () -> Json.of_string s)))
+            [ String.make 100_000 '['; String.make 100_000 '[' ^ String.make 100_000 ']';
+              String.concat "" (List.init 50_000 (fun _ -> "{\"a\":")) ]) ]
+
 let () =
   Alcotest.run "fuzz"
     [ ("mutation", mutation_tests);
       ("corpus", corpus_tests);
-      ("roundtrip", family_roundtrips)
+      ("roundtrip", family_roundtrips);
+      ("loaders", descriptor_mutation_tests @ loader_properties)
     ]

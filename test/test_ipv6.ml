@@ -832,11 +832,135 @@ let hexdump_tests =
         Alcotest.(check string) "all ones" "11111111 11111111 11111111 11111111" s)
   ]
 
+(* [Addr.of_string_opt] as it was before its single-pass rewrite
+   (splitting on colons into lists, each group read by
+   [int_of_string ("0x" ^ s)]), kept verbatim as the oracle. *)
+let oracle_of_string_opt s =
+  let of_groups g = addr_of_groups g in
+  let parse_group s =
+    if String.length s = 0 || String.length s > 4 then None
+    else
+      let valid =
+        String.for_all
+          (fun c ->
+            (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F'))
+          s
+      in
+      if valid then Some (int_of_string ("0x" ^ s)) else None
+  in
+  let split_groups part =
+    if String.equal part "" then Some []
+    else
+      let pieces = String.split_on_char ':' part in
+      let rec convert acc = function
+        | [] -> Some (List.rev acc)
+        | p :: rest -> (
+          match parse_group p with
+          | None -> None
+          | Some v -> convert (v :: acc) rest)
+      in
+      convert [] pieces
+  in
+  match String.index_opt s ':' with
+  | None -> None
+  | Some _ ->
+    let double_colon =
+      let rec find i =
+        if i + 1 >= String.length s then None
+        else if s.[i] = ':' && s.[i + 1] = ':' then Some i
+        else find (i + 1)
+      in
+      find 0
+    in
+    (match double_colon with
+     | None -> (
+       match split_groups s with
+       | Some gs when List.length gs = 8 -> Some (of_groups (Array.of_list gs))
+       | Some _ | None -> None)
+     | Some i ->
+       let left = String.sub s 0 i in
+       let right = String.sub s (i + 2) (String.length s - i - 2) in
+       (* A second "::" is malformed. *)
+       let contains_dc str =
+         let rec go j =
+           if j + 1 >= String.length str then false
+           else (str.[j] = ':' && str.[j + 1] = ':') || go (j + 1)
+         in
+         go 0
+       in
+       if contains_dc right then None
+       else
+         match (split_groups left, split_groups right) with
+         | Some lg, Some rg ->
+           let missing = 8 - List.length lg - List.length rg in
+           if missing < 1 then None
+           else
+             let zeros = List.init missing (fun _ -> 0) in
+             Some (of_groups (Array.of_list (lg @ zeros @ rg)))
+         | _, _ -> None)
+
+(* Rendered addresses (compressed, and in full with leading zeros or
+   upper case), then mutated: a character replaced, inserted or
+   deleted, colons doubled or dropped, pieces cut off. *)
+let gen_address_text =
+  let open QCheck.Gen in
+  let rendered =
+    oneof
+      [ map Addr.to_string gen_zero_run_addr;
+        map Addr.to_string (map2 Addr.make ui64 ui64);
+        map
+          (fun a ->
+            String.concat ":"
+              (List.init 8 (fun i ->
+                   let half = if i < 4 then Addr.hi a else Addr.lo a in
+                   Printf.sprintf "%04X"
+                     (Int64.to_int (Int64.shift_right_logical half (48 - (16 * (i land 3))))
+                     land 0xffff))))
+          gen_zero_run_addr ]
+  in
+  let alphabet = oneofl [ ':'; '0'; '1'; 'a'; 'F'; 'g'; 'x'; ' '; '/'; '.' ] in
+  let mutate s =
+    if String.length s = 0 then return s
+    else
+      int_bound (String.length s - 1) >>= fun i ->
+      alphabet >>= fun c ->
+      oneofl
+        [ String.mapi (fun j d -> if j = i then c else d) s;
+          String.sub s 0 i ^ String.make 1 c ^ String.sub s i (String.length s - i);
+          String.sub s 0 i ^ String.sub s (i + 1) (String.length s - i - 1);
+          String.sub s 0 i;
+          String.sub s i (String.length s - i);
+          s ^ "::";
+          "::" ^ s;
+          s ^ ":" ^ s ]
+  in
+  rendered >>= fun s ->
+  int_bound 3 >>= fun rounds ->
+  let rec go s k = if k = 0 then return s else mutate s >>= fun s -> go s (k - 1) in
+  go s rounds
+
+let addr_parse_oracle_properties =
+  [ QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 41 |])
+      (QCheck.Test.make ~name:"of_string_opt matches the list-based oracle" ~count:20_000
+         (QCheck.make ~print:(Printf.sprintf "%S") gen_address_text)
+         (fun s ->
+           Option.equal Addr.equal (oracle_of_string_opt s) (Addr.of_string_opt s)));
+    Alcotest.test_case "of_string_opt matches the oracle on edge strings" `Quick (fun () ->
+        List.iter
+          (fun s ->
+            Alcotest.(check bool) s true
+              (Option.equal Addr.equal (oracle_of_string_opt s) (Addr.of_string_opt s)))
+          [ ""; ":"; "::"; ":::"; "::::"; "1::"; "::1"; "1::2"; "1:::2"; ":1::2"; "1::2:";
+            "1:2:3:4:5:6:7:8"; "1:2:3:4:5:6:7:8:9"; "1:2:3:4::5:6:7:8"; "1:2:3:4:5:6:7::";
+            "::2:3:4:5:6:7:8"; "1::2::3"; "12345::"; "0000::FFFF"; "fffff::"; "1"; "g::";
+            "1:2:3:4:5:6:7"; ":1:2:3:4:5:6:7:8"; "1:2:3:4:5:6:7:8:"; " ::1"; "::1 " ])
+  ]
+
 let () =
   Alcotest.run "ipv6"
     [ ( "addr",
         addr_tests @ addr_properties @ addr_oracle_tests @ addr_oracle_properties
-        @ addr_codec_oracle_properties );
+        @ addr_codec_oracle_properties @ addr_parse_oracle_properties );
       ("prefix", prefix_tests @ prefix_properties);
       ("packet", packet_tests);
       ("codec", codec_tests @ codec_properties @ frame_properties @ fuzz_properties);

@@ -394,7 +394,7 @@ let hop_limit_tests =
         Alcotest.(check bool) "hop limit drop traced" true
           (List.exists
              (fun r ->
-               let m = r.Engine.Trace.message in
+               let m = Engine.Trace.message r in
                let n = String.length "hop limit" in
                let rec go i =
                  i + n <= String.length m && (String.sub m i n = "hop limit" || go (i + 1))

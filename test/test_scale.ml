@@ -257,7 +257,24 @@ let desc_tests =
         Alcotest.(check string) "stable" (Desc.digest d) (Desc.digest d);
         let d' = { d with Desc.d_seed = d.Desc.d_seed + 1 } in
         Alcotest.(check bool) "seed changes digest" false
-          (String.equal (Desc.digest d) (Desc.digest d'))) ]
+          (String.equal (Desc.digest d) (Desc.digest d')));
+    (* Address resolution picks one of two overlapping links, so a host
+       homed on the longer prefix was provisioned on the wrong one and
+       [Runner.run] raised. *)
+    Alcotest.test_case "validate rejects a prefix containing another link's" `Quick
+      (fun () ->
+        let d = sample () in
+        let widen bad =
+          match List.rev d.Desc.d_links with
+          | (name, _) :: rest -> List.rev ((name, bad) :: rest)
+          | [] -> []
+        in
+        List.iter
+          (fun bad -> rejects ("prefix " ^ bad) { d with Desc.d_links = widen bad })
+          [ "2001:db8::/32"; "2000::/3"; "::/0" ];
+        (* A sibling that contains no other link's prefix still validates. *)
+        Alcotest.(check bool) "disjoint /48" true
+          (Desc.validate { d with Desc.d_links = widen "2001:db8:ffff::/48" } = Ok ())) ]
 
 (* ---- the Figure-1 chaos soak as a descriptor ---- *)
 
