@@ -35,7 +35,14 @@ val max : t -> t -> t
 
 val min : t -> t -> t
 
-val pp : Format.formatter -> t -> unit
-(** Prints with an adaptive unit: ["350.0ms"], ["12.500s"], ["4m20.0s"]. *)
+val render : Line.t -> t -> unit
+(** Appends [t] with an adaptive unit: ["350.0ms"], ["12.500s"],
+    ["4m20.0s"]; ["-1.500s"] when negative, ["inf"] when not finite.
+    Writes no [Format] or [Printf], so a trace record can render a
+    duration. *)
 
 val to_string : t -> string
+(** [t] as {!render} writes it. *)
+
+val pp : Format.formatter -> t -> unit
+(** Prints {!to_string}. *)
